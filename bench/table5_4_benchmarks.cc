@@ -208,7 +208,11 @@ void RunReconciliation() {
 // Recovery Manager...").
 void RunTimelineDemo() {
   std::printf("\nPrimitive timeline of one 2-node write transaction (monitor output)\n");
-  World world(2);
+  // The paper's protocol, whatever TABS_COMMIT_MODE says: the timeline is
+  // part of the table's byte-stable output.
+  WorldOptions options;
+  options.commit_mode = txn::CommitMode::kTwoPhase;
+  World world(2, options);
   auto* local = world.AddServerOf<servers::ArrayServer>(1, "l", 16u);
   auto* remote = world.AddServerOf<servers::ArrayServer>(2, "r", 16u);
   world.RunApp(1, [&](Application& app) {
