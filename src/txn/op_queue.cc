@@ -38,7 +38,7 @@ bool OpQueue::GrantVetoed(const ObjectId& oid) const {
                      [&](const TransactionId& t) { return aborting_.contains(t); });
 }
 
-Status OpQueue::AwaitPredecessors(const TransactionId& top, SimTime timeout) {
+Status OpQueue::AwaitPredecessors(TransactionId top, SimTime timeout) {
   auto pending = [&] {
     auto it = deps_.find(top);
     return it != deps_.end() && !it->second.empty();

@@ -75,8 +75,9 @@ class OpQueue {
   // `timeout` virtual time passes (kTimeout). Called before a transaction
   // appends its own prepare/commit record; the caller must re-resolve its
   // transaction entry afterwards — a cascade abort may have consumed it
-  // while it slept.
-  Status AwaitPredecessors(const TransactionId& top, SimTime timeout);
+  // while it slept. `top` is taken by value for the same reason: callers pass
+  // a field of that entry, which the cascade may erase during the wait.
+  Status AwaitPredecessors(TransactionId top, SimTime timeout);
 
   // `top` decided commit: clear its taints and discharge its dependents.
   void NoteCommitted(const TransactionId& top);
