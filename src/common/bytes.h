@@ -11,6 +11,7 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/types.h"
@@ -21,6 +22,11 @@ using Bytes = std::vector<std::uint8_t>;
 
 class ByteWriter {
  public:
+  ByteWriter() = default;
+  // Continues after the bytes already in `prefix`: move a buffer in, write,
+  // and Take() it back to append in place without a copy.
+  explicit ByteWriter(Bytes prefix) : buf_(std::move(prefix)) {}
+
   void U8(std::uint8_t v) { buf_.push_back(v); }
   void U16(std::uint16_t v) { Raw(&v, sizeof v); }
   void U32(std::uint32_t v) { Raw(&v, sizeof v); }

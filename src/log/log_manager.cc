@@ -19,20 +19,22 @@ std::uint32_t ReadU32(std::span<const std::uint8_t> s) {
   return v;
 }
 
+void WriteU32(std::uint8_t* at, std::uint32_t v) { std::memcpy(at, &v, sizeof v); }
+
 }  // namespace
 
 std::span<const std::uint8_t> StableLogDevice::Read(std::uint64_t offset,
                                                     std::uint64_t length) const {
-  if (offset < truncated_prefix_ || offset + length > data_.size()) {
+  if (offset < truncated_prefix_ || offset + length > size()) {
     return {};
   }
-  return {data_.data() + offset, length};
+  return {data_.data() + (offset - first_sector_ * kSectorBytes), length};
 }
 
 std::uint32_t StableLogDevice::ComputeSum(std::uint64_t sector) const {
   // FNV-1a over the sector's valid byte range (the final sector may be
   // partial; its checksum covers only the bytes written so far).
-  std::uint64_t begin = sector * kSectorBytes;
+  std::uint64_t begin = (sector - first_sector_) * kSectorBytes;
   std::uint64_t end = std::min(begin + kSectorBytes, static_cast<std::uint64_t>(data_.size()));
   std::uint32_t h = 2166136261u;
   for (std::uint64_t i = begin; i < end; ++i) {
@@ -50,20 +52,20 @@ void StableLogDevice::ResyncSums(std::uint64_t begin, std::uint64_t end) {
   sums_.resize((data_.size() + kSectorBytes - 1) / kSectorBytes);
   std::uint64_t first = begin / kSectorBytes;
   std::uint64_t last = end == 0 ? 0 : (end - 1) / kSectorBytes;
-  for (std::uint64_t s = first; s <= last && s < sums_.size(); ++s) {
-    sums_[s] = ComputeSum(s);
+  for (std::uint64_t s = first; s <= last && s < SectorCount(); ++s) {
+    sums_[s - first_sector_] = ComputeSum(s);
   }
 }
 
 void StableLogDevice::Append(const Bytes& bytes) {
-  std::uint64_t begin = data_.size();
+  std::uint64_t begin = size();
   data_.insert(data_.end(), bytes.begin(), bytes.end());
-  ResyncSums(begin, data_.size());
+  ResyncSums(begin, size());
 }
 
 void StableLogDevice::AppendTorn(const Bytes& bytes, int durable_sectors) {
   assert(durable_sectors >= 0);
-  std::uint64_t begin = data_.size();
+  std::uint64_t begin = size();
   std::uint64_t first_sector = begin / kSectorBytes;
   // Only the bytes landing in the first `durable_sectors` sectors touched by
   // this write survive; everything past that sector boundary is lost.
@@ -72,13 +74,14 @@ void StableLogDevice::AppendTorn(const Bytes& bytes, int durable_sectors) {
   std::uint64_t keep = keep_limit <= begin ? 0 : std::min<std::uint64_t>(bytes.size(),
                                                                          keep_limit - begin);
   data_.insert(data_.end(), bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(keep));
-  ResyncSums(begin, data_.size());
+  ResyncSums(begin, size());
 }
 
 void StableLogDevice::CorruptSector(std::uint64_t sector) {
-  std::uint64_t begin = sector * kSectorBytes;
+  assert(sector >= first_sector_ && sector < SectorCount() &&
+         "corrupting a sector the device does not hold");
+  std::uint64_t begin = (sector - first_sector_) * kSectorBytes;
   std::uint64_t end = std::min(begin + kSectorBytes, static_cast<std::uint64_t>(data_.size()));
-  assert(begin < data_.size() && "corrupting a sector that does not exist");
   for (std::uint64_t i = begin; i < end; ++i) {
     data_[i] = static_cast<std::uint8_t>((data_[i] ^ 0xA5u) + 1);
   }
@@ -87,40 +90,50 @@ void StableLogDevice::CorruptSector(std::uint64_t sector) {
 }
 
 bool StableLogDevice::SectorValid(std::uint64_t sector) const {
-  assert(sector < sums_.size());
-  return ComputeSum(sector) == sums_[sector];
+  assert(sector >= first_sector_ && sector < SectorCount());
+  return ComputeSum(sector) == sums_[sector - first_sector_];
 }
 
 std::uint64_t StableLogDevice::FirstInvalidByte() const {
-  std::uint64_t first_sector = truncated_prefix_ / kSectorBytes;
-  for (std::uint64_t s = first_sector; s < sums_.size(); ++s) {
+  for (std::uint64_t s = truncated_prefix_ / kSectorBytes; s < SectorCount(); ++s) {
     if (!SectorValid(s)) {
       return s * kSectorBytes;
     }
   }
-  return data_.size();
+  return size();
 }
 
 void StableLogDevice::TruncateBefore(std::uint64_t offset) {
   if (offset <= truncated_prefix_) {
     return;
   }
-  assert(offset <= data_.size());
-  std::fill(data_.begin() + static_cast<std::ptrdiff_t>(truncated_prefix_),
-            data_.begin() + static_cast<std::ptrdiff_t>(offset), std::uint8_t{0});
+  assert(offset <= size());
+  std::uint64_t base = first_sector_ * kSectorBytes;
+  std::fill(data_.begin() + static_cast<std::ptrdiff_t>(truncated_prefix_ - base),
+            data_.begin() + static_cast<std::ptrdiff_t>(offset - base), std::uint8_t{0});
   std::uint64_t old_prefix = truncated_prefix_;
   truncated_prefix_ = offset;
   ResyncSums(old_prefix, offset);
+  // Release the whole sectors below the truncation point's sector once they
+  // outweigh the bytes that stay. Each release copies fewer bytes than it
+  // frees, so the copying costs amortised O(1) per appended byte.
+  std::uint64_t dead_sectors = offset / kSectorBytes - first_sector_;
+  std::uint64_t dead = dead_sectors * kSectorBytes;
+  if (dead > data_.size() - dead) {
+    data_.erase(data_.begin(), data_.begin() + static_cast<std::ptrdiff_t>(dead));
+    sums_.erase(sums_.begin(), sums_.begin() + static_cast<std::ptrdiff_t>(dead_sectors));
+    first_sector_ += dead_sectors;
+  }
 }
 
 void StableLogDevice::TruncateAfter(std::uint64_t offset) {
-  assert(offset >= truncated_prefix_ && offset <= data_.size());
-  data_.resize(offset);
-  sums_.resize(data_.empty() ? 0 : (data_.size() + kSectorBytes - 1) / kSectorBytes);
+  assert(offset >= truncated_prefix_ && offset <= size());
+  data_.resize(offset - first_sector_ * kSectorBytes);
+  sums_.resize((data_.size() + kSectorBytes - 1) / kSectorBytes);
   if (!data_.empty()) {
     // The cut may leave a partial final sector: its checksum now covers a
     // shorter valid range.
-    ResyncSums(data_.size() - 1, data_.size());
+    ResyncSums(offset - 1, offset);
   }
 }
 
@@ -178,26 +191,27 @@ void LogManager::ValidateStableTail() {
 }
 
 Lsn LogManager::Append(LogRecord rec) {
-  rec.prev_lsn = LastLsnOf(rec.owner);
-  rec.lsn = next_lsn_;
-  Bytes payload = rec.Serialize();
-  auto len = static_cast<std::uint32_t>(payload.size());
-
-  ByteWriter w;
-  w.U32(len);
-  Bytes framed = w.Take();
-  framed.insert(framed.end(), payload.begin(), payload.end());
-  ByteWriter w2;
-  w2.U32(len);
-  Bytes trailer = w2.Take();
-  framed.insert(framed.end(), trailer.begin(), trailer.end());
-
-  buffer_.insert(buffer_.end(), framed.begin(), framed.end());
-  if (!rec.owner.IsNull()) {
-    chains_[rec.owner] = rec.lsn;
-  }
+  // Paxos acceptor records join no backward chain: rollback and the undo
+  // pass follow prev_lsn only from update records, and an acceptor holding
+  // no Txn for the transaction would never ForgetChain the entry.
+  bool chained = !rec.owner.IsNull() && !rec.IsPaxosAcceptor();
+  rec.prev_lsn = chained ? LastLsnOf(rec.owner) : kNullLsn;
   Lsn lsn = next_lsn_;
-  next_lsn_ += framed.size();
+  // Framed in place in the volatile buffer: a length placeholder, the
+  // record, then the length patched into the placeholder and repeated as the
+  // trailer.
+  std::size_t start = buffer_.size();
+  buffer_.resize(start + 4);
+  rec.AppendTo(buffer_);
+  auto len = static_cast<std::uint32_t>(buffer_.size() - start - 4);
+  buffer_.resize(buffer_.size() + 4);
+  WriteU32(buffer_.data() + start, len);
+  WriteU32(buffer_.data() + buffer_.size() - 4, len);
+
+  if (chained) {
+    chains_[rec.owner] = lsn;
+  }
+  next_lsn_ += buffer_.size() - start;
   last_record_lsn_ = lsn;
   return lsn;
 }

@@ -35,12 +35,22 @@ namespace tabs::log {
 // durable, the tail lost — power failure mid-write) or scramble a sector in
 // place without fixing its checksum. Recovery validates the tail against the
 // checksums and the record framing before trusting it (LogManager ctor).
+//
+// Offsets and sector numbers are absolute in the log stream, but the host
+// memory follows the live log: the device holds only the bytes from the
+// truncation point's sector onward, plus whole dead sectors below it until
+// they outweigh what stays (TruncateBefore releases them then).
 class StableLogDevice {
  public:
   static constexpr std::uint64_t kSectorBytes = 512;
 
-  std::uint64_t size() const { return data_.size(); }
+  // Absolute length of the stream: every byte appended, less any tail cut.
+  std::uint64_t size() const { return first_sector_ * kSectorBytes + data_.size(); }
   std::uint64_t truncated_prefix() const { return truncated_prefix_; }
+  // Host bytes the device holds: its sectors' data plus their checksums.
+  std::uint64_t resident_bytes() const {
+    return data_.size() + sums_.size() * sizeof(std::uint32_t);
+  }
 
   void Append(const Bytes& bytes);
   std::span<const std::uint8_t> Read(std::uint64_t offset, std::uint64_t length) const;
@@ -58,14 +68,15 @@ class StableLogDevice {
   // append reach the platter; the rest of the bytes are lost. Models power
   // failure mid-force — the caller is expected to crash the node.
   void AppendTorn(const Bytes& bytes, int durable_sectors);
-  // Scrambles a sector's data in place, leaving its checksum stale, as a
-  // failing medium would. No virtual-time charge: this is damage, not I/O.
+  // Scrambles a held sector's data in place, leaving its checksum stale, as
+  // a failing medium would. No virtual-time charge: this is damage, not I/O.
   void CorruptSector(std::uint64_t sector);
 
   // --- checksum inspection --------------------------------------------------
-  std::uint64_t SectorCount() const { return sums_.size(); }
-  // Recomputes sector `s` over its valid byte range and compares with the
-  // stored checksum.
+  // One past the last sector number (sectors are numbered from offset 0).
+  std::uint64_t SectorCount() const { return first_sector_ + sums_.size(); }
+  // Recomputes held sector `s` over its valid byte range and compares with
+  // the stored checksum.
   bool SectorValid(std::uint64_t sector) const;
   // Byte offset of the first sector (at/after the truncated prefix) whose
   // checksum fails, or size() when all sectors verify.
@@ -76,9 +87,13 @@ class StableLogDevice {
   // Recomputes checksums for every sector overlapping [begin, end).
   void ResyncSums(std::uint64_t begin, std::uint64_t end);
 
-  Bytes data_;  // offsets below truncated_prefix_ are zeroed and unreadable
+  // data_[0] is the first byte of sector first_sector_; every sector below
+  // it was released. Held offsets below truncated_prefix_ are zeroed and
+  // unreadable.
+  std::uint64_t first_sector_ = 0;
+  Bytes data_;
   std::uint64_t truncated_prefix_ = 0;
-  std::vector<std::uint32_t> sums_;  // one per sector, header-space checksums
+  std::vector<std::uint32_t> sums_;  // one per held sector, header-space checksums
 };
 
 class LogManager {
@@ -86,7 +101,8 @@ class LogManager {
   LogManager(sim::Substrate& substrate, StableLogDevice& device);
 
   // Appends `rec` to the volatile buffer, filling in prev_lsn from the
-  // owner's chain and rec.lsn. Returns the record's LSN. Does not force.
+  // owner's chain (Paxos acceptor records join none). Returns the record's
+  // LSN. Does not force.
   Lsn Append(LogRecord rec);
 
   // Forces the buffer through `upto` to the stable device, charging one

@@ -36,8 +36,8 @@ const char* RecordTypeName(RecordType t) {
   return "?";
 }
 
-Bytes LogRecord::Serialize() const {
-  ByteWriter w;
+void LogRecord::AppendTo(Bytes& out) const {
+  ByteWriter w(std::move(out));
   w.U8(static_cast<std::uint8_t>(type));
   w.Tid(owner);
   w.Tid(top);
@@ -94,7 +94,7 @@ Bytes LogRecord::Serialize() const {
       }
     }
   }
-  return w.Take();
+  out = w.Take();
 }
 
 std::optional<LogRecord> LogRecord::Deserialize(std::span<const std::uint8_t> data) {

@@ -115,10 +115,16 @@ struct LogRecord {
   };
   std::vector<PaxosExtra> paxos_extra;
 
-  // Filled in by LogManager on append / on read.
+  // Filled in by LogManager on read.
   Lsn lsn = kNullLsn;
 
-  Bytes Serialize() const;
+  // Appends the record's encoding to `out` (the log frames it in place).
+  void AppendTo(Bytes& out) const;
+  Bytes Serialize() const {
+    Bytes out;
+    AppendTo(out);
+    return out;
+  }
   static std::optional<LogRecord> Deserialize(std::span<const std::uint8_t> data);
 
   bool IsUpdate() const {
@@ -130,6 +136,10 @@ struct LogRecord {
   }
   bool IsValueStyle() const {
     return type == RecordType::kValueUpdate || type == RecordType::kCompensation;
+  }
+  bool IsPaxosAcceptor() const {
+    return type == RecordType::kPaxosPromise || type == RecordType::kPaxosAccept ||
+           type == RecordType::kPaxosLearn;
   }
 };
 

@@ -363,7 +363,8 @@ std::string World::DescribeNode(NodeId node_id) {
   for (auto& [name, server] : rt.servers) {
     os << " " << name;
   }
-  os << "\n  stable log bytes in use: " << rt.rm->StableLogBytesInUse() << "\n";
+  os << "\n  stable log bytes in use: " << rt.rm->StableLogBytesInUse()
+     << " (device holds " << node(node_id).stable_log().resident_bytes() << " bytes)\n";
   return os.str();
 }
 

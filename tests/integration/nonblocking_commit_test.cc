@@ -87,6 +87,30 @@ TEST(PaxosCommitTest, ReadOnlyParticipantsDropOutOfPhaseTwo) {
   }
 }
 
+// Acceptor records join no backward chain. Node 3 is an acceptor but not a
+// participant: it holds no Txn whose end would forget a chain entry, so one
+// left behind there would stay for the life of the node.
+TEST(PaxosCommitTest, AcceptorRecordsLeaveNoBackwardChain) {
+  World world(3, PaxosOptions());
+  auto* a1 = world.AddServerOf<ArrayServer>(1, "a1", 4u);
+  auto* a2 = world.AddServerOf<ArrayServer>(2, "a2", 4u);
+  world.AddServerOf<ArrayServer>(3, "a3", 4u);
+
+  TransactionId tid = kNullTransaction;
+  world.SpawnApp(1, "client", [&](Application& app) {
+    tid = app.Begin();
+    server::Tx tx = app.MakeTx(tid);
+    a1->SetCell(tx, 0, 1);
+    a2->SetCell(tx, 0, 2);
+    EXPECT_EQ(app.End(tid), Status::kOk);
+  });
+  ASSERT_EQ(world.Drain(), 0);
+  ASSERT_NE(world.rm(3).log().last_lsn(), kNullLsn);  // node 3 did log as acceptor
+  for (NodeId n = 1; n <= 3; ++n) {
+    EXPECT_EQ(world.rm(n).log().LastLsnOf(tid), kNullLsn) << "node " << n;
+  }
+}
+
 // --- the paper's blocking window, both ways ----------------------------------
 
 // Commits a three-node write transaction from node 1 while every commit

@@ -304,6 +304,8 @@ TEST_F(TransactionTest, DescribeNodeListsComponents) {
   std::string desc = world_.DescribeNode(1);
   EXPECT_NE(desc.find("Transaction Manager"), std::string::npos);
   EXPECT_NE(desc.find("array1"), std::string::npos);
+  EXPECT_NE(desc.find("stable log bytes in use"), std::string::npos);
+  EXPECT_NE(desc.find("device holds"), std::string::npos);
 }
 
 // --- the RAII / retry API ----------------------------------------------------

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "src/log/log_record.h"
 #include "src/sim/substrate.h"
 
@@ -32,6 +34,20 @@ class LogTest : public ::testing::Test {
     r.old_value = std::move(oldv);
     r.new_value = std::move(newv);
     return r;
+  }
+
+  // The frame the log writes around a record: [u32 len][record][u32 len].
+  static Bytes Framed(const LogRecord& r) {
+    Bytes body = r.Serialize();
+    ByteWriter w;
+    w.Blob(body);  // [u32 len][record]
+    w.U32(static_cast<std::uint32_t>(body.size()));
+    return w.Take();
+  }
+
+  Bytes DeviceBytes(Lsn lsn, std::uint64_t length) const {
+    auto s = device_.Read(lsn - 1, length);
+    return Bytes(s.begin(), s.end());
   }
 
   sim::Scheduler sched_;
@@ -278,6 +294,141 @@ TEST_F(LogTest, TruncationReclaimsSpaceAndBlocksReads) {
   EXPECT_FALSE(log_.ReadRecord(a).has_value());
   EXPECT_TRUE(log_.ReadRecord(b).has_value());
   EXPECT_EQ(log_.first_lsn(), b);
+}
+
+// Appends 30 records (7.6 sectors) and reclaims up to record 25, whose
+// offset lies inside sector 6: the six whole sectors below it outweigh the
+// bytes that stay, so the device releases them.
+class ReclaimedLogTest : public LogTest {
+ protected:
+  void SetUp() override {
+    TransactionId t{1, 1};
+    for (std::uint32_t i = 0; i < 30; ++i) {
+      lsns_.push_back(
+          log_.Append(ValueRec(t, {1, i * 4, 4}, {0}, {static_cast<std::uint8_t>(i)})));
+    }
+    RunInTask([&] { log_.ForceAll(); });
+    prefix_ = lsns_[25] - 1;
+    ASSERT_NE(prefix_ % StableLogDevice::kSectorBytes, 0u);
+    ASSERT_EQ(prefix_ / StableLogDevice::kSectorBytes, 6u);
+    size_ = device_.size();
+    device_.TruncateBefore(prefix_);
+  }
+
+  std::vector<Lsn> lsns_;
+  std::uint64_t prefix_ = 0;
+  std::uint64_t size_ = 0;
+};
+
+TEST_F(ReclaimedLogTest, ReleasesDeadSectorsAndKeepsAbsoluteOffsets) {
+  const std::uint64_t kSector = StableLogDevice::kSectorBytes;
+  EXPECT_EQ(device_.size(), size_);
+  EXPECT_EQ(device_.truncated_prefix(), prefix_);
+  std::uint64_t held_sectors = device_.SectorCount() - 6;
+  EXPECT_EQ(device_.resident_bytes(), size_ - 6 * kSector + held_sectors * 4);
+
+  EXPECT_TRUE(device_.Read(prefix_ - 1, 1).empty());
+  EXPECT_TRUE(device_.Read(0, 4).empty());
+  EXPECT_FALSE(device_.Read(prefix_, 4).empty());
+  EXPECT_FALSE(log_.ReadRecord(lsns_[24]).has_value());
+  for (std::size_t i = 25; i < lsns_.size(); ++i) {
+    auto rec = log_.ReadRecord(lsns_[i]);
+    ASSERT_TRUE(rec.has_value()) << "record " << i;
+    EXPECT_EQ(rec->new_value, Bytes{static_cast<std::uint8_t>(i)});
+  }
+  EXPECT_EQ(log_.first_lsn(), lsns_[25]);
+  EXPECT_EQ(log_.LastDurableLsn(), lsns_.back());
+
+  // Sectors are still numbered from offset 0.
+  EXPECT_EQ(device_.SectorCount(), (size_ + kSector - 1) / kSector);
+  for (std::uint64_t s = prefix_ / kSector; s < device_.SectorCount(); ++s) {
+    EXPECT_TRUE(device_.SectorValid(s)) << "sector " << s;
+  }
+  EXPECT_EQ(device_.FirstInvalidByte(), size_);
+  device_.CorruptSector(6);
+  EXPECT_FALSE(device_.SectorValid(6));
+  EXPECT_EQ(device_.FirstInvalidByte(), 6 * kSector);
+}
+
+// The rebind validates the tail of the rebased device and cuts it there.
+TEST_F(ReclaimedLogTest, RebindCutsExactlyTheTornTail) {
+  device_.AppendTorn(Bytes(3 * StableLogDevice::kSectorBytes, 0x7F), 1);
+  std::uint64_t torn = device_.size() - size_;
+  ASSERT_GT(torn, 0u);
+
+  LogManager after(substrate_, device_);
+  EXPECT_EQ(device_.size(), size_);
+  EXPECT_EQ(substrate_.metrics().log_tail_truncations(), 1);
+  EXPECT_EQ(substrate_.metrics().log_tail_bytes_truncated(), torn);
+  EXPECT_EQ(after.first_lsn(), lsns_[25]);
+  EXPECT_EQ(after.LastDurableLsn(), lsns_.back());
+  EXPECT_TRUE(after.ReadRecord(lsns_.back()).has_value());
+}
+
+// 10,000 append/force/reclaim cycles with under 4 KiB live: the stream
+// passes 5 MB while the device never holds more than 64 KiB.
+TEST_F(LogTest, HostMemoryFollowsTheLiveLog) {
+  TransactionId t{1, 1};
+  std::deque<Lsn> live;
+  RunInTask([&] {
+    for (std::uint32_t i = 0; i < 10'000; ++i) {
+      live.push_back(log_.Append(ValueRec(t, {1, 0, 200}, Bytes(200, 1), Bytes(200, 2))));
+      log_.ForceAll();
+      if (live.size() > 7) {
+        live.pop_front();
+        device_.TruncateBefore(live.front() - 1);
+      }
+      ASSERT_LT(log_.StableBytesInUse(), 4096u) << "cycle " << i;
+      ASSERT_LE(device_.resident_bytes(), 64u * 1024) << "cycle " << i;
+    }
+  });
+  EXPECT_GT(device_.size(), 4u * 1024 * 1024);
+  auto rec = log_.ReadRecord(live.back());
+  ASSERT_TRUE(rec.has_value());
+  EXPECT_EQ(rec->new_value, Bytes(200, 2));
+}
+
+// Pins the frame that Append writes in place: the device holds exactly
+// [u32 len][Serialize()][u32 len] for each record, prev_lsn included.
+TEST_F(LogTest, AppendFramesTheSerializedRecord) {
+  TransactionId t{1, 1};
+  LogRecord value = ValueRec(t, {1, 0, 4}, {1, 2, 3, 4}, {5, 6, 7, 8});
+
+  LogRecord op;
+  op.type = RecordType::kOperationUpdate;
+  op.owner = t;
+  op.top = t;
+  op.server = "btree";
+  op.op_name = "insert";
+  op.redo_args = {9, 9};
+  op.undo_op_name = "delete";
+  op.undo_args = {8};
+  op.pages = {{4, 2}, {4, 3}};
+
+  LogRecord accept;
+  accept.type = RecordType::kPaxosAccept;
+  accept.owner = {2, 5};
+  accept.top = {2, 5};
+  accept.paxos_ballot = 3;
+  accept.paxos_participant = 2;
+  accept.paxos_vote = 1;
+  accept.paxos_extra = {{3, 1}, {4, 2}};
+
+  Lsn value_lsn = log_.Append(value);
+  Lsn op_lsn = log_.Append(op);
+  Lsn accept_lsn = log_.Append(accept);
+  RunInTask([&] { log_.ForceAll(); });
+
+  op.prev_lsn = value_lsn;  // the owner's backward chain
+  Bytes value_frame = Framed(value);
+  Bytes op_frame = Framed(op);
+  Bytes accept_frame = Framed(accept);
+  EXPECT_EQ(DeviceBytes(value_lsn, value_frame.size()), value_frame);
+  EXPECT_EQ(DeviceBytes(op_lsn, op_frame.size()), op_frame);
+  EXPECT_EQ(DeviceBytes(accept_lsn, accept_frame.size()), accept_frame);
+  EXPECT_EQ(op_lsn, value_lsn + value_frame.size());
+  EXPECT_EQ(accept_lsn, op_lsn + op_frame.size());
+  EXPECT_EQ(device_.size(), accept_lsn - 1 + accept_frame.size());
 }
 
 }  // namespace
