@@ -8,7 +8,7 @@
 # trace into the working directory. TABS_TRACE is set from TRACE and every
 # other variable that selects bench output is cleared, so the result does not
 # depend on the caller's environment. TABS_COMMIT_MODE is left alone: the
-# tables pin their protocol, and CI runs the suite under both modes.
+# tables pin their protocol, and ctest runs each golden under both modes.
 
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")

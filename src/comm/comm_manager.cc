@@ -11,9 +11,6 @@ void CommManager::NoteChild(const TransactionId& tid, NodeId child) {
     // First contact with this node for this transaction: the CM informs the
     // Transaction Manager (one small local message) and records the child.
     network_.substrate().Charge(sim::Primitive::kSmallMessage, 1);
-    if (listener_ != nullptr) {
-      listener_->OnRemoteChildJoined(tid, child);
-    }
   }
 }
 

@@ -37,14 +37,13 @@
 
 namespace tabs::comm {
 
-// How the Communication Manager informs the Transaction Manager that remote
-// sites joined a transaction (the second progress message of Section 3.2.3)
-// and that a remote parent initiated a transaction here.
+// How the Communication Manager informs the Transaction Manager that a
+// remote parent initiated a transaction here. The other progress message of
+// Section 3.2.3, that remote sites joined, the CM charges itself; the TM
+// reads the children from InfoFor at commit.
 class TransactionTreeListener {
  public:
   virtual ~TransactionTreeListener() = default;
-  // First inter-node message sent on behalf of `tid` from this node.
-  virtual void OnRemoteChildJoined(const TransactionId& tid, NodeId child) = 0;
   // First inter-node message received on behalf of `tid` at this node.
   virtual void OnRemoteParentObserved(const TransactionId& tid, NodeId parent) = 0;
 };
@@ -209,24 +208,6 @@ class CommManager {
 
   // Datagram on behalf of transaction management (commit protocol).
   void SendDatagram(NodeId to, std::string what, std::function<void()> handler) {
-    network_.SendDatagram(self_, to, std::move(what), std::move(handler));
-  }
-
-  // Commit-protocol bundling: `k` per-instance messages bound for the same
-  // node ride ONE datagram (the Paxos Commit accept-bundle coalescing, the
-  // datagram sibling of AsyncRemoteCallBatch's op coalescing). The network
-  // charges a single datagram; the k-1 messages that didn't pay their own
-  // wire trip are counted on the accept-bundle counter so the ablation
-  // benches can report the saving.
-  void SendBundledDatagram(NodeId to, std::string what, size_t k,
-                           std::function<void()> handler) {
-    sim::Substrate& sub = network_.substrate();
-    if (k > 1) {
-      sub.metrics().CountAcceptsCoalesced(static_cast<double>(k - 1));
-    }
-    // Crash window: this bundle is about to leave while bundles for other
-    // acceptors of the same transaction may already be on the wire.
-    FAULT_POINT(sub, "comm.accept-bundle");
     network_.SendDatagram(self_, to, std::move(what), std::move(handler));
   }
 

@@ -75,18 +75,21 @@ Bytes& DataServer::Staged(const Tx& tx, const ObjectId& oid) {
 }
 
 void DataServer::LogAndUnPin(const Tx& tx, const ObjectId& oid) {
-  auto it = staged_.find({tx.tid, oid});
-  assert(it != staged_.end() && "LogAndUnPin() without PinAndBuffer()");
+  auto staged = staged_.extract({tx.tid, oid});
+  assert(!staged.empty() && "LogAndUnPin() without PinAndBuffer()");
   // The buffered old value and the new value travel to the Recovery Manager
   // (one large local message of log data), which appends the record and
   // applies the new value to the segment under the record's LSN.
   substrate().ChargeSystemMessage(sim::Primitive::kLargeMessage, 1);
   substrate().ChargeSystemMessage(sim::Primitive::kSmallMessage, 2);  // pin/unpin kernel msgs
-  ctx_.rm->LogValue(tx.tid, tx.top, name_, oid, std::move(it->second.old_value),
-                    std::move(it->second.new_value));
-  staged_.erase(it);
-  segment_->Unpin(oid);
+  // LogValue can yield inside automatic log reclamation, and an abort of
+  // this transaction may run meanwhile. The write is already out of
+  // staged_, so the abort's cleanup cannot free or unpin it, and the update
+  // mark is set first, so that cleanup clears it.
   updates_.insert(tx.tid);
+  ctx_.rm->LogValue(tx.tid, tx.top, name_, oid, std::move(staged.mapped().old_value),
+                    std::move(staged.mapped().new_value));
+  segment_->Unpin(oid);
 }
 
 Status DataServer::LockAndMark(const Tx& tx, const ObjectId& oid, lock::LockMode mode) {

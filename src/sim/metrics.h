@@ -127,14 +127,6 @@ class Metrics {
   double async_calls_issued() const { return async_calls_issued_; }
   double messages_coalesced() const { return messages_coalesced_; }
 
-  // Paxos accept-bundle accounting: a bundle of k instances to one acceptor
-  // coalesces k-1 per-instance accept datagrams away. Kept separate from the
-  // async-communication counter so each optimisation's win is visible on its
-  // own (and the async tests' exact counts stay undisturbed under
-  // TABS_COMMIT_MODE=paxos).
-  void CountAcceptsCoalesced(double n = 1.0) { accepts_coalesced_ += n; }
-  double accepts_coalesced() const { return accepts_coalesced_; }
-
   // Fault-injection and recovery accounting. Like the force and page-write
   // counters these are deliberately not Primitives: with faults off every
   // counter stays zero and the regenerated paper tables keep their shape.
@@ -170,7 +162,6 @@ class Metrics {
     page_writes_background_ = 0;
     async_calls_issued_ = 0;
     messages_coalesced_ = 0;
-    accepts_coalesced_ = 0;
     faults_injected_ = {};
     crash_recoveries_ = 0;
     log_tail_truncations_ = 0;
@@ -186,7 +177,6 @@ class Metrics {
   double page_writes_background_ = 0;
   double async_calls_issued_ = 0;
   double messages_coalesced_ = 0;
-  double accepts_coalesced_ = 0;
   std::array<double, kFaultKindCount> faults_injected_{};
   double crash_recoveries_ = 0;
   double log_tail_truncations_ = 0;

@@ -172,31 +172,21 @@ void World::CrashNode(NodeId node_id) {
   runtime(node_id).dead = true;
   WirePeers();
   node(node_id).set_alive(false);
-  // Surviving nodes presume-abort the dead node's orphans: active
-  // transactions it coordinated here can never prepare (its volatile state
-  // is gone), so their locks and dirty values must not linger. Runs as a
-  // task per survivor, charging the undo work to that survivor; the session
-  // layer drops the dead node's still-in-flight requests, so a late arrival
-  // cannot resurrect an orphan after this sweep. Spawned before KillWhere:
-  // if the caller runs on the dying node, KillWhere ends it by throwing.
+  // Surviving nodes resolve the dead node's orphans: active transactions it
+  // coordinated here can never prepare (its volatile state is gone), so
+  // their locks and dirty values must not linger, and prepared ones with an
+  // acceptor set are decided without it. Runs as a task per survivor,
+  // charging the undo work to that survivor; the session layer drops the
+  // dead node's still-in-flight requests, so a late arrival cannot resurrect
+  // an orphan after this sweep. Spawned before KillWhere: if the caller runs
+  // on the dying node, KillWhere ends it by throwing.
   for (auto& [id, rt] : runtimes_) {
     if (id == node_id || rt.dead) {
       continue;
     }
     txn::TransactionManager* tm = rt.tm.get();
     scheduler_.Spawn("orphan-abort", id, scheduler_.Now(),
-                     [tm, node_id] { tm->AbortRemoteOrphansOf(node_id); });
-    if (options_.commit_mode == txn::CommitMode::kPaxosCommit) {
-      // The non-blocking guarantee: survivors drive the dead coordinator's
-      // prepared transactions to a decision through the acceptors, without
-      // waiting for the node to recover. Gated on the mode so default-mode
-      // schedules stay byte-identical. Staggered by node id so the usual
-      // case is one uncontended takeover whose verdict the later sweeps
-      // find already learned, rather than competing ballots.
-      scheduler_.Spawn("paxos-takeover", id,
-                       scheduler_.Now() + 10'000 * static_cast<SimTime>(id),
-                       [tm, node_id] { tm->ResolvePaxosOrphansOf(node_id); });
-    }
+                     [tm, node_id] { tm->ResolveOrphansOf(node_id); });
   }
   // Every process on the node dies with it. (If the caller runs on this
   // node, KillWhere throws TaskKilled after marking the others.)

@@ -89,11 +89,6 @@ class OpQueue {
   std::vector<TransactionId> TakeDependents(const TransactionId& top);
   void FinishAbort(const TransactionId& top);
 
-  bool HasDependents(const TransactionId& top) const {
-    auto it = dependents_.find(top);
-    return it != dependents_.end() && !it->second.empty();
-  }
-
  private:
   void Discharge(const TransactionId& dependent, const TransactionId& predecessor);
 

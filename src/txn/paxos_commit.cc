@@ -1,13 +1,10 @@
-// Paxos Commit (see paxos_commit.h for the protocol overview) and the
-// TransactionManager entry points that drive it: the coordinator path
-// (CommitTopLevelPaxos), the participant prepare handler, verdict delivery,
-// and the dead-coordinator takeover sweep.
+// Paxos Commit's verdict store (see paxos_commit.h for the protocol
+// overview): the leader's ballot-0 decision, the acceptor role, and takeover.
 //
-// Everything here reuses the 2PC building blocks — PrepareSubtree for the
-// local and subtree prepare work, CommitSubtree/AbortSubtree for outcome
-// propagation, AppendTxnRecord for prepare/commit records — so a transaction
-// committed under kPaxosCommit pays exactly the 2PC prices plus the acceptor
-// traffic, which is what bench/commit_ablation measures.
+// The commit engine (two_phase_commit.cc) runs everything else — prepares,
+// votes, prepare and commit records, outcome propagation — exactly as for
+// 2PC, so a transaction committed under kPaxosCommit pays the 2PC prices plus
+// the acceptor traffic, which is what bench/commit_ablation measures.
 
 #include <algorithm>
 #include <cassert>
@@ -82,7 +79,7 @@ std::vector<NodeId> PaxosCommit::ChooseAcceptors(const TransactionId& tid) const
 }
 
 Lsn PaxosCommit::AppendPaxosRecord(RecordType type, const TransactionId& tid,
-                                   NodeId participant, Ballot ballot, PaxosVote vote) {
+                                   NodeId participant, Ballot ballot, Vote vote) {
   LogRecord rec;
   rec.type = type;
   rec.owner = tid;
@@ -98,37 +95,100 @@ Lsn PaxosCommit::AppendPaxosRecord(RecordType type, const TransactionId& tid,
   return lsn;
 }
 
-void PaxosCommit::ForceLog(Lsn lsn) {
-  // TM -> RM force request and completion, then the stable write itself
-  // (charged by the log manager) — same price as a 2PC prepare force.
-  tm_.node_.substrate().ChargeSystemMessage(sim::Primitive::kSmallMessage, 2);
-  if (tm_.group_commit_ != nullptr) {
-    tm_.group_commit_->WaitStable(lsn);
-  } else {
-    tm_.rm_.log().ForceAll();
+// --- leader side ---------------------------------------------------------------
+
+int PaxosCommit::Decide(const TransactionId& tid, const std::vector<NodeId>& participants,
+                        const std::vector<NodeId>& acceptors, Vote local,
+                        const std::vector<VoteMsg>& votes, Lsn prepare_lsn, bool* learn) {
+  sim::Substrate& sub = tm_.node_.substrate();
+  bool any_prepared = local == Vote::kPrepared;
+  bool any_aborted = false;
+  for (const VoteMsg& v : votes) {
+    any_prepared = any_prepared || v.vote == Vote::kPrepared;
+    any_aborted = any_aborted || v.vote == Vote::kAborted;
   }
+  if (votes.size() + 1 == participants.size()) {  // every vote arrived
+    if (!any_prepared) {
+      // Read-only fast path (see paxos_commit.h): nothing is Prepared
+      // anywhere, so no instance needs deciding and no acceptor a force.
+      FAULT_POINT(sub, "paxos.readonly-skip");
+      return any_aborted ? -1 : 1;
+    }
+    // The accept round, coalesced: one bundle datagram per acceptor carries
+    // every instance's ballot-0 value. ReadOnly instances ride along too — a
+    // takeover derives its value list from the same participant set, so
+    // every instance must be decidable from any acceptance quorum.
+    std::vector<InstanceValue> values;
+    values.reserve(participants.size());
+    for (NodeId p : participants) {
+      Vote v = local;
+      for (const VoteMsg& m : votes) {
+        v = m.from == p ? m.vote : v;
+      }
+      values.push_back(InstanceValue{p, 0, v});
+    }
+    sim::Scheduler& sched = sub.scheduler();
+    auto replies = std::make_shared<AcceptChannel>(sched);
+    size_t sent = SendAcceptBundles(tid, values, acceptors, replies, prepare_lsn);
+    // F+1 distinct acceptors decide; a duplicated reply counts once.
+    const size_t quorum = Quorum(acceptors);
+    std::set<NodeId> acked;
+    SimTime deadline = sched.Now() + tm_.vote_timeout_;
+    while (acked.size() < std::min(sent, quorum)) {
+      PaxosAccepted a;
+      SimTime remaining = std::max<SimTime>(deadline - sched.Now(), 0);
+      if (!replies->PopWithTimeout(remaining, &a)) {
+        break;
+      }
+      sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 1);  // CM -> TM: 2b arrived
+      acked.insert(a.from);
+    }
+    if (acked.size() >= quorum) {
+      // The decision point: F+1 acceptors hold a durable acceptance of EVERY
+      // instance (a bundle is atomic at its acceptor), so any future
+      // takeover quorum intersects them and must choose the same values —
+      // commit when every vote is Prepared/ReadOnly, abort when an Aborted
+      // vote rode along.
+      *learn = true;
+      return any_aborted ? -1 : 1;
+    }
+    // Timed out short of a quorum. Presumed abort is UNSOUND here: F+1
+    // acceptors may have logged the bundle while their replies were lost,
+    // making the transaction committed at the acceptors.
+  }
+  // A vote never arrived (its participant may be crashed holding a durable
+  // prepare), or the round fell short of a quorum. Either way the outcome is
+  // decided and learned at the acceptors, where a crashed participant's
+  // recovery will look for it.
+  return Resolve(tid, participants, acceptors);
 }
 
-// --- participant/leader side -------------------------------------------------
-
-void PaxosCommit::SendVote(const TransactionId& tid, PaxosVote vote, NodeId leader,
-                           VoteChannelPtr votes) {
+template <typename Local, typename Remote>
+size_t PaxosCommit::ToAcceptors(const std::vector<NodeId>& acceptors, Local local,
+                                Remote remote) {
   sim::Substrate& sub = tm_.node_.substrate();
-  // The vote is computed but not yet on the wire to the leader: a crash here
-  // leaves the instance open, decided by takeover as Aborted.
-  FAULT_POINT(sub, "paxos.vote-send");
-  PaxosVoteMsg m;
-  m.tid = tid;
-  m.participant = self();
-  m.vote = vote;
-  if (leader == self()) {
-    votes->Push(m);
-    return;
+  size_t reached = 0;
+  bool first_send = true;
+  for (NodeId a : acceptors) {
+    if (a == self()) {
+      local();
+      ++reached;
+      continue;
+    }
+    TransactionManager* atm = tm_.Peer(a);
+    if (atm == nullptr) {
+      continue;  // dead acceptor: a quorum of the others suffices
+    }
+    // The sender serializes sends: each datagram after the first delays by
+    // half a datagram time, as for prepares.
+    if (!first_send) {
+      sub.scheduler().Charge(sub.CostOf(sim::Primitive::kDatagram) / 2);
+    }
+    first_send = false;
+    ++reached;
+    remote(a, atm->paxos_.get(), &atm->cm_);
   }
-  if (tm_.Peer(leader) == nullptr) {
-    return;  // dead leader: the orphan sweep resolves us through the acceptors
-  }
-  tm_.cm_.SendDatagram(leader, "paxos-vote", [votes, m] { votes->Push(m); });
+  return reached;
 }
 
 size_t PaxosCommit::SendAcceptBundles(const TransactionId& tid,
@@ -136,9 +196,7 @@ size_t PaxosCommit::SendAcceptBundles(const TransactionId& tid,
                                       const std::vector<NodeId>& acceptors,
                                       AcceptChannelPtr replies, Lsn prepare_lsn) {
   sim::Substrate& sub = tm_.node_.substrate();
-  sim::Scheduler& sched = sub.scheduler();
   NodeId me = self();
-  size_t sent = 0;
   // The local acceptor runs first, before anything reaches the wire: its
   // forced acceptance covers the caller's deferred prepare record (lower
   // LSN, same stable write), upholding the invariant that no remote quorum
@@ -147,41 +205,24 @@ size_t PaxosCommit::SendAcceptBundles(const TransactionId& tid,
   bool local = std::find(acceptors.begin(), acceptors.end(), me) != acceptors.end();
   if (local) {
     bool accepted = AcceptBundle(tid, 0, values, me, replies);
-    ++sent;
     if (!accepted && prepare_lsn != kNullLsn) {
-      ForceLog(prepare_lsn);  // stale local acceptor: force the prepare directly
+      tm_.ForceLsn(prepare_lsn);  // stale local acceptor: force the prepare directly
     }
   } else if (prepare_lsn != kNullLsn) {
-    ForceLog(prepare_lsn);  // no local acceptance to ride on
+    tm_.ForceLsn(prepare_lsn);  // no local acceptance to ride on
   }
-  bool first_send = true;
-  for (NodeId a : acceptors) {
-    if (a == me) {
-      continue;
-    }
-    TransactionManager* atm = tm_.Peer(a);
-    if (atm == nullptr) {
-      continue;  // dead acceptor: a quorum of the others suffices
-    }
-    if (!first_send) {
-      sched.Charge(sub.CostOf(sim::Primitive::kDatagram) / 2);
-    }
-    first_send = false;
-    ++sent;
-    PaxosCommit* ap = atm->paxos_.get();
-    tm_.cm_.SendBundledDatagram(a, "paxos-accept-bundle", values.size(),
-                                [ap, tid, values, me, replies] {
-                                  ap->AcceptBundle(tid, 0, values, me, replies);
-                                });
-  }
-  return sent;
+  return ToAcceptors(acceptors, [] {}, [&](NodeId a, PaxosCommit* ap, comm::CommManager*) {
+    // Crash window: this bundle is about to leave while bundles for other
+    // acceptors of the same transaction may already be on the wire.
+    FAULT_POINT(sub, "comm.accept-bundle");
+    tm_.cm_.SendDatagram(a, "paxos-accept-bundle", [ap, tid, values, me, replies] {
+      ap->AcceptBundle(tid, 0, values, me, replies);
+    });
+  });
 }
 
 int PaxosCommit::Resolve(const TransactionId& tid, const std::vector<NodeId>& participants,
                          const std::vector<NodeId>& acceptors) {
-  if (acceptors.empty()) {
-    return 0;
-  }
   // One takeover leader per transaction per node: the crash sweep and a
   // manual ResolveInDoubt would otherwise duel each other with competing
   // ballots from the SAME node. Later callers park until the verdict.
@@ -234,35 +275,24 @@ int PaxosCommit::RunTakeover(const TransactionId& tid,
 
     // ---- phase 1: promises from an acceptor quorum ----
     auto promises = std::make_shared<PromiseChannel>(sched);
-    size_t sent = 0;
-    bool first_send = true;
-    for (NodeId a : acceptors) {
-      if (a == me) {
-        promises->Push(Promise(tid, b));
-        ++sent;
-        continue;
-      }
-      TransactionManager* atm = tm_.Peer(a);
-      if (atm == nullptr) {
-        continue;
-      }
-      if (!first_send) {
-        sched.Charge(sub.CostOf(sim::Primitive::kDatagram) / 2);
-      }
-      first_send = false;
-      ++sent;
-      PaxosCommit* ap = atm->paxos_.get();
-      comm::CommManager* acm = &atm->cm_;
-      tm_.cm_.SendDatagram(a, "paxos-ballot", [ap, acm, tid, b, me, promises] {
-        PaxosPromise p = ap->Promise(tid, b);
-        acm->SendDatagram(me, "paxos-promise", [promises, p] { promises->Push(p); });
-      });
-    }
+    size_t sent = ToAcceptors(
+        acceptors, [&] { promises->Push(Promise(tid, b)); },
+        [&](NodeId a, PaxosCommit* ap, comm::CommManager* acm) {
+          tm_.cm_.SendDatagram(a, "paxos-ballot", [ap, acm, tid, b, me, promises] {
+            PaxosPromise p = ap->Promise(tid, b);
+            acm->SendDatagram(me, "paxos-promise", [promises, p] { promises->Push(p); });
+          });
+        });
 
+    // Each acceptor answers once. A duplicated ballot makes an acceptor
+    // reply twice: an ok after its promise force, and a nok for the ballot it
+    // already promised, which needs no force and so arrives first. That nok
+    // is an echo of this round, not a rival's, so it is not counted.
     std::vector<PaxosPromise> oks;
+    std::set<NodeId> answered;
     Ballot highest = b;
     SimTime deadline = sched.Now() + tm_.vote_timeout_;
-    for (size_t i = 0; i < sent && oks.size() < quorum; ++i) {
+    while (answered.size() < sent && oks.size() < quorum) {
       PaxosPromise p;
       SimTime remaining = std::max<SimTime>(deadline - sched.Now(), 0);
       if (!promises->PopWithTimeout(remaining, &p)) {
@@ -271,6 +301,9 @@ int PaxosCommit::RunTakeover(const TransactionId& tid,
       sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 1);  // CM -> TM
       if (p.learned != 0) {
         return p.learned;  // an acceptor already knows the outcome: adopt it
+      }
+      if ((!p.ok && p.promised == b) || !answered.insert(p.from).second) {
+        continue;
       }
       if (p.ok) {
         oks.push_back(std::move(p));
@@ -294,7 +327,7 @@ int PaxosCommit::RunTakeover(const TransactionId& tid,
     std::vector<InstanceValue> values;
     values.reserve(participants.size());
     for (NodeId part : participants) {
-      InstanceValue chosen{part, 0, PaxosVote::kAborted};
+      InstanceValue chosen{part, 0, Vote::kAborted};
       bool found = false;
       for (const PaxosPromise& p : oks) {
         for (const InstanceValue& iv : p.accepted) {
@@ -313,51 +346,30 @@ int PaxosCommit::RunTakeover(const TransactionId& tid,
 
     // ---- phase 2: accept-all at ballot b ----
     auto acks = std::make_shared<AcceptChannel>(sched);
-    size_t sent2 = 0;
-    first_send = true;
-    for (NodeId a : acceptors) {
-      if (a == me) {
-        PaxosAccepted r;
-        r.tid = tid;
-        r.acceptor = me;
-        r.ballot = b;
-        r.ok = AcceptAll(tid, b, values);
-        acks->Push(r);
-        ++sent2;
-        continue;
-      }
-      TransactionManager* atm = tm_.Peer(a);
-      if (atm == nullptr) {
-        continue;
-      }
-      if (!first_send) {
-        sched.Charge(sub.CostOf(sim::Primitive::kDatagram) / 2);
-      }
-      first_send = false;
-      ++sent2;
-      PaxosCommit* ap = atm->paxos_.get();
-      comm::CommManager* acm = &atm->cm_;
-      NodeId aid = a;
-      tm_.cm_.SendDatagram(a, "paxos-accept", [ap, acm, tid, b, me, aid, values, acks] {
-        PaxosAccepted r;
-        r.tid = tid;
-        r.acceptor = aid;
-        r.ballot = b;
-        r.ok = ap->AcceptAll(tid, b, values);
-        acm->SendDatagram(me, "paxos-accept-ack", [acks, r] { acks->Push(r); });
-      });
-    }
+    size_t sent2 = ToAcceptors(
+        acceptors, [&] { acks->Push(PaxosAccepted{me, b, AcceptAll(tid, b, values)}); },
+        [&](NodeId a, PaxosCommit* ap, comm::CommManager* acm) {
+          tm_.cm_.SendDatagram(a, "paxos-accept", [ap, acm, tid, b, me, a, values, acks] {
+            PaxosAccepted r{a, b, ap->AcceptAll(tid, b, values)};
+            acm->SendDatagram(me, "paxos-accept-ack", [acks, r] { acks->Push(r); });
+          });
+        });
 
+    // F+1 distinct acceptors decide; a duplicated ack counts once.
     size_t got = 0;
     bool nacked = false;
+    answered.clear();
     deadline = sched.Now() + tm_.vote_timeout_;
-    for (size_t i = 0; i < sent2 && got < quorum; ++i) {
+    while (answered.size() < sent2 && got < quorum) {
       PaxosAccepted r;
       SimTime remaining = std::max<SimTime>(deadline - sched.Now(), 0);
       if (!acks->PopWithTimeout(remaining, &r)) {
         break;
       }
       sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 1);  // CM -> TM
+      if (!answered.insert(r.from).second) {
+        continue;
+      }
       if (r.ok) {
         ++got;
       } else {
@@ -374,7 +386,7 @@ int PaxosCommit::RunTakeover(const TransactionId& tid,
     // ---- decided: F+1 acceptors logged every instance's value ----
     int outcome = 1;
     for (const InstanceValue& v : values) {
-      if (v.vote == PaxosVote::kAborted) {
+      if (v.vote == Vote::kAborted) {
         outcome = -1;
       }
     }
@@ -392,9 +404,8 @@ int PaxosCommit::RunTakeover(const TransactionId& tid,
       if (ptm == nullptr) {
         continue;  // dead participant learns through ResolveInDoubt at recovery
       }
-      tm_.cm_.SendDatagram(part, "paxos-verdict", [ptm, tid, committed] {
-        ptm->HandlePaxosVerdict(tid, committed);
-      });
+      tm_.cm_.SendDatagram(part, "paxos-verdict",
+                           [ptm, tid, committed] { ptm->ApplyVerdict(tid, committed); });
     }
     return outcome;
   }
@@ -477,16 +488,12 @@ bool PaxosCommit::AcceptBundle(const TransactionId& tid, Ballot ballot,
     // One forced record covers every instance in the bundle: the per-tid
     // force count on an acceptor is 1 regardless of participant count.
     FAULT_POINT(sub, "paxos.accept-log");
-    ForceLog(AppendAcceptRecord(tid, ballot, values));
+    tm_.ForceLsn(AppendAcceptRecord(tid, ballot, values));
   }
   // The acceptances are durable but unreported: the leader times out and the
   // takeover path must find them here during phase 1.
   FAULT_POINT(sub, "paxos.accept-send");
-  PaxosAccepted acc;
-  acc.tid = tid;
-  acc.acceptor = self();
-  acc.ballot = ballot;
-  acc.ok = true;
+  PaxosAccepted acc{self(), ballot, true};
   if (leader == self()) {
     replies->Push(acc);
     return true;
@@ -501,7 +508,7 @@ PaxosPromise PaxosCommit::Promise(const TransactionId& tid, Ballot ballot) {
   sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 2);  // CM -> TM, TM -> CM
   AcceptorState& st = states_[tid];
   PaxosPromise p;
-  p.acceptor = self();
+  p.from = self();
   if (st.learned != 0) {
     // Decided long ago: short-circuit with the outcome, no ballot movement.
     p.ok = true;
@@ -517,8 +524,8 @@ PaxosPromise PaxosCommit::Promise(const TransactionId& tid, Ballot ballot) {
   st.promised = ballot;
   // The promise must survive this acceptor's crash, or a recovered acceptor
   // could accept a lower ballot it already promised away.
-  ForceLog(AppendPaxosRecord(RecordType::kPaxosPromise, tid, kInvalidNode, ballot,
-                             PaxosVote::kNone));
+  tm_.ForceLsn(
+      AppendPaxosRecord(RecordType::kPaxosPromise, tid, kInvalidNode, ballot, Vote::kNone));
   p.ok = true;
   p.promised = ballot;
   for (const auto& [part, iv] : st.accepted) {
@@ -543,7 +550,7 @@ bool PaxosCommit::AcceptAll(const TransactionId& tid, Ballot ballot,
   FAULT_POINT(sub, "paxos.accept-log");
   if (!values.empty()) {
     // One multi-instance record, one force — same shape as a ballot-0 bundle.
-    ForceLog(AppendAcceptRecord(tid, ballot, values));
+    tm_.ForceLsn(AppendAcceptRecord(tid, ballot, values));
   }
   return true;
 }
@@ -556,13 +563,8 @@ void PaxosCommit::Learn(const TransactionId& tid, int outcome) {
   st.learned = outcome;
   // Unforced: losing a learn record only costs a takeover round later.
   AppendPaxosRecord(RecordType::kPaxosLearn, tid, kInvalidNode, 0,
-                    outcome > 0 ? PaxosVote::kPrepared : PaxosVote::kAborted);
+                    outcome > 0 ? Vote::kPrepared : Vote::kAborted);
   tm_.node_.substrate().ChargeSystemMessage(sim::Primitive::kSmallMessage, 1);
-}
-
-int PaxosCommit::LearnedOutcome(const TransactionId& tid) const {
-  auto it = states_.find(tid);
-  return it == states_.end() ? 0 : it->second.learned;
 }
 
 // --- recovery ----------------------------------------------------------------
@@ -583,8 +585,8 @@ void PaxosCommit::ObserveRecord(const log::LogRecord& rec) {
       auto replay = [&st, &rec](NodeId participant, std::int8_t vote) {
         auto it = st.accepted.find(participant);
         if (it == st.accepted.end() || it->second.ballot <= rec.paxos_ballot) {
-          st.accepted[participant] = InstanceValue{participant, rec.paxos_ballot,
-                                                   static_cast<PaxosVote>(vote)};
+          st.accepted[participant] =
+              InstanceValue{participant, rec.paxos_ballot, static_cast<Vote>(vote)};
         }
       };
       replay(rec.paxos_participant, rec.paxos_vote);
@@ -615,457 +617,6 @@ std::vector<recovery::RecoveryManager::ActiveTxn> PaxosCommit::PinnedInstances()
     out.push_back(at);
   }
   return out;
-}
-
-// --- TransactionManager: coordinator path ------------------------------------
-
-Status TransactionManager::CommitTopLevelPaxos(Txn& txn) {
-  assert(txn.born_here && "EndTransaction must run at the transaction's birth node");
-  // Coordinator-local fast path: with no children the participant set is
-  // exactly {self}, so no other site holds locks or can be left in doubt.
-  // Paxos Commit exists to make the verdict survive the coordinator for the
-  // OTHER participants' sake (Gray & Lamport §3); with one participant the
-  // commit decision degenerates to that participant's own durable record,
-  // which this node's recovery reads from its own log either way. Replicating
-  // it to 2F+1 acceptors would buy nothing and cost a prepare round plus an
-  // acceptor force — commit through the plain local path instead (one forced
-  // commit record; read-only still forces nothing at all).
-  if (cm_.InfoFor(txn.top).children.empty()) {
-    FAULT_POINT(node_.substrate(), "paxos.local-commit");
-    return CommitTopLevel(txn);
-  }
-  sim::Substrate& sub = node_.substrate();
-  sim::Scheduler& sched = sub.scheduler();
-  sim::PhaseScope commit_phase(sub.metrics(), sim::Phase::kCommit);
-  sim::SpanGuard span(sub.tracer(), sim::Component::kTransactionManager, "paxos.commit",
-                      sub.tracer().enabled() ? ToString(txn.top) : std::string());
-
-  // Open subtransactions commit with their parent (Section 2.1.3).
-  for (const TransactionId& s : std::set<TransactionId>(txn.live_subtxns)) {
-    Txn* st = Find(s);
-    if (st != nullptr) {
-      CommitSubtransaction(*st);
-    }
-  }
-
-  sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 1);  // app -> TM: commit
-  txn.state = TxnState::kPreparing;
-
-  const auto& info = cm_.InfoFor(txn.top);
-  if (!info.children.empty()) {
-    // The CM hands the TM the complete site list (a pointer message).
-    sub.Charge(sim::Primitive::kPointerMessage, 1);
-  }
-
-  // The participant set is this node plus its direct children; each child
-  // prepares its own subtree with plain 2PC and votes on the subtree's
-  // behalf, so one Paxos instance per direct participant covers the tree.
-  std::vector<NodeId> participants(info.children.begin(), info.children.end());
-  participants.push_back(node_.id());
-  std::sort(participants.begin(), participants.end());
-  txn.siblings = participants;
-  txn.acceptors = paxos_->ChooseAcceptors(txn.top);
-
-  for (NodeId child : info.children) {
-    if (Peer(child) == nullptr) {
-      // A participant is already dead: abort now, no consensus needed.
-      AbortSubtree(txn, /*notify_children=*/true);
-      TransactionId tid = txn.tid;
-      ForgetTxn(tid);
-      return Status::kVoteNo;
-    }
-  }
-
-  FAULT_POINT(sub, "2pc.prepare.begin");
-
-  // Phase one downward: paxos-prepare datagrams carry the participant and
-  // acceptor sets, so any survivor can later run a takeover. Votes come back
-  // to this leader (the coordinator-relay variant of Gray & Lamport §6)
-  // instead of going straight to the acceptors: the leader can then skip the
-  // acceptor round outright when no vote was Prepared, and coalesce phase 2a
-  // into one accept-bundle datagram per acceptor otherwise.
-  auto votes = std::make_shared<VoteChannel>(sched);
-  bool first_send = true;
-  for (NodeId child : info.children) {
-    TransactionManager* child_tm = Peer(child);
-    if (!first_send) {
-      sched.Charge(sub.CostOf(sim::Primitive::kDatagram) / 2);
-    }
-    first_send = false;
-    TransactionId tid = txn.top;
-    NodeId self_id = node_.id();
-    std::vector<NodeId> parts = participants;
-    std::vector<NodeId> accs = txn.acceptors;
-    cm_.SendDatagram(child, "paxos-prepare", [child_tm, tid, self_id, parts, accs, votes] {
-      child_tm->HandlePaxosPrepare(tid, self_id, parts, accs, votes);
-    });
-  }
-
-  if (op_queue_.enabled()) {
-    // A dependent may not vote before its predecessors decide: the local
-    // prepare record below would otherwise make a dirty read durable. The
-    // children prepare in parallel while we wait; re-resolve afterwards — a
-    // predecessor's abort may have cascaded to this transaction while we
-    // slept.
-    const TransactionId self = txn.tid;
-    Status ws = op_queue_.AwaitPredecessors(txn.top, vote_timeout_);
-    Txn* again = Find(self);
-    if (again == nullptr || again->state == TxnState::kAborted || AbortInProgress(*again)) {
-      return Status::kAborted;
-    }
-    if (ws != Status::kOk) {
-      AbortSubtree(txn, /*notify_children=*/true);
-      ForgetTxn(self);
-      return Status::kVoteNo;
-    }
-  }
-
-  // Local prepare: same as the 2PC local half of PrepareSubtree.
-  bool local_updates = false;
-  for (CommitParticipant* s : txn.servers) {
-    sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 1);  // TM -> server: prepare
-    if (s->HasUpdates(txn.tid)) {
-      local_updates = true;
-      sub.ChargeSystemMessage(sim::Primitive::kLargeMessage, 1);
-    }
-    sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 1);  // server -> TM: vote
-  }
-  PaxosVote my_vote = PaxosVote::kReadOnly;
-  Lsn deferred_prepare = kNullLsn;
-  const bool self_acceptor = std::find(txn.acceptors.begin(), txn.acceptors.end(),
-                                       node_.id()) != txn.acceptors.end();
-  if (local_updates) {
-    sub.scheduler().Charge(sub.costs().participant_prepare_overhead_us);
-    FAULT_POINT(sub, "2pc.vote.before_record");
-    if (op_queue_.enabled()) {
-      // In-doubt early release: the Paxos outcome is undecided until a
-      // quorum accepts each instance, so the released objects are tainted
-      // exactly like a 2PC participant's prepare.
-      Lsn lsn = AppendTxnRecord(RecordType::kTxnPrepare, txn, /*force=*/false);
-      FAULT_POINT(sub, "queue.prepare.early-release");
-      EarlyRelease(txn, /*taint=*/true);
-      ForceLsn(lsn);
-    } else if (self_acceptor) {
-      // Co-located-acceptor force coalescing: this node's own accept-bundle
-      // force (below, at a higher LSN) makes this prepare record durable in
-      // the same stable write, so the local commit path pays ONE force where
-      // it used to pay two. SendAcceptBundles forces the LSN directly if the
-      // local acceptance is skipped, before anything reaches the wire.
-      deferred_prepare = AppendTxnRecord(RecordType::kTxnPrepare, txn, /*force=*/false);
-    } else {
-      AppendTxnRecord(RecordType::kTxnPrepare, txn, /*force=*/true);
-    }
-    FAULT_POINT(sub, "2pc.vote.after_record");
-    Txn* after_force = Find(txn.top);
-    if (after_force == nullptr || AbortInProgress(*after_force)) {
-      return Status::kAborted;  // aborted (or being aborted) during the force
-    }
-    txn.state = TxnState::kPrepared;
-    logged_outcomes_[txn.top] = TxnOutcome::kPrepared;
-    my_vote = PaxosVote::kPrepared;
-  }
-
-  // Collect one vote per participant; our own never touches the wire.
-  std::map<NodeId, PaxosVote> vote_of;
-  vote_of[node_.id()] = my_vote;
-  SimTime vote_deadline = sched.Now() + vote_timeout_;
-  while (vote_of.size() < participants.size()) {
-    PaxosVoteMsg m;
-    SimTime remaining = std::max<SimTime>(vote_deadline - sched.Now(), 0);
-    if (!votes->PopWithTimeout(remaining, &m)) {
-      break;
-    }
-    sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 1);  // CM -> TM: vote arrived
-    if (m.tid != txn.top || vote_of.contains(m.participant)) {
-      continue;
-    }
-    vote_of[m.participant] = m.vote;
-  }
-  bool any_prepared = false;
-  bool any_aborted = false;
-  for (const auto& [p, v] : vote_of) {
-    any_prepared = any_prepared || v == PaxosVote::kPrepared;
-    any_aborted = any_aborted || v == PaxosVote::kAborted;
-  }
-
-  int outcome = 0;
-  bool via_takeover = false;
-  const bool all_votes = vote_of.size() == participants.size();
-  // The accept round runs only when some arrived vote is Prepared: those are
-  // the instances whose participants hold an in-doubt window worth
-  // replicating a decision for.
-  const bool round_ran = all_votes && any_prepared;
-  bool need_resolve = !all_votes;
-  if (all_votes && !any_prepared) {
-    // Read-only fast path: every vote arrived and none is Prepared — each
-    // participant either voted ReadOnly (locks already released) or Aborted
-    // (already rolled back). Nothing is Prepared anywhere, so there is no
-    // in-doubt window and nothing a takeover could ever need to resolve.
-    // Skip the acceptor round entirely: no ballot-0 instances, no
-    // kPaxosAccept forces, answer the application now.
-    FAULT_POINT(sub, "paxos.readonly-skip");
-    outcome = any_aborted ? -1 : 1;
-  } else if (all_votes) {
-    // The accept round, coalesced: one bundle datagram per acceptor carries
-    // every instance's ballot-0 value. ReadOnly instances ride along too —
-    // a takeover derives its value list from the same participant set, so
-    // every instance must be decidable from any acceptance quorum.
-    std::vector<InstanceValue> values;
-    values.reserve(participants.size());
-    for (NodeId p : participants) {
-      values.push_back(InstanceValue{p, 0, vote_of[p]});
-    }
-    auto replies = std::make_shared<AcceptChannel>(sched);
-    size_t sent =
-        paxos_->SendAcceptBundles(txn.top, values, txn.acceptors, replies, deferred_prepare);
-    deferred_prepare = kNullLsn;
-
-    const size_t quorum = PaxosCommit::Quorum(txn.acceptors);
-    std::set<NodeId> acked;
-    SimTime ack_deadline = sched.Now() + vote_timeout_;
-    for (size_t i = 0; i < sent && acked.size() < quorum; ++i) {
-      PaxosAccepted a;
-      SimTime remaining = std::max<SimTime>(ack_deadline - sched.Now(), 0);
-      if (!replies->PopWithTimeout(remaining, &a)) {
-        break;
-      }
-      sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 1);  // CM -> TM: 2b arrived
-      if (a.tid != txn.top || a.ballot != 0 || !a.ok) {
-        continue;
-      }
-      acked.insert(a.acceptor);
-    }
-    if (acked.size() >= quorum) {
-      // The decision point: F+1 acceptors hold a durable acceptance of EVERY
-      // instance (a bundle is atomic at its acceptor), so any future
-      // takeover quorum intersects them and must choose the same values —
-      // commit when every vote is Prepared/ReadOnly, abort when an Aborted
-      // vote rode along.
-      outcome = any_aborted ? -1 : 1;
-    } else {
-      // Timed out short of a quorum. Presumed abort is UNSOUND here: F+1
-      // acceptors may have logged the bundle while their replies were lost,
-      // making the transaction committed at the acceptors. Read the truth
-      // through the consensus path instead.
-      need_resolve = true;
-    }
-  }
-  if (need_resolve) {
-    // A vote never arrived (its participant may be crashed holding a durable
-    // prepare), or the accept round fell short of a quorum. Either way the
-    // outcome must be REPLICATED, not presumed: the takeover decides through
-    // the acceptors and durably learns the verdict there, which is exactly
-    // where a crashed participant's recovery will look for it.
-    via_takeover = true;
-    outcome = paxos_->Resolve(txn.top, participants, txn.acceptors);
-    if (Find(txn.top) == nullptr) {
-      return outcome > 0 ? Status::kOk : Status::kAborted;  // verdict raced us
-    }
-    if (outcome == 0) {
-      // No acceptor quorum reachable: genuinely in doubt. Keep the locks —
-      // blocking here is the price of consistency; any survivor (or this
-      // node after recovery) resolves through the acceptors later.
-      return Status::kNodeDown;
-    }
-  }
-
-  if (outcome > 0) {
-    sub.scheduler().Charge(sub.costs().coordinator_overhead_us);
-    bool updates = local_updates;
-    if (!via_takeover) {
-      for (const auto& [p, v] : vote_of) {
-        if (p != node_.id() && v == PaxosVote::kPrepared) {
-          txn.update_children.insert(p);
-          updates = true;
-        }
-      }
-    } else {
-      updates = true;  // rare path: can't tell read-only apart, log the record
-    }
-    if (updates) {
-      sub.scheduler().Charge(sub.costs().coordinator_write_extra_us);
-      // Unforced on purpose: the commit point already passed at the
-      // acceptors, so this record is a lazy hint that spares a takeover
-      // after a coordinator crash — exactly the force 2PC cannot skip.
-      AppendTxnRecord(RecordType::kTxnCommit, txn, /*force=*/false);
-    }
-    txn.state = TxnState::kCommitted;
-    logged_outcomes_[txn.top] = TxnOutcome::kCommitted;
-    if (round_ran && !via_takeover) {
-      // Commit stands at the acceptors but no learn datagram is out: a
-      // crash here must still commit everywhere via takeover.
-      FAULT_POINT(sub, "paxos.learn");
-      paxos_->BroadcastLearn(txn.top, 1, txn.acceptors);
-    }
-    if (op_queue_.enabled()) {
-      // Decided: clear the local prepare's taints, discharge dependents.
-      op_queue_.NoteCommitted(txn.top);
-    }
-    CommitSubtree(txn, /*is_root=*/true);
-    sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 1);  // TM -> app: done
-    TransactionId tid = txn.tid;
-    ForgetTxn(tid);
-    return Status::kOk;
-  }
-
-  if (round_ran && !via_takeover) {
-    // The accept round decided Aborted (an Aborted vote rode the bundles):
-    // teach the acceptors so a later standby leader short-circuits. On the
-    // fast-skip path there is no acceptor state to teach, and a takeover
-    // abort broadcasts its own learns and verdicts.
-    FAULT_POINT(sub, "paxos.learn");
-    paxos_->BroadcastLearn(txn.top, -1, txn.acceptors);
-  }
-  // Prepared children learn through AbortSubtree's abort datagrams.
-  AbortSubtree(txn, /*notify_children=*/true);
-  TransactionId tid = txn.tid;
-  ForgetTxn(tid);
-  return Status::kVoteNo;
-}
-
-// --- TransactionManager: participant side ------------------------------------
-
-void TransactionManager::HandlePaxosPrepare(const TransactionId& tid, NodeId leader,
-                                            const std::vector<NodeId>& participants,
-                                            const std::vector<NodeId>& acceptors,
-                                            VoteChannelPtr votes) {
-  sim::Substrate& sub = node_.substrate();
-  sim::PhaseScope commit_phase(sub.metrics(), sim::Phase::kCommit);
-  sim::SpanGuard span(sub.tracer(), sim::Component::kTransactionManager,
-                      "paxos.handle-prepare",
-                      sub.tracer().enabled() ? ToString(tid) : std::string());
-  Txn* found = Find(tid);
-  if (found == nullptr) {
-    // No live entry: usually this node never saw an operation (read-only by
-    // vacuity), but the leader still needs the vote or the commit blocks.
-    // EXCEPT when this node already aborted and rolled the transaction back
-    // — the orphan sweep after the coordinator's crash can beat the
-    // coordinator's last prepare datagram here. The updates are undone, so
-    // a ReadOnly vote would let the leader assemble a commit missing this
-    // node's writes; the vote must be Aborted instead.
-    PaxosVote vacuous = OutcomeOf(tid) == TxnOutcome::kAborted ? PaxosVote::kAborted
-                                                               : PaxosVote::kReadOnly;
-    paxos_->SendVote(tid, vacuous, leader, votes);
-    return;
-  }
-  Txn& txn = *found;
-  if (txn.state == TxnState::kAborted) {
-    paxos_->SendVote(tid, PaxosVote::kAborted, leader, votes);
-    return;
-  }
-  // CM -> TM: prepare arrived; TM -> CM: vote handed back for the wire.
-  sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 2);
-  txn.parent_node = leader;
-  txn.siblings = participants;
-  txn.acceptors = acceptors;
-  txn.state = TxnState::kPreparing;
-
-  Vote v = PrepareSubtree(txn);
-  // Re-resolve after every blocking window (see HandlePrepare): an abort
-  // datagram may have rolled this subtree back while we waited.
-  if (Find(tid) == nullptr) {
-    paxos_->SendVote(tid, PaxosVote::kAborted, leader, votes);
-    return;
-  }
-  if (v == Vote::kNo) {
-    AbortSubtree(txn, /*notify_children=*/true);
-    ForgetTxn(tid);
-    paxos_->SendVote(tid, PaxosVote::kAborted, leader, votes);
-    return;
-  }
-  if (op_queue_.enabled()) {
-    // Even a read-only vote must wait: the subtree may have read a
-    // predecessor's early-released (still undecided) state, and voting it
-    // through would let the leader commit a dirty read.
-    Status ws = op_queue_.AwaitPredecessors(tid, vote_timeout_);
-    Txn* again = Find(tid);
-    if (again == nullptr || again->state == TxnState::kAborted || AbortInProgress(*again)) {
-      paxos_->SendVote(tid, PaxosVote::kAborted, leader, votes);
-      return;
-    }
-    if (ws != Status::kOk) {
-      AbortSubtree(txn, /*notify_children=*/true);
-      ForgetTxn(tid);
-      paxos_->SendVote(tid, PaxosVote::kAborted, leader, votes);
-      return;
-    }
-  }
-  if (v == Vote::kReadOnly) {
-    // Read-only optimization survives Paxos Commit: release locks now and
-    // drop out entirely. Nothing here is Prepared, so this participant needs
-    // no verdict — its instance only runs (carried in the leader's accept
-    // bundles) if some OTHER participant voted Prepared.
-    sub.scheduler().Charge(sub.costs().participant_read_overhead_us);
-    for (CommitParticipant* s : txn.servers) {
-      sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 1);  // TM -> server
-      s->OnCommit(tid);
-    }
-    ForgetTxn(tid);
-    paxos_->SendVote(tid, PaxosVote::kReadOnly, leader, votes);
-    return;
-  }
-  sub.scheduler().Charge(sub.costs().participant_prepare_overhead_us);
-  FAULT_POINT(sub, "2pc.vote.before_record");
-  // The prepare record carries the acceptor set, so this participant can be
-  // resolved through the acceptors after ANY combination of crashes.
-  if (op_queue_.enabled()) {
-    // In-doubt early release, same taint regime as the 2PC participant.
-    Lsn lsn = AppendTxnRecord(RecordType::kTxnPrepare, txn, /*force=*/false);
-    FAULT_POINT(sub, "queue.prepare.early-release");
-    EarlyRelease(txn, /*taint=*/true);
-    ForceLsn(lsn);
-  } else {
-    AppendTxnRecord(RecordType::kTxnPrepare, txn, /*force=*/true);
-  }
-  FAULT_POINT(sub, "2pc.vote.after_record");
-  Txn* after_force = Find(tid);
-  if (after_force == nullptr || AbortInProgress(*after_force)) {
-    return;  // aborted (or being aborted) during the prepare force
-  }
-  txn.state = TxnState::kPrepared;
-  logged_outcomes_[tid] = TxnOutcome::kPrepared;
-  logged_parent_node_[tid] = leader;
-  paxos_->SendVote(tid, PaxosVote::kPrepared, leader, votes);
-}
-
-void TransactionManager::HandlePaxosVerdict(const TransactionId& tid, bool committed) {
-  sim::Substrate& sub = node_.substrate();
-  sim::PhaseScope commit_phase(sub.metrics(), sim::Phase::kCommit);
-  Txn* txn = Find(tid);
-  if (txn != nullptr && txn->state == TxnState::kPrepared) {
-    if (committed) {
-      HandleCommit(tid);
-    } else {
-      HandleAbortMsg(tid);
-    }
-    return;
-  }
-  if (in_doubt_.contains(tid)) {
-    ApplyRecoveredOutcome(tid, committed);
-  }
-}
-
-void TransactionManager::ResolvePaxosOrphansOf(NodeId dead) {
-  std::set<TransactionId> doomed;
-  for (const auto& [tid, txn] : txns_) {
-    if (txn.state == TxnState::kPrepared && !txn.acceptors.empty() &&
-        txn.parent_node == dead) {
-      doomed.insert(tid);
-    }
-  }
-  for (const TransactionId& tid : in_doubt_) {
-    auto it = logged_parent_node_.find(tid);
-    if (it != logged_parent_node_.end() && it->second == dead &&
-        logged_acceptors_.contains(tid)) {
-      doomed.insert(tid);
-    }
-  }
-  for (const TransactionId& tid : doomed) {
-    // ResolveInDoubt routes every acceptor-backed transaction through the
-    // consensus read path — this is where "coordinator death never blocks
-    // an in-doubt transaction" is made true.
-    ResolveInDoubt(tid);
-  }
 }
 
 }  // namespace tabs::txn

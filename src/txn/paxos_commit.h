@@ -44,6 +44,12 @@
 // from the coordinator's forced commit record to the F+1-th acceptor's
 // bundle acceptance (which covers every instance at once); the coordinator's
 // own commit record is a lazy hint.
+//
+// Everything else is the shared commit engine (two_phase_commit.cc): 2PC is
+// Paxos Commit with no acceptors, so prepares, votes, the local prepare and
+// the commit and abort tails run once for both modes. This file holds only
+// the acceptor verdict store: where the verdict becomes durable (Decide, the
+// acceptor role) and where an in-doubt node learns it (Resolve).
 
 #ifndef TABS_TXN_PAXOS_COMMIT_H_
 #define TABS_TXN_PAXOS_COMMIT_H_
@@ -78,49 +84,48 @@ CommitMode DefaultCommitMode();
 
 using Ballot = std::int32_t;
 
-// Per-instance consensus values. A participant's instance decides its vote;
-// the transaction commits iff no instance decides kAborted.
-enum class PaxosVote : std::int8_t {
+// A subtree's vote in phase one, and under Paxos Commit the value of its
+// participant's consensus instance. The values are the logged `paxos_vote`
+// encoding. The transaction commits iff no vote (instance) is kAborted.
+enum class Vote : std::int8_t {
   kNone = 0,
-  kPrepared = 1,
-  kReadOnly = 2,
-  kAborted = -1,
+  kPrepared = 1,  // updates here or below, durably prepared: in doubt
+  kReadOnly = 2,  // nothing written: locks already released
+  kAborted = -1,  // rolled back, or unable to prepare
 };
+
+// A child's vote, sent to its parent in the spanning tree.
+struct VoteMsg {
+  NodeId from = kInvalidNode;
+  Vote vote = Vote::kNone;
+};
+using VoteChannel = sim::Channel<VoteMsg>;
+using VoteChannelPtr = std::shared_ptr<VoteChannel>;
 
 // One accepted (participant, ballot, vote) triple at an acceptor.
 struct InstanceValue {
   NodeId participant = kInvalidNode;
   Ballot ballot = 0;
-  PaxosVote vote = PaxosVote::kNone;
+  Vote vote = Vote::kNone;
 };
 
-// Phase-2b reply: `acceptor` accepted every instance of `tid` in the bundle
-// it was sent at `ballot` (ok), or rejected the ballot (takeover phase 2
-// only). One reply covers the whole bundle — the acceptor logs all instances
-// in one forced record, so there is no per-instance acknowledgement.
+// Phase-2b reply: acceptor `from` accepted every instance in the bundle it
+// was sent at `ballot` (ok), or rejected the ballot (takeover phase 2 only).
+// One reply covers the whole bundle — the acceptor logs all instances in one
+// forced record, so there is no per-instance acknowledgement.
 struct PaxosAccepted {
-  TransactionId tid;
-  NodeId acceptor = kInvalidNode;
+  NodeId from = kInvalidNode;
   Ballot ballot = 0;
   bool ok = true;
 };
 using AcceptChannel = sim::Channel<PaxosAccepted>;
 using AcceptChannelPtr = std::shared_ptr<AcceptChannel>;
 
-// A participant's vote for its own instance, relayed to the ballot-0 leader
-// (the coordinator) rather than straight to the acceptors.
-struct PaxosVoteMsg {
-  TransactionId tid;
-  NodeId participant = kInvalidNode;
-  PaxosVote vote = PaxosVote::kNone;
-};
-using VoteChannel = sim::Channel<PaxosVoteMsg>;
-using VoteChannelPtr = std::shared_ptr<VoteChannel>;
-
-// Phase-1b reply: promise (with everything this acceptor has accepted for
-// the transaction's instances) or rejection, plus any learned outcome.
+// Phase-1b reply from acceptor `from`: promise (with everything it has
+// accepted for the transaction's instances) or rejection, plus any learned
+// outcome.
 struct PaxosPromise {
-  NodeId acceptor = kInvalidNode;
+  NodeId from = kInvalidNode;
   bool ok = false;
   Ballot promised = 0;
   int learned = 0;  // +1 committed, -1 aborted, 0 unknown
@@ -138,7 +143,6 @@ class PaxosCommit {
   explicit PaxosCommit(TransactionManager& tm) : tm_(tm) {}
 
   void SetF(int f) { f_ = f < 0 ? 0 : f; }
-  int f() const { return f_; }
 
   // The 2F+1 acceptors for `tid`: a deterministic rotation of the sorted
   // cluster membership keyed by the transaction counter, so concurrent
@@ -151,27 +155,17 @@ class PaxosCommit {
     return acceptors.size() / 2 + 1;
   }
 
-  // --- participant/leader side ----------------------------------------------
-  // Relay this node's vote for its own instance of `tid` to `leader` (pushed
-  // locally when the leader is this node). The leader turns the collected
-  // votes into ballot-0 accept bundles — or skips the acceptor round when no
-  // vote was Prepared.
-  void SendVote(const TransactionId& tid, PaxosVote vote, NodeId leader,
-                VoteChannelPtr votes);
-
-  // Ballot-0 phase 2a, coalesced: ONE accept-bundle datagram per acceptor
-  // node carries every instance's pre-assigned value; acceptances come back
-  // through `replies`, one per acceptor. Returns the number of acceptors
-  // contacted. When `prepare_lsn` is set, the caller deferred its own
-  // prepare-record force: this node's acceptance (forced, and later in the
-  // WAL) covers it in the same stable write, and SendAcceptBundles
-  // guarantees the LSN is durable before any remote bundle leaves — a remote
-  // quorum must never decide Prepared while the coordinator's redo is still
-  // volatile.
-  size_t SendAcceptBundles(const TransactionId& tid,
-                           const std::vector<InstanceValue>& values,
-                           const std::vector<NodeId>& acceptors,
-                           AcceptChannelPtr replies, Lsn prepare_lsn = kNullLsn);
+  // --- leader side -------------------------------------------------------------
+  // The coordinator's verdict for `tid` once phase one is over: `local` is
+  // its own vote and `votes` its children's (one each; fewer when a vote
+  // never arrived). Returns +1 commit, -1 abort, or 0 when no acceptor
+  // quorum is reachable (still in doubt). Sets `*learn` when a ballot-0
+  // round decided, so the caller teaches the acceptors; a takeover teaches
+  // them, and every participant, itself. `prepare_lsn` is the leader's
+  // deferred prepare record (see SendAcceptBundles).
+  int Decide(const TransactionId& tid, const std::vector<NodeId>& participants,
+             const std::vector<NodeId>& acceptors, Vote local,
+             const std::vector<VoteMsg>& votes, Lsn prepare_lsn, bool* learn);
 
   // Takeover: drive every instance of `tid` to a decision with a fresh
   // ballot (phase 1, value selection, phase 2). Returns +1 commit, -1 abort,
@@ -203,7 +197,6 @@ class PaxosCommit {
                  const std::vector<InstanceValue>& values);
   // The decided outcome (+1/-1) reached this acceptor.
   void Learn(const TransactionId& tid, int outcome);
-  int LearnedOutcome(const TransactionId& tid) const;
 
   // --- recovery --------------------------------------------------------------
   // Analysis-pass replay of kPaxos* records: rebuilds promised ballots,
@@ -224,13 +217,29 @@ class PaxosCommit {
 
   NodeId self() const;
   Ballot NextBallot();
+  // One round's fan-out, in acceptor order: `local()` when this node is an
+  // acceptor, `remote(node, its PaxosCommit, its CommManager)` for every
+  // live remote one. Returns how many acceptors were reached.
+  template <typename Local, typename Remote>
+  size_t ToAcceptors(const std::vector<NodeId>& acceptors, Local local, Remote remote);
+  // Ballot-0 phase 2a, coalesced: ONE accept-bundle datagram per acceptor
+  // node carries every instance's pre-assigned value; acceptances come back
+  // through `replies`, one per acceptor. Returns the number of acceptors
+  // contacted. When `prepare_lsn` is set, the caller deferred its own
+  // prepare-record force: this node's acceptance (forced, and later in the
+  // WAL) covers it in the same stable write, and SendAcceptBundles
+  // guarantees the LSN is durable before any remote bundle leaves — a remote
+  // quorum must never decide Prepared while the coordinator's redo is still
+  // volatile.
+  size_t SendAcceptBundles(const TransactionId& tid, const std::vector<InstanceValue>& values,
+                           const std::vector<NodeId>& acceptors, AcceptChannelPtr replies,
+                           Lsn prepare_lsn);
   Lsn AppendPaxosRecord(log::RecordType type, const TransactionId& tid,
-                        NodeId participant, Ballot ballot, PaxosVote vote);
+                        NodeId participant, Ballot ballot, Vote vote);
   // Records acceptance of every value at `ballot` and appends ONE (possibly
   // multi-instance) kPaxosAccept record covering all of them.
   Lsn AppendAcceptRecord(const TransactionId& tid, Ballot ballot,
                          const std::vector<InstanceValue>& values);
-  void ForceLog(Lsn lsn);
   // The ballot-driving loop behind Resolve (which adds the per-transaction
   // single-leader guard around it).
   int RunTakeover(const TransactionId& tid, const std::vector<NodeId>& participants,

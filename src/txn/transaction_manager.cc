@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "src/log/group_commit.h"
+#include "src/sim/fault_injector.h"
 
 namespace tabs::txn {
 
@@ -105,10 +106,6 @@ void TransactionManager::DetachParticipant(const CommitParticipant* server) {
   }
 }
 
-void TransactionManager::OnRemoteChildJoined(const TransactionId& tid, NodeId child) {
-  // The CM already charged the progress message; nothing further here.
-}
-
 void TransactionManager::OnRemoteParentObserved(const TransactionId& tid, NodeId parent) {
   GetOrCreateRemote(tid, parent);
 }
@@ -156,8 +153,7 @@ Status TransactionManager::End(const TransactionId& tid) {
     CommitSubtransaction(*txn);
     return Status::kOk;
   }
-  Status s = commit_mode_ == CommitMode::kPaxosCommit ? CommitTopLevelPaxos(*txn)
-                                                      : CommitTopLevel(*txn);
+  Status s = CommitTopLevel(*txn);
   MaybeCheckpoint();
   return s;
 }
@@ -205,15 +201,7 @@ void TransactionManager::AbortImpl(Txn& txn) {
     for (CommitParticipant* s : txn.servers) {
       s->OnAbort(tid);
     }
-    for (NodeId child : cm_.InfoFor(txn.top).children) {
-      TransactionManager* child_tm = Peer(child);
-      if (child_tm == nullptr) {
-        continue;
-      }
-      TransactionId top = txn.top;
-      cm_.SendDatagram(child, "subtxn-abort",
-                       [child_tm, tid, top] { child_tm->HandleSubtxnAbort(tid, top); });
-    }
+    ForwardSubtxn(tid, kNullTransaction, txn.top, /*committed=*/false);
     txn.state = TxnState::kAborted;
     Txn* p = Find(txn.parent);
     if (p != nullptr) {
@@ -272,10 +260,18 @@ void TransactionManager::ForceLsn(Lsn lsn) {
   }
 }
 
-void TransactionManager::EarlyRelease(Txn& txn, bool taint) {
+void TransactionManager::LogDurably(RecordType type, Txn& txn, bool taint) {
+  if (!op_queue_.enabled()) {
+    AppendTxnRecord(type, txn, /*force=*/true);
+    return;
+  }
+  Lsn lsn = AppendTxnRecord(type, txn, /*force=*/false);
+  FAULT_POINT(node_.substrate(),
+              taint ? "queue.prepare.early-release" : "queue.commit.early-release");
   for (CommitParticipant* s : txn.servers) {
     s->OnEarlyRelease(txn.tid, taint);
   }
+  ForceLsn(lsn);
 }
 
 bool TransactionManager::RefusesOps(const TransactionId& tid) const {
@@ -330,11 +326,7 @@ void TransactionManager::ObserveTxnRecord(const LogRecord& rec) {
       if (!logged_outcomes_.contains(rec.top)) {
         logged_outcomes_[rec.top] = TxnOutcome::kPrepared;
       }
-      logged_parent_node_[rec.top] = rec.parent_node;
-      logged_siblings_[rec.top] = rec.siblings;
-      if (!rec.acceptors.empty()) {
-        logged_acceptors_[rec.top] = rec.acceptors;
-      }
+      logged_prepares_[rec.top] = LoggedPrepare{rec.parent_node, rec.siblings, rec.acceptors};
       break;
     case RecordType::kPaxosPromise:
     case RecordType::kPaxosAccept:
@@ -413,7 +405,9 @@ void TransactionManager::BeginNewIncarnation() {
   rm_.log().ForceAll();
 }
 
-void TransactionManager::AbortRemoteOrphansOf(NodeId dead) {
+void TransactionManager::ResolveOrphansOf(NodeId dead) {
+  sim::Scheduler& sched = node_.substrate().scheduler();
+  const SimTime start = sched.Now();
   std::vector<TransactionId> doomed;
   for (const auto& [tid, txn] : txns_) {
     if (txn.state == TxnState::kActive && !txn.born_here && txn.parent_node == dead) {
@@ -422,6 +416,32 @@ void TransactionManager::AbortRemoteOrphansOf(NodeId dead) {
   }
   for (const TransactionId& tid : doomed) {
     Abort(tid);  // undo through the RM, release locks, notify our children
+  }
+  if (commit_mode_ != CommitMode::kPaxosCommit) {
+    return;  // no acceptors: in doubt until the coordinator answers
+  }
+  // The non-blocking guarantee. Survivors take over in node order, so the
+  // usual case is one uncontended takeover whose verdict the later sweeps
+  // find already learned, rather than competing ballots.
+  sched.AdvanceTo(start + 10'000 * static_cast<SimTime>(node_.id()));
+  sched.Yield();
+  std::set<TransactionId> prepared;
+  for (const auto& [tid, txn] : txns_) {
+    if (txn.state == TxnState::kPrepared && !txn.acceptors.empty() && txn.parent_node == dead) {
+      prepared.insert(tid);
+    }
+  }
+  for (const TransactionId& tid : in_doubt_) {
+    auto it = logged_prepares_.find(tid);
+    if (it != logged_prepares_.end() && it->second.parent_node == dead &&
+        !it->second.acceptors.empty()) {
+      prepared.insert(tid);
+    }
+  }
+  for (const TransactionId& tid : prepared) {
+    // ResolveInDoubt routes every acceptor-backed transaction through the
+    // consensus read path.
+    ResolveInDoubt(tid);
   }
 }
 
@@ -449,176 +469,111 @@ Status TransactionManager::ResolveInDoubt(const TransactionId& tid) {
   if (peers_ == nullptr) {
     return Status::kNodeDown;
   }
+  // Where the verdict lives, as this node's prepare recorded it.
+  const LoggedPrepare where =
+      recovered ? logged_prepares_[tid]
+                : LoggedPrepare{live->parent_node, live->siblings, live->acceptors};
 
-  // Whom to ask: the parent is authoritative (presumed abort applies); if it
-  // is unreachable, the sibling participants recorded in the prepare record
-  // may already know the verdict — Dwork/Skeen-style cooperative
-  // termination, which shrinks the blocking window the paper notes plain
-  // two-phase commit has.
-  NodeId parent = recovered ? logged_parent_node_[tid] : live->parent_node;
-  std::vector<NodeId> siblings;
-  if (recovered) {
-    auto it = logged_siblings_.find(tid);
-    if (it != logged_siblings_.end()) {
-      siblings = it->second;
-    }
-  } else {
-    siblings = live->siblings;
-  }
-
-  auto ask = [&](NodeId node, bool authoritative, bool* committed) -> bool {
-    TransactionManager* tm = Peer(node);
-    if (tm == nullptr || !cm_.network().Reachable(node_.id(), node)) {
-      return false;
-    }
-    if (authoritative) {
-      auto verdict = cm_.network().SessionCall<bool>(
-          node_.id(), node, "resolve-in-doubt",
-          [tm, tid]() { return tm->QueryCommitted(tid); });
-      if (!verdict.ok()) {
-        return false;
-      }
-      *committed = verdict.value();
-      return true;
-    }
-    // A sibling only helps if it KNOWS (it may be in doubt itself).
-    auto verdict = cm_.network().SessionCall<int>(
-        node_.id(), node, "cooperative-termination",
-        [tm, tid]() { return tm->ParticipantKnowledge(tid); });
-    if (!verdict.ok() || verdict.value() == 0) {
-      return false;
-    }
-    *committed = verdict.value() > 0;
-    return true;
-  };
-
-  bool committed = false;
-  bool resolved = false;
-  std::vector<NodeId> acceptors;
-  if (recovered) {
-    auto it = logged_acceptors_.find(tid);
-    if (it != logged_acceptors_.end()) {
-      acceptors = it->second;
-    }
-  } else {
-    acceptors = live->acceptors;
-  }
-  if (!acceptors.empty()) {
+  int outcome = 0;
+  if (!where.acceptors.empty()) {
     // Paxos Commit: the acceptors are authoritative, never the parent. In
     // particular the parent's presumed abort does NOT apply — a recovered,
     // locally-read-only coordinator has no commit record even for a
     // transaction the acceptors decided to commit, so asking it would split
     // the brain. The consensus read path is the only sound source.
-    int outcome = paxos_->Resolve(tid, siblings, acceptors);
-    if (outcome == 0) {
-      return Status::kNodeDown;  // no acceptor quorum; still in doubt
-    }
-    committed = outcome > 0;
-    resolved = true;
-    // Resolve blocks on acceptor round-trips: a takeover verdict datagram
-    // may have resolved this transaction while we waited.
-    if (!recovered && Find(tid) == nullptr) {
-      return committed ? Status::kOk : Status::kAborted;
-    }
-    if (recovered && !in_doubt_.contains(tid)) {
-      return committed ? Status::kOk : Status::kAborted;
-    }
+    outcome = paxos_->Resolve(tid, where.siblings, where.acceptors);
   } else {
-    resolved = ask(parent, /*authoritative=*/true, &committed);
-    for (size_t i = 0; !resolved && i < siblings.size(); ++i) {
-      if (siblings[i] == node_.id()) {
-        continue;
+    // The parent is authoritative (presumed abort applies); if it is
+    // unreachable, the sibling participants recorded in the prepare may
+    // already know the verdict — Dwork/Skeen-style cooperative termination,
+    // which shrinks the blocking window the paper notes plain two-phase
+    // commit has.
+    auto ask = [&](NodeId node, bool authoritative) -> int {
+      TransactionManager* tm = Peer(node);
+      if (tm == nullptr || !cm_.network().Reachable(node_.id(), node)) {
+        return 0;
       }
-      resolved = ask(siblings[i], /*authoritative=*/false, &committed);
+      if (authoritative) {
+        auto verdict = cm_.network().SessionCall<bool>(
+            node_.id(), node, "resolve-in-doubt",
+            [tm, tid]() { return tm->QueryCommitted(tid); });
+        return !verdict.ok() ? 0 : verdict.value() ? 1 : -1;
+      }
+      // A sibling only helps if it KNOWS (it may be in doubt itself).
+      auto verdict = cm_.network().SessionCall<int>(
+          node_.id(), node, "cooperative-termination",
+          [tm, tid]() { return tm->ParticipantKnowledge(tid); });
+      return verdict.ok() ? verdict.value() : 0;
+    };
+    outcome = ask(where.parent_node, /*authoritative=*/true);
+    for (size_t i = 0; outcome == 0 && i < where.siblings.size(); ++i) {
+      if (where.siblings[i] != node_.id()) {
+        outcome = ask(where.siblings[i], /*authoritative=*/false);
+      }
     }
   }
-  if (!resolved) {
+  if (outcome == 0) {
     return Status::kNodeDown;  // still in doubt; locks stay held
   }
+  // The queries block, so a verdict datagram may have resolved `tid`
+  // meanwhile; ApplyVerdict then leaves it alone.
+  ApplyVerdict(tid, outcome > 0);
+  return outcome > 0 ? Status::kOk : Status::kAborted;
+}
 
-  if (!recovered) {
+void TransactionManager::ApplyVerdict(const TransactionId& tid, bool committed) {
+  sim::PhaseScope commit_phase(node_.substrate().metrics(), sim::Phase::kCommit);
+  Txn* txn = Find(tid);
+  if (txn != nullptr && txn->state == TxnState::kPrepared) {
     if (committed) {
       HandleCommit(tid);
-      return Status::kOk;
+    } else {
+      HandleAbortMsg(tid);
     }
-    HandleAbortMsg(tid);
-    return Status::kAborted;
+  } else if (in_doubt_.contains(tid)) {
+    ApplyRecoveredOutcome(tid, committed);
   }
-
-  ApplyRecoveredOutcome(tid, committed);
-  return committed ? Status::kOk : Status::kAborted;
 }
 
 void TransactionManager::ApplyRecoveredOutcome(const TransactionId& tid, bool committed) {
   in_doubt_.erase(tid);
-  if (committed) {
-    logged_outcomes_[tid] = TxnOutcome::kCommitted;
-    LogRecord rec;
-    rec.type = RecordType::kTxnCommit;
-    rec.owner = tid;
-    rec.top = tid;
-    rm_.log().Append(std::move(rec));
-    rm_.log().ForceAll();
-    rm_.ForgetTransaction(tid);
+  logged_outcomes_[tid] = committed ? TxnOutcome::kCommitted : TxnOutcome::kAborted;
+  auto release = [&] {
     for (auto& [name, participant] : recovered_participants_) {
       if (participant != nullptr) {
-        participant->OnCommit(tid);
+        committed ? participant->OnCommit(tid) : participant->OnAbort(tid);
       }
     }
-    return;
-  }
-  logged_outcomes_[tid] = TxnOutcome::kAborted;
-  rm_.UndoTransaction(tid, tid);
-  for (auto& [name, participant] : recovered_participants_) {
-    if (participant != nullptr) {
-      participant->OnAbort(tid);
-    }
+  };
+  if (!committed) {
+    rm_.UndoTransaction(tid, tid);
+    release();
   }
   LogRecord rec;
-  rec.type = RecordType::kTxnAbort;
+  rec.type = committed ? RecordType::kTxnCommit : RecordType::kTxnAbort;
   rec.owner = tid;
   rec.top = tid;
   rm_.log().Append(std::move(rec));
   rm_.log().ForceAll();
   rm_.ForgetTransaction(tid);
+  if (committed) {
+    release();
+  }
 }
 
 int TransactionManager::ParticipantKnowledge(const TransactionId& tid) {
-  Txn* txn = Find(tid);
-  if (txn != nullptr) {
-    switch (txn->state) {
-      case TxnState::kCommitted:
-        return 1;
-      case TxnState::kAborted:
-        return -1;
-      default:
-        return 0;  // in doubt too
-    }
-  }
-  auto it = logged_outcomes_.find(tid);
-  if (it == logged_outcomes_.end()) {
+  if (Find(tid) == nullptr && !logged_outcomes_.contains(tid)) {
     return 0;  // never heard of it: no knowledge either way (it might have
                // been read-only here and forgotten — do not presume)
   }
-  switch (it->second) {
-    case TxnOutcome::kCommitted:
-      return 1;
-    case TxnOutcome::kAborted:
-      return -1;
-    default:
-      return 0;
-  }
+  TxnState state = StateOf(tid);  // in doubt too: no knowledge
+  return state == TxnState::kCommitted ? 1 : state == TxnState::kAborted ? -1 : 0;
 }
 
 bool TransactionManager::QueryCommitted(const TransactionId& tid) {
-  Txn* txn = Find(tid);
-  if (txn != nullptr) {
-    return txn->state == TxnState::kCommitted;
-  }
-  auto it = logged_outcomes_.find(tid);
   // Presumed abort: a forgotten transaction without a durable commit record
   // did not commit.
-  return it != logged_outcomes_.end() && it->second == TxnOutcome::kCommitted;
+  return StateOf(tid) == TxnState::kCommitted;
 }
 
 std::vector<recovery::RecoveryManager::ActiveTxn> TransactionManager::ActiveTransactions()

@@ -7,6 +7,8 @@
 // (JoinServer), and the Communication Manager announces remote involvement.
 // The commit protocol is two-phase over the transaction's spanning tree:
 // "each node serves as coordinator for the nodes that are its children."
+// One engine runs it in both commit modes (two_phase_commit.cc); the modes
+// differ only in where the verdict becomes durable (paxos_commit.h).
 //
 // Subtransactions use the same machinery: BeginTransaction of a non-null
 // parent creates a subtransaction that synchronizes as a separate
@@ -95,8 +97,6 @@ class TransactionManager : public comm::TransactionTreeListener,
     commit_mode_ = mode;
     paxos_->SetF(paxos_f);
   }
-  CommitMode commit_mode() const { return commit_mode_; }
-  PaxosCommit& paxos() { return *paxos_; }
 
   // Queue-oriented execution (WorldOptions::queue_execution): update locks
   // release as soon as the commit/prepare record is appended — before it is
@@ -144,37 +144,26 @@ class TransactionManager : public comm::TransactionTreeListener,
   std::vector<TransactionId> TransactionsInvolving(const CommitParticipant* server) const;
   void DetachParticipant(const CommitParticipant* server);
 
-  // --- Communication Manager callbacks (TransactionTreeListener) --------------
-  void OnRemoteChildJoined(const TransactionId& tid, NodeId child) override;
+  // --- Communication Manager callback (TransactionTreeListener) ---------------
   void OnRemoteParentObserved(const TransactionId& tid, NodeId parent) override;
 
-  // --- two-phase commit participant side (invoked via datagram handlers) ------
-  // Prepares the subtree rooted at this node. Returns the vote.
-  enum class Vote { kYes, kReadOnly, kNo };
+  // --- participant side (invoked via datagram handlers) -----------------------
+  // Prepares the subtree rooted at this node for `parent_node` and returns
+  // its vote. `siblings` are the parent's other children (under Paxos
+  // Commit, every participant), and a non-empty `acceptors` set marks a
+  // Paxos Commit participant, whose verdict is decided at those acceptors.
   Vote HandlePrepare(const TransactionId& tid, NodeId parent_node,
-                     const std::vector<NodeId>& siblings = {});
+                     const std::vector<NodeId>& siblings,
+                     const std::vector<NodeId>& acceptors);
   void HandleCommit(const TransactionId& tid);
   // Cooperative termination (Dwork/Skeen): what this participant knows about
   // `tid` — 1 committed, -1 aborted, 0 no knowledge (possibly in doubt too).
   int ParticipantKnowledge(const TransactionId& tid);
   void HandleAbortMsg(const TransactionId& tid);
-  // --- Paxos Commit participant side (kPaxosCommit mode only) -----------------
-  // The paxos-prepare datagram handler: prepare the local subtree as in 2PC,
-  // then relay the vote to `leader` through `votes` — the leader turns the
-  // collected votes into ballot-0 accept bundles (or skips the acceptor
-  // round entirely when no participant voted Prepared).
-  void HandlePaxosPrepare(const TransactionId& tid, NodeId leader,
-                          const std::vector<NodeId>& participants,
-                          const std::vector<NodeId>& acceptors, VoteChannelPtr votes);
-  // A decided verdict arriving from a takeover leader: applies commit/abort
-  // to a live prepared transaction or a recovered in-doubt one.
-  void HandlePaxosVerdict(const TransactionId& tid, bool committed);
-  // Dead-coordinator takeover sweep (folded into the orphan-sweep machinery):
-  // every prepared transaction whose 2PC parent is `dead` and that has an
-  // acceptor set is driven to a decision through the acceptors — in-doubt
-  // transactions release their locks without coordinator recovery.
-  void ResolvePaxosOrphansOf(NodeId dead);
-
+  // A verdict learned elsewhere (a takeover leader, or ResolveInDoubt's
+  // query): applies commit/abort to a live prepared transaction or a
+  // recovered in-doubt one, and is a no-op for anything already resolved.
+  void ApplyVerdict(const TransactionId& tid, bool committed);
   // Subtransaction outcome propagation to remote participants: locks and
   // undo records of `child` merge into `parent` (commit) or unwind (abort).
   void HandleSubtxnCommit(const TransactionId& child, const TransactionId& parent,
@@ -198,15 +187,18 @@ class TransactionManager : public comm::TransactionTreeListener,
   // incarnation minted but never logged — alive only as orphan state on
   // remote participants — can never be re-minted and aliased.
   void BeginNewIncarnation();
-  // Presumed abort for orphans: rolls back every ACTIVE transaction whose
-  // spanning-tree parent is `dead` and that was initiated remotely. Such a
-  // transaction can never prepare (its coordinator's volatile state died
-  // with it), so aborting is safe the instant the session layer reports the
-  // node down. Prepared transactions are untouched — they are in doubt and
-  // resolve through ResolveInDoubt.
-  void AbortRemoteOrphansOf(NodeId dead);
-  // Contacts the in-doubt transaction's parent node for the verdict and
-  // applies it locally. Returns the outcome, or kNodeDown if still unreachable.
+  // The orphan sweep after node `dead` failed. Every ACTIVE transaction whose
+  // spanning-tree parent is `dead` and that was initiated remotely rolls back
+  // at once: it can never prepare (its coordinator's volatile state died
+  // with it), so presumed abort is safe the instant the session layer
+  // reports the node down. Prepared transactions are in doubt. Under Paxos
+  // Commit, those with an acceptor set are then driven to a decision through
+  // the acceptors, after a node-keyed stagger, so they release their locks
+  // without coordinator recovery; the rest wait for ResolveInDoubt.
+  void ResolveOrphansOf(NodeId dead);
+  // Learns an in-doubt transaction's verdict where its prepare says it lives
+  // (the acceptors, or else the parent and then the siblings) and applies
+  // it. Returns the outcome, or kNodeDown if still unreachable.
   Status ResolveInDoubt(const TransactionId& tid);
   std::vector<TransactionId> InDoubt() const;
 
@@ -238,7 +230,6 @@ class TransactionManager : public comm::TransactionTreeListener,
     TxnState state = TxnState::kActive;
     NodeId parent_node = kInvalidNode;  // 2PC tree parent (kInvalid: rooted here)
     std::vector<CommitParticipant*> servers;
-    Lsn first_lsn = kNullLsn;
     std::set<TransactionId> live_subtxns;
     std::set<NodeId> update_children;  // children that voted yes (not read-only)
     std::vector<NodeId> siblings;      // fellow participants (from the prepare)
@@ -259,27 +250,54 @@ class TransactionManager : public comm::TransactionTreeListener,
   // CascadeAbort() are the guarded entry points.
   void AbortImpl(Txn& txn);
 
+  // What phase one learned at one node (PrepareSubtree).
+  struct Tally {
+    // Not kOk when phase one ended the transaction itself: kVoteNo when it
+    // was rolled back here (a child is down, or a queue-mode wait failed),
+    // kAborted when an abort running elsewhere owns it.
+    Status status = Status::kOk;
+    Vote vote = Vote::kReadOnly;   // the subtree's, this node included
+    Vote local = Vote::kReadOnly;  // this node's joined servers alone
+    std::vector<VoteMsg> votes;    // each child's vote, counted once
+    Lsn deferred_prepare = kNullLsn;  // a leader's unforced prepare record
+  };
+
   // Implemented in two_phase_commit.cc.
   Status CommitTopLevel(Txn& txn);
-  Vote PrepareSubtree(Txn& txn);
+  Tally PrepareSubtree(Txn& txn, bool leader);
+  void SendVote(NodeId parent, Vote vote, bool paxos, const VoteChannelPtr& votes);
+  // Queue mode: a dependent may not vote or decide before its predecessors
+  // do. Returns kOk to go on, kAborted when a cascade abort owns (or already
+  // forgot) the transaction, kVoteNo when the wait failed and the subtree
+  // was rolled back here.
+  Status AwaitPredecessors(Txn& txn);
+  // The prepare record: afterwards this node is in doubt until the verdict.
+  // With `deferred`, a co-located acceptor's forced acceptance will make the
+  // record stable, so it is only appended and its LSN returned there.
+  // Returns false when an abort consumed the transaction meanwhile.
+  bool PrepareLocally(Txn& txn, Lsn* deferred);
   void CommitSubtree(Txn& txn, bool is_root);
   void AbortSubtree(Txn& txn, bool notify_children);
   void CommitSubtransaction(Txn& txn);
+  // Sends a subtransaction's outcome to every live child of `top`'s tree:
+  // `child` merges into `parent` (commit) or unwinds (abort) there.
+  void ForwardSubtxn(const TransactionId& child, const TransactionId& parent,
+                     const TransactionId& top, bool committed);
   TransactionManager* Peer(NodeId node) const;
 
-  // Implemented in paxos_commit.cc.
-  Status CommitTopLevelPaxos(Txn& txn);
   // Applies a verdict to a recovered in-doubt transaction: re-log the
   // outcome, redo/undo through the Recovery Manager, release locks.
   void ApplyRecoveredOutcome(const TransactionId& tid, bool committed);
 
   // Appends the record and returns its LSN; with `force`, also blocks until
-  // it is stable (ForceLsn). Queue mode splits the two so locks can release
-  // between append and force.
+  // it is stable (ForceLsn).
   Lsn AppendTxnRecord(log::RecordType type, const Txn& txn, bool force);
   void ForceLsn(Lsn lsn);
-  // Queue mode: drop txn's locks through every joined server (OnEarlyRelease).
-  void EarlyRelease(Txn& txn, bool taint);
+  // Appends the record and blocks until it is stable. Queue mode drops the
+  // transaction's locks in between (OnEarlyRelease), `taint`ed when the
+  // outcome is still undecided: a successor granted a released object then
+  // becomes commit-dependent on this transaction.
+  void LogDurably(log::RecordType type, Txn& txn, bool taint);
   // Queue mode: abort a queued successor of an aborting early-releaser. The
   // victim's entry is consumed here; its own task observes the abort through
   // the RefusesOps / cascading-set guards.
@@ -303,9 +321,14 @@ class TransactionManager : public comm::TransactionTreeListener,
   // Durable knowledge rebuilt from the log by ObserveTxnRecord, plus
   // outcomes decided since; consulted by QueryCommitted and OutcomeOf.
   std::map<TransactionId, recovery::TxnOutcome> logged_outcomes_;
-  std::map<TransactionId, NodeId> logged_parent_node_;
-  std::map<TransactionId, std::vector<NodeId>> logged_siblings_;
-  std::map<TransactionId, std::vector<NodeId>> logged_acceptors_;
+  // Where a recovered prepare record says the verdict lives. Filled only by
+  // the analysis pass, so it holds just the transactions recovery saw.
+  struct LoggedPrepare {
+    NodeId parent_node = kInvalidNode;
+    std::vector<NodeId> siblings;
+    std::vector<NodeId> acceptors;
+  };
+  std::map<TransactionId, LoggedPrepare> logged_prepares_;
   std::set<TransactionId> in_doubt_;
   std::map<std::string, CommitParticipant*> recovered_participants_;
 
@@ -313,8 +336,6 @@ class TransactionManager : public comm::TransactionTreeListener,
   SimTime last_checkpoint_time_ = 0;
   int checkpoints_taken_ = 0;
 
-  // Commit-protocol tuning (paper Section 5.3): when the architecture model
-  // says optimized_commit, phase two leaves the latency-critical path.
   // How long the coordinator waits for each vote or ack before treating the
   // child as failed (WorldOptions::vote_timeout_us; fault sweeps tighten it).
   SimTime vote_timeout_ = 10'000'000;  // 10 s virtual

@@ -1,5 +1,5 @@
-// The tree-structured two-phase commit protocol (Section 3.2.3) and
-// subtransaction commit/abort propagation.
+// The commit engine: tree-structured two-phase commit (Section 3.2.3) for
+// both commit modes, plus subtransaction commit/abort propagation.
 //
 // Every node coordinates its own children in the transaction's spanning tree
 // (built by the Communication Managers as operations flowed). Prepares and
@@ -7,6 +7,14 @@
 // communication during transaction commit" (Section 2.1.2). The protocol
 // includes the read-only optimization: a subtree with no updates votes
 // read-only, releases its locks at prepare time, and drops out of phase two.
+//
+// Two-phase commit is Paxos Commit with no acceptors (Gray & Lamport), so one
+// engine runs both modes: prepare fan-out, the local prepare, vote
+// collection, and the commit and abort tails exist once. The modes differ
+// only where the verdict becomes durable — the coordinator's forced commit
+// record, or an acceptor quorum (PaxosCommit::Decide) — and where an
+// in-doubt participant learns it (ResolveInDoubt). A transaction whose
+// coordinator chose an acceptor set is decided at those acceptors.
 //
 // Under ArchitectureModel::Improved (Section 5.3), phase two of a
 // distributed write commit leaves the latency-critical path: the coordinator
@@ -37,6 +45,18 @@ TransactionManager* TransactionManager::Peer(NodeId node) const {
 Status TransactionManager::CommitTopLevel(Txn& txn) {
   assert(txn.born_here && "EndTransaction must run at the transaction's birth node");
   sim::Substrate& sub = node_.substrate();
+  const auto& info = cm_.InfoFor(txn.top);
+  // Paxos Commit replicates the verdict only when another site could be
+  // left in doubt. With no children the participant set is exactly this
+  // node, and its own log holds the outcome either way: the commit takes the
+  // local path (one forced commit record; none when read-only) instead of a
+  // prepare round plus acceptor forces that would buy nothing — the
+  // coordinator-local fast path.
+  const bool paxos = commit_mode_ == CommitMode::kPaxosCommit;
+  const bool leader = paxos && !info.children.empty();
+  if (paxos && !leader) {
+    FAULT_POINT(sub, "paxos.local-commit");
+  }
   sim::PhaseScope commit_phase(sub.metrics(), sim::Phase::kCommit);
   sim::SpanGuard span(sub.tracer(), sim::Component::kTransactionManager, "2pc.commit",
                       sub.tracer().enabled() ? ToString(txn.top) : std::string());
@@ -51,65 +71,90 @@ Status TransactionManager::CommitTopLevel(Txn& txn) {
 
   sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 1);  // app -> TM: commit
   txn.state = TxnState::kPreparing;
-
-  const auto& info = cm_.InfoFor(txn.top);
   if (!info.children.empty()) {
     // The CM hands the TM the complete site list (a pointer message).
     sub.Charge(sim::Primitive::kPointerMessage, 1);
   }
+  if (leader) {
+    // One Paxos instance per direct participant (this node and each child):
+    // a child prepares its own subtree with plain 2PC and votes for it.
+    txn.siblings.reserve(info.children.size() + 1);
+    txn.siblings.assign(info.children.begin(), info.children.end());
+    txn.siblings.push_back(node_.id());
+    std::sort(txn.siblings.begin(), txn.siblings.end());
+    txn.acceptors = paxos_->ChooseAcceptors(txn.top);
+  }
 
-  Vote vote = PrepareSubtree(txn);
-  if (vote == Vote::kNo) {
+  Tally t = PrepareSubtree(txn, leader);
+  if (t.status != Status::kOk) {
+    return t.status;
+  }
+  const TransactionId tid = txn.tid;
+  int outcome = t.vote == Vote::kAborted ? -1 : 1;
+  bool learn = false;  // a ballot-0 round decided: teach the acceptors
+  if (leader) {
+    outcome = paxos_->Decide(txn.top, txn.siblings, txn.acceptors, t.local, t.votes,
+                             t.deferred_prepare, &learn);
+    if (Find(tid) == nullptr) {
+      return outcome > 0 ? Status::kOk : Status::kAborted;  // a verdict raced us
+    }
+    if (outcome == 0) {
+      // No acceptor quorum reachable: genuinely in doubt. Keep the locks —
+      // blocking here is the price of consistency; any survivor (or this
+      // node after recovery) resolves through the acceptors later.
+      return Status::kNodeDown;
+    }
+    if (!learn) {
+      // A takeover sent every participant the verdict itself (and the
+      // read-only skip left nobody prepared): phase two has no one to tell.
+      txn.update_children.clear();
+    }
+  } else if (outcome > 0) {
+    Status ws = AwaitPredecessors(txn);
+    if (ws != Status::kOk) {
+      return ws;
+    }
+  }
+
+  if (outcome < 0) {
+    if (learn) {
+      // The accept round decided Aborted (an Aborted vote rode the bundles):
+      // teach the acceptors so a later standby leader short-circuits.
+      FAULT_POINT(sub, "paxos.learn");
+      paxos_->BroadcastLearn(txn.top, -1, txn.acceptors);
+    }
+    // Prepared children learn through AbortSubtree's abort datagrams.
     AbortSubtree(txn, /*notify_children=*/true);
-    TransactionId tid = txn.tid;
     ForgetTxn(tid);
     return Status::kVoteNo;
   }
 
-  if (op_queue_.enabled()) {
-    // A dependent may not decide before its predecessors: wait out every
-    // commit dependency picked up from early-released locks, then re-resolve
-    // — a predecessor's abort may have cascaded to this transaction while we
-    // slept (the entry is then owned by the cascade, or already gone; `txn`
-    // must not be touched until the re-resolve proves it alive).
-    const TransactionId self = txn.tid;
-    Status ws = op_queue_.AwaitPredecessors(txn.top, vote_timeout_);
-    Txn* again = Find(self);
-    if (again == nullptr || again->state == TxnState::kAborted || AbortInProgress(*again)) {
-      return Status::kAborted;
-    }
-    if (ws != Status::kOk) {
-      AbortSubtree(txn, /*notify_children=*/true);
-      ForgetTxn(self);
-      return Status::kVoteNo;
-    }
-  }
-
   // TABS process CPU time for local transaction management (Section 5.2).
   sub.scheduler().Charge(sub.costs().coordinator_overhead_us);
-  bool updates = vote == Vote::kYes;
-  if (updates) {
+  // A missing vote committed through a takeover leaves kAborted here: the
+  // leader cannot tell read-only apart and logs the record.
+  if (t.vote != Vote::kReadOnly) {
     sub.scheduler().Charge(sub.costs().coordinator_write_extra_us);
-    // Every participant is prepared but the verdict is not yet durable: a
-    // crash here must resolve to abort (presumed abort).
-    FAULT_POINT(sub, "2pc.commit.before_record");
-    if (op_queue_.enabled()) {
-      // Queue mode: the outcome is decided the moment the commit record is
-      // appended — the WAL forces in LSN order, so any successor's durable
-      // record implies ours. Locks release before the force (no taint, no
-      // dependency) and successors pipeline into the group-commit window.
-      Lsn lsn = AppendTxnRecord(RecordType::kTxnCommit, txn, /*force=*/false);
-      FAULT_POINT(sub, "queue.commit.early-release");
-      EarlyRelease(txn, /*taint=*/false);
-      ForceLsn(lsn);
+    if (leader) {
+      // Unforced on purpose: the commit point already passed at the
+      // acceptors, so this record is a lazy hint that spares a takeover
+      // after a coordinator crash — exactly the force 2PC cannot skip.
+      AppendTxnRecord(RecordType::kTxnCommit, txn, /*force=*/false);
     } else {
-      // The commit point: the commit record reaches stable storage.
-      AppendTxnRecord(RecordType::kTxnCommit, txn, /*force=*/true);
+      // Every participant is prepared but the verdict is not yet durable: a
+      // crash here must resolve to abort (presumed abort).
+      FAULT_POINT(sub, "2pc.commit.before_record");
+      // The commit point: the commit record reaches stable storage. Queue
+      // mode decides the outcome the moment the record is appended — the WAL
+      // forces in LSN order, so any successor's durable record implies ours —
+      // so locks release before the force, untainted, and successors
+      // pipeline into the group-commit window.
+      LogDurably(RecordType::kTxnCommit, txn, /*taint=*/false);
+      // The verdict is durable but no participant knows it: a crash here
+      // must resolve to commit via the in-doubt query.
+      FAULT_POINT(sub, "2pc.commit.after_record");
     }
-    // The verdict is durable but no participant knows it: a crash here must
-    // resolve to commit via the in-doubt query.
-    FAULT_POINT(sub, "2pc.commit.after_record");
-  } else {
+  } else if (!leader) {
     // Read-only fast path: every vote was ReadOnly, so no participant is
     // prepared and nothing needs phase two — no commit record, no force.
     // A crash here is indistinguishable from one before the commit call:
@@ -118,103 +163,210 @@ Status TransactionManager::CommitTopLevel(Txn& txn) {
   }
   txn.state = TxnState::kCommitted;
   logged_outcomes_[txn.top] = TxnOutcome::kCommitted;
-
+  if (learn) {
+    // Commit stands at the acceptors but no learn datagram is out: a crash
+    // here must still commit everywhere via takeover.
+    FAULT_POINT(sub, "paxos.learn");
+    paxos_->BroadcastLearn(txn.top, 1, txn.acceptors);
+  }
+  if (op_queue_.enabled()) {
+    // Decided: clear a leader's prepare taints and discharge its dependents.
+    op_queue_.NoteCommitted(txn.top);
+  }
   CommitSubtree(txn, /*is_root=*/true);
   sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 1);  // TM -> app: done
-  TransactionId tid = txn.tid;
   ForgetTxn(tid);
   return Status::kOk;
 }
 
-TransactionManager::Vote TransactionManager::PrepareSubtree(Txn& txn) {
+TransactionManager::Tally TransactionManager::PrepareSubtree(Txn& txn, bool leader) {
   sim::Substrate& sub = node_.substrate();
   sim::Scheduler& sched = sub.scheduler();
   sim::SpanGuard span(sub.tracer(), sim::Component::kTransactionManager, "2pc.prepare",
                       sub.tracer().enabled() ? ToString(txn.top) : std::string());
   const auto& info = cm_.InfoFor(txn.top);
+  const size_t children = info.children.size();
+  const TransactionId tid = txn.tid;
+  Tally t;
+  for (NodeId child : info.children) {
+    if (Peer(child) == nullptr) {
+      // A child crashed: its updates cannot be guaranteed. Abort before any
+      // prepare leaves, so no live child forces a record for nothing.
+      AbortSubtree(txn, /*notify_children=*/true);
+      ForgetTxn(tid);
+      t.status = Status::kVoteNo;
+      return t;
+    }
+  }
   FAULT_POINT(sub, "2pc.prepare.begin");
 
   // Phase one downward: prepare datagrams to every child, in parallel. The
   // sender serializes sends, so each datagram after the first delays by half
   // a datagram time (the paper's half-datagram estimate, Table 5-3 note).
-  auto votes = std::make_shared<sim::Channel<std::pair<NodeId, Vote>>>(sched);
-  int expected = 0;
+  // A prepare carries the sibling list, so an in-doubt participant can run
+  // cooperative termination if this node later crashes; a Paxos leader's
+  // carries the participant and acceptor sets, so any survivor can run a
+  // takeover.
+  auto votes = std::make_shared<VoteChannel>(sched);
+  const NodeId self = node_.id();
   bool first_send = true;
   for (NodeId child : info.children) {
     TransactionManager* child_tm = Peer(child);
-    if (child_tm == nullptr) {
-      return Vote::kNo;  // child crashed: cannot guarantee its updates
-    }
     if (!first_send) {
       sched.Charge(sub.CostOf(sim::Primitive::kDatagram) / 2);
     }
     first_send = false;
-    ++expected;
-    TransactionId tid = txn.top;
-    NodeId self = node_.id();
-    comm::CommManager* child_cm = &child_tm->cm_;
-    // The prepare carries the sibling list so an in-doubt participant can
-    // run cooperative termination if this coordinator later crashes.
-    std::vector<NodeId> siblings(info.children.begin(), info.children.end());
-    cm_.SendDatagram(child, "2pc-prepare",
-                     [child_tm, child_cm, tid, self, votes, child, siblings] {
-                       Vote v = child_tm->HandlePrepare(tid, self, siblings);
-                       child_cm->SendDatagram(
-                           self, "2pc-vote", [votes, child, v] { votes->Push({child, v}); });
+    std::vector<NodeId> siblings =
+        leader ? txn.siblings : std::vector<NodeId>(info.children.begin(), info.children.end());
+    std::vector<NodeId> acceptors = leader ? txn.acceptors : std::vector<NodeId>();
+    cm_.SendDatagram(child, leader ? "paxos-prepare" : "2pc-prepare",
+                     [child_tm, tid, self, votes, siblings = std::move(siblings),
+                      acceptors = std::move(acceptors)] {
+                       Vote v = child_tm->HandlePrepare(tid, self, siblings, acceptors);
+                       child_tm->SendVote(self, v, !acceptors.empty(), votes);
                      });
   }
 
+  if (leader) {
+    // A dependent may not vote before its predecessors decide: the leader's
+    // prepare record below would otherwise make a dirty read durable. The
+    // children prepare in parallel meanwhile.
+    t.status = AwaitPredecessors(txn);
+    if (t.status != Status::kOk) {
+      return t;
+    }
+  }
   // Local prepare: ask each joined server whether it wrote updates. A server
   // with updates ships its buffered log images to the Recovery Manager with
   // its prepare work (one large message).
-  bool local_updates = false;
   for (CommitParticipant* s : txn.servers) {
     sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 1);  // TM -> server: prepare
     if (s->HasUpdates(txn.tid)) {
-      local_updates = true;
+      t.local = Vote::kPrepared;
       sub.ChargeSystemMessage(sim::Primitive::kLargeMessage, 1);
     }
     sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 1);  // server -> TM: vote
   }
+  if (!leader) {
+    // Prepares are on the wire (and the local vote is computed) but no
+    // remote vote has been consumed yet.
+    FAULT_POINT(sub, "2pc.prepare.before_votes");
+  } else if (t.local == Vote::kPrepared) {
+    // The leader's own instance is a participant vote like any other, so its
+    // prepare record goes first, overlapping the children's prepares. A
+    // co-located acceptor's forced acceptance (later in the WAL) makes the
+    // record stable in the same write; SendAcceptBundles forces it directly
+    // if that acceptance is skipped, before anything reaches the wire.
+    bool self_acceptor =
+        std::find(txn.acceptors.begin(), txn.acceptors.end(), self) != txn.acceptors.end();
+    if (!PrepareLocally(txn, self_acceptor ? &t.deferred_prepare : nullptr)) {
+      t.status = Status::kAborted;  // aborted (or being aborted) during the force
+      return t;
+    }
+  }
 
-  // Prepares are on the wire (and the local vote is computed) but no remote
-  // vote has been consumed yet.
-  FAULT_POINT(sub, "2pc.prepare.before_votes");
-  bool any_no = false;
-  bool child_updates = false;
-  // One deadline across ALL votes: children prepared in parallel, so the
-  // coordinator's wait budget must not scale with the child count (a lost
-  // vote previously restarted the timeout per child, waiting up to
-  // children x vote_timeout_). A vote already queued consumes none of it.
+  // One deadline across all votes: children prepared in parallel, so the
+  // wait budget must not scale with the child count. A vote already queued
+  // consumes none of it. Each child counts once: the datagram layer may
+  // deliver a vote twice, and a repeat must never fill a lost vote's slot.
+  t.vote = t.local;
+  t.votes.reserve(children);
   SimTime vote_deadline = sched.Now() + vote_timeout_;
-  for (int i = 0; i < expected; ++i) {
-    std::pair<NodeId, Vote> v;
+  while (t.votes.size() < children) {
+    VoteMsg m;
     // A zero budget still pops an already-delivered vote without waiting.
     SimTime remaining = std::max<SimTime>(vote_deadline - sched.Now(), 0);
-    if (!votes->PopWithTimeout(remaining, &v)) {
-      any_no = true;  // lost vote or crashed child: abort is always safe
+    if (!votes->PopWithTimeout(remaining, &m)) {
+      t.vote = Vote::kAborted;  // lost vote or crashed child: abort is always safe
       break;
     }
     sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 1);  // CM -> TM: vote arrived
-    if (v.second == Vote::kNo) {
-      any_no = true;
-    } else if (v.second == Vote::kYes) {
-      child_updates = true;
-      txn.update_children.insert(v.first);
+    if (std::any_of(t.votes.begin(), t.votes.end(),
+                    [&m](const VoteMsg& v) { return v.from == m.from; })) {
+      continue;
+    }
+    t.votes.push_back(m);
+    if (m.vote == Vote::kAborted) {
+      t.vote = Vote::kAborted;
+    } else if (m.vote == Vote::kPrepared && t.vote != Vote::kAborted) {
+      t.vote = Vote::kPrepared;
     }
   }
-  if (any_no) {
-    return Vote::kNo;
+  // The parent's abort may have erased the entry while this node waited for
+  // votes (HandlePrepare re-resolves it): touch `txn` only if it is alive.
+  if (Find(tid) == &txn) {
+    for (const VoteMsg& v : t.votes) {
+      if (v.vote == Vote::kPrepared) {
+        txn.update_children.insert(v.from);
+      }
+    }
   }
-  if (!local_updates && !child_updates) {
-    return Vote::kReadOnly;
-  }
-  return Vote::kYes;
+  return t;
 }
 
-TransactionManager::Vote TransactionManager::HandlePrepare(const TransactionId& tid,
-                                                           NodeId parent_node,
-                                                           const std::vector<NodeId>& siblings) {
+void TransactionManager::SendVote(NodeId parent, Vote vote, bool paxos,
+                                  const VoteChannelPtr& votes) {
+  if (paxos) {
+    // The vote is computed but not yet on the wire to the leader: a crash
+    // here leaves the instance open, decided by takeover as Aborted.
+    FAULT_POINT(node_.substrate(), "paxos.vote-send");
+  }
+  NodeId self = node_.id();
+  cm_.SendDatagram(parent, paxos ? "paxos-vote" : "2pc-vote",
+                   [votes, self, vote] { votes->Push(VoteMsg{self, vote}); });
+}
+
+Status TransactionManager::AwaitPredecessors(Txn& txn) {
+  if (!op_queue_.enabled()) {
+    return Status::kOk;
+  }
+  // Wait out every commit dependency picked up from early-released locks,
+  // then re-resolve — a predecessor's abort may have cascaded to this
+  // transaction while we slept (the entry is then owned by the cascade, or
+  // already gone; `txn` must not be touched until the re-resolve proves it
+  // alive).
+  const TransactionId tid = txn.tid;
+  Status ws = op_queue_.AwaitPredecessors(txn.top, vote_timeout_);
+  Txn* again = Find(tid);
+  if (again == nullptr || again->state == TxnState::kAborted || AbortInProgress(*again)) {
+    return Status::kAborted;
+  }
+  if (ws != Status::kOk) {
+    AbortSubtree(txn, /*notify_children=*/true);
+    ForgetTxn(tid);
+    return Status::kVoteNo;
+  }
+  return Status::kOk;
+}
+
+bool TransactionManager::PrepareLocally(Txn& txn, Lsn* deferred) {
+  sim::Substrate& sub = node_.substrate();
+  const TransactionId tid = txn.tid;
+  sub.scheduler().Charge(sub.costs().participant_prepare_overhead_us);
+  // The subtree voted yes but the prepare record is still volatile: a crash
+  // here means this participant never prepared, and presumed abort applies.
+  FAULT_POINT(sub, "2pc.vote.before_record");
+  if (deferred != nullptr && !op_queue_.enabled()) {
+    *deferred = AppendTxnRecord(RecordType::kTxnPrepare, txn, /*force=*/false);
+  } else {
+    // In doubt until the verdict: a queue-mode early release is tainted.
+    LogDurably(RecordType::kTxnPrepare, txn, /*taint=*/true);
+  }
+  // Prepared and in doubt: a crash here must leave the updates locked until
+  // the verdict is learned.
+  FAULT_POINT(sub, "2pc.vote.after_record");
+  Txn* after_force = Find(tid);
+  if (after_force == nullptr || AbortInProgress(*after_force)) {
+    return false;  // aborted (or being aborted) during the prepare force
+  }
+  txn.state = TxnState::kPrepared;
+  logged_outcomes_[tid] = TxnOutcome::kPrepared;
+  return true;
+}
+
+Vote TransactionManager::HandlePrepare(const TransactionId& tid, NodeId parent_node,
+                                       const std::vector<NodeId>& siblings,
+                                       const std::vector<NodeId>& acceptors) {
   sim::Substrate& sub = node_.substrate();
   sim::PhaseScope commit_phase(sub.metrics(), sim::Phase::kCommit);
   sim::SpanGuard span(sub.tracer(), sim::Component::kTransactionManager, "2pc.handle-prepare",
@@ -223,51 +375,46 @@ TransactionManager::Vote TransactionManager::HandlePrepare(const TransactionId& 
   if (found == nullptr) {
     // We never saw an operation for this transaction: read-only by vacuity.
     // But a transaction this node aborted and rolled back (an orphan sweep
-    // racing the prepare datagram) must vote No — its updates are undone,
-    // so a yes-side vote could commit a transaction missing them.
-    return OutcomeOf(tid) == TxnOutcome::kAborted ? Vote::kNo : Vote::kReadOnly;
+    // after the coordinator's crash can beat its last prepare datagram here)
+    // must vote Aborted: its updates are undone, so a ReadOnly vote could
+    // commit a transaction missing them.
+    return OutcomeOf(tid) == TxnOutcome::kAborted ? Vote::kAborted : Vote::kReadOnly;
   }
   Txn& txn = *found;
   if (txn.state == TxnState::kAborted) {
-    return Vote::kNo;
+    return Vote::kAborted;
   }
   // CM -> TM: prepare arrived; TM -> CM: vote handed back for the wire.
   sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 2);
   txn.parent_node = parent_node;
   txn.siblings = siblings;
+  txn.acceptors = acceptors;
   txn.state = TxnState::kPreparing;
 
-  Vote v = PrepareSubtree(txn);
-  // PrepareSubtree blocks awaiting child votes, and the prepare force below
-  // blocks too: either wait can overlap the coordinator's vote timeout, whose
-  // abort message rolls this subtree back and erases the Txn while we sleep.
+  Vote v = PrepareSubtree(txn, /*leader=*/false).vote;
+  // PrepareSubtree blocks awaiting child votes, and the waits below block
+  // too: each can overlap the coordinator's vote timeout, whose abort
+  // message rolls this subtree back and erases the Txn while we sleep.
   // Re-resolve the entry after every blocking window — a stale vote must not
   // touch (or resurrect) a transaction that was aborted and forgotten.
   if (Find(tid) == nullptr) {
-    return Vote::kNo;
+    return Vote::kAborted;
   }
-  if (v == Vote::kNo) {
+  if (v == Vote::kAborted) {
     AbortSubtree(txn, /*notify_children=*/true);
     ForgetTxn(tid);
-    return Vote::kNo;
+    return Vote::kAborted;
   }
-  if (op_queue_.enabled()) {
-    // Even a read-only vote must wait: the subtree may have read a
-    // predecessor's early-released (still undecided) state, and voting it
-    // through would let the coordinator commit a dirty read.
-    Status ws = op_queue_.AwaitPredecessors(tid, vote_timeout_);
-    Txn* again = Find(tid);
-    if (again == nullptr || again->state == TxnState::kAborted || AbortInProgress(*again)) {
-      return Vote::kNo;
-    }
-    if (ws != Status::kOk) {
-      AbortSubtree(txn, /*notify_children=*/true);
-      ForgetTxn(tid);
-      return Vote::kNo;
-    }
+  // Even a read-only vote must wait: the subtree may have read a
+  // predecessor's early-released (still undecided) state, and voting it
+  // through would let the coordinator commit a dirty read.
+  if (AwaitPredecessors(txn) != Status::kOk) {
+    return Vote::kAborted;
   }
   if (v == Vote::kReadOnly) {
     // Read-only optimization: release locks now and drop out of phase two.
+    // Nothing here is prepared, so this node needs no verdict (under Paxos
+    // Commit its instance runs only if some other participant prepared).
     sub.scheduler().Charge(sub.costs().participant_read_overhead_us);
     for (CommitParticipant* s : txn.servers) {
       sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 1);  // TM -> server: release
@@ -277,32 +424,9 @@ TransactionManager::Vote TransactionManager::HandlePrepare(const TransactionId& 
     return Vote::kReadOnly;
   }
   // Updates here (or below): become prepared — in doubt until the verdict.
-  sub.scheduler().Charge(sub.costs().participant_prepare_overhead_us);
-  // The subtree voted yes but the prepare record is still volatile: a crash
-  // here means this participant never prepared, and presumed abort applies.
-  FAULT_POINT(sub, "2pc.vote.before_record");
-  if (op_queue_.enabled()) {
-    // In-doubt early release: the outcome is undecided until the verdict, so
-    // the released objects are tainted and any successor granted a lock on
-    // them becomes commit-dependent on this transaction.
-    Lsn lsn = AppendTxnRecord(RecordType::kTxnPrepare, txn, /*force=*/false);
-    FAULT_POINT(sub, "queue.prepare.early-release");
-    EarlyRelease(txn, /*taint=*/true);
-    ForceLsn(lsn);
-  } else {
-    AppendTxnRecord(RecordType::kTxnPrepare, txn, /*force=*/true);
-  }
-  // Prepared and in doubt: a crash here must leave the updates locked until
-  // the coordinator's verdict is learned.
-  FAULT_POINT(sub, "2pc.vote.after_record");
-  Txn* after_force = Find(tid);
-  if (after_force == nullptr || AbortInProgress(*after_force)) {
-    return Vote::kNo;  // aborted (or being aborted) during the prepare force
-  }
-  txn.state = TxnState::kPrepared;
-  logged_outcomes_[tid] = TxnOutcome::kPrepared;
-  logged_parent_node_[tid] = parent_node;
-  return Vote::kYes;
+  // The prepare record carries any acceptor set, so this participant can be
+  // resolved through the acceptors after any combination of crashes.
+  return PrepareLocally(txn, nullptr) ? Vote::kPrepared : Vote::kAborted;
 }
 
 void TransactionManager::CommitSubtree(Txn& txn, bool is_root) {
@@ -483,19 +607,7 @@ void TransactionManager::CommitSubtransaction(Txn& txn) {
 
   // Remote participants of the top-level transaction inherit the
   // subtransaction's locks and undo records too.
-  const auto& info = cm_.InfoFor(txn.top);
-  for (NodeId child : info.children) {
-    TransactionManager* child_tm = Peer(child);
-    if (child_tm == nullptr) {
-      continue;
-    }
-    TransactionId child_tid = txn.tid;
-    TransactionId parent_tid = txn.parent;
-    TransactionId top = txn.top;
-    cm_.SendDatagram(child, "subtxn-commit", [child_tm, child_tid, parent_tid, top] {
-      child_tm->HandleSubtxnCommit(child_tid, parent_tid, top);
-    });
-  }
+  ForwardSubtxn(txn.tid, txn.parent, txn.top, /*committed=*/true);
 
   parent->live_subtxns.erase(txn.tid);
   txns_.erase(txn.tid);
@@ -510,14 +622,7 @@ void TransactionManager::HandleSubtxnCommit(const TransactionId& child,
     for (CommitParticipant* s : txn->servers) {
       s->OnSubtxnCommit(child, parent);
     }
-    for (NodeId grandchild : cm_.InfoFor(top).children) {
-      TransactionManager* gtm = Peer(grandchild);
-      if (gtm != nullptr) {
-        cm_.SendDatagram(grandchild, "subtxn-commit", [gtm, child, parent, top] {
-          gtm->HandleSubtxnCommit(child, parent, top);
-        });
-      }
-    }
+    ForwardSubtxn(child, parent, top, /*committed=*/true);
   }
 }
 
@@ -529,13 +634,23 @@ void TransactionManager::HandleSubtxnAbort(const TransactionId& child,
     for (CommitParticipant* s : txn->servers) {
       s->OnAbort(child);
     }
-    for (NodeId grandchild : cm_.InfoFor(top).children) {
-      TransactionManager* gtm = Peer(grandchild);
-      if (gtm != nullptr) {
-        cm_.SendDatagram(grandchild, "subtxn-abort", [gtm, child, top] {
-          gtm->HandleSubtxnAbort(child, top);
-        });
-      }
+    ForwardSubtxn(child, kNullTransaction, top, /*committed=*/false);
+  }
+}
+
+void TransactionManager::ForwardSubtxn(const TransactionId& child, const TransactionId& parent,
+                                       const TransactionId& top, bool committed) {
+  for (NodeId node : cm_.InfoFor(top).children) {
+    TransactionManager* tm = Peer(node);
+    if (tm == nullptr) {
+      continue;
+    }
+    if (committed) {
+      cm_.SendDatagram(node, "subtxn-commit",
+                       [tm, child, parent, top] { tm->HandleSubtxnCommit(child, parent, top); });
+    } else {
+      cm_.SendDatagram(node, "subtxn-abort",
+                       [tm, child, top] { tm->HandleSubtxnAbort(child, top); });
     }
   }
 }

@@ -1,0 +1,70 @@
+// Votes count once per sender. The datagram layer may deliver any message
+// twice (Network::SetDatagramFaults), so a participant's repeated Yes must
+// never fill the slot of another participant's lost vote, and a repeated
+// phase-1 ballot must not look like a second acceptor's rejection. The test
+// leaves the commit mode to TABS_COMMIT_MODE, so it runs under 2PC and under
+// Paxos Commit (where the lost vote forces a takeover through the acceptors).
+
+#include <gtest/gtest.h>
+
+#include <string>
+
+#include "src/servers/array_server.h"
+#include "src/tabs/world.h"
+
+namespace tabs {
+namespace {
+
+using servers::ArrayServer;
+
+TEST(DuplicateVoteTest, RepeatedVoteCannotStandInForALostOne) {
+  World world(3);
+  world.AddServerOf<ArrayServer>(1, "a1", 4u);
+  world.AddServerOf<ArrayServer>(2, "a2", 4u);
+  world.AddServerOf<ArrayServer>(3, "a3", 4u);
+
+  Status end = Status::kOk;
+  world.RunApp(1, [&](Application& app) {
+    TransactionId t = app.Begin();
+    server::Tx tx = app.MakeTx(t);
+    EXPECT_EQ(world.Server<ArrayServer>(2, "a2")->SetCell(tx, 0, 7), Status::kOk);
+    EXPECT_EQ(world.Server<ArrayServer>(3, "a3")->SetCell(tx, 0, 9), Status::kOk);
+    // Node 3's branch aborts before the prepare arrives: its server crashes
+    // and comes back, so node 3 votes No (Aborted) on the rolled-back write.
+    world.CrashServer(3, "a3");
+    world.RecoverServer(3, "a3");
+    // That vote is lost, and every other datagram arrives twice.
+    world.network().SetDatagramLossTagged([](NodeId from, NodeId, const std::string& what) {
+      return from == 3 && (what == "2pc-vote" || what == "paxos-vote");
+    });
+    comm::Network::DatagramFaults faults;
+    faults.seed = 1;
+    faults.duplicate_probability = 1;
+    world.network().SetDatagramFaults(faults);
+    end = app.End(t);
+  });
+  EXPECT_NE(end, Status::kOk);
+
+  world.network().SetDatagramFaults({});
+  world.network().SetDatagramLossTagged(nullptr);
+  world.RunApp(1, [&](Application& app) {
+    Status s = app.Transaction([&](const server::Tx& tx) {
+      for (NodeId n : {2, 3}) {
+        Result<std::int32_t> cell =
+            world.Server<ArrayServer>(n, "a" + std::to_string(n))->GetCell(tx, 0);
+        EXPECT_TRUE(cell.ok()) << "node " << n << " cell unreadable";
+        if (cell.ok()) {
+          EXPECT_EQ(cell.value(), 0) << "node " << n << " kept an uncommitted write";
+        }
+      }
+      return Status::kOk;
+    });
+    EXPECT_EQ(s, Status::kOk);
+  });
+  for (NodeId n = 1; n <= 3; ++n) {
+    EXPECT_TRUE(world.tm(n).InDoubt().empty()) << "node " << n << " is still in doubt";
+  }
+}
+
+}  // namespace
+}  // namespace tabs
