@@ -1,8 +1,8 @@
 // Real-CPU micro-benchmarks (google-benchmark) of the substrate's hot
-// paths: log append/force, lock acquire/release, scheduler task turnaround,
-// recoverable-segment access, and B-tree operations. These measure the
-// implementation itself (host nanoseconds), not the simulated Perq — the
-// Table 5-x binaries handle the paper's virtual-time results.
+// paths: log append/force/read-back, lock acquire/release, scheduler task
+// turnaround, recoverable-segment access, and B-tree operations. These
+// measure the implementation itself (host nanoseconds), not the simulated
+// Perq — the Table 5-x binaries handle the paper's virtual-time results.
 
 #include <benchmark/benchmark.h>
 
@@ -15,26 +15,67 @@
 namespace tabs {
 namespace {
 
+log::LogRecord BenchValueRecord(std::uint32_t value_bytes) {
+  log::LogRecord rec;
+  rec.type = log::RecordType::kValueUpdate;
+  rec.owner = {1, 1};
+  rec.top = {1, 1};
+  rec.server = "bench";
+  rec.oid = {1, 0, value_bytes};
+  rec.old_value = Bytes(value_bytes, 0);
+  rec.new_value = Bytes(value_bytes, 1);
+  return rec;
+}
+
+// Records per force in the log benchmarks. Each force is followed by a
+// truncation, so the log stays a few KiB and the time per record is a steady
+// state rather than a buffer growing with the iteration count.
+constexpr int kLogBatch = 16;
+
 void BM_LogAppend(benchmark::State& state) {
   sim::Scheduler sched;
   sim::Substrate substrate(sched, sim::CostModel::Baseline(),
                            sim::ArchitectureModel::Prototype());
   log::StableLogDevice device;
   log::LogManager log(substrate, device);
-  log::LogRecord rec;
-  rec.type = log::RecordType::kValueUpdate;
-  rec.owner = {1, 1};
-  rec.top = {1, 1};
-  rec.server = "bench";
-  rec.oid = {1, 0, 8};
-  rec.old_value = Bytes(8, 0);
-  rec.new_value = Bytes(8, 1);
+  log::LogRecord rec = BenchValueRecord(8);
+  int appended = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(log.Append(rec));
+    Lsn lsn = log.Append(rec);
+    benchmark::DoNotOptimize(lsn);
+    if (++appended % kLogBatch == 0) {
+      log.ForceAll();
+      device.TruncateBefore(lsn - 1);
+    }
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LogAppend);
+
+// A batch of ~1.1 KB records forced and read back from the stable device:
+// every batch crosses at least one 16 KiB chunk boundary, so some frames are
+// gathered from two chunks.
+void BM_LogForceReadBack(benchmark::State& state) {
+  sim::Scheduler sched;
+  sim::Substrate substrate(sched, sim::CostModel::Baseline(),
+                           sim::ArchitectureModel::Prototype());
+  log::StableLogDevice device;
+  log::LogManager log(substrate, device);
+  log::LogRecord rec = BenchValueRecord(512);
+  std::vector<Lsn> lsns(kLogBatch);
+  for (auto _ : state) {
+    for (Lsn& lsn : lsns) {
+      lsn = log.Append(rec);
+    }
+    log.ForceAll();
+    for (Lsn lsn : lsns) {
+      benchmark::DoNotOptimize(log.ReadRecord(lsn));
+    }
+    device.TruncateBefore(lsns.back() - 1);
+  }
+  state.SetItemsProcessed(state.iterations() * kLogBatch);
+}
+BENCHMARK(BM_LogForceReadBack);
 
 void BM_LogRecordSerializeRoundTrip(benchmark::State& state) {
   log::LogRecord rec;

@@ -21,51 +21,80 @@ std::uint32_t ReadU32(std::span<const std::uint8_t> s) {
 
 void WriteU32(std::uint8_t* at, std::uint32_t v) { std::memcpy(at, &v, sizeof v); }
 
-}  // namespace
-
-std::span<const std::uint8_t> StableLogDevice::Read(std::uint64_t offset,
-                                                    std::uint64_t length) const {
-  if (offset < truncated_prefix_ || offset + length > size()) {
-    return {};
-  }
-  return {data_.data() + (offset - first_sector_ * kSectorBytes), length};
-}
-
-std::uint32_t StableLogDevice::ComputeSum(std::uint64_t sector) const {
-  // FNV-1a over the sector's valid byte range (the final sector may be
-  // partial; its checksum covers only the bytes written so far).
-  std::uint64_t begin = (sector - first_sector_) * kSectorBytes;
-  std::uint64_t end = std::min(begin + kSectorBytes, static_cast<std::uint64_t>(data_.size()));
+// FNV-1a over a sector's valid byte range (the final sector may be partial;
+// its checksum covers only the bytes written so far).
+std::uint32_t ComputeSum(std::span<const std::uint8_t> bytes) {
   std::uint32_t h = 2166136261u;
-  for (std::uint64_t i = begin; i < end; ++i) {
-    h ^= data_[i];
+  for (std::uint8_t b : bytes) {
+    h ^= b;
     h *= 16777619u;
   }
   return h;
 }
 
-void StableLogDevice::ResyncSums(std::uint64_t begin, std::uint64_t end) {
-  if (data_.empty()) {
-    sums_.clear();
-    return;
+}  // namespace
+
+StableLogDevice::Chunk& StableLogDevice::ChunkAt(std::uint64_t offset) const {
+  return *chunks_[offset / kChunkBytes - FirstChunk()];
+}
+
+std::span<std::uint8_t> StableLogDevice::SectorBytes(std::uint64_t sector) const {
+  std::uint64_t begin = sector * kSectorBytes;
+  std::uint64_t end = std::min(begin + kSectorBytes, size_);
+  return {ChunkAt(begin).data.data() + begin % kChunkBytes, end - begin};
+}
+
+std::span<const std::uint8_t> StableLogDevice::Read(std::uint64_t offset,
+                                                    std::uint64_t length) const {
+  if (length == 0 || offset < truncated_prefix_ || offset + length > size_) {
+    return {};
   }
-  sums_.resize((data_.size() + kSectorBytes - 1) / kSectorBytes);
-  std::uint64_t first = begin / kSectorBytes;
-  std::uint64_t last = end == 0 ? 0 : (end - 1) / kSectorBytes;
-  for (std::uint64_t s = first; s <= last && s < SectorCount(); ++s) {
-    sums_[s - first_sector_] = ComputeSum(s);
+  std::uint64_t at = offset % kChunkBytes;
+  if (at + length <= kChunkBytes) {
+    return {ChunkAt(offset).data.data() + at, length};
+  }
+  // The range crosses a chunk boundary (a straddling frame): gather it.
+  straddle_.resize(length);
+  for (std::uint64_t done = 0; done < length;) {
+    std::uint64_t from = (offset + done) % kChunkBytes;
+    std::uint64_t n = std::min(kChunkBytes - from, length - done);
+    std::memcpy(straddle_.data() + done, ChunkAt(offset + done).data.data() + from, n);
+    done += n;
+  }
+  return straddle_;
+}
+
+void StableLogDevice::ResyncSums(std::uint64_t from) {
+  for (std::uint64_t s = from / kSectorBytes; s < SectorCount(); ++s) {
+    ChunkAt(s * kSectorBytes).sums[s % kChunkSectors] = ComputeSum(SectorBytes(s));
+  }
+}
+
+void StableLogDevice::Write(std::span<const std::uint8_t> bytes) {
+  while (!bytes.empty()) {
+    std::uint64_t at = size_ % kChunkBytes;
+    if (at == 0) {
+      // The held chunks end exactly at size_: the next byte starts a new one.
+      // Left uninitialised: nothing reads a chunk's bytes at or past size_,
+      // or the checksums of sectors at or past SectorCount().
+      chunks_.push_back(std::make_unique_for_overwrite<Chunk>());
+    }
+    std::uint64_t n = std::min<std::uint64_t>(kChunkBytes - at, bytes.size());
+    std::memcpy(chunks_.back()->data.data() + at, bytes.data(), n);
+    size_ += n;
+    bytes = bytes.subspan(n);
   }
 }
 
 void StableLogDevice::Append(const Bytes& bytes) {
-  std::uint64_t begin = size();
-  data_.insert(data_.end(), bytes.begin(), bytes.end());
-  ResyncSums(begin, size());
+  std::uint64_t begin = size_;
+  Write(bytes);
+  ResyncSums(begin);
 }
 
 void StableLogDevice::AppendTorn(const Bytes& bytes, int durable_sectors) {
   assert(durable_sectors >= 0);
-  std::uint64_t begin = size();
+  std::uint64_t begin = size_;
   std::uint64_t first_sector = begin / kSectorBytes;
   // Only the bytes landing in the first `durable_sectors` sectors touched by
   // this write survive; everything past that sector boundary is lost.
@@ -73,25 +102,24 @@ void StableLogDevice::AppendTorn(const Bytes& bytes, int durable_sectors) {
                              kSectorBytes;
   std::uint64_t keep = keep_limit <= begin ? 0 : std::min<std::uint64_t>(bytes.size(),
                                                                          keep_limit - begin);
-  data_.insert(data_.end(), bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(keep));
-  ResyncSums(begin, size());
+  Write(std::span(bytes).first(keep));
+  ResyncSums(begin);
 }
 
 void StableLogDevice::CorruptSector(std::uint64_t sector) {
-  assert(sector >= first_sector_ && sector < SectorCount() &&
+  assert(sector >= FirstChunk() * kChunkSectors && sector < SectorCount() &&
          "corrupting a sector the device does not hold");
-  std::uint64_t begin = (sector - first_sector_) * kSectorBytes;
-  std::uint64_t end = std::min(begin + kSectorBytes, static_cast<std::uint64_t>(data_.size()));
-  for (std::uint64_t i = begin; i < end; ++i) {
-    data_[i] = static_cast<std::uint8_t>((data_[i] ^ 0xA5u) + 1);
+  for (std::uint8_t& b : SectorBytes(sector)) {
+    b = static_cast<std::uint8_t>((b ^ 0xA5u) + 1);
   }
   // Deliberately no ResyncSums: the stored checksum is now stale, which is
   // exactly how recovery detects the damage.
 }
 
 bool StableLogDevice::SectorValid(std::uint64_t sector) const {
-  assert(sector >= first_sector_ && sector < SectorCount());
-  return ComputeSum(sector) == sums_[sector - first_sector_];
+  assert(sector >= FirstChunk() * kChunkSectors && sector < SectorCount());
+  return ComputeSum(SectorBytes(sector)) ==
+         ChunkAt(sector * kSectorBytes).sums[sector % kChunkSectors];
 }
 
 std::uint64_t StableLogDevice::FirstInvalidByte() const {
@@ -100,41 +128,27 @@ std::uint64_t StableLogDevice::FirstInvalidByte() const {
       return s * kSectorBytes;
     }
   }
-  return size();
+  return size_;
 }
 
 void StableLogDevice::TruncateBefore(std::uint64_t offset) {
   if (offset <= truncated_prefix_) {
     return;
   }
-  assert(offset <= size());
-  std::uint64_t base = first_sector_ * kSectorBytes;
-  std::fill(data_.begin() + static_cast<std::ptrdiff_t>(truncated_prefix_ - base),
-            data_.begin() + static_cast<std::ptrdiff_t>(offset - base), std::uint8_t{0});
-  std::uint64_t old_prefix = truncated_prefix_;
+  assert(offset <= size_);
+  // Free every chunk wholly below the truncation point's chunk.
+  std::uint64_t dead = offset / kChunkBytes - FirstChunk();
+  chunks_.erase(chunks_.begin(), chunks_.begin() + static_cast<std::ptrdiff_t>(dead));
   truncated_prefix_ = offset;
-  ResyncSums(old_prefix, offset);
-  // Release the whole sectors below the truncation point's sector once they
-  // outweigh the bytes that stay. Each release copies fewer bytes than it
-  // frees, so the copying costs amortised O(1) per appended byte.
-  std::uint64_t dead_sectors = offset / kSectorBytes - first_sector_;
-  std::uint64_t dead = dead_sectors * kSectorBytes;
-  if (dead > data_.size() - dead) {
-    data_.erase(data_.begin(), data_.begin() + static_cast<std::ptrdiff_t>(dead));
-    sums_.erase(sums_.begin(), sums_.begin() + static_cast<std::ptrdiff_t>(dead_sectors));
-    first_sector_ += dead_sectors;
-  }
 }
 
 void StableLogDevice::TruncateAfter(std::uint64_t offset) {
-  assert(offset >= truncated_prefix_ && offset <= size());
-  data_.resize(offset - first_sector_ * kSectorBytes);
-  sums_.resize((data_.size() + kSectorBytes - 1) / kSectorBytes);
-  if (!data_.empty()) {
-    // The cut may leave a partial final sector: its checksum now covers a
-    // shorter valid range.
-    ResyncSums(offset - 1, offset);
-  }
+  assert(offset >= truncated_prefix_ && offset <= size_);
+  size_ = offset;
+  chunks_.resize((size_ + kChunkBytes - 1) / kChunkBytes - FirstChunk());
+  // The cut may leave a partial final sector: its checksum now covers a
+  // shorter valid range.
+  ResyncSums(size_);
 }
 
 LogManager::LogManager(sim::Substrate& substrate, StableLogDevice& device)

@@ -14,8 +14,11 @@
 #ifndef TABS_LOG_LOG_MANAGER_H_
 #define TABS_LOG_LOG_MANAGER_H_
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -37,22 +40,32 @@ namespace tabs::log {
 // checksums and the record framing before trusting it (LogManager ctor).
 //
 // Offsets and sector numbers are absolute in the log stream, but the host
-// memory follows the live log: the device holds only the bytes from the
-// truncation point's sector onward, plus whole dead sectors below it until
-// they outweigh what stays (TruncateBefore releases them then).
+// memory follows the live log: the device holds the stream in fixed-size
+// chunks of kChunkSectors sectors, each with its own sectors' checksums.
+// An append copies each byte once and never moves bytes already written;
+// TruncateBefore frees every chunk wholly below the truncation point's
+// chunk.
 class StableLogDevice {
  public:
   static constexpr std::uint64_t kSectorBytes = 512;
+  // Host memory is held and freed in chunks of this many sectors (16 KiB).
+  static constexpr std::uint64_t kChunkSectors = 32;
+  static constexpr std::uint64_t kChunkBytes = kChunkSectors * kSectorBytes;
 
   // Absolute length of the stream: every byte appended, less any tail cut.
-  std::uint64_t size() const { return first_sector_ * kSectorBytes + data_.size(); }
+  std::uint64_t size() const { return size_; }
   std::uint64_t truncated_prefix() const { return truncated_prefix_; }
-  // Host bytes the device holds: its sectors' data plus their checksums.
+  // Host bytes the device holds: its chunks' data plus their checksums.
   std::uint64_t resident_bytes() const {
-    return data_.size() + sums_.size() * sizeof(std::uint32_t);
+    return chunks_.size() * (kChunkBytes + kChunkSectors * sizeof(std::uint32_t));
   }
 
   void Append(const Bytes& bytes);
+  // Bytes [offset, offset + length), or an empty span when any of them lies
+  // below the truncated prefix or past size(). A range inside one chunk is a
+  // view of the device's bytes; one that crosses a chunk boundary is copied
+  // into a buffer the device owns. Either way the span is valid only until
+  // the next Read or truncation.
   std::span<const std::uint8_t> Read(std::uint64_t offset, std::uint64_t length) const;
 
   // Logically discards everything before `offset` (checkpoint-driven
@@ -74,7 +87,7 @@ class StableLogDevice {
 
   // --- checksum inspection --------------------------------------------------
   // One past the last sector number (sectors are numbered from offset 0).
-  std::uint64_t SectorCount() const { return first_sector_ + sums_.size(); }
+  std::uint64_t SectorCount() const { return (size_ + kSectorBytes - 1) / kSectorBytes; }
   // Recomputes held sector `s` over its valid byte range and compares with
   // the stored checksum.
   bool SectorValid(std::uint64_t sector) const;
@@ -83,17 +96,29 @@ class StableLogDevice {
   std::uint64_t FirstInvalidByte() const;
 
  private:
-  std::uint32_t ComputeSum(std::uint64_t sector) const;
-  // Recomputes checksums for every sector overlapping [begin, end).
-  void ResyncSums(std::uint64_t begin, std::uint64_t end);
+  struct Chunk {
+    std::array<std::uint8_t, kChunkBytes> data;
+    std::array<std::uint32_t, kChunkSectors> sums;  // header-space checksums
+  };
 
-  // data_[0] is the first byte of sector first_sector_; every sector below
-  // it was released. Held offsets below truncated_prefix_ are zeroed and
-  // unreadable.
-  std::uint64_t first_sector_ = 0;
-  Bytes data_;
+  // The first held chunk's number: every chunk below it was freed.
+  std::uint64_t FirstChunk() const { return truncated_prefix_ / kChunkBytes; }
+  // The chunk holding byte `offset`, which must be held.
+  Chunk& ChunkAt(std::uint64_t offset) const;
+  // The valid bytes of held sector `sector` (the final one may be partial).
+  std::span<std::uint8_t> SectorBytes(std::uint64_t sector) const;
+  // Copies `bytes` to the end of the stream, adding chunks as it fills them.
+  void Write(std::span<const std::uint8_t> bytes);
+  // Recomputes the checksums of the sector holding `from` and every later one.
+  void ResyncSums(std::uint64_t from);
+
+  std::uint64_t size_ = 0;
+  // Held offsets below truncated_prefix_ are unreadable.
   std::uint64_t truncated_prefix_ = 0;
-  std::vector<std::uint32_t> sums_;  // one per held sector, header-space checksums
+  // chunks_[0] is chunk FirstChunk(); the last one holds byte size_ - 1.
+  std::vector<std::unique_ptr<Chunk>> chunks_;
+  // Read's copy of a range that crosses a chunk boundary.
+  mutable Bytes straddle_;
 };
 
 class LogManager {

@@ -355,6 +355,11 @@ std::string World::DescribeNode(NodeId node_id) {
   }
   os << "\n  stable log bytes in use: " << rt.rm->StableLogBytesInUse()
      << " (device holds " << node(node_id).stable_log().resident_bytes() << " bytes)\n";
+  os << "  per-transaction maps: " << rt.tm->logged_outcome_count() << " logged outcomes";
+  if (options_.commit_mode == txn::CommitMode::kPaxosCommit) {
+    os << ", " << rt.tm->acceptor_state_count() << " acceptor states";
+  }
+  os << "\n";
   return os.str();
 }
 

@@ -206,6 +206,8 @@ class PaxosCommit {
   // the active-transaction table) so reclamation cannot truncate an accept
   // record that a takeover may still need after this acceptor's next crash.
   std::vector<recovery::RecoveryManager::ActiveTxn> PinnedInstances() const;
+  // Transactions this node holds acceptor state for (World::DescribeNode).
+  size_t state_count() const { return states_.size(); }
 
  private:
   struct AcceptorState {

@@ -129,6 +129,10 @@ class TransactionManager : public comm::TransactionTreeListener,
   TxnState StateOf(const TransactionId& tid) const;
   bool IsAborted(const TransactionId& tid) const;
   TransactionId TopOf(const TransactionId& tid) const;
+  // Entries in the per-transaction maps (World::DescribeNode): outcomes
+  // logged or decided here, and Paxos acceptor states.
+  size_t logged_outcome_count() const { return logged_outcomes_.size(); }
+  size_t acceptor_state_count() const { return paxos_->state_count(); }
 
   // --- data server interface --------------------------------------------------
   // First operation by `server` on behalf of `tid` at this node. Remote

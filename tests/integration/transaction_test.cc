@@ -308,6 +308,42 @@ TEST_F(TransactionTest, DescribeNodeListsComponents) {
   EXPECT_NE(desc.find("device holds"), std::string::npos);
 }
 
+// The per-transaction map sizes DescribeNode prints are the accessors' on
+// every node; only Paxos Commit has acceptor states to print.
+TEST_F(TransactionTest, DescribeNodeCountsPerTransactionMaps) {
+  int blocked = world_.RunApp(1, [&](Application& app) {
+    for (int i = 0; i < 4; ++i) {
+      Status s = app.Transaction([&](const server::Tx& tx) {
+        EXPECT_EQ(a1_->SetCell(tx, i, i), Status::kOk);
+        EXPECT_EQ(a2_->SetCell(tx, i, i), Status::kOk);
+        return Status::kOk;
+      });
+      EXPECT_EQ(s, Status::kOk);
+    }
+  });
+  EXPECT_EQ(blocked, 0);
+  bool paxos = txn::DefaultCommitMode() == txn::CommitMode::kPaxosCommit;
+  size_t outcomes = 0;
+  size_t acceptor_states = 0;
+  for (NodeId n = 1; n <= 3; ++n) {
+    const txn::TransactionManager& tm = world_.tm(n);
+    std::string maps = "per-transaction maps: " + std::to_string(tm.logged_outcome_count()) +
+                       " logged outcomes";
+    if (paxos) {
+      maps += ", " + std::to_string(tm.acceptor_state_count()) + " acceptor states";
+    }
+    EXPECT_NE(world_.DescribeNode(n).find(maps + "\n"), std::string::npos) << "node " << n;
+    outcomes += tm.logged_outcome_count();
+    acceptor_states += tm.acceptor_state_count();
+  }
+  EXPECT_GE(outcomes, 4u);
+  if (paxos) {
+    EXPECT_GE(acceptor_states, 4u);
+  } else {
+    EXPECT_EQ(acceptor_states, 0u);
+  }
+}
+
 // --- the RAII / retry API ----------------------------------------------------
 
 TEST_F(TransactionTest, TxnScopeAutoAbortsOnEarlyReturn) {

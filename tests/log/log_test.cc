@@ -45,6 +45,26 @@ class LogTest : public ::testing::Test {
     return w.Take();
   }
 
+  // Appends and forces 200-byte value records, the i-th carrying new value
+  // {i}, until the device holds at least `bytes`. Returns their LSNs.
+  std::vector<Lsn> FillDevice(std::uint64_t bytes) {
+    std::vector<Lsn> lsns;
+    TransactionId t{1, 1};
+    RunInTask([&] {
+      while (device_.size() < bytes) {
+        auto i = static_cast<std::uint8_t>(lsns.size());
+        lsns.push_back(log_.Append(ValueRec(t, {1, 0, 200}, Bytes(200, i), {i})));
+        log_.ForceAll();
+      }
+    });
+    return lsns;
+  }
+
+  // Host bytes of `chunks` chunks: their data plus one checksum per sector.
+  static std::uint64_t ChunkHostBytes(std::uint64_t chunks) {
+    return chunks * (StableLogDevice::kChunkBytes + StableLogDevice::kChunkSectors * 4);
+  }
+
   Bytes DeviceBytes(Lsn lsn, std::uint64_t length) const {
     auto s = device_.Read(lsn - 1, length);
     return Bytes(s.begin(), s.end());
@@ -297,8 +317,8 @@ TEST_F(LogTest, TruncationReclaimsSpaceAndBlocksReads) {
 }
 
 // Appends 30 records (7.6 sectors) and reclaims up to record 25, whose
-// offset lies inside sector 6: the six whole sectors below it outweigh the
-// bytes that stay, so the device releases them.
+// offset lies inside sector 6. The whole log sits in the device's first
+// chunk, which the truncation point still needs, so the device keeps it.
 class ReclaimedLogTest : public LogTest {
  protected:
   void SetUp() override {
@@ -324,8 +344,7 @@ TEST_F(ReclaimedLogTest, ReleasesDeadSectorsAndKeepsAbsoluteOffsets) {
   const std::uint64_t kSector = StableLogDevice::kSectorBytes;
   EXPECT_EQ(device_.size(), size_);
   EXPECT_EQ(device_.truncated_prefix(), prefix_);
-  std::uint64_t held_sectors = device_.SectorCount() - 6;
-  EXPECT_EQ(device_.resident_bytes(), size_ - 6 * kSector + held_sectors * 4);
+  EXPECT_EQ(device_.resident_bytes(), ChunkHostBytes(1));
 
   EXPECT_TRUE(device_.Read(prefix_ - 1, 1).empty());
   EXPECT_TRUE(device_.Read(0, 4).empty());
@@ -386,6 +405,161 @@ TEST_F(LogTest, HostMemoryFollowsTheLiveLog) {
   auto rec = log_.ReadRecord(live.back());
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->new_value, Bytes(200, 2));
+}
+
+// --- the chunked device ------------------------------------------------------
+
+// Appends never move bytes already written, and the device holds no more
+// than the chunks the stream needs.
+TEST_F(LogTest, DeviceBytesStayPutAsTheLogGrows) {
+  FillDevice(1);
+  const std::uint8_t* first = device_.Read(0, 4).data();
+  ASSERT_NE(first, nullptr);
+  FillDevice(device_.size() + (1u << 20));
+  EXPECT_EQ(device_.Read(0, 4).data(), first);
+  const std::uint64_t kChunk = StableLogDevice::kChunkBytes;
+  EXPECT_LE(device_.resident_bytes(), ChunkHostBytes((device_.size() + kChunk - 1) / kChunk));
+}
+
+// A frame that crosses a chunk boundary reads back whole, scans in both
+// directions, and survives the rebind's tail validation.
+TEST_F(LogTest, FrameStraddlingAChunkBoundaryReadsBack) {
+  const std::uint64_t kChunk = StableLogDevice::kChunkBytes;
+  std::vector<Lsn> lsns = FillDevice(kChunk + 1024);
+  std::size_t straddler = 0;
+  while (straddler + 1 < lsns.size() && lsns[straddler + 1] - 1 <= kChunk) {
+    ++straddler;
+  }
+  ASSERT_LT(lsns[straddler] - 1, kChunk);
+  ASSERT_GT(lsns[straddler + 1] - 1, kChunk);  // the frame ends past the boundary
+
+  auto rec = log_.ReadRecord(lsns[straddler]);
+  ASSERT_TRUE(rec.has_value());
+  EXPECT_EQ(rec->new_value, Bytes{static_cast<std::uint8_t>(straddler)});
+  EXPECT_EQ(rec->old_value, Bytes(200, static_cast<std::uint8_t>(straddler)));
+  EXPECT_EQ(log_.NextLsn(lsns[straddler]), lsns[straddler + 1]);
+  EXPECT_EQ(log_.PrevLsn(lsns[straddler + 1]), lsns[straddler]);
+  EXPECT_EQ(log_.NextLsn(lsns[straddler - 1]), lsns[straddler]);
+  EXPECT_EQ(log_.PrevLsn(lsns[straddler]), lsns[straddler - 1]);
+
+  std::uint64_t size = device_.size();
+  LogManager after(substrate_, device_);
+  EXPECT_EQ(device_.size(), size);
+  EXPECT_EQ(substrate_.metrics().log_tail_truncations(), 0);
+  EXPECT_EQ(after.LastDurableLsn(), lsns.back());
+  rec = after.ReadRecord(lsns[straddler]);
+  ASSERT_TRUE(rec.has_value());
+  EXPECT_EQ(rec->new_value, Bytes{static_cast<std::uint8_t>(straddler)});
+}
+
+// A torn append whose durable sectors cross into a new chunk is cut at the
+// last whole frame when the log is rebound.
+TEST_F(LogTest, TornAppendAcrossAChunkBoundaryIsCutAtRebind) {
+  const std::uint64_t kSector = StableLogDevice::kSectorBytes;
+  const std::uint64_t kChunk = StableLogDevice::kChunkBytes;
+  std::vector<Lsn> lsns = FillDevice(kChunk - 3 * kSector);
+  std::uint64_t good = device_.size();
+  ASSERT_LT(good, kChunk);
+  device_.AppendTorn(Bytes(8 * kSector, 0x7F), 5);
+  ASSERT_GT(device_.size(), kChunk);
+  EXPECT_EQ(device_.size(), (good / kSector + 5) * kSector);
+  EXPECT_EQ(device_.resident_bytes(), ChunkHostBytes(2));
+
+  LogManager after(substrate_, device_);
+  EXPECT_EQ(device_.size(), good);
+  EXPECT_EQ(device_.resident_bytes(), ChunkHostBytes(1));
+  EXPECT_EQ(substrate_.metrics().log_tail_truncations(), 1);
+  EXPECT_EQ(substrate_.metrics().log_tail_bytes_truncated(),
+            (good / kSector + 5) * kSector - good);
+  EXPECT_EQ(after.LastDurableLsn(), lsns.back());
+  EXPECT_TRUE(after.ReadRecord(lsns.back()).has_value());
+}
+
+// The checksum scan crosses chunks: damage to the first sector of the
+// second chunk is found at that sector's offset.
+TEST_F(LogTest, CorruptSectorInTheSecondChunkIsFound) {
+  const std::uint64_t kChunk = StableLogDevice::kChunkBytes;
+  FillDevice(2 * kChunk + 1);
+  EXPECT_EQ(device_.FirstInvalidByte(), device_.size());
+  const std::uint64_t second = StableLogDevice::kChunkSectors;
+  device_.CorruptSector(second);
+  EXPECT_FALSE(device_.SectorValid(second));
+  EXPECT_TRUE(device_.SectorValid(second - 1));
+  EXPECT_TRUE(device_.SectorValid(second + 1));
+  EXPECT_EQ(device_.FirstInvalidByte(), kChunk);
+}
+
+// Truncating into chunk k frees exactly chunks 0..k-1; offsets, sector
+// numbers and the records above the truncation point are unchanged.
+TEST_F(LogTest, TruncateBeforeReleasesExactlyTheChunksBelow) {
+  const std::uint64_t kChunk = StableLogDevice::kChunkBytes;
+  std::vector<Lsn> lsns = FillDevice(5 * kChunk + 1);
+  const std::uint64_t held = (device_.size() + kChunk - 1) / kChunk;
+  ASSERT_EQ(held, 6u);
+  EXPECT_EQ(device_.resident_bytes(), ChunkHostBytes(held));
+
+  // The first record starting inside chunk 3, not at its first byte.
+  std::size_t i = 0;
+  while (lsns[i] - 1 <= 3 * kChunk) {
+    ++i;
+  }
+  ASSERT_LT(lsns[i] - 1, 4 * kChunk);
+  device_.TruncateBefore(lsns[i] - 1);
+  EXPECT_EQ(device_.resident_bytes(), ChunkHostBytes(held - 3));
+  EXPECT_EQ(log_.first_lsn(), lsns[i]);
+  EXPECT_FALSE(log_.ReadRecord(lsns[i - 1]).has_value());
+  EXPECT_TRUE(device_.Read(lsns[i] - 2, 1).empty());
+  for (std::size_t j = i; j < lsns.size(); ++j) {
+    auto rec = log_.ReadRecord(lsns[j]);
+    ASSERT_TRUE(rec.has_value()) << "record " << j;
+    EXPECT_EQ(rec->new_value, Bytes{static_cast<std::uint8_t>(j)});
+  }
+  EXPECT_EQ(device_.FirstInvalidByte(), device_.size());
+
+  // A truncation point on a chunk's first byte frees the chunks below it.
+  device_.TruncateBefore(4 * kChunk);
+  EXPECT_EQ(device_.resident_bytes(), ChunkHostBytes(held - 4));
+  EXPECT_EQ(device_.FirstInvalidByte(), device_.size());
+}
+
+// Cutting the tail back into an earlier chunk frees the chunks past it, and
+// appends then reuse the partial chunk with every checksum kept valid.
+TEST_F(LogTest, TruncateAfterIntoAnEarlierChunkThenAppendKeepsChecksums) {
+  const std::uint64_t kSector = StableLogDevice::kSectorBytes;
+  const std::uint64_t kChunk = StableLogDevice::kChunkBytes;
+  std::vector<Lsn> lsns = FillDevice(3 * kChunk + 1);
+  ASSERT_EQ(device_.resident_bytes(), ChunkHostBytes(4));
+  std::size_t i = 0;
+  while (lsns[i] - 1 < kChunk + kSector / 2) {
+    ++i;
+  }
+  std::uint64_t cut = lsns[i] - 1;
+  ASSERT_LT(cut, 2 * kChunk);
+  ASSERT_NE(cut % kSector, 0u);
+  device_.TruncateAfter(cut);
+  EXPECT_EQ(device_.size(), cut);
+  EXPECT_EQ(device_.resident_bytes(), ChunkHostBytes(2));
+  EXPECT_EQ(device_.FirstInvalidByte(), cut);
+
+  LogManager after(substrate_, device_);
+  EXPECT_EQ(after.LastDurableLsn(), lsns[i - 1]);
+  TransactionId t{1, 2};
+  std::vector<Lsn> more;
+  RunInTask([&] {
+    while (device_.size() < 2 * kChunk + kSector) {
+      more.push_back(after.Append(ValueRec(t, {1, 0, 200}, Bytes(200, 9), {9})));
+      after.ForceAll();
+    }
+  });
+  EXPECT_EQ(more.front(), lsns[i]);
+  for (std::uint64_t s = 0; s < device_.SectorCount(); ++s) {
+    EXPECT_TRUE(device_.SectorValid(s)) << "sector " << s;
+  }
+  EXPECT_EQ(device_.FirstInvalidByte(), device_.size());
+  EXPECT_EQ(device_.resident_bytes(), ChunkHostBytes(3));
+  auto rec = after.ReadRecord(more.back());
+  ASSERT_TRUE(rec.has_value());
+  EXPECT_EQ(rec->new_value, Bytes{9});
 }
 
 // Pins the frame that Append writes in place: the device holds exactly
