@@ -1,5 +1,5 @@
-# Runs one paper-table binary in a fresh directory and compares its standard
-# output with a committed golden, byte for byte.
+# Runs one bench or example binary in a fresh directory and compares its
+# standard output with a committed golden, byte for byte.
 #
 #   cmake -DBIN=<binary> -DGOLDEN=<file> -DWORK_DIR=<dir> [-DTRACE=1] \
 #         -P check_stdout.cmake
@@ -7,8 +7,9 @@
 # The binary runs in WORK_DIR because table5_4 writes its JSON and Chrome
 # trace into the working directory. TABS_TRACE is set from TRACE and every
 # other variable that selects bench output is cleared, so the result does not
-# depend on the caller's environment. TABS_COMMIT_MODE is left alone: the
-# tables pin their protocol, and ctest runs each golden under both modes.
+# depend on the caller's environment. TABS_COMMIT_MODE is left alone: ctest
+# runs each golden under both modes (the tables pin their protocol; an example
+# whose output names protocol state has a separate Paxos golden).
 
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")

@@ -29,7 +29,11 @@ void CommManager::NoteParent(const TransactionId& tid, NodeId parent) {
   }
 }
 
-std::shared_ptr<CommManager::CallWindow> CommManager::AcquireSlot(const TransactionId& tid) {
+std::shared_ptr<CommManager::CallWindow> CommManager::AdmitAsync(const TransactionId& tid,
+                                                                NodeId to) {
+  if (!Admit(tid, to)) {
+    return nullptr;
+  }
   sim::Substrate& sub = network_.substrate();
   sim::Scheduler& sched = sub.scheduler();
   auto& slot = windows_[tid];
@@ -51,6 +55,7 @@ std::shared_ptr<CommManager::CallWindow> CommManager::AcquireSlot(const Transact
     }
     outstanding_hist_->Record(win->outstanding);
   }
+  sub.metrics().CountAsyncCall();
   return win;
 }
 

@@ -75,30 +75,18 @@ class CommManager {
   // Session RPC to a remote node on behalf of a transaction. Updates the
   // spanning tree on both ends. `handler` runs on the destination node; its
   // Communication Manager must be passed so the receive side is recorded.
+  // Blocking calls take no pipeline window slot.
   template <typename R>
   Result<R> RemoteCall(const TransactionId& tid, CommManager& remote, std::string what,
-                       std::function<R()> handler) {
+                       std::function<Result<R>()> handler) {
     sim::Tracer& tracer = network_.substrate().tracer();
     sim::SpanGuard span(tracer, sim::Component::kCommunicationManager, "cm.remote-call",
                         tracer.enabled() ? ToString(tid) : std::string());
-    if (!network_.Reachable(self_, remote.self_)) {
-      // The session layer detects the dead/partitioned destination before
-      // any message flows: the remote node never becomes a participant.
-      network_.substrate().Charge(sim::Primitive::kInterNodeDataServerCall);
+    if (!Admit(tid, remote.self_)) {
       return Status::kNodeDown;
     }
-    // From here on the destination may receive state, so it joins the
-    // transaction's spanning tree even if the call later fails.
-    NoteChild(tid, remote.self_);
-    NodeId from = self_;
-    TransactionId tid_copy = tid;
-    CommManager* remote_ptr = &remote;
-    return network_.SessionCall<R>(
-        self_, remote.self_, std::move(what),
-        [remote_ptr, tid_copy, from, handler = std::move(handler)]() -> R {
-          remote_ptr->NoteParent(tid_copy, from);
-          return handler();
-        });
+    return network_.SessionCall<R>(self_, remote.self_, std::move(what),
+                                   remote.Received(tid, self_, std::move(handler)));
   }
 
   // The asynchronous fast path: issues the session call and returns a future
@@ -118,30 +106,17 @@ class CommManager {
     sim::Substrate& sub = network_.substrate();
     sim::SpanGuard span(sub.tracer(), sim::Component::kCommunicationManager, "cm.async-call",
                         sub.tracer().enabled() ? ToString(tid) : std::string());
-    if (!network_.Reachable(self_, remote.self_)) {
-      sub.Charge(sim::Primitive::kInterNodeDataServerCall);
+    auto win = AdmitAsync(tid, remote.self_);
+    if (win == nullptr) {
       return FailedFuture<R>();
     }
-    NoteChild(tid, remote.self_);
-    auto win = AcquireSlot(tid);
-    if (win == nullptr) {
-      return FailedFuture<R>();  // a lost in-flight call never freed a slot
-    }
-    sub.metrics().CountAsyncCall();
     // Crash window: the remote node is already in the spanning tree but the
     // request has not left this node yet (a shard fan-out may die here with
     // earlier calls of the same transaction in flight).
     FAULT_POINT(sub, "comm.async-issue");
-    NodeId from = self_;
-    TransactionId tid_copy = tid;
-    CommManager* remote_ptr = &remote;
-    return network_.AsyncSessionCall<R>(
-        self_, remote.self_, std::move(what),
-        [remote_ptr, tid_copy, from, handler = std::move(handler)]() -> Result<R> {
-          remote_ptr->NoteParent(tid_copy, from);
-          return handler();
-        },
-        ReleaseSlotFn(win));
+    return network_.AsyncSessionCall<R>(self_, remote.self_, std::move(what),
+                                        remote.Received(tid, self_, std::move(handler)),
+                                        ReleaseSlotFn(win));
   }
 
   // Coalescing: `ops` (independent operations bound for the same server)
@@ -161,16 +136,10 @@ class CommManager {
     sim::SpanGuard span(sub.tracer(), sim::Component::kCommunicationManager,
                         k > 1 ? "cm.coalesce" : "cm.async-call",
                         sub.tracer().enabled() ? ToString(tid) : std::string());
-    if (!network_.Reachable(self_, remote.self_)) {
-      sub.Charge(sim::Primitive::kInterNodeDataServerCall);
-      return FailedFuture<std::vector<Result<R>>>();
-    }
-    NoteChild(tid, remote.self_);
-    auto win = AcquireSlot(tid);
+    auto win = AdmitAsync(tid, remote.self_);
     if (win == nullptr) {
       return FailedFuture<std::vector<Result<R>>>();
     }
-    sub.metrics().CountAsyncCall();
     if (k > 1) {
       // The request grows from a small to a large message; the k-1 coalesced
       // ops ride along instead of paying their own sessions.
@@ -180,28 +149,26 @@ class CommManager {
     // Crash window: a coalesced batch is about to leave for one shard while
     // sibling shards' batches may already be in flight.
     FAULT_POINT(sub, "comm.batch-issue");
-    NodeId from = self_;
-    TransactionId tid_copy = tid;
-    CommManager* remote_ptr = &remote;
     sim::Substrate* subp = &sub;
+    auto dispatch = [k, subp, ops = std::move(ops)]() -> Result<std::vector<Result<R>>> {
+      if (k > 1) {
+        subp->Charge(sim::Primitive::kLargeMessage);  // unmarshal the batch
+        subp->Charge(sim::Primitive::kDataServerCall, static_cast<double>(k - 1));
+      }
+      std::vector<Result<R>> out;
+      out.reserve(k);
+      for (auto& op : ops) {
+        out.push_back(op());
+      }
+      return out;
+    };
     return network_.AsyncSessionCall<std::vector<Result<R>>>(
         self_, remote.self_, std::move(what),
-        [remote_ptr, tid_copy, from, k, subp,
-         ops = std::move(ops)]() -> Result<std::vector<Result<R>>> {
+        [subp, received = remote.Received(tid, self_, std::move(dispatch))] {
           // Crash window on the receiving shard: the batch arrived, the
           // sender believes it is in flight, nothing has executed yet.
           FAULT_POINT(*subp, "comm.batch-dispatch");
-          remote_ptr->NoteParent(tid_copy, from);
-          if (k > 1) {
-            subp->Charge(sim::Primitive::kLargeMessage);  // unmarshal the batch
-            subp->Charge(sim::Primitive::kDataServerCall, static_cast<double>(k - 1));
-          }
-          std::vector<Result<R>> out;
-          out.reserve(k);
-          for (auto& op : ops) {
-            out.push_back(op());
-          }
-          return out;
+          return received();
         },
         ReleaseSlotFn(win));
   }
@@ -246,17 +213,42 @@ class CommManager {
     sim::WaitQueue slots;
   };
 
+  // Sender-side admission, shared by every remote call: an unreachable
+  // destination is charged the session attempt and refused before any
+  // message flows (it never becomes a participant); otherwise it joins the
+  // transaction's spanning tree, even if the call later fails.
+  bool Admit(const TransactionId& tid, NodeId to) {
+    if (!network_.Reachable(self_, to)) {
+      network_.substrate().Charge(sim::Primitive::kInterNodeDataServerCall);
+      return false;
+    }
+    NoteChild(tid, to);
+    return true;
+  }
+
+  // Admit for a pipelined call, which also claims a slot in the transaction's
+  // window, blocking until one frees. Returns null if refused, or if no slot
+  // frees within a session timeout (an in-flight call was lost to a crash
+  // and will never complete).
+  std::shared_ptr<CallWindow> AdmitAsync(const TransactionId& tid, NodeId to);
+
+  // The receive side, shared by every remote call: `handler` wrapped to run
+  // on this node, where the first message of `tid` from `parent` records the
+  // spanning-tree edge before any work runs.
+  template <typename F>
+  auto Received(const TransactionId& tid, NodeId parent, F handler) {
+    return [this, tid, parent, handler = std::move(handler)] {
+      NoteParent(tid, parent);
+      return handler();
+    };
+  }
+
   template <typename R>
   sim::FuturePtr<Result<R>> FailedFuture() {
     auto f = std::make_shared<sim::Future<Result<R>>>(network_.substrate().scheduler());
     f->Fulfil(Status::kNodeDown);
     return f;
   }
-
-  // Blocks until the transaction's window has a free slot and claims it.
-  // Returns null if no slot frees within a session timeout (an in-flight
-  // call was lost to a crash and will never complete).
-  std::shared_ptr<CallWindow> AcquireSlot(const TransactionId& tid);
 
   // The on_complete hook handed to the network: frees the slot and wakes one
   // blocked issuer. Runs on the reply delivery task.
@@ -278,7 +270,7 @@ class CommManager {
   // containers are safe and keep the per-message lookups O(1).
   std::unordered_map<TransactionId, TreeInfo> trees_;
   std::unordered_map<TransactionId, std::shared_ptr<CallWindow>> windows_;
-  // Interned once on first use; AcquireSlot is on every remote call's path.
+  // Interned once on first use; AdmitAsync is on every pipelined call's path.
   sim::HistogramRegistry::Histogram* outstanding_hist_ = nullptr;
 };
 

@@ -51,7 +51,6 @@ class Network {
       alive_.erase(id);
     }
   }
-  std::set<NodeId> LiveNodes() const { return alive_; }
 
   void SetPartitioned(NodeId a, NodeId b, bool partitioned);
   bool Reachable(NodeId from, NodeId to) const;
@@ -94,68 +93,27 @@ class Network {
   // --- session RPC ----------------------------------------------------------
   // Runs `handler` on node `to` and returns its value. Charges one inter-node
   // data-server-call primitive split across the two transits. R must be
-  // movable. On unreachable/crashed destination returns kNodeDown.
+  // movable. On unreachable/crashed destination returns kNodeDown. The call
+  // is AsyncSessionCall awaited — both share one issue path — so a blocking
+  // call and an awaited pipelined one charge and fail identically.
   template <typename R>
-  Result<R> SessionCall(NodeId from, NodeId to, std::string what, std::function<R()> handler,
+  Result<R> SessionCall(NodeId from, NodeId to, std::string what,
+                        std::function<Result<R>()> handler,
                         SimTime timeout = kDefaultSessionTimeout) {
-    sim::Scheduler& sched = substrate_.scheduler();
     // The whole RPC — outbound transit, remote work, reply wait — is one
     // session span; the remote handler's own spans attribute the middle.
     sim::SpanGuard span(substrate_.tracer(), sim::Component::kCommunicationManager,
                         "session.call", substrate_.tracer().enabled() ? what : std::string());
-    if (!Reachable(from, to)) {
-      // Permanent communication failure detected by the session layer.
-      substrate_.Charge(sim::Primitive::kInterNodeDataServerCall);
-      return Status::kNodeDown;
-    }
-    if (session_drop_ && session_drop_(from, to)) {
-      // Injected loss on the session: establishment/send fails and the
-      // at-most-once session layer reports the broken session to the caller.
-      substrate_.Charge(sim::Primitive::kInterNodeDataServerCall);
-      substrate_.metrics().CountFault(sim::FaultKind::kSessionDrop);
-      return Status::kNodeDown;
-    }
-    substrate_.metrics().Count(sim::Primitive::kInterNodeDataServerCall);
-    if (substrate_.tracer().enabled() && sched.in_task()) {
-      substrate_.tracer().Record(sched.Now(), from,
-                                 sim::PrimitiveName(sim::Primitive::kInterNodeDataServerCall),
-                                 what);
-    }
-    SimTime half = substrate_.CostOf(sim::Primitive::kInterNodeDataServerCall) / 2;
-    sched.Charge(half);  // outbound transit
-    auto channel = std::make_shared<sim::Channel<Result<R>>>(sched);
-    sched.Spawn(std::move(what), to, sched.Now(), [this, from, to, half, channel,
-                                                   handler = std::move(handler)] {
-      if (!IsAlive(to)) {
-        return;  // destination died in transit; the session will time out
-      }
-      if (!IsAlive(from)) {
-        // Sender died in transit: the connection-oriented session is gone and
-        // nobody can consume a reply. Executing the request would only create
-        // orphan transaction state, so the session layer discards it.
-        return;
-      }
-      Result<R> r = handler();
-      {
-        sim::SpanGuard recv(substrate_.tracer(), sim::Component::kCommunicationManager,
-                            "session.reply");
-        substrate_.scheduler().Charge(half);  // return transit
-      }
-      channel->Push(std::move(r));
-    });
-    Result<R> out(Status::kNodeDown);
-    if (!channel->PopWithTimeout(timeout, &out)) {
+    auto reply = Issue<R>(from, to, std::move(what), std::move(handler), {});
+    if (!reply->Await(timeout)) {
       return Status::kNodeDown;  // session broken: remote crash detected
     }
-    return out;
+    return std::move(reply->value());
   }
 
   // Like SessionCall, but the caller does not block: the returned future is
   // fulfilled when the reply arrives (at the reply's virtual time, so the
-  // awaiting task joins to it exactly as a blocking call would). Charging is
-  // identical to SessionCall — one inter-node call primitive per session,
-  // half-transit on the sender at issue, half on the delivery task — so a
-  // window of one reproduces the synchronous latency composition.
+  // awaiting task joins to it exactly as a blocking call would).
   //
   // `handler` returns a Result<R> so remote-operation failures and
   // session-layer failures (kNodeDown) share the future's payload — the
@@ -166,35 +124,61 @@ class Network {
   // an immediate failure (unreachable destination, injected session drop).
   // If the destination dies with the call in flight it never runs and the
   // future stays empty — the caller's Await(timeout) detects the broken
-  // session, exactly like SessionCall's PopWithTimeout.
+  // session.
   template <typename R>
   sim::FuturePtr<Result<R>> AsyncSessionCall(NodeId from, NodeId to, std::string what,
                                              std::function<Result<R>()> handler,
                                              std::function<void()> on_complete = {}) {
-    sim::Scheduler& sched = substrate_.scheduler();
-    auto future = std::make_shared<sim::Future<Result<R>>>(sched);
     // The issue side is a short span: only the outbound transit runs on the
     // caller; the remote work and return transit attribute to the delivery
     // task (the "session.reply" span).
     sim::SpanGuard span(substrate_.tracer(), sim::Component::kCommunicationManager,
                         "session.async-send",
                         substrate_.tracer().enabled() ? what : std::string());
-    if (!Reachable(from, to)) {
-      substrate_.Charge(sim::Primitive::kInterNodeDataServerCall);
+    return Issue<R>(from, to, std::move(what), std::move(handler), std::move(on_complete));
+  }
+
+  // --- datagrams -------------------------------------------------------------
+  // Fire-and-forget. The handler runs on `to` one datagram-time later; the
+  // sender does not block and its clock does not advance.
+  void SendDatagram(NodeId from, NodeId to, std::string what, std::function<void()> handler);
+
+  // Datagram to every live node except the sender. `handler(node)` runs on
+  // each destination.
+  void Broadcast(NodeId from, std::string what, std::function<void(NodeId)> handler);
+
+  sim::Substrate& substrate() { return substrate_; }
+
+ private:
+  // The one session issue path: charges one inter-node call primitive — half
+  // as outbound transit on the sender now, half as return transit on the
+  // delivery task — and returns the reply future. An unreachable destination
+  // or an injected session drop resolves it at once with kNodeDown; a
+  // destination that dies with the call in flight leaves it empty.
+  template <typename R>
+  sim::FuturePtr<Result<R>> Issue(NodeId from, NodeId to, std::string what,
+                                  std::function<Result<R>()> handler,
+                                  std::function<void()> on_complete) {
+    sim::Scheduler& sched = substrate_.scheduler();
+    auto future = std::make_shared<sim::Future<Result<R>>>(sched);
+    auto fail_now = [&] {
       if (on_complete) {
         on_complete();
       }
       future->Fulfil(Status::kNodeDown);
       return future;
+    };
+    if (!Reachable(from, to)) {
+      // Permanent communication failure detected by the session layer.
+      substrate_.Charge(sim::Primitive::kInterNodeDataServerCall);
+      return fail_now();
     }
     if (session_drop_ && session_drop_(from, to)) {
+      // Injected loss on the session: establishment/send fails and the
+      // at-most-once session layer reports the broken session to the caller.
       substrate_.Charge(sim::Primitive::kInterNodeDataServerCall);
       substrate_.metrics().CountFault(sim::FaultKind::kSessionDrop);
-      if (on_complete) {
-        on_complete();
-      }
-      future->Fulfil(Status::kNodeDown);
-      return future;
+      return fail_now();
     }
     substrate_.metrics().Count(sim::Primitive::kInterNodeDataServerCall);
     if (substrate_.tracer().enabled() && sched.in_task()) {
@@ -228,18 +212,6 @@ class Network {
     return future;
   }
 
-  // --- datagrams -------------------------------------------------------------
-  // Fire-and-forget. The handler runs on `to` one datagram-time later; the
-  // sender does not block and its clock does not advance.
-  void SendDatagram(NodeId from, NodeId to, std::string what, std::function<void()> handler);
-
-  // Datagram to every live node except the sender. `handler(node)` runs on
-  // each destination.
-  void Broadcast(NodeId from, std::string what, std::function<void(NodeId)> handler);
-
-  sim::Substrate& substrate() { return substrate_; }
-
- private:
   sim::Substrate& substrate_;
   std::set<NodeId> alive_;
   std::set<std::pair<NodeId, NodeId>> partitions_;  // normalized (min,max)

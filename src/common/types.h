@@ -92,7 +92,6 @@ struct ObjectId {
   std::uint32_t offset = 0;
   std::uint32_t length = 0;
 
-  bool IsValid() const { return segment != kInvalidSegment && length > 0; }
   PageNumber FirstPage() const { return offset / kPageSize; }
   PageNumber LastPage() const { return (offset + length - 1) / kPageSize; }
 

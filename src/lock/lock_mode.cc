@@ -26,17 +26,4 @@ bool CompatibilityMatrix::Compatible(LockMode requested, LockMode held) const {
   return compat_[static_cast<size_t>(requested) * mode_count_ + held];
 }
 
-CompatibilityMatrix CompatibilityMatrix::FromRows(const std::vector<std::vector<bool>>& rows) {
-  CompatibilityMatrix m(static_cast<int>(rows.size()));
-  for (size_t i = 0; i < rows.size(); ++i) {
-    assert(rows[i].size() == rows.size());
-    for (size_t j = 0; j < rows[i].size(); ++j) {
-      if (rows[i][j]) {
-        m.SetCompatible(static_cast<LockMode>(i), static_cast<LockMode>(j));
-      }
-    }
-  }
-  return m;
-}
-
 }  // namespace tabs::lock

@@ -34,10 +34,6 @@ class CompatibilityMatrix {
   void SetCompatible(LockMode a, LockMode b, bool compatible = true);
   bool Compatible(LockMode requested, LockMode held) const;
 
-  // Convenience for building typed matrices, e.g. a directory server's
-  // insert/delete modes that commute with each other but not with scans.
-  static CompatibilityMatrix FromRows(const std::vector<std::vector<bool>>& rows);
-
  private:
   int mode_count_;
   std::vector<bool> compat_;  // mode_count_ x mode_count_, row-major

@@ -258,7 +258,7 @@ void LogManager::Force(Lsn upto) {
       substrate_.Charge(sim::Primitive::kStableWrite, pages);
       device_.AppendTorn(buffer_, durable_sectors);
       substrate_.metrics().CountFault(sim::FaultKind::kTornLogWrite);
-      substrate_.faults()->CrashCurrentNode(substrate_, "log.force.torn");
+      substrate_.faults()->CrashCurrentNode(substrate_);
       return;  // reached only when no crash handler is wired (unit tests)
     }
   }

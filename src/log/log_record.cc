@@ -2,40 +2,6 @@
 
 namespace tabs::log {
 
-const char* RecordTypeName(RecordType t) {
-  switch (t) {
-    case RecordType::kValueUpdate:
-      return "VALUE";
-    case RecordType::kOperationUpdate:
-      return "OPERATION";
-    case RecordType::kCompensation:
-      return "COMPENSATION";
-    case RecordType::kOpCompensation:
-      return "OP_COMPENSATION";
-    case RecordType::kTxnPrepare:
-      return "PREPARE";
-    case RecordType::kTxnCommit:
-      return "COMMIT";
-    case RecordType::kTxnAbort:
-      return "ABORT";
-    case RecordType::kTxnEnd:
-      return "END";
-    case RecordType::kSubtxnCommit:
-      return "SUBTXN_COMMIT";
-    case RecordType::kCheckpoint:
-      return "CHECKPOINT";
-    case RecordType::kNodeEpoch:
-      return "NODE_EPOCH";
-    case RecordType::kPaxosPromise:
-      return "PAXOS_PROMISE";
-    case RecordType::kPaxosAccept:
-      return "PAXOS_ACCEPT";
-    case RecordType::kPaxosLearn:
-      return "PAXOS_LEARN";
-  }
-  return "?";
-}
-
 void LogRecord::AppendTo(Bytes& out) const {
   ByteWriter w(std::move(out));
   w.U8(static_cast<std::uint8_t>(type));

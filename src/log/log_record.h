@@ -59,8 +59,6 @@ enum class RecordType : std::uint8_t {
   kPaxosLearn,          // acceptor learned the decided outcome (paxos_vote: +1/-1)
 };
 
-const char* RecordTypeName(RecordType t);
-
 struct LogRecord {
   RecordType type = RecordType::kValueUpdate;
   TransactionId owner;          // writing (sub)transaction
@@ -127,10 +125,6 @@ struct LogRecord {
   }
   static std::optional<LogRecord> Deserialize(std::span<const std::uint8_t> data);
 
-  bool IsUpdate() const {
-    return type == RecordType::kValueUpdate || type == RecordType::kOperationUpdate ||
-           type == RecordType::kCompensation || type == RecordType::kOpCompensation;
-  }
   bool IsCompensation() const {
     return type == RecordType::kCompensation || type == RecordType::kOpCompensation;
   }

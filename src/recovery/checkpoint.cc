@@ -142,13 +142,4 @@ Archive RecoveryManager::DumpArchive() {
   return archive;
 }
 
-void RecoveryManager::RestoreArchive(const Archive& archive) {
-  for (const auto& [segment, pages] : archive.segments) {
-    node_.disk().EnsureSegment(segment, static_cast<PageNumber>(pages.size()));
-    for (PageNumber p = 0; p < pages.size(); ++p) {
-      node_.disk().RestorePage({segment, p}, pages[p]);
-    }
-  }
-}
-
 }  // namespace tabs::recovery

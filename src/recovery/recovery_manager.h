@@ -184,10 +184,6 @@ class RecoveryManager : public kernel::WriteAheadHooks {
   // archive's dump_lsn to SetArchiveLowWaterMark to enforce that.
   Archive DumpArchive();
   void SetArchiveLowWaterMark(Lsn lsn) { archive_low_water_ = lsn; }
-  // Writes an archive's pages back to disk after a media failure. Following
-  // this with normal crash recovery (Recover) replays the retained log over
-  // the archived state.
-  void RestoreArchive(const Archive& archive);
 
   // --- crash recovery --------------------------------------------------------
   // Rebuilds all registered segments from the stable log. Caller must have

@@ -128,6 +128,46 @@ void DataServer::WriteValue(const Tx& tx, const ObjectId& oid, Bytes new_value) 
   LogAndUnPin(tx, oid);
 }
 
+Result<PageNumber> DataServer::AllocatePage(const Tx& tx, const PagePool& pool) {
+  for (PageNumber p = pool.first; p < pool.end; ++p) {
+    ObjectId byte = InUseByte(pool, p);
+    if (IsObjectLocked(byte) || ReadObject(byte)[0] != 0) {
+      continue;  // another transaction is allocating/freeing it, or in use
+    }
+    if (!ConditionallyLockObject(tx, byte, lock::kExclusive)) {
+      continue;
+    }
+    if (ReadObject(byte)[0] != 0) {
+      continue;  // raced; lock retained harmlessly until commit
+    }
+    PinAndBuffer(tx, byte);
+    Staged(tx, byte)[0] = 1;
+    LogAndUnPin(tx, byte);
+    return p;
+  }
+  return Status::kConflict;
+}
+
+void DataServer::FreePage(const Tx& tx, const PagePool& pool, PageNumber page) {
+  ObjectId byte = InUseByte(pool, page);
+  if (LockObject(tx, byte, lock::kExclusive) != Status::kOk) {
+    return;
+  }
+  PinAndBuffer(tx, byte);
+  Staged(tx, byte)[0] = 0;
+  LogAndUnPin(tx, byte);
+}
+
+std::uint32_t DataServer::PagesInUse(const PagePool& pool) {
+  std::uint32_t n = 0;
+  for (PageNumber p = pool.first; p < pool.end; ++p) {
+    if (ReadObject(InUseByte(pool, p))[0] != 0) {
+      ++n;
+    }
+  }
+  return n;
+}
+
 Status DataServer::ExecuteTransaction(const std::function<Status(const Tx&)>& body) {
   TransactionId tid = ctx_.tm->Begin();
   Tx tx{tid, tid, node_id(), ctx_.cm};

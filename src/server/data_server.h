@@ -90,33 +90,14 @@ class DataServer : public txn::CommitParticipant {
       sim::SpanGuard span(substrate().tracer(), sim::Component::kDataServer, "server.call",
                           substrate().tracer().enabled() ? what : std::string());
       substrate().Charge(sim::Primitive::kDataServerCall);
-      if (ctx_.tm->RefusesOps(tx.tid)) {
-        return Result<R>(Status::kAborted);  // zombie op: cascade consumed tx
-      }
-      Join(tx);
-      return op();
+      return Serve(tx, op);
     }
     // Remote: session RPC through the Communication Managers, which also
     // grow the transaction's spanning tree. (Per-transaction CM session
     // setup costs are charged by the CM at first contact.)
     assert(tx.origin_cm != nullptr && "remote call without an origin CM");
-    DataServer* self = this;
-    Tx local_tx = tx;
-    local_tx.origin = node_id();  // on arrival, the op is local to this node
-    auto result = tx.origin_cm->RemoteCall<Result<R>>(
-        tx.top, *ctx_.cm, std::move(what), [self, local_tx, op = std::move(op)] {
-          sim::SpanGuard span(self->substrate().tracer(), sim::Component::kDataServer,
-                              "server.call");
-          if (self->ctx_.tm->RefusesOps(local_tx.tid)) {
-            return Result<R>(Status::kAborted);
-          }
-          self->Join(local_tx);
-          return op();
-        });
-    if (!result.ok()) {
-      return result.status();
-    }
-    return result.value();
+    return tx.origin_cm->RemoteCall<R>(tx.top, *ctx_.cm, std::move(what),
+                                       Arrival(tx, std::move(op)));
   }
 
   // Asynchronous entry point: like Call, but a remote invocation returns a
@@ -135,57 +116,17 @@ class DataServer : public txn::CommitParticipant {
       return f;
     }
     assert(tx.origin_cm != nullptr && "remote call without an origin CM");
-    DataServer* self = this;
-    Tx local_tx = tx;
-    local_tx.origin = node_id();
-    return tx.origin_cm->AsyncRemoteCall<R>(
-        tx.top, *ctx_.cm, std::move(what), [self, local_tx, op = std::move(op)] {
-          sim::SpanGuard span(self->substrate().tracer(), sim::Component::kDataServer,
-                              "server.call");
-          if (self->ctx_.tm->RefusesOps(local_tx.tid)) {
-            return Result<R>(Status::kAborted);
-          }
-          self->Join(local_tx);
-          return op();
-        });
+    return tx.origin_cm->AsyncRemoteCall<R>(tx.top, *ctx_.cm, std::move(what),
+                                            Arrival(tx, std::move(op)));
   }
 
   // Batch entry point: runs the independent `ops` in this server on behalf
-  // of `tx`. Remote invocations chunk the batch by the CM's coalescing limit
-  // and put every chunk on the wire before awaiting any (so batching
-  // composes with pipelining); local invocations dispatch each op exactly
-  // like separate Calls — coalescing saves messages, never server work.
-  // Results are in op order.
-  template <typename R>
-  std::vector<Result<R>> CallBatch(const Tx& tx, const std::string& what,
-                                   std::vector<std::function<Result<R>()>> ops) {
-    std::vector<Result<R>> out;
-    out.reserve(ops.size());
-    if (tx.origin == node_id()) {
-      for (auto& op : ops) {
-        out.push_back(Call<R>(tx, what, std::move(op)));
-      }
-      return out;
-    }
-    for (auto& f : AsyncCallChunks<R>(tx, what, std::move(ops))) {
-      Result<std::vector<Result<R>>> chunk(Status::kNodeDown);
-      if (f->Await(comm::Network::kDefaultSessionTimeout)) {
-        chunk = std::move(f->value());
-      }
-      if (!chunk.ok()) {
-        out.push_back(chunk.status());
-        continue;
-      }
-      for (auto& r : chunk.value()) {
-        out.push_back(std::move(r));
-      }
-    }
-    return out;
-  }
-
-  // The async half of CallBatch: one future per wire message (coalesced
-  // chunk). Local batches dispatch synchronously into a single ready chunk.
-  // tabs::AsyncOps joins these.
+  // of `tx`, one future per wire message. Remote invocations chunk the batch
+  // by the CM's coalescing limit and put every chunk on the wire before
+  // returning (so batching composes with pipelining); local invocations
+  // dispatch each op exactly like separate Calls into a single ready chunk —
+  // coalescing saves messages, never server work. Results are in op order;
+  // Application::AsyncOps joins the futures.
   template <typename R>
   std::vector<sim::FuturePtr<Result<std::vector<Result<R>>>>> AsyncCallChunks(
       const Tx& tx, const std::string& what, std::vector<std::function<Result<R>()>> ops) {
@@ -206,25 +147,13 @@ class DataServer : public txn::CommitParticipant {
       return futures;
     }
     assert(tx.origin_cm != nullptr && "remote call without an origin CM");
-    DataServer* self = this;
-    Tx local_tx = tx;
-    local_tx.origin = node_id();
     size_t limit = static_cast<size_t>(tx.origin_cm->op_coalesce_batch());
     for (size_t base = 0; base < ops.size(); base += limit) {
       size_t count = std::min(limit, ops.size() - base);
       std::vector<std::function<Result<R>()>> wire_ops;
       wire_ops.reserve(count);
       for (size_t i = 0; i < count; ++i) {
-        auto op = std::move(ops[base + i]);
-        wire_ops.push_back([self, local_tx, op = std::move(op)] {
-          sim::SpanGuard span(self->substrate().tracer(), sim::Component::kDataServer,
-                              "server.call");
-          if (self->ctx_.tm->RefusesOps(local_tx.tid)) {
-            return Result<R>(Status::kAborted);
-          }
-          self->Join(local_tx);
-          return op();
-        });
+        wire_ops.push_back(Arrival(tx, std::move(ops[base + i])));
       }
       futures.push_back(tx.origin_cm->AsyncRemoteCallBatch<R>(
           tx.top, *ctx_.cm, what, std::move(wire_ops)));
@@ -304,7 +233,25 @@ class DataServer : public txn::CommitParticipant {
 
  protected:
   void Join(const Tx& tx);
-  void MarkUpdated(const TransactionId& tid) { updates_.insert(tid); }
+
+  // --- recoverable page allocation ----------------------------------------------
+  // A pool of pages [first, end) with one in-use byte per page, page p's at
+  // segment offset map_offset + (p - first). Each byte is an individually
+  // locked, logged object, so if the allocating or freeing transaction
+  // aborts, the byte reverts and the page with it.
+  struct PagePool {
+    std::uint32_t map_offset;
+    PageNumber first;
+    PageNumber end;
+  };
+  // Claims the first free page no other transaction is allocating or
+  // freeing; kConflict when the pool is exhausted.
+  Result<PageNumber> AllocatePage(const Tx& tx, const PagePool& pool);
+  // The freeing transaction keeps the byte locked until commit, so the page
+  // cannot be reused while the free might still be undone. If the lock is
+  // unavailable the page stays allocated: a leak beats a deadlock.
+  void FreePage(const Tx& tx, const PagePool& pool, PageNumber page);
+  std::uint32_t PagesInUse(const PagePool& pool);
 
   ServerContext ctx_;
   Options options_;
@@ -313,6 +260,34 @@ class DataServer : public txn::CommitParticipant {
   lock::LockManager locks_;
 
  private:
+  // Runs `op` as an operation of `tx` on this node: refused once the
+  // transaction can no longer take operations (a zombie op after an abort
+  // cascade consumed it), otherwise joined to the transaction first.
+  template <typename R>
+  Result<R> Serve(const Tx& tx, const std::function<Result<R>()>& op) {
+    if (ctx_.tm->RefusesOps(tx.tid)) {
+      return Status::kAborted;
+    }
+    Join(tx);
+    return op();
+  }
+
+  // The server side of a remote invocation: `op` wrapped to run on arrival
+  // as a local operation of `tx`, under its own "server.call" span.
+  template <typename R>
+  auto Arrival(const Tx& tx, std::function<Result<R>()> op) {
+    Tx local_tx = tx;
+    local_tx.origin = node_id();  // on arrival, the op is local to this node
+    return [this, local_tx, op = std::move(op)] {
+      sim::SpanGuard span(substrate().tracer(), sim::Component::kDataServer, "server.call");
+      return Serve(local_tx, op);
+    };
+  }
+
+  ObjectId InUseByte(const PagePool& pool, PageNumber page) const {
+    return CreateObjectId(pool.map_offset + (page - pool.first), 1);
+  }
+
   struct StagedWrite {
     Bytes old_value;
     Bytes new_value;

@@ -48,7 +48,6 @@ class AccountServer : public server::DataServer {
   AccountServer(const server::ServerContext& ctx, placement::ShardSlice slice,
                 std::uint64_t total_accounts);
 
-  std::uint32_t account_count() const { return accounts_; }
   const placement::ShardSlice& shard() const { return slice_; }
 
   Status Deposit(const server::Tx& tx, std::uint32_t account, std::int64_t amount);

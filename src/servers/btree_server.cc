@@ -91,9 +91,10 @@ server::DataServer::Options MakeOptions(PageNumber pool_pages) {
 }  // namespace
 
 BTreeServer::BTreeServer(const server::ServerContext& ctx, PageNumber pool_pages)
-    : DataServer(ctx, MakeOptions(pool_pages)), pool_pages_(pool_pages) {
-  assert(pool_pages_ >= 4);
-  assert(32 + pool_pages_ <= kPageSize && "allocator byte map must fit in the meta page");
+    : DataServer(ctx, MakeOptions(pool_pages)),
+      pool_{.map_offset = 32 + 1, .first = 1, .end = pool_pages} {
+  assert(pool_pages >= 4);
+  assert(32 + pool_pages <= kPageSize && "allocator byte map must fit in the meta page");
 }
 
 BTreeServer::BTreeServer(const server::ServerContext& ctx, placement::ShardSlice slice,
@@ -113,44 +114,6 @@ void BTreeServer::WriteU32(const server::Tx& tx, const ObjectId& oid, std::uint3
   PinAndBuffer(tx, oid);
   std::memcpy(Staged(tx, oid).data(), &v, 4);
   LogAndUnPin(tx, oid);
-}
-
-Result<PageNumber> BTreeServer::AllocatePage(const server::Tx& tx) {
-  // The recoverable storage allocator: an in-use byte per page, individually
-  // locked; if the allocating transaction aborts, the byte reverts and the
-  // page is reclaimed.
-  for (PageNumber p = 1; p < pool_pages_; ++p) {
-    ObjectId byte = AllocByteOid(p);
-    if (IsObjectLocked(byte)) {
-      continue;  // another transaction is allocating/freeing it
-    }
-    if (ReadObject(byte)[0] != 0) {
-      continue;  // in use
-    }
-    if (!ConditionallyLockObject(tx, byte, lock::kExclusive)) {
-      continue;
-    }
-    if (ReadObject(byte)[0] != 0) {
-      continue;  // raced; lock retained harmlessly until commit
-    }
-    PinAndBuffer(tx, byte);
-    Staged(tx, byte)[0] = 1;
-    LogAndUnPin(tx, byte);
-    return p;
-  }
-  return Status::kConflict;  // pool exhausted
-}
-
-void BTreeServer::FreePage(const server::Tx& tx, PageNumber page) {
-  ObjectId byte = AllocByteOid(page);
-  // The freeing transaction keeps the byte locked until commit, so the page
-  // cannot be reused while the free might still be undone.
-  if (LockObject(tx, byte, lock::kExclusive) != Status::kOk) {
-    return;  // leave allocated; a leak beats a deadlock here
-  }
-  PinAndBuffer(tx, byte);
-  Staged(tx, byte)[0] = 0;
-  LogAndUnPin(tx, byte);
 }
 
 BTreeServer::Node BTreeServer::ReadNode(PageNumber page) {
@@ -217,7 +180,7 @@ Status BTreeServer::InsertIntoLeaf(const server::Tx& tx, const std::string& key,
 
   PageNumber root = ReadU32(MetaRootOid());
   if (root == 0) {
-    auto page = AllocatePage(tx);
+    auto page = AllocatePage(tx, pool_);
     if (!page.ok()) {
       return page.status();
     }
@@ -267,7 +230,7 @@ Status BTreeServer::InsertIntoLeaf(const server::Tx& tx, const std::string& key,
   std::string sep;
   PageNumber new_page = 0;
   {
-    auto right_page = AllocatePage(tx);
+    auto right_page = AllocatePage(tx, pool_);
     if (!right_page.ok()) {
       return right_page.status();
     }
@@ -296,7 +259,7 @@ Status BTreeServer::InsertIntoLeaf(const server::Tx& tx, const std::string& key,
       WriteNode(tx, entry.page, parent);
       return Status::kOk;
     }
-    auto right_page = AllocatePage(tx);
+    auto right_page = AllocatePage(tx, pool_);
     if (!right_page.ok()) {
       return right_page.status();
     }
@@ -319,7 +282,7 @@ Status BTreeServer::InsertIntoLeaf(const server::Tx& tx, const std::string& key,
   (void)child_left;
 
   // The root itself split: grow the tree by one level.
-  auto new_root = AllocatePage(tx);
+  auto new_root = AllocatePage(tx, pool_);
   if (!new_root.ok()) {
     return new_root.status();
   }
@@ -401,7 +364,7 @@ Status BTreeServer::Remove(const server::Tx& tx, const std::string& key) {
         size_t key_idx = ci > 0 ? ci - 1 : 0;
         parent.keys.erase(parent.keys.begin() + static_cast<std::ptrdiff_t>(key_idx));
         WriteNode(tx, parent_entry.page, parent);
-        FreePage(tx, leaf_page);
+        FreePage(tx, pool_, leaf_page);
       }
     }
     return true;
@@ -493,14 +456,6 @@ bool BTreeServer::CheckInvariants() {
   return ok;
 }
 
-std::uint32_t BTreeServer::AllocatedPages() {
-  std::uint32_t n = 0;
-  for (PageNumber p = 1; p < pool_pages_; ++p) {
-    if (ReadObject(AllocByteOid(p))[0] != 0) {
-      ++n;
-    }
-  }
-  return n;
-}
+std::uint32_t BTreeServer::AllocatedPages() { return PagesInUse(pool_); }
 
 }  // namespace tabs::servers

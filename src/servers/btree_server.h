@@ -71,11 +71,7 @@ class BTreeServer : public server::DataServer {
   ObjectId MetaRootOid() const { return CreateObjectId(0, 4); }
   ObjectId MetaCountOid() const { return CreateObjectId(4, 4); }
   ObjectId TreeLockOid() const { return CreateObjectId(16, 4); }
-  ObjectId AllocByteOid(PageNumber page) const { return CreateObjectId(32 + page, 1); }
   ObjectId NodeOid(PageNumber page) const { return CreateObjectId(page * kPageSize, kPageSize); }
-
-  Result<PageNumber> AllocatePage(const server::Tx& tx);
-  void FreePage(const server::Tx& tx, PageNumber page);
 
   Node ReadNode(PageNumber page);
   void WriteNode(const server::Tx& tx, PageNumber page, const Node& node);
@@ -93,7 +89,7 @@ class BTreeServer : public server::DataServer {
   Status InsertIntoLeaf(const server::Tx& tx, const std::string& key,
                         const std::string& value, bool allow_exists, bool require_exists);
 
-  PageNumber pool_pages_;
+  PagePool pool_;  // page p's in-use byte at offset 32 + p
   placement::ShardSlice slice_;  // {0, 1} unless service-sharded
 };
 

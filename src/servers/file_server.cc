@@ -51,8 +51,9 @@ FileServer::Slot FileServer::Slot::Deserialize(const Bytes& b) {
 }
 
 FileServer::FileServer(const server::ServerContext& ctx, PageNumber data_pages)
-    : DataServer(ctx, MakeOptions(data_pages)), data_pages_(data_pages) {
-  assert(data_pages_ <= kPageSize && "allocator byte map must fit in page 0");
+    : DataServer(ctx, MakeOptions(data_pages)),
+      pool_{.map_offset = 0, .first = kFirstDataPage, .end = kFirstDataPage + data_pages} {
+  assert(data_pages <= kPageSize && "allocator byte map must fit in page 0");
 }
 
 FileServer::Slot FileServer::ReadSlot(std::uint32_t index) {
@@ -84,36 +85,6 @@ Result<std::uint32_t> FileServer::FindSlot(const server::Tx& tx, const std::stri
     }
   }
   return Status::kNotFound;
-}
-
-Result<PageNumber> FileServer::AllocatePage(const server::Tx& tx) {
-  for (PageNumber p = kFirstDataPage; p < kFirstDataPage + data_pages_; ++p) {
-    ObjectId byte = AllocByteOid(p);
-    if (IsObjectLocked(byte) || ReadObject(byte)[0] != 0) {
-      continue;
-    }
-    if (!ConditionallyLockObject(tx, byte, lock::kExclusive)) {
-      continue;
-    }
-    if (ReadObject(byte)[0] != 0) {
-      continue;
-    }
-    PinAndBuffer(tx, byte);
-    Staged(tx, byte)[0] = 1;
-    LogAndUnPin(tx, byte);
-    return p;
-  }
-  return Status::kConflict;  // disk full
-}
-
-void FileServer::FreePage(const server::Tx& tx, PageNumber page) {
-  ObjectId byte = AllocByteOid(page);
-  if (LockObject(tx, byte, lock::kExclusive) != Status::kOk) {
-    return;  // leak rather than deadlock
-  }
-  PinAndBuffer(tx, byte);
-  Staged(tx, byte)[0] = 0;
-  LogAndUnPin(tx, byte);
 }
 
 Status FileServer::Create(const server::Tx& tx, const std::string& name) {
@@ -153,7 +124,7 @@ Status FileServer::Remove(const server::Tx& tx, const std::string& name) {
     }
     Slot s = ReadSlot(idx.value());
     for (PageNumber p : s.pages) {
-      FreePage(tx, p);
+      FreePage(tx, pool_, p);
     }
     WriteSlot(tx, idx.value(), Slot{});
     return true;
@@ -176,7 +147,7 @@ Status FileServer::Write(const server::Tx& tx, const std::string& name, std::uin
     std::uint32_t end = offset + static_cast<std::uint32_t>(data.size());
     std::uint32_t pages_needed = (end + kPageSize - 1) / kPageSize;
     while (s.pages.size() < pages_needed) {
-      auto page = AllocatePage(tx);
+      auto page = AllocatePage(tx, pool_);
       if (!page.ok()) {
         return page.status();
       }
@@ -272,14 +243,6 @@ Result<std::vector<std::string>> FileServer::List(const server::Tx& tx) {
   });
 }
 
-std::uint32_t FileServer::AllocatedPages() {
-  std::uint32_t n = 0;
-  for (PageNumber p = kFirstDataPage; p < kFirstDataPage + data_pages_; ++p) {
-    if (ReadObject(AllocByteOid(p))[0] != 0) {
-      ++n;
-    }
-  }
-  return n;
-}
+std::uint32_t FileServer::AllocatedPages() { return PagesInUse(pool_); }
 
 }  // namespace tabs::servers

@@ -80,9 +80,6 @@ class FileServer : public server::DataServer {
   ObjectId SlotOid(std::uint32_t index) const {
     return CreateObjectId(kPageSize + index * kSlotSize, kSlotSize);
   }
-  ObjectId AllocByteOid(PageNumber page) const {
-    return CreateObjectId(page - kFirstDataPage, 1);
-  }
   ObjectId DataOid(PageNumber page, std::uint32_t offset_in_page, std::uint32_t len) const {
     return CreateObjectId(page * kPageSize + offset_in_page, len);
   }
@@ -92,10 +89,7 @@ class FileServer : public server::DataServer {
   // Finds the slot holding `name`; locks it in `mode` first-come.
   Result<std::uint32_t> FindSlot(const server::Tx& tx, const std::string& name,
                                  lock::LockMode mode);
-  Result<PageNumber> AllocatePage(const server::Tx& tx);
-  void FreePage(const server::Tx& tx, PageNumber page);
-
-  PageNumber data_pages_;
+  PagePool pool_;  // page p's in-use byte at offset p - kFirstDataPage
 };
 
 }  // namespace tabs::servers

@@ -68,8 +68,6 @@ class ReplicatedDirectory {
 
   ReplicatedDirectory(std::vector<Replica> replicas, int read_quorum, int write_quorum);
 
-  int total_votes() const { return total_votes_; }
-
   // All operations run inside the caller's transaction.
   Result<std::string> Lookup(const server::Tx& tx, const std::string& key);
   Status Insert(const server::Tx& tx, const std::string& key, const std::string& value);

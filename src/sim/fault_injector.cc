@@ -29,7 +29,7 @@ void FaultInjector::OnPoint(Substrate& sub, const char* name) {
     plan_.erase(it);  // each armed action fires exactly once
     RecomputeArmed();
     if (armed.crash) {
-      CrashCurrentNode(sub, name);
+      CrashCurrentNode(sub);
       return;  // reached only when no crash handler is wired
     }
     sub.metrics().CountFault(FaultKind::kDelay);
@@ -84,11 +84,10 @@ void FaultInjector::SeedDelays(std::uint64_t seed, double probability,
   RecomputeArmed();
 }
 
-void FaultInjector::CrashCurrentNode(Substrate& sub, const char* why) {
+void FaultInjector::CrashCurrentNode(Substrate& sub) {
   Scheduler& sched = sub.scheduler();
   assert(sched.in_task() && "crash faults fire from inside a task");
   crash_fired_ = true;
-  crashed_point_ = why;
   sub.metrics().CountFault(FaultKind::kCrash);
   if (crash_handler_) {
     // World::CrashNode: kills every task on the node — including this one,

@@ -58,10 +58,6 @@ class FaultInjector {
     hits_.clear();
     RecomputeArmed();
   }
-  void StopRecording() {
-    recording_ = false;
-    RecomputeArmed();
-  }
   const std::vector<PointHit>& recorded_hits() const { return hits_; }
   // Distinct points in first-hit order (tracked whether or not recording).
   const std::vector<std::string>& distinct_points() const { return order_; }
@@ -85,7 +81,6 @@ class FaultInjector {
   void Disarm();
 
   bool crash_fired() const { return crash_fired_; }
-  const std::string& crashed_point() const { return crashed_point_; }
 
   // --- seeded plan --------------------------------------------------------
   // Every subsequent point hit independently delays with `probability`, for
@@ -101,7 +96,7 @@ class FaultInjector {
   }
   // Crash the node of the current task, counting a kCrash fault. Used by
   // OnPoint and by the torn-log-force path in LogManager.
-  void CrashCurrentNode(Substrate& sub, const char* why);
+  void CrashCurrentNode(Substrate& sub);
 
   // Consumed by LogManager::Force: >= 0 is the armed durable-sector count
   // (fires once), -1 means no torn force armed.
@@ -123,7 +118,6 @@ class FaultInjector {
   std::vector<PointHit> hits_;
   bool recording_ = false;
   bool crash_fired_ = false;
-  std::string crashed_point_;
   int torn_force_sectors_ = -1;
   std::function<void(NodeId)> crash_handler_;
   bool delays_seeded_ = false;

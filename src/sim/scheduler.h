@@ -380,8 +380,9 @@ template <typename T>
 using FuturePtr = std::shared_ptr<Future<T>>;
 
 // A typed rendezvous channel: producers Push values (waking a consumer),
-// consumers Pop (blocking while empty). Used for RPC replies and vote
-// collection during two-phase commit.
+// consumers Pop (blocking while empty). Used where several producers answer
+// one consumer: the commit protocols' votes, acks and promises, and name
+// lookup replies. (A session reply has one producer and rides a Future.)
 template <typename T>
 class Channel {
  public:

@@ -36,7 +36,6 @@ class SimDisk {
   // Creates (or grows) a segment's backing store; newly created pages are
   // zero-filled. Free (uncharged): segment creation is setup, not workload.
   void EnsureSegment(SegmentId segment, PageNumber pages);
-  bool HasSegment(SegmentId segment) const { return segments_.contains(segment); }
   PageNumber SegmentPages(SegmentId segment) const;
 
   // Reads a page into `out` (kPageSize bytes). `sequential` selects the

@@ -24,110 +24,46 @@ Status ServiceHandle::EnsureResolved(const server::Tx& tx) {
 
 namespace {
 
-// Converts a Status-returning attempt into the Result<bool> shape Routed
-// wants, and back.
-Status AsStatus(const Result<bool>& r) { return r.ok() ? Status::kOk : r.status(); }
+// A global index's cell within its shard.
+std::uint32_t Cell(const placement::ShardMap& map, std::uint64_t index) {
+  return static_cast<std::uint32_t>(map.LocalIndex(index));
+}
 
 }  // namespace
 
 // --- ArrayService ---------------------------------------------------------------
 
 Result<std::int32_t> ArrayService::Get(const server::Tx& tx, std::uint64_t index) {
-  return Routed<std::int32_t>(tx, [&](const placement::ShardMap& map) -> Result<std::int32_t> {
-    Result<servers::ArrayServer*> srv = ShardServer<servers::ArrayServer>(map.ShardOfIndex(index));
-    if (!srv.ok()) {
-      return srv.status();
-    }
-    return srv.value()->GetCell(tx, static_cast<std::uint32_t>(map.LocalIndex(index)));
-  });
+  return OnShard<servers::ArrayServer>(
+      tx, index, [&](servers::ArrayServer& s, const placement::ShardMap& map) {
+        return s.GetCell(tx, Cell(map, index));
+      });
 }
 
 Status ArrayService::Set(const server::Tx& tx, std::uint64_t index, std::int32_t value) {
-  return AsStatus(Routed<bool>(tx, [&](const placement::ShardMap& map) -> Result<bool> {
-    Result<servers::ArrayServer*> srv = ShardServer<servers::ArrayServer>(map.ShardOfIndex(index));
-    if (!srv.ok()) {
-      return srv.status();
-    }
-    Status s = srv.value()->SetCell(tx, static_cast<std::uint32_t>(map.LocalIndex(index)), value);
-    if (s != Status::kOk) {
-      return s;
-    }
-    return true;
-  }));
+  return OnShard<servers::ArrayServer>(
+      tx, index, [&](servers::ArrayServer& s, const placement::ShardMap& map) {
+        return s.SetCell(tx, Cell(map, index), value);
+      });
 }
 
 Result<std::vector<std::int32_t>> ArrayService::GetMany(
     const server::Tx& tx, const std::vector<std::uint64_t>& indices) {
   using Chunk = sim::FuturePtr<Result<std::vector<Result<std::int32_t>>>>;
-  return Routed<std::vector<std::int32_t>>(
-      tx, [&](const placement::ShardMap& map) -> Result<std::vector<std::int32_t>> {
-        std::vector<std::vector<std::uint32_t>> locals(map.shard_count());
-        std::vector<std::vector<size_t>> positions(map.shard_count());
-        for (size_t i = 0; i < indices.size(); ++i) {
-          std::uint32_t shard = map.ShardOfIndex(indices[i]);
-          locals[shard].push_back(static_cast<std::uint32_t>(map.LocalIndex(indices[i])));
-          positions[shard].push_back(i);
-        }
-        // Issue every shard's chunks before awaiting any.
-        struct ShardBatch {
-          std::vector<Chunk> chunks;
-          const std::vector<size_t>* pos;
-        };
-        std::vector<ShardBatch> batches;
-        Status failed = Status::kOk;
-        for (std::uint32_t shard = 0; shard < map.shard_count(); ++shard) {
-          if (locals[shard].empty()) {
-            continue;
-          }
-          Result<servers::ArrayServer*> srv = ShardServer<servers::ArrayServer>(shard);
-          if (!srv.ok()) {
-            failed = srv.status();  // still drain what is already on the wire
-            break;
-          }
-          batches.push_back({srv.value()->AsyncGetCells(tx, locals[shard]), &positions[shard]});
-        }
-        // Await in issue order, draining everything even after a failure so
-        // the pipeline window empties (exactly like AsyncOps::Join).
-        std::vector<std::int32_t> out(indices.size());
-        for (ShardBatch& b : batches) {
-          size_t k = 0;
-          for (Chunk& f : b.chunks) {
-            if (!f->Await(timeout_)) {
-              if (failed == Status::kOk) failed = Status::kNodeDown;
-              continue;
-            }
-            const Result<std::vector<Result<std::int32_t>>>& chunk = f->value();
-            if (!chunk.ok()) {
-              if (failed == Status::kOk) failed = chunk.status();
-              continue;
-            }
-            for (const Result<std::int32_t>& r : chunk.value()) {
-              if (r.ok()) {
-                out[(*b.pos)[k]] = r.value();
-              } else if (failed == Status::kOk) {
-                failed = r.status();
-              }
-              ++k;
-            }
-          }
-        }
-        if (failed != Status::kOk) {
-          return failed;
-        }
-        return out;
-      });
-}
-
-Status ArrayService::SetMany(const server::Tx& tx,
-                             const std::vector<std::pair<std::uint64_t, std::int32_t>>& writes) {
-  using Chunk = sim::FuturePtr<Result<std::vector<Result<bool>>>>;
-  return AsStatus(Routed<bool>(tx, [&](const placement::ShardMap& map) -> Result<bool> {
-    std::vector<std::vector<std::pair<std::uint32_t, std::int32_t>>> locals(map.shard_count());
-    for (const auto& [index, value] : writes) {
-      locals[map.ShardOfIndex(index)].push_back(
-          {static_cast<std::uint32_t>(map.LocalIndex(index)), value});
+  return Routed(tx, [&](const placement::ShardMap& map) -> Result<std::vector<std::int32_t>> {
+    std::vector<std::vector<std::uint32_t>> locals(map.shard_count());
+    std::vector<std::vector<size_t>> positions(map.shard_count());
+    for (size_t i = 0; i < indices.size(); ++i) {
+      std::uint32_t shard = map.ShardOfIndex(indices[i]);
+      locals[shard].push_back(Cell(map, indices[i]));
+      positions[shard].push_back(i);
     }
-    std::vector<Chunk> chunks;
+    // Issue every shard's chunks before awaiting any.
+    struct ShardBatch {
+      std::vector<Chunk> chunks;
+      const std::vector<size_t>* pos;
+    };
+    std::vector<ShardBatch> batches;
     Status failed = Status::kOk;
     for (std::uint32_t shard = 0; shard < map.shard_count(); ++shard) {
       if (locals[shard].empty()) {
@@ -138,149 +74,128 @@ Status ArrayService::SetMany(const server::Tx& tx,
         failed = srv.status();  // still drain what is already on the wire
         break;
       }
-      for (Chunk& c : srv.value()->AsyncSetCells(tx, locals[shard])) {
-        chunks.push_back(std::move(c));
-      }
+      batches.push_back({srv.value()->AsyncGetCells(tx, locals[shard]), &positions[shard]});
     }
-    for (Chunk& f : chunks) {
-      if (!f->Await(timeout_)) {
-        if (failed == Status::kOk) failed = Status::kNodeDown;
-        continue;
-      }
-      const Result<std::vector<Result<bool>>>& chunk = f->value();
-      if (!chunk.ok()) {
-        if (failed == Status::kOk) failed = chunk.status();
-        continue;
-      }
-      for (const Result<bool>& r : chunk.value()) {
-        if (!r.ok() && failed == Status::kOk) {
-          failed = r.status();
+    // Await in issue order, draining everything even after a failure so
+    // the pipeline window empties (exactly like AsyncOps::Join).
+    std::vector<std::int32_t> out(indices.size());
+    for (ShardBatch& b : batches) {
+      size_t k = 0;
+      for (Chunk& f : b.chunks) {
+        if (!f->Await(timeout_)) {
+          if (failed == Status::kOk) failed = Status::kNodeDown;
+          continue;
+        }
+        const Result<std::vector<Result<std::int32_t>>>& chunk = f->value();
+        if (!chunk.ok()) {
+          if (failed == Status::kOk) failed = chunk.status();
+          continue;
+        }
+        for (const Result<std::int32_t>& r : chunk.value()) {
+          if (r.ok()) {
+            out[(*b.pos)[k]] = r.value();
+          } else if (failed == Status::kOk) {
+            failed = r.status();
+          }
+          ++k;
         }
       }
     }
     if (failed != Status::kOk) {
       return failed;
     }
-    return true;
-  }));
+    return out;
+  });
+}
+
+Status ArrayService::SetMany(const server::Tx& tx,
+                             const std::vector<std::pair<std::uint64_t, std::int32_t>>& writes) {
+  return Routed(tx, [&](const placement::ShardMap& map) -> Status {
+    std::vector<std::vector<std::pair<std::uint32_t, std::int32_t>>> locals(map.shard_count());
+    for (const auto& [index, value] : writes) {
+      locals[map.ShardOfIndex(index)].push_back({Cell(map, index), value});
+    }
+    Application::AsyncOps ops(timeout_);
+    Status failed = Status::kOk;
+    for (std::uint32_t shard = 0; shard < map.shard_count(); ++shard) {
+      if (locals[shard].empty()) {
+        continue;
+      }
+      Result<servers::ArrayServer*> srv = ShardServer<servers::ArrayServer>(shard);
+      if (!srv.ok()) {
+        failed = srv.status();  // still drain what is already on the wire
+        break;
+      }
+      ops.AddBatch<bool>(srv.value()->AsyncSetCells(tx, locals[shard]));
+    }
+    Status joined = ops.Join();
+    return failed != Status::kOk ? failed : joined;
+  });
 }
 
 // --- AccountService -------------------------------------------------------------
 
 Status AccountService::Deposit(const server::Tx& tx, std::uint64_t account,
                                std::int64_t amount) {
-  return AsStatus(Routed<bool>(tx, [&](const placement::ShardMap& map) -> Result<bool> {
-    Result<servers::AccountServer*> srv =
-        ShardServer<servers::AccountServer>(map.ShardOfIndex(account));
-    if (!srv.ok()) {
-      return srv.status();
-    }
-    Status s = srv.value()->Deposit(tx, static_cast<std::uint32_t>(map.LocalIndex(account)),
-                                    amount);
-    if (s != Status::kOk) {
-      return s;
-    }
-    return true;
-  }));
+  return OnShard<servers::AccountServer>(
+      tx, account, [&](servers::AccountServer& s, const placement::ShardMap& map) {
+        return s.Deposit(tx, Cell(map, account), amount);
+      });
 }
 
 Status AccountService::Withdraw(const server::Tx& tx, std::uint64_t account,
                                 std::int64_t amount) {
-  return AsStatus(Routed<bool>(tx, [&](const placement::ShardMap& map) -> Result<bool> {
-    Result<servers::AccountServer*> srv =
-        ShardServer<servers::AccountServer>(map.ShardOfIndex(account));
-    if (!srv.ok()) {
-      return srv.status();
-    }
-    Status s = srv.value()->Withdraw(tx, static_cast<std::uint32_t>(map.LocalIndex(account)),
-                                     amount);
-    if (s != Status::kOk) {
-      return s;
-    }
-    return true;
-  }));
+  return OnShard<servers::AccountServer>(
+      tx, account, [&](servers::AccountServer& s, const placement::ShardMap& map) {
+        return s.Withdraw(tx, Cell(map, account), amount);
+      });
 }
 
 Result<std::int64_t> AccountService::Balance(const server::Tx& tx, std::uint64_t account) {
-  return Routed<std::int64_t>(tx, [&](const placement::ShardMap& map) -> Result<std::int64_t> {
-    Result<servers::AccountServer*> srv =
-        ShardServer<servers::AccountServer>(map.ShardOfIndex(account));
-    if (!srv.ok()) {
-      return srv.status();
-    }
-    return srv.value()->ReadBalance(tx, static_cast<std::uint32_t>(map.LocalIndex(account)));
-  });
+  return OnShard<servers::AccountServer>(
+      tx, account, [&](servers::AccountServer& s, const placement::ShardMap& map) {
+        return s.ReadBalance(tx, Cell(map, account));
+      });
 }
 
 // --- BTreeService ---------------------------------------------------------------
 
 Status BTreeService::Insert(const server::Tx& tx, const std::string& key,
                             const std::string& value) {
-  return AsStatus(Routed<bool>(tx, [&](const placement::ShardMap& map) -> Result<bool> {
-    Result<servers::BTreeServer*> srv = ShardServer<servers::BTreeServer>(map.ShardOfKey(key));
-    if (!srv.ok()) {
-      return srv.status();
-    }
-    Status s = srv.value()->Insert(tx, key, value);
-    if (s != Status::kOk) {
-      return s;
-    }
-    return true;
-  }));
+  return OnShard<servers::BTreeServer>(
+      tx, key, [&](servers::BTreeServer& s, const placement::ShardMap&) {
+        return s.Insert(tx, key, value);
+      });
 }
 
 Status BTreeService::Update(const server::Tx& tx, const std::string& key,
                             const std::string& value) {
-  return AsStatus(Routed<bool>(tx, [&](const placement::ShardMap& map) -> Result<bool> {
-    Result<servers::BTreeServer*> srv = ShardServer<servers::BTreeServer>(map.ShardOfKey(key));
-    if (!srv.ok()) {
-      return srv.status();
-    }
-    Status s = srv.value()->Update(tx, key, value);
-    if (s != Status::kOk) {
-      return s;
-    }
-    return true;
-  }));
+  return OnShard<servers::BTreeServer>(
+      tx, key, [&](servers::BTreeServer& s, const placement::ShardMap&) {
+        return s.Update(tx, key, value);
+      });
 }
 
 Status BTreeService::Upsert(const server::Tx& tx, const std::string& key,
                             const std::string& value) {
-  return AsStatus(Routed<bool>(tx, [&](const placement::ShardMap& map) -> Result<bool> {
-    Result<servers::BTreeServer*> srv = ShardServer<servers::BTreeServer>(map.ShardOfKey(key));
-    if (!srv.ok()) {
-      return srv.status();
-    }
-    Status s = srv.value()->Upsert(tx, key, value);
-    if (s != Status::kOk) {
-      return s;
-    }
-    return true;
-  }));
+  return OnShard<servers::BTreeServer>(
+      tx, key, [&](servers::BTreeServer& s, const placement::ShardMap&) {
+        return s.Upsert(tx, key, value);
+      });
 }
 
 Status BTreeService::Remove(const server::Tx& tx, const std::string& key) {
-  return AsStatus(Routed<bool>(tx, [&](const placement::ShardMap& map) -> Result<bool> {
-    Result<servers::BTreeServer*> srv = ShardServer<servers::BTreeServer>(map.ShardOfKey(key));
-    if (!srv.ok()) {
-      return srv.status();
-    }
-    Status s = srv.value()->Remove(tx, key);
-    if (s != Status::kOk) {
-      return s;
-    }
-    return true;
-  }));
+  return OnShard<servers::BTreeServer>(
+      tx, key, [&](servers::BTreeServer& s, const placement::ShardMap&) {
+        return s.Remove(tx, key);
+      });
 }
 
 Result<std::string> BTreeService::Lookup(const server::Tx& tx, const std::string& key) {
-  return Routed<std::string>(tx, [&](const placement::ShardMap& map) -> Result<std::string> {
-    Result<servers::BTreeServer*> srv = ShardServer<servers::BTreeServer>(map.ShardOfKey(key));
-    if (!srv.ok()) {
-      return srv.status();
-    }
-    return srv.value()->Lookup(tx, key);
-  });
+  return OnShard<servers::BTreeServer>(
+      tx, key, [&](servers::BTreeServer& s, const placement::ShardMap&) {
+        return s.Lookup(tx, key);
+      });
 }
 
 // --- open functions -------------------------------------------------------------

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -86,15 +87,17 @@ class ServiceHandle {
   // the heal path for a cache gone stale across crash/recovery. If the fresh
   // lookup comes back incomplete (the shard's node is genuinely down), the
   // old map is kept: operations on live shards keep working, operations on
-  // the dead shard keep failing fast on the liveness check.
-  template <typename R, typename Fn>
-  Result<R> Routed(const server::Tx& tx, Fn&& attempt) {
+  // the dead shard keep failing fast on the liveness check. `attempt`
+  // returns a Status or a Result, and so does Routed.
+  template <typename Fn>
+  auto Routed(const server::Tx& tx, Fn&& attempt)
+      -> std::invoke_result_t<Fn&, const placement::ShardMap&> {
     Status s = EnsureResolved(tx);
     if (s != Status::kOk) {
       return s;
     }
-    Result<R> r = attempt(*map_);
-    if (r.ok() || r.status() != Status::kNodeDown) {
+    auto r = attempt(*map_);
+    if (StatusOf(r) != Status::kNodeDown) {
       return r;
     }
     resolver_.Invalidate(service_);  // stale? force a fresh broadcast
@@ -108,6 +111,33 @@ class ServiceHandle {
       }
     }
     return attempt(*map_);
+  }
+
+  // One single-shard operation: `op(server, map)` runs on the live T
+  // instance of the shard owning `key` (an interleaved index or a hashed
+  // string key), routed like every operation. Returns what `op` returns.
+  template <typename T, typename Key, typename Op>
+  auto OnShard(const server::Tx& tx, const Key& key, Op&& op) {
+    return Routed(tx, [&](const placement::ShardMap& map)
+                          -> std::invoke_result_t<Op&, T&, const placement::ShardMap&> {
+      Result<T*> srv = ShardServer<T>(ShardOf(map, key));
+      if (!srv.ok()) {
+        return srv.status();
+      }
+      return op(*srv.value(), map);
+    });
+  }
+
+  static std::uint32_t ShardOf(const placement::ShardMap& map, std::uint64_t index) {
+    return map.ShardOfIndex(index);
+  }
+  static std::uint32_t ShardOf(const placement::ShardMap& map, const std::string& key) {
+    return map.ShardOfKey(key);
+  }
+  static Status StatusOf(Status s) { return s; }
+  template <typename T>
+  static Status StatusOf(const Result<T>& r) {
+    return r.status();
   }
 
   World* world_;

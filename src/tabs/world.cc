@@ -106,22 +106,24 @@ void World::RegisterBindings(NodeId node_id, const Blueprint& bp, name::NameServ
   }
 }
 
-server::DataServer* World::InstallServer(NodeId node_id, Blueprint bp) {
-  bp.segment = node(node_id).AllocateSegment();
-
-  server::ServerContext ctx;
-  ctx.node = &node(node_id);
+server::DataServer* World::Instantiate(NodeId node_id, const Blueprint& bp) {
   Runtime& rt = runtime(node_id);
-  ctx.rm = rt.rm.get();
-  ctx.tm = rt.tm.get();
-  ctx.cm = rt.cm.get();
-  ctx.segment = bp.segment;
-  ctx.name = bp.name;
-
+  server::ServerContext ctx{.node = &node(node_id),
+                            .rm = rt.rm.get(),
+                            .tm = rt.tm.get(),
+                            .cm = rt.cm.get(),
+                            .segment = bp.segment,
+                            .name = bp.name};
   auto server = bp.factory(ctx);
   server::DataServer* raw = server.get();
   rt.servers[bp.name] = std::move(server);
   RegisterBindings(node_id, bp, *rt.ns);
+  return raw;
+}
+
+server::DataServer* World::InstallServer(NodeId node_id, Blueprint bp) {
+  bp.segment = node(node_id).AllocateSegment();
+  server::DataServer* raw = Instantiate(node_id, bp);
   blueprints_[node_id].push_back(std::move(bp));
   return raw;
 }
@@ -206,17 +208,7 @@ recovery::RecoveryStats World::RecoverNode(NodeId node_id, bool resolve_in_doubt
   Runtime& rt = runtime(node_id);
   std::map<std::string, txn::CommitParticipant*> participants;
   for (const Blueprint& bp : blueprints_[node_id]) {
-    server::ServerContext ctx;
-    ctx.node = &node(node_id);
-    ctx.rm = rt.rm.get();
-    ctx.tm = rt.tm.get();
-    ctx.cm = rt.cm.get();
-    ctx.segment = bp.segment;
-    ctx.name = bp.name;
-    auto server = bp.factory(ctx);
-    participants[bp.name] = server.get();
-    RegisterBindings(node_id, bp, *rt.ns);
-    rt.servers[bp.name] = std::move(server);
+    participants[bp.name] = Instantiate(node_id, bp);
   }
 
   // Log-driven crash recovery, then transaction-level repair.
@@ -297,18 +289,7 @@ recovery::RecoveryStats World::RecoverServer(NodeId node_id, const std::string& 
     }
   }
   assert(bp != nullptr && "RecoverServer of unknown server");
-
-  server::ServerContext ctx;
-  ctx.node = &node(node_id);
-  ctx.rm = rt.rm.get();
-  ctx.tm = rt.tm.get();
-  ctx.cm = rt.cm.get();
-  ctx.segment = bp->segment;
-  ctx.name = bp->name;
-  auto server = bp->factory(ctx);
-  server::DataServer* raw = server.get();
-  rt.servers[name] = std::move(server);
-  RegisterBindings(node_id, *bp, *rt.ns);
+  server::DataServer* raw = Instantiate(node_id, *bp);
 
   recovery::RecoveryStats stats = rt.rm->Recover(*rt.tm, &name);
   std::map<std::string, txn::CommitParticipant*> participants{{name, raw}};

@@ -274,6 +274,9 @@ class World {
   void BuildRuntime(NodeId id);
   void WirePeers();
   server::DataServer* InstallServer(NodeId node_id, Blueprint bp);
+  // Builds `bp`'s server against the node's current runtime (the same disk
+  // segment on every recovery), installs it and registers its bindings.
+  server::DataServer* Instantiate(NodeId node_id, const Blueprint& bp);
   // (Re-)registers a blueprint's name bindings with `ns`: the physical
   // instance name always, the logical service name when it is a shard.
   void RegisterBindings(NodeId node_id, const Blueprint& bp, name::NameServer& ns);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "src/comm/network.h"
@@ -259,6 +260,100 @@ TEST_F(NetworkTest, RemoteCallToPartitionedNodeDoesNotGrowTree) {
   EXPECT_EQ(sched_.Run(), 0);
   EXPECT_EQ(status, Status::kNodeDown);
   EXPECT_TRUE(cm1.InfoFor(tid).children.empty());
+}
+
+// --- blocking vs awaited session calls ---------------------------------------
+// A blocking SessionCall must be indistinguishable from AsyncSessionCall
+// followed by Await: the same status and value, the caller's clock at the
+// same time, and the same charges and injected faults. Each case runs on two
+// fresh, identical networks, one per form.
+
+struct CallOutcome {
+  Status status = Status::kOk;
+  int value = -1;
+  SimTime clock = -1;
+  sim::PrimitiveCounts total;
+  double session_drops = 0;
+};
+
+CallOutcome RunOneCall(bool awaited, const std::function<void(Network&)>& setup,
+                       const std::function<int(sim::Scheduler&, Network&)>& remote) {
+  sim::Scheduler sched;
+  sim::Substrate substrate(sched, CostModel::Baseline(), sim::ArchitectureModel::Prototype());
+  Network net(substrate);
+  for (NodeId n : {1, 2, 3}) {
+    net.AddNode(n);
+  }
+  setup(net);
+  CallOutcome out;
+  sched.Spawn("caller", 1, 0, [&] {
+    auto handler = [&] { return remote(sched, net); };
+    Result<int> r(Status::kNodeDown);
+    if (awaited) {
+      auto f = net.AsyncSessionCall<int>(1, 2, "f", handler);
+      if (f->Await(Network::kDefaultSessionTimeout)) {
+        r = f->value();
+      }
+    } else {
+      r = net.SessionCall<int>(1, 2, "f", handler);
+    }
+    out.status = r.status();
+    out.value = r.value_or(-1);
+    out.clock = sched.Now();
+  });
+  EXPECT_EQ(sched.Run(), 0);
+  out.total = substrate.metrics().Total();
+  out.session_drops = substrate.metrics().faults_injected(sim::FaultKind::kSessionDrop);
+  return out;
+}
+
+// Returns the (shared) outcome so each case can also check what it was.
+CallOutcome ExpectSameOutcome(const std::function<void(Network&)>& setup,
+                              const std::function<int(sim::Scheduler&, Network&)>& remote) {
+  CallOutcome blocking = RunOneCall(false, setup, remote);
+  CallOutcome awaited = RunOneCall(true, setup, remote);
+  EXPECT_EQ(blocking.status, awaited.status);
+  EXPECT_EQ(blocking.value, awaited.value);
+  EXPECT_EQ(blocking.clock, awaited.clock);
+  EXPECT_EQ(blocking.total.count, awaited.total.count);
+  EXPECT_EQ(blocking.session_drops, awaited.session_drops);
+  return blocking;
+}
+
+TEST(SessionEquivalenceTest, Success) {
+  CallOutcome out = ExpectSameOutcome([](Network&) {},
+                                      [](sim::Scheduler& sched, Network&) {
+                                        sched.Charge(7'000);  // 7 ms of remote work
+                                        return 42;
+                                      });
+  EXPECT_EQ(out.value, 42);
+  EXPECT_EQ(out.clock, 7'000 + CostModel::Baseline().Of(Primitive::kInterNodeDataServerCall));
+}
+
+TEST(SessionEquivalenceTest, UnreachableDestination) {
+  CallOutcome out = ExpectSameOutcome([](Network& net) { net.SetAlive(2, false); },
+                                      [](sim::Scheduler&, Network&) { return 1; });
+  EXPECT_EQ(out.status, Status::kNodeDown);
+}
+
+TEST(SessionEquivalenceTest, InjectedSessionDrop) {
+  CallOutcome out = ExpectSameOutcome(
+      [](Network& net) { net.SetSessionLoss([](NodeId, NodeId to) { return to == 2; }); },
+      [](sim::Scheduler&, Network&) { return 1; });
+  EXPECT_EQ(out.status, Status::kNodeDown);
+  EXPECT_EQ(out.session_drops, 1);
+}
+
+TEST(SessionEquivalenceTest, DestinationCrashesMidCall) {
+  CallOutcome out = ExpectSameOutcome([](Network&) {},
+                                      [](sim::Scheduler& sched, Network& net) {
+                                        net.SetAlive(2, false);
+                                        sched.KillWhere(
+                                            [](const sim::Task& t) { return t.node == 2; });
+                                        return 1;  // unreachable
+                                      });
+  EXPECT_EQ(out.status, Status::kNodeDown);  // the session timeout detected it
+  EXPECT_GE(out.clock, Network::kDefaultSessionTimeout);
 }
 
 }  // namespace

@@ -298,6 +298,61 @@ TEST(PlacementTest, HandleHealsAcrossShardCrashAndRecovery) {
   });
 }
 
+TEST(PlacementTest, CrossShardBatchFailsOnDeadShardThenHealsAfterRecovery) {
+  WorldOptions opt;
+  opt.max_outstanding_calls = 4;
+  opt.op_coalesce_batch = 2;
+  World world(3, opt);
+  constexpr std::uint64_t kCells = 12;  // 4 per shard: two coalesced chunks each
+  world.AddShardedServiceOf<ArrayServer>("cells", {1, 2, 3}, 3, kCells);
+
+  // The driver runs on node 3, so shard 0's chunks are on the wire (and
+  // hold window slots) when the fan-out reaches the dead shard 1.
+  world.RunApp(3, [&](Application& app) {
+    ArrayService cells = OpenArray(world, "cells");
+    std::vector<std::uint64_t> all;
+    std::vector<std::pair<std::uint64_t, std::int32_t>> writes;
+    for (std::uint64_t i = 0; i < kCells; ++i) {
+      all.push_back(i);
+      writes.push_back({i, static_cast<std::int32_t>(7 * i)});
+    }
+    // Resolve the handle while every shard is up.
+    ASSERT_EQ(app.Transaction([&](const server::Tx& tx) { return cells.Set(tx, 0, 0); }),
+              Status::kOk);
+
+    world.CrashNode(2);
+    EXPECT_EQ(app.Transaction([&](const server::Tx& tx) { return cells.SetMany(tx, writes); }),
+              Status::kNodeDown);
+    for (NodeId n : {1, 3}) {
+      EXPECT_EQ(world.cm(n).OpenCallWindowCount(), 0u) << "node " << n << " after SetMany";
+    }
+    EXPECT_EQ(app.Transaction(
+                  [&](const server::Tx& tx) { return cells.GetMany(tx, all).status(); }),
+              Status::kNodeDown);
+    for (NodeId n : {1, 3}) {
+      EXPECT_EQ(world.cm(n).OpenCallWindowCount(), 0u) << "node " << n << " after GetMany";
+    }
+
+    // The same handle heals once the shard is back.
+    world.RecoverNode(2);
+    EXPECT_EQ(app.Transaction([&](const server::Tx& tx) { return cells.SetMany(tx, writes); }),
+              Status::kOk);
+    app.Transaction([&](const server::Tx& tx) {
+      auto got = cells.GetMany(tx, all);
+      EXPECT_TRUE(got.ok());
+      if (got.ok()) {
+        for (std::uint64_t i = 0; i < kCells; ++i) {
+          EXPECT_EQ(got.value()[i], static_cast<std::int32_t>(7 * i)) << "cell " << i;
+        }
+      }
+      return Status::kOk;
+    });
+  });
+  for (NodeId n : {1, 2, 3}) {
+    EXPECT_EQ(world.cm(n).OpenCallWindowCount(), 0u) << "node " << n;
+  }
+}
+
 // --- crash-point exploration over the shard fan-out windows ---------------------
 
 constexpr std::uint64_t kCells = 6;  // 2 shards (nodes 1, 2), 3 cells each
