@@ -77,18 +77,23 @@ void OpQueue::Discharge(const TransactionId& dependent, const TransactionId& pre
   }
 }
 
-void OpQueue::NoteCommitted(const TransactionId& top) {
+void OpQueue::ClearTaints(const TransactionId& top) {
   auto tit = tainted_oids_.find(top);
-  if (tit != tainted_oids_.end()) {
-    for (const ObjectId& oid : tit->second) {
-      auto& tail = tails_[oid];
-      tail.erase(std::remove(tail.begin(), tail.end(), top), tail.end());
-      if (tail.empty()) {
-        tails_.erase(oid);
-      }
-    }
-    tainted_oids_.erase(tit);
+  if (tit == tainted_oids_.end()) {
+    return;
   }
+  for (const ObjectId& oid : tit->second) {
+    auto& tail = tails_[oid];
+    tail.erase(std::remove(tail.begin(), tail.end(), top), tail.end());
+    if (tail.empty()) {
+      tails_.erase(oid);
+    }
+  }
+  tainted_oids_.erase(tit);
+}
+
+void OpQueue::NoteCommitted(const TransactionId& top) {
+  ClearTaints(top);
   auto dit = dependents_.find(top);
   if (dit != dependents_.end()) {
     // std::set iteration: dependents wake in TransactionId order.
@@ -124,19 +129,9 @@ std::vector<TransactionId> OpQueue::TakeDependents(const TransactionId& top) {
 }
 
 void OpQueue::FinishAbort(const TransactionId& top) {
-  // Clear this transaction's taints: its undo is complete, the on-disk and
-  // in-memory state it touched is clean again.
-  auto tit = tainted_oids_.find(top);
-  if (tit != tainted_oids_.end()) {
-    for (const ObjectId& oid : tit->second) {
-      auto& tail = tails_[oid];
-      tail.erase(std::remove(tail.begin(), tail.end(), top), tail.end());
-      if (tail.empty()) {
-        tails_.erase(oid);
-      }
-    }
-    tainted_oids_.erase(tit);
-  }
+  // Its undo is complete: the on-disk and in-memory state it touched is
+  // clean again.
+  ClearTaints(top);
   aborting_.erase(top);
   // Unlink any dependencies this transaction itself still held (both
   // directions), then wake it if it is parked in AwaitPredecessors — it will

@@ -91,6 +91,8 @@ class OpQueue {
 
  private:
   void Discharge(const TransactionId& dependent, const TransactionId& predecessor);
+  // Removes `top` from the tail of every object it tainted.
+  void ClearTaints(const TransactionId& top);
 
   bool enabled_ = false;
   sim::Scheduler* sched_ = nullptr;

@@ -53,13 +53,8 @@ Ballot PaxosCommit::NextBallot() {
 
 std::vector<NodeId> PaxosCommit::ChooseAcceptors(const TransactionId& tid) const {
   std::vector<NodeId> members;
-  if (tm_.peers_ != nullptr) {
-    for (const auto& [id, tm] : *tm_.peers_) {
-      members.push_back(id);  // includes dead nodes: pure function of membership
-    }
-  }
-  if (members.empty()) {
-    members.push_back(self());
+  for (const auto& [id, tm] : *tm_.peers_) {
+    members.push_back(id);  // includes dead nodes: pure function of membership
   }
   size_t want = static_cast<size_t>(2 * f_ + 1);
   if (want > members.size()) {
@@ -78,17 +73,26 @@ std::vector<NodeId> PaxosCommit::ChooseAcceptors(const TransactionId& tid) const
   return out;
 }
 
-Lsn PaxosCommit::AppendPaxosRecord(RecordType type, const TransactionId& tid,
-                                   NodeId participant, Ballot ballot, Vote vote) {
+Lsn PaxosCommit::AppendRecord(RecordType type, const TransactionId& tid, Ballot ballot,
+                              std::span<const InstanceValue> values) {
+  assert(!values.empty());
   LogRecord rec;
   rec.type = type;
   rec.owner = tid;
   rec.top = tid;
-  rec.paxos_participant = participant;
   rec.paxos_ballot = ballot;
-  rec.paxos_vote = static_cast<std::int8_t>(vote);
-  Lsn lsn = tm_.rm_.log().Append(std::move(rec));
+  rec.paxos_participant = values.front().participant;
+  rec.paxos_vote = static_cast<std::int8_t>(values.front().vote);
+  for (const InstanceValue& v : values.subspan(1)) {
+    rec.paxos_extra.push_back({v.participant, static_cast<std::int8_t>(v.vote)});
+  }
   AcceptorState& st = states_[tid];
+  if (type == RecordType::kPaxosAccept) {
+    for (const InstanceValue& v : values) {
+      st.accepted[v.participant] = InstanceValue{v.participant, ballot, v.vote};
+    }
+  }
+  Lsn lsn = tm_.rm_.log().Append(std::move(rec));
   if (st.first_lsn == kNullLsn) {
     st.first_lsn = lsn;
   }
@@ -226,24 +230,16 @@ int PaxosCommit::Resolve(const TransactionId& tid, const std::vector<NodeId>& pa
   // One takeover leader per transaction per node: the crash sweep and a
   // manual ResolveInDoubt would otherwise duel each other with competing
   // ballots from the SAME node. Later callers park until the verdict.
-  sim::Scheduler& sched = tm_.node_.substrate().scheduler();
-  if (resolving_.contains(tid)) {
-    auto verdict = std::make_shared<sim::Channel<int>>(sched);
-    resolve_waiters_[tid].push_back(verdict);
-    int v = 0;
-    verdict->PopWithTimeout(tm_.vote_timeout_, &v);
-    return v;  // 0 when the leader also gave up (or never answered)
+  auto running = takeovers_.find(tid);
+  if (running != takeovers_.end()) {
+    sim::FuturePtr<int> verdict = running->second;  // the leader erases the entry
+    return verdict->Await(tm_.vote_timeout_) ? verdict->value() : 0;
   }
-  resolving_.insert(tid);
+  auto verdict = std::make_shared<sim::Future<int>>(tm_.node_.substrate().scheduler());
+  takeovers_.emplace(tid, verdict);
   int outcome = RunTakeover(tid, participants, acceptors);
-  resolving_.erase(tid);
-  auto it = resolve_waiters_.find(tid);
-  if (it != resolve_waiters_.end()) {
-    for (auto& ch : it->second) {
-      ch->Push(outcome);
-    }
-    resolve_waiters_.erase(it);
-  }
+  takeovers_.erase(tid);
+  verdict->Fulfil(outcome);
   return outcome;
 }
 
@@ -430,33 +426,6 @@ void PaxosCommit::BroadcastLearn(const TransactionId& tid, int outcome,
 
 // --- acceptor side -----------------------------------------------------------
 
-Lsn PaxosCommit::AppendAcceptRecord(const TransactionId& tid, Ballot ballot,
-                                    const std::vector<InstanceValue>& values) {
-  assert(!values.empty());
-  LogRecord rec;
-  rec.type = RecordType::kPaxosAccept;
-  rec.owner = tid;
-  rec.top = tid;
-  rec.paxos_ballot = ballot;
-  rec.paxos_participant = values.front().participant;
-  rec.paxos_vote = static_cast<std::int8_t>(values.front().vote);
-  for (size_t i = 1; i < values.size(); ++i) {
-    LogRecord::PaxosExtra e;
-    e.participant = values[i].participant;
-    e.vote = static_cast<std::int8_t>(values[i].vote);
-    rec.paxos_extra.push_back(e);
-  }
-  AcceptorState& st = states_[tid];
-  for (const InstanceValue& v : values) {
-    st.accepted[v.participant] = InstanceValue{v.participant, ballot, v.vote};
-  }
-  Lsn lsn = tm_.rm_.log().Append(std::move(rec));
-  if (st.first_lsn == kNullLsn) {
-    st.first_lsn = lsn;
-  }
-  return lsn;
-}
-
 bool PaxosCommit::AcceptBundle(const TransactionId& tid, Ballot ballot,
                                const std::vector<InstanceValue>& values, NodeId leader,
                                AcceptChannelPtr replies) {
@@ -488,7 +457,7 @@ bool PaxosCommit::AcceptBundle(const TransactionId& tid, Ballot ballot,
     // One forced record covers every instance in the bundle: the per-tid
     // force count on an acceptor is 1 regardless of participant count.
     FAULT_POINT(sub, "paxos.accept-log");
-    tm_.ForceLsn(AppendAcceptRecord(tid, ballot, values));
+    tm_.ForceLsn(AppendRecord(RecordType::kPaxosAccept, tid, ballot, values));
   }
   // The acceptances are durable but unreported: the leader times out and the
   // takeover path must find them here during phase 1.
@@ -524,8 +493,8 @@ PaxosPromise PaxosCommit::Promise(const TransactionId& tid, Ballot ballot) {
   st.promised = ballot;
   // The promise must survive this acceptor's crash, or a recovered acceptor
   // could accept a lower ballot it already promised away.
-  tm_.ForceLsn(
-      AppendPaxosRecord(RecordType::kPaxosPromise, tid, kInvalidNode, ballot, Vote::kNone));
+  const InstanceValue promise{kInvalidNode, ballot, Vote::kNone};
+  tm_.ForceLsn(AppendRecord(RecordType::kPaxosPromise, tid, ballot, {&promise, 1}));
   p.ok = true;
   p.promised = ballot;
   for (const auto& [part, iv] : st.accepted) {
@@ -550,7 +519,7 @@ bool PaxosCommit::AcceptAll(const TransactionId& tid, Ballot ballot,
   FAULT_POINT(sub, "paxos.accept-log");
   if (!values.empty()) {
     // One multi-instance record, one force — same shape as a ballot-0 bundle.
-    tm_.ForceLsn(AppendAcceptRecord(tid, ballot, values));
+    tm_.ForceLsn(AppendRecord(RecordType::kPaxosAccept, tid, ballot, values));
   }
   return true;
 }
@@ -562,8 +531,8 @@ void PaxosCommit::Learn(const TransactionId& tid, int outcome) {
   }
   st.learned = outcome;
   // Unforced: losing a learn record only costs a takeover round later.
-  AppendPaxosRecord(RecordType::kPaxosLearn, tid, kInvalidNode, 0,
-                    outcome > 0 ? Vote::kPrepared : Vote::kAborted);
+  const InstanceValue learned{kInvalidNode, 0, outcome > 0 ? Vote::kPrepared : Vote::kAborted};
+  AppendRecord(RecordType::kPaxosLearn, tid, 0, {&learned, 1});
   tm_.node_.substrate().ChargeSystemMessage(sim::Primitive::kSmallMessage, 1);
 }
 

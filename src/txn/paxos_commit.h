@@ -57,7 +57,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
+#include <span>
 #include <vector>
 
 #include "src/common/types.h"
@@ -236,12 +236,10 @@ class PaxosCommit {
   size_t SendAcceptBundles(const TransactionId& tid, const std::vector<InstanceValue>& values,
                            const std::vector<NodeId>& acceptors, AcceptChannelPtr replies,
                            Lsn prepare_lsn);
-  Lsn AppendPaxosRecord(log::RecordType type, const TransactionId& tid,
-                        NodeId participant, Ballot ballot, Vote vote);
-  // Records acceptance of every value at `ballot` and appends ONE (possibly
-  // multi-instance) kPaxosAccept record covering all of them.
-  Lsn AppendAcceptRecord(const TransactionId& tid, Ballot ballot,
-                         const std::vector<InstanceValue>& values);
+  // Appends one acceptor record at `ballot` carrying `values` (a kPaxosAccept
+  // also records their acceptance): one record, and one force, per bundle.
+  Lsn AppendRecord(log::RecordType type, const TransactionId& tid, Ballot ballot,
+                   std::span<const InstanceValue> values);
   // The ballot-driving loop behind Resolve (which adds the per-transaction
   // single-leader guard around it).
   int RunTakeover(const TransactionId& tid, const std::vector<NodeId>& participants,
@@ -251,10 +249,9 @@ class PaxosCommit {
   int f_ = 1;
   std::map<TransactionId, AcceptorState> states_;
   int takeover_round_ = 0;
-  // Transactions with a takeover in flight on this node, and the local
-  // callers parked until that takeover returns its verdict.
-  std::set<TransactionId> resolving_;
-  std::map<TransactionId, std::vector<std::shared_ptr<sim::Channel<int>>>> resolve_waiters_;
+  // The verdict of each takeover in flight on this node, awaited by later
+  // local callers for the same transaction.
+  std::map<TransactionId, sim::FuturePtr<int>> takeovers_;
 };
 
 }  // namespace tabs::txn

@@ -52,21 +52,6 @@ TransactionId TransactionManager::Begin(const TransactionId& parent) {
   return tid;
 }
 
-TransactionManager::Txn& TransactionManager::GetOrCreateRemote(const TransactionId& tid,
-                                                               NodeId parent_node) {
-  Txn* existing = Find(tid);
-  if (existing != nullptr) {
-    return *existing;
-  }
-  Txn txn;
-  txn.tid = tid;
-  txn.top = tid;  // remote entries are tracked under the identifier used on the wire
-  txn.parent_node = parent_node;
-  txn.born_here = false;
-  auto [it, inserted] = txns_.emplace(tid, std::move(txn));
-  return it->second;
-}
-
 void TransactionManager::JoinServer(const TransactionId& tid, const TransactionId& top,
                                     CommitParticipant* server) {
   Txn* txn = Find(tid);
@@ -99,15 +84,15 @@ void TransactionManager::DetachParticipant(const CommitParticipant* server) {
     auto& s = txn.servers;
     s.erase(std::remove(s.begin(), s.end(), server), s.end());
   }
-  for (auto& [name, participant] : recovered_participants_) {
-    if (participant == server) {
-      participant = nullptr;
-    }
-  }
 }
 
 void TransactionManager::OnRemoteParentObserved(const TransactionId& tid, NodeId parent) {
-  GetOrCreateRemote(tid, parent);
+  auto [it, fresh] = txns_.try_emplace(tid);
+  if (fresh) {
+    it->second.tid = tid;
+    it->second.top = tid;  // remote entries are tracked under the identifier used on the wire
+    it->second.parent_node = parent;
+  }
 }
 
 TxnState TransactionManager::StateOf(const TransactionId& tid) const {
@@ -184,7 +169,6 @@ void TransactionManager::Abort(const TransactionId& tid) {
 
 void TransactionManager::AbortImpl(Txn& txn) {
   txn.abort_started = true;
-  const TransactionId tid = txn.tid;
   // Abort live subtransactions first (deepest effects unwind first).
   for (const TransactionId& sub : std::set<TransactionId>(txn.live_subtxns)) {
     Txn* st = Find(sub);
@@ -193,24 +177,18 @@ void TransactionManager::AbortImpl(Txn& txn) {
     }
   }
   if (txn.parent.IsNull()) {
-    AbortSubtree(txn, /*notify_children=*/true);
-  } else {
-    // Independent subtransaction abort: unwind only the subtransaction's own
-    // effects — here and at remote participants — leaving the parent intact.
-    rm_.UndoTransaction(tid, txn.top);
-    for (CommitParticipant* s : txn.servers) {
-      s->OnAbort(tid);
-    }
-    ForwardSubtxn(tid, kNullTransaction, txn.top, /*committed=*/false);
-    txn.state = TxnState::kAborted;
-    Txn* p = Find(txn.parent);
-    if (p != nullptr) {
-      p->live_subtxns.erase(tid);
-    }
-    txns_.erase(tid);
+    AbortSubtree(txn);
     return;
   }
-  ForgetTxn(tid);
+  // Independent subtransaction abort: unwind only the subtransaction's own
+  // effects — here and at remote participants — leaving the parent intact.
+  const TransactionId tid = txn.tid;
+  SettleSubtxn(tid, kNullTransaction, txn.top, tid);
+  Txn* p = Find(txn.parent);
+  if (p != nullptr) {
+    p->live_subtxns.erase(tid);
+  }
+  txns_.erase(tid);
 }
 
 bool TransactionManager::AbortInProgress(const Txn& txn) const {
@@ -221,7 +199,7 @@ bool TransactionManager::AbortInProgress(const Txn& txn) const {
   return top != nullptr && top != &txn && top->abort_started;
 }
 
-Lsn TransactionManager::AppendTxnRecord(RecordType type, const Txn& txn, bool force) {
+Lsn TransactionManager::AppendTxnRecord(RecordType type, const Txn& txn) {
   LogRecord rec;
   rec.type = type;
   rec.owner = txn.tid;
@@ -234,42 +212,31 @@ Lsn TransactionManager::AppendTxnRecord(RecordType type, const Txn& txn, bool fo
   for (CommitParticipant* s : txn.servers) {
     rec.local_servers.push_back(s->participant_name());
   }
-  Lsn lsn = rm_.log().Append(std::move(rec));
-  if (force) {
-    ForceLsn(lsn);
-  }
-  return lsn;
+  return rm_.log().Append(std::move(rec));
 }
 
 void TransactionManager::ForceLsn(Lsn lsn) {
   // TM -> RM force request and completion (two small messages), then the
   // stable write itself (charged by the log manager).
   node_.substrate().ChargeSystemMessage(sim::Primitive::kSmallMessage, 2);
-  if (group_commit_ != nullptr) {
-    // Group commit: block until a shared force covers this record. With
-    // the daemon disabled (window 0) this degenerates to ForceAll and the
-    // paper-faithful per-transaction force is preserved. Either way this
-    // call does not return until the record is stable, so every state
-    // transition that follows it (kPrepared, kCommitted, logged_outcomes_)
-    // happens only after durability — which is exactly the crash
-    // guarantee: a node killed mid-batch unwinds here via TaskKilled
-    // before anything claims the outcome.
-    group_commit_->WaitStable(lsn);
-  } else {
-    rm_.log().ForceAll();
-  }
+  // Group commit: block until a shared force covers this record. With the
+  // daemon disabled (window 0) this degenerates to ForceAll and the
+  // paper-faithful per-transaction force is preserved. Either way this call
+  // does not return until the record is stable, so every state transition
+  // that follows it (kPrepared, kCommitted, logged_outcomes_) happens only
+  // after durability — which is exactly the crash guarantee: a node killed
+  // mid-batch unwinds here via TaskKilled before anything claims the outcome.
+  group_commit_->WaitStable(lsn);
 }
 
 void TransactionManager::LogDurably(RecordType type, Txn& txn, bool taint) {
-  if (!op_queue_.enabled()) {
-    AppendTxnRecord(type, txn, /*force=*/true);
-    return;
-  }
-  Lsn lsn = AppendTxnRecord(type, txn, /*force=*/false);
-  FAULT_POINT(node_.substrate(),
-              taint ? "queue.prepare.early-release" : "queue.commit.early-release");
-  for (CommitParticipant* s : txn.servers) {
-    s->OnEarlyRelease(txn.tid, taint);
+  Lsn lsn = AppendTxnRecord(type, txn);
+  if (op_queue_.enabled()) {
+    FAULT_POINT(node_.substrate(),
+                taint ? "queue.prepare.early-release" : "queue.commit.early-release");
+    for (CommitParticipant* s : txn.servers) {
+      s->OnEarlyRelease(txn.tid, taint);
+    }
   }
   ForceLsn(lsn);
 }
@@ -322,12 +289,18 @@ void TransactionManager::ObserveTxnRecord(const LogRecord& rec) {
     case RecordType::kTxnAbort:
       logged_outcomes_[rec.top] = TxnOutcome::kAborted;
       break;
-    case RecordType::kTxnPrepare:
+    case RecordType::kTxnPrepare: {
       if (!logged_outcomes_.contains(rec.top)) {
         logged_outcomes_[rec.top] = TxnOutcome::kPrepared;
       }
-      logged_prepares_[rec.top] = LoggedPrepare{rec.parent_node, rec.siblings, rec.acceptors};
+      Txn& prepared = logged_prepares_[rec.top];
+      prepared.tid = prepared.top = rec.top;
+      prepared.state = TxnState::kPrepared;
+      prepared.parent_node = rec.parent_node;
+      prepared.siblings = rec.siblings;
+      prepared.acceptors = rec.acceptors;
       break;
+    }
     case RecordType::kPaxosPromise:
     case RecordType::kPaxosAccept:
     case RecordType::kPaxosLearn:
@@ -369,23 +342,26 @@ void TransactionManager::PostRecovery(
     const recovery::RecoveryStats& stats,
     const std::map<std::string, CommitParticipant*>& participants) {
   for (const TransactionId& tid : stats.in_doubt) {
-    in_doubt_.insert(tid);
+    // After a single-server crash the transaction is still live.
+    Txn& txn = txns_.try_emplace(tid, std::move(logged_prepares_[tid])).first->second;
     // Rebuild lock state: every object the in-doubt transaction updated
-    // stays inaccessible until the coordinator's verdict arrives.
+    // stays inaccessible until the verdict releases it through the entry.
     for (Lsn lsn : rm_.UndoListOf(tid)) {
       auto rec = rm_.log().ReadRecord(lsn);
       if (!rec.has_value()) {
         continue;
       }
       auto it = participants.find(rec->server);
-      if (it != participants.end()) {
-        it->second->RelockForRecovery(tid, *rec);
+      if (it == participants.end()) {
+        continue;
+      }
+      it->second->RelockForRecovery(tid, *rec);
+      if (std::find(txn.servers.begin(), txn.servers.end(), it->second) == txn.servers.end()) {
+        txn.servers.push_back(it->second);
       }
     }
   }
-  for (const auto& [name, participant] : participants) {
-    recovered_participants_[name] = participant;
-  }
+  logged_prepares_.clear();
   for (const TransactionId& loser : stats.losers) {
     logged_outcomes_[loser] = TxnOutcome::kAborted;
   }
@@ -410,7 +386,7 @@ void TransactionManager::ResolveOrphansOf(NodeId dead) {
   const SimTime start = sched.Now();
   std::vector<TransactionId> doomed;
   for (const auto& [tid, txn] : txns_) {
-    if (txn.state == TxnState::kActive && !txn.born_here && txn.parent_node == dead) {
+    if (txn.state == TxnState::kActive && txn.parent_node == dead) {
       doomed.push_back(tid);
     }
   }
@@ -425,17 +401,10 @@ void TransactionManager::ResolveOrphansOf(NodeId dead) {
   // find already learned, rather than competing ballots.
   sched.AdvanceTo(start + 10'000 * static_cast<SimTime>(node_.id()));
   sched.Yield();
-  std::set<TransactionId> prepared;
+  std::vector<TransactionId> prepared;
   for (const auto& [tid, txn] : txns_) {
     if (txn.state == TxnState::kPrepared && !txn.acceptors.empty() && txn.parent_node == dead) {
-      prepared.insert(tid);
-    }
-  }
-  for (const TransactionId& tid : in_doubt_) {
-    auto it = logged_prepares_.find(tid);
-    if (it != logged_prepares_.end() && it->second.parent_node == dead &&
-        !it->second.acceptors.empty()) {
-      prepared.insert(tid);
+      prepared.push_back(tid);
     }
   }
   for (const TransactionId& tid : prepared) {
@@ -446,69 +415,57 @@ void TransactionManager::ResolveOrphansOf(NodeId dead) {
 }
 
 std::vector<TransactionId> TransactionManager::InDoubt() const {
-  std::set<TransactionId> all = in_doubt_;
-  // Live prepared transactions whose verdict datagram was lost are equally
-  // in doubt: they hold locks until they re-query the coordinator.
+  std::vector<TransactionId> out;
   for (const auto& [tid, txn] : txns_) {
     if (txn.state == TxnState::kPrepared) {
-      all.insert(tid);
+      out.push_back(tid);
     }
   }
-  return {all.begin(), all.end()};
+  return out;
 }
 
 Status TransactionManager::ResolveInDoubt(const TransactionId& tid) {
   sim::SpanGuard span(node_.substrate().tracer(), sim::Component::kTransactionManager,
                       "txn.resolve-in-doubt",
                       node_.substrate().tracer().enabled() ? ToString(tid) : std::string());
-  bool recovered = in_doubt_.contains(tid);
-  Txn* live = Find(tid);
-  if (!recovered && (live == nullptr || live->state != TxnState::kPrepared)) {
+  const Txn* txn = Find(tid);
+  if (txn == nullptr || txn->state != TxnState::kPrepared) {
     return Status::kNotFound;
   }
-  if (peers_ == nullptr) {
-    return Status::kNodeDown;
-  }
-  // Where the verdict lives, as this node's prepare recorded it.
-  const LoggedPrepare where =
-      recovered ? logged_prepares_[tid]
-                : LoggedPrepare{live->parent_node, live->siblings, live->acceptors};
+  // Where the verdict lives, as this node's prepare recorded it (copied: the
+  // queries block, and a verdict arriving meanwhile erases the entry).
+  const NodeId parent = txn->parent_node;
+  const std::vector<NodeId> siblings = txn->siblings;
+  const std::vector<NodeId> acceptors = txn->acceptors;
 
   int outcome = 0;
-  if (!where.acceptors.empty()) {
+  if (!acceptors.empty()) {
     // Paxos Commit: the acceptors are authoritative, never the parent. In
     // particular the parent's presumed abort does NOT apply — a recovered,
     // locally-read-only coordinator has no commit record even for a
     // transaction the acceptors decided to commit, so asking it would split
     // the brain. The consensus read path is the only sound source.
-    outcome = paxos_->Resolve(tid, where.siblings, where.acceptors);
+    outcome = paxos_->Resolve(tid, siblings, acceptors);
   } else {
     // The parent is authoritative (presumed abort applies); if it is
     // unreachable, the sibling participants recorded in the prepare may
     // already know the verdict — Dwork/Skeen-style cooperative termination,
     // which shrinks the blocking window the paper notes plain two-phase
     // commit has.
-    auto ask = [&](NodeId node, bool authoritative) -> int {
+    auto ask = [&](NodeId node, bool presume_abort) -> int {
       TransactionManager* tm = Peer(node);
       if (tm == nullptr || !cm_.network().Reachable(node_.id(), node)) {
         return 0;
       }
-      if (authoritative) {
-        auto verdict = cm_.network().SessionCall<bool>(
-            node_.id(), node, "resolve-in-doubt",
-            [tm, tid]() { return tm->QueryCommitted(tid); });
-        return !verdict.ok() ? 0 : verdict.value() ? 1 : -1;
-      }
-      // A sibling only helps if it KNOWS (it may be in doubt itself).
       auto verdict = cm_.network().SessionCall<int>(
-          node_.id(), node, "cooperative-termination",
-          [tm, tid]() { return tm->ParticipantKnowledge(tid); });
+          node_.id(), node, presume_abort ? "resolve-in-doubt" : "cooperative-termination",
+          [tm, tid, presume_abort]() { return tm->KnownOutcome(tid, presume_abort); });
       return verdict.ok() ? verdict.value() : 0;
     };
-    outcome = ask(where.parent_node, /*authoritative=*/true);
-    for (size_t i = 0; outcome == 0 && i < where.siblings.size(); ++i) {
-      if (where.siblings[i] != node_.id()) {
-        outcome = ask(where.siblings[i], /*authoritative=*/false);
+    outcome = ask(parent, /*presume_abort=*/true);
+    for (size_t i = 0; outcome == 0 && i < siblings.size(); ++i) {
+      if (siblings[i] != node_.id()) {
+        outcome = ask(siblings[i], /*presume_abort=*/false);
       }
     }
   }
@@ -523,57 +480,22 @@ Status TransactionManager::ResolveInDoubt(const TransactionId& tid) {
 
 void TransactionManager::ApplyVerdict(const TransactionId& tid, bool committed) {
   sim::PhaseScope commit_phase(node_.substrate().metrics(), sim::Phase::kCommit);
-  Txn* txn = Find(tid);
+  const Txn* txn = Find(tid);
   if (txn != nullptr && txn->state == TxnState::kPrepared) {
     if (committed) {
       HandleCommit(tid);
     } else {
       HandleAbortMsg(tid);
     }
-  } else if (in_doubt_.contains(tid)) {
-    ApplyRecoveredOutcome(tid, committed);
   }
 }
 
-void TransactionManager::ApplyRecoveredOutcome(const TransactionId& tid, bool committed) {
-  in_doubt_.erase(tid);
-  logged_outcomes_[tid] = committed ? TxnOutcome::kCommitted : TxnOutcome::kAborted;
-  auto release = [&] {
-    for (auto& [name, participant] : recovered_participants_) {
-      if (participant != nullptr) {
-        committed ? participant->OnCommit(tid) : participant->OnAbort(tid);
-      }
-    }
-  };
-  if (!committed) {
-    rm_.UndoTransaction(tid, tid);
-    release();
-  }
-  LogRecord rec;
-  rec.type = committed ? RecordType::kTxnCommit : RecordType::kTxnAbort;
-  rec.owner = tid;
-  rec.top = tid;
-  rm_.log().Append(std::move(rec));
-  rm_.log().ForceAll();
-  rm_.ForgetTransaction(tid);
-  if (committed) {
-    release();
-  }
-}
-
-int TransactionManager::ParticipantKnowledge(const TransactionId& tid) {
+int TransactionManager::KnownOutcome(const TransactionId& tid, bool presume_abort) const {
   if (Find(tid) == nullptr && !logged_outcomes_.contains(tid)) {
-    return 0;  // never heard of it: no knowledge either way (it might have
-               // been read-only here and forgotten — do not presume)
+    return presume_abort ? -1 : 0;  // forgotten here
   }
-  TxnState state = StateOf(tid);  // in doubt too: no knowledge
+  TxnState state = StateOf(tid);  // active, preparing or in doubt: undecided
   return state == TxnState::kCommitted ? 1 : state == TxnState::kAborted ? -1 : 0;
-}
-
-bool TransactionManager::QueryCommitted(const TransactionId& tid) {
-  // Presumed abort: a forgotten transaction without a durable commit record
-  // did not commit.
-  return StateOf(tid) == TxnState::kCommitted;
 }
 
 std::vector<recovery::RecoveryManager::ActiveTxn> TransactionManager::ActiveTransactions()

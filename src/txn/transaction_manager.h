@@ -160,29 +160,26 @@ class TransactionManager : public comm::TransactionTreeListener,
                      const std::vector<NodeId>& siblings,
                      const std::vector<NodeId>& acceptors);
   void HandleCommit(const TransactionId& tid);
-  // Cooperative termination (Dwork/Skeen): what this participant knows about
-  // `tid` — 1 committed, -1 aborted, 0 no knowledge (possibly in doubt too).
-  int ParticipantKnowledge(const TransactionId& tid);
   void HandleAbortMsg(const TransactionId& tid);
   // A verdict learned elsewhere (a takeover leader, or ResolveInDoubt's
-  // query): applies commit/abort to a live prepared transaction or a
-  // recovered in-doubt one, and is a no-op for anything already resolved.
+  // query): applies commit/abort to a prepared transaction, and is a no-op
+  // for anything already resolved.
   void ApplyVerdict(const TransactionId& tid, bool committed);
-  // Subtransaction outcome propagation to remote participants: locks and
-  // undo records of `child` merge into `parent` (commit) or unwind (abort).
-  void HandleSubtxnCommit(const TransactionId& child, const TransactionId& parent,
-                          const TransactionId& top);
-  void HandleSubtxnAbort(const TransactionId& child, const TransactionId& top);
-  // Remote query for a transaction's outcome (in-doubt resolution after a
-  // coordinator or participant crash). Presumes abort for unknown tids.
-  bool QueryCommitted(const TransactionId& tid);
+  // What this node knows of `tid`'s outcome for an in-doubt node: 1
+  // committed, -1 aborted, 0 not decided here (an undecided node's "not
+  // committed" is no verdict). Only with `presume_abort`, as the parent, does
+  // a forgotten transaction count as aborted: a sibling may have been
+  // read-only and forgotten it.
+  int KnownOutcome(const TransactionId& tid, bool presume_abort) const;
 
   // --- crash recovery (TxnOutcomeSource) ---------------------------------------
   void ObserveTxnRecord(const log::LogRecord& rec) override;
   recovery::TxnOutcome OutcomeOf(const TransactionId& top) override;
 
-  // After RecoveryManager::Recover: re-locks in-doubt transactions' objects
-  // through the named participants and remembers them for resolution.
+  // After RecoveryManager::Recover: makes each in-doubt transaction a
+  // prepared entry (a node recovery re-creates it from the prepare record;
+  // a single-server recovery finds it still live) and re-locks its objects
+  // through the named participants, which join the entry.
   void PostRecovery(const recovery::RecoveryStats& stats,
                     const std::map<std::string, CommitParticipant*>& participants);
   // Crash recovery only (not single-server repair, not first boot): moves
@@ -218,8 +215,8 @@ class TransactionManager : public comm::TransactionTreeListener,
   sim::Substrate& substrate() { return node_.substrate(); }
 
   // Routes commit/prepare-record forces through the node's group-commit
-  // daemon instead of a per-transaction Force. Null (the default) or a
-  // disabled daemon preserves the paper-faithful per-transaction behaviour.
+  // daemon; a disabled daemon preserves the paper-faithful per-transaction
+  // force. Both this and SetPeers must be wired before the first commit.
   void SetGroupCommit(log::GroupCommit* gc) { group_commit_ = gc; }
 
   // Vote/ack wait budget for the commit protocol (default 10 s virtual).
@@ -239,7 +236,6 @@ class TransactionManager : public comm::TransactionTreeListener,
     std::vector<NodeId> siblings;      // fellow participants (from the prepare)
     std::vector<NodeId> acceptors;     // Paxos Commit: the 2F+1 acceptor set
                                        // (empty: plain 2PC governs this txn)
-    bool born_here = true;
     // Exactly one task may drive this transaction's abort. Whoever sets the
     // flag owns the whole path through AbortSubtree and ForgetTxn; every
     // other abort/commit attempt that observes it backs off — re-entering
@@ -249,7 +245,6 @@ class TransactionManager : public comm::TransactionTreeListener,
 
   Txn* Find(const TransactionId& tid);
   const Txn* Find(const TransactionId& tid) const;
-  Txn& GetOrCreateRemote(const TransactionId& tid, NodeId parent_node);
   // The unguarded abort path: sets abort_started and unwinds. Abort() and
   // CascadeAbort() are the guarded entry points.
   void AbortImpl(Txn& txn);
@@ -281,21 +276,19 @@ class TransactionManager : public comm::TransactionTreeListener,
   // Returns false when an abort consumed the transaction meanwhile.
   bool PrepareLocally(Txn& txn, Lsn* deferred);
   void CommitSubtree(Txn& txn, bool is_root);
-  void AbortSubtree(Txn& txn, bool notify_children);
+  // Rolls the subtree back here, tells this node's children, logs the abort
+  // and forgets the transaction: `txn` is gone when it returns.
+  void AbortSubtree(Txn& txn);
   void CommitSubtransaction(Txn& txn);
-  // Sends a subtransaction's outcome to every live child of `top`'s tree:
-  // `child` merges into `parent` (commit) or unwinds (abort) there.
-  void ForwardSubtxn(const TransactionId& child, const TransactionId& parent,
-                     const TransactionId& top, bool committed);
+  // A subtransaction's outcome here and, by datagram, at every live child of
+  // `top`'s tree: `child` merges into `parent`, or unwinds if `parent` is
+  // null. Entry `holder` (the child at its birth node, else `top`) names the
+  // servers holding the child's locks.
+  void SettleSubtxn(const TransactionId& child, const TransactionId& parent,
+                    const TransactionId& top, const TransactionId& holder);
   TransactionManager* Peer(NodeId node) const;
 
-  // Applies a verdict to a recovered in-doubt transaction: re-log the
-  // outcome, redo/undo through the Recovery Manager, release locks.
-  void ApplyRecoveredOutcome(const TransactionId& tid, bool committed);
-
-  // Appends the record and returns its LSN; with `force`, also blocks until
-  // it is stable (ForceLsn).
-  Lsn AppendTxnRecord(log::RecordType type, const Txn& txn, bool force);
+  Lsn AppendTxnRecord(log::RecordType type, const Txn& txn);
   void ForceLsn(Lsn lsn);
   // Appends the record and blocks until it is stable. Queue mode drops the
   // transaction's locks in between (OnEarlyRelease), `taint`ed when the
@@ -323,18 +316,12 @@ class TransactionManager : public comm::TransactionTreeListener,
   std::map<TransactionId, Txn> txns_;
 
   // Durable knowledge rebuilt from the log by ObserveTxnRecord, plus
-  // outcomes decided since; consulted by QueryCommitted and OutcomeOf.
+  // outcomes decided since; consulted by KnownOutcome and OutcomeOf.
   std::map<TransactionId, recovery::TxnOutcome> logged_outcomes_;
-  // Where a recovered prepare record says the verdict lives. Filled only by
-  // the analysis pass, so it holds just the transactions recovery saw.
-  struct LoggedPrepare {
-    NodeId parent_node = kInvalidNode;
-    std::vector<NodeId> siblings;
-    std::vector<NodeId> acceptors;
-  };
-  std::map<TransactionId, LoggedPrepare> logged_prepares_;
-  std::set<TransactionId> in_doubt_;
-  std::map<std::string, CommitParticipant*> recovered_participants_;
+  // Prepared entries as the analysis pass read them from prepare records,
+  // with where the verdict lives. Scratch: PostRecovery moves the in-doubt
+  // ones into txns_ and clears it.
+  std::map<TransactionId, Txn> logged_prepares_;
 
   SimTime checkpoint_interval_ = 0;
   SimTime last_checkpoint_time_ = 0;

@@ -35,15 +35,13 @@ using log::RecordType;
 using recovery::TxnOutcome;
 
 TransactionManager* TransactionManager::Peer(NodeId node) const {
-  if (peers_ == nullptr) {
-    return nullptr;
-  }
   auto it = peers_->find(node);
   return it == peers_->end() ? nullptr : it->second;
 }
 
 Status TransactionManager::CommitTopLevel(Txn& txn) {
-  assert(txn.born_here && "EndTransaction must run at the transaction's birth node");
+  assert(txn.parent_node == kInvalidNode &&
+         "EndTransaction must run at the transaction's birth node");
   sim::Substrate& sub = node_.substrate();
   const auto& info = cm_.InfoFor(txn.top);
   // Paxos Commit replicates the verdict only when another site could be
@@ -124,8 +122,7 @@ Status TransactionManager::CommitTopLevel(Txn& txn) {
       paxos_->BroadcastLearn(txn.top, -1, txn.acceptors);
     }
     // Prepared children learn through AbortSubtree's abort datagrams.
-    AbortSubtree(txn, /*notify_children=*/true);
-    ForgetTxn(tid);
+    AbortSubtree(txn);
     return Status::kVoteNo;
   }
 
@@ -139,7 +136,7 @@ Status TransactionManager::CommitTopLevel(Txn& txn) {
       // Unforced on purpose: the commit point already passed at the
       // acceptors, so this record is a lazy hint that spares a takeover
       // after a coordinator crash — exactly the force 2PC cannot skip.
-      AppendTxnRecord(RecordType::kTxnCommit, txn, /*force=*/false);
+      AppendTxnRecord(RecordType::kTxnCommit, txn);
     } else {
       // Every participant is prepared but the verdict is not yet durable: a
       // crash here must resolve to abort (presumed abort).
@@ -192,8 +189,7 @@ TransactionManager::Tally TransactionManager::PrepareSubtree(Txn& txn, bool lead
     if (Peer(child) == nullptr) {
       // A child crashed: its updates cannot be guaranteed. Abort before any
       // prepare leaves, so no live child forces a record for nothing.
-      AbortSubtree(txn, /*notify_children=*/true);
-      ForgetTxn(tid);
+      AbortSubtree(txn);
       t.status = Status::kVoteNo;
       return t;
     }
@@ -332,8 +328,7 @@ Status TransactionManager::AwaitPredecessors(Txn& txn) {
     return Status::kAborted;
   }
   if (ws != Status::kOk) {
-    AbortSubtree(txn, /*notify_children=*/true);
-    ForgetTxn(tid);
+    AbortSubtree(txn);
     return Status::kVoteNo;
   }
   return Status::kOk;
@@ -347,7 +342,7 @@ bool TransactionManager::PrepareLocally(Txn& txn, Lsn* deferred) {
   // here means this participant never prepared, and presumed abort applies.
   FAULT_POINT(sub, "2pc.vote.before_record");
   if (deferred != nullptr && !op_queue_.enabled()) {
-    *deferred = AppendTxnRecord(RecordType::kTxnPrepare, txn, /*force=*/false);
+    *deferred = AppendTxnRecord(RecordType::kTxnPrepare, txn);
   } else {
     // In doubt until the verdict: a queue-mode early release is tainted.
     LogDurably(RecordType::kTxnPrepare, txn, /*taint=*/true);
@@ -401,8 +396,7 @@ Vote TransactionManager::HandlePrepare(const TransactionId& tid, NodeId parent_n
     return Vote::kAborted;
   }
   if (v == Vote::kAborted) {
-    AbortSubtree(txn, /*notify_children=*/true);
-    ForgetTxn(tid);
+    AbortSubtree(txn);
     return Vote::kAborted;
   }
   // Even a read-only vote must wait: the subtree may have read a
@@ -482,7 +476,7 @@ void TransactionManager::CommitSubtree(Txn& txn, bool is_root) {
     }
     if (is_root && expected > 0) {
       FAULT_POINT(sub, "2pc.commit.after_acks");
-      AppendTxnRecord(RecordType::kTxnEnd, txn, /*force=*/false);
+      AppendTxnRecord(RecordType::kTxnEnd, txn);
     }
   }
 }
@@ -502,10 +496,9 @@ void TransactionManager::HandleCommit(const TransactionId& tid) {
   // The verdict arrived but this participant's commit record is volatile: a
   // crash here re-enters in-doubt and must resolve to commit again.
   FAULT_POINT(sub, "2pc.participant.before_commit");
-  AppendTxnRecord(RecordType::kTxnCommit, *txn, /*force=*/false);
+  AppendTxnRecord(RecordType::kTxnCommit, *txn);
   txn->state = TxnState::kCommitted;
   logged_outcomes_[tid] = TxnOutcome::kCommitted;
-  in_doubt_.erase(tid);
   if (op_queue_.enabled()) {
     // Decided: clear this transaction's taints and discharge its dependents.
     op_queue_.NoteCommitted(txn->top);
@@ -515,10 +508,11 @@ void TransactionManager::HandleCommit(const TransactionId& tid) {
   ForgetTxn(tid);
 }
 
-void TransactionManager::AbortSubtree(Txn& txn, bool notify_children) {
+void TransactionManager::AbortSubtree(Txn& txn) {
   sim::Substrate& sub = node_.substrate();
   sim::SpanGuard span(sub.tracer(), sim::Component::kTransactionManager, "2pc.abort",
                       sub.tracer().enabled() ? ToString(txn.top) : std::string());
+  const TransactionId tid = txn.tid;  // ForgetTxn below erases `txn`
   txn.abort_started = true;  // this task owns the abort through ForgetTxn
   if (op_queue_.enabled()) {
     // Arm the grant veto first: no lock on this transaction's tainted
@@ -531,16 +525,13 @@ void TransactionManager::AbortSubtree(Txn& txn, bool notify_children) {
       CascadeAbort(d);
     }
   }
-  if (notify_children) {
-    const auto& info = cm_.InfoFor(txn.top);
-    for (NodeId child : info.children) {
-      TransactionManager* child_tm = Peer(child);
-      if (child_tm == nullptr) {
-        continue;
-      }
-      TransactionId tid = txn.top;
-      cm_.SendDatagram(child, "2pc-abort", [child_tm, tid] { child_tm->HandleAbortMsg(tid); });
+  for (NodeId child : cm_.InfoFor(txn.top).children) {
+    TransactionManager* child_tm = Peer(child);
+    if (child_tm == nullptr) {
+      continue;
     }
+    TransactionId top = txn.top;
+    cm_.SendDatagram(child, "2pc-abort", [child_tm, top] { child_tm->HandleAbortMsg(top); });
   }
   // Undo local effects (backward chain through the Recovery Manager), then
   // release locks.
@@ -552,7 +543,7 @@ void TransactionManager::AbortSubtree(Txn& txn, bool notify_children) {
   // Undo is applied but the abort record is volatile: a crash here must
   // reach the same rolled-back state by replaying the undo at recovery.
   FAULT_POINT(sub, "2pc.abort.before_record");
-  AppendTxnRecord(RecordType::kTxnAbort, txn, /*force=*/false);
+  AppendTxnRecord(RecordType::kTxnAbort, txn);
   FAULT_POINT(sub, "2pc.abort.after_record");
   txn.state = TxnState::kAborted;
   logged_outcomes_[txn.top] = TxnOutcome::kAborted;
@@ -564,6 +555,7 @@ void TransactionManager::AbortSubtree(Txn& txn, bool notify_children) {
       s->OnAbortSettled(txn.tid);
     }
   }
+  ForgetTxn(tid);
 }
 
 void TransactionManager::HandleAbortMsg(const TransactionId& tid) {
@@ -571,9 +563,7 @@ void TransactionManager::HandleAbortMsg(const TransactionId& tid) {
   if (txn == nullptr || AbortInProgress(*txn)) {
     return;  // unknown, or another task already owns this abort
   }
-  AbortSubtree(*txn, /*notify_children=*/true);
-  in_doubt_.erase(tid);
-  ForgetTxn(tid);
+  AbortSubtree(*txn);
 }
 
 void TransactionManager::CommitSubtransaction(Txn& txn) {
@@ -590,14 +580,11 @@ void TransactionManager::CommitSubtransaction(Txn& txn) {
   }
 
   for (CommitParticipant* s : txn.servers) {
-    s->OnSubtxnCommit(txn.tid, txn.parent);
     if (std::find(parent->servers.begin(), parent->servers.end(), s) ==
         parent->servers.end()) {
       parent->servers.push_back(s);
     }
   }
-  rm_.MergeChild(txn.tid, txn.parent);
-
   LogRecord rec;
   rec.type = RecordType::kSubtxnCommit;
   rec.owner = txn.tid;
@@ -605,53 +592,39 @@ void TransactionManager::CommitSubtransaction(Txn& txn) {
   rec.parent_tid = txn.parent;
   rm_.log().Append(std::move(rec));
 
-  // Remote participants of the top-level transaction inherit the
-  // subtransaction's locks and undo records too.
-  ForwardSubtxn(txn.tid, txn.parent, txn.top, /*committed=*/true);
-
-  parent->live_subtxns.erase(txn.tid);
-  txns_.erase(txn.tid);
+  const TransactionId tid = txn.tid;
+  SettleSubtxn(tid, txn.parent, txn.top, tid);
+  parent->live_subtxns.erase(tid);
+  txns_.erase(tid);
 }
 
-void TransactionManager::HandleSubtxnCommit(const TransactionId& child,
-                                            const TransactionId& parent,
-                                            const TransactionId& top) {
-  rm_.MergeChild(child, parent);
-  Txn* txn = Find(top);
-  if (txn != nullptr) {
-    for (CommitParticipant* s : txn->servers) {
-      s->OnSubtxnCommit(child, parent);
-    }
-    ForwardSubtxn(child, parent, top, /*committed=*/true);
+void TransactionManager::SettleSubtxn(const TransactionId& child, const TransactionId& parent,
+                                      const TransactionId& top, const TransactionId& holder) {
+  const bool committed = !parent.IsNull();
+  if (committed) {
+    rm_.MergeChild(child, parent);
+  } else {
+    rm_.UndoTransaction(child, top);
   }
-}
-
-void TransactionManager::HandleSubtxnAbort(const TransactionId& child,
-                                           const TransactionId& top) {
-  rm_.UndoTransaction(child, top);
-  Txn* txn = Find(top);
-  if (txn != nullptr) {
-    for (CommitParticipant* s : txn->servers) {
+  // Looked up after the undo, which may block on paging.
+  const Txn* txn = Find(holder);
+  if (txn == nullptr) {
+    return;
+  }
+  for (CommitParticipant* s : txn->servers) {
+    if (committed) {
+      s->OnSubtxnCommit(child, parent);
+    } else {
       s->OnAbort(child);
     }
-    ForwardSubtxn(child, kNullTransaction, top, /*committed=*/false);
   }
-}
-
-void TransactionManager::ForwardSubtxn(const TransactionId& child, const TransactionId& parent,
-                                       const TransactionId& top, bool committed) {
   for (NodeId node : cm_.InfoFor(top).children) {
     TransactionManager* tm = Peer(node);
     if (tm == nullptr) {
       continue;
     }
-    if (committed) {
-      cm_.SendDatagram(node, "subtxn-commit",
-                       [tm, child, parent, top] { tm->HandleSubtxnCommit(child, parent, top); });
-    } else {
-      cm_.SendDatagram(node, "subtxn-abort",
-                       [tm, child, top] { tm->HandleSubtxnAbort(child, top); });
-    }
+    cm_.SendDatagram(node, committed ? "subtxn-commit" : "subtxn-abort",
+                     [tm, child, parent, top] { tm->SettleSubtxn(child, parent, top, top); });
   }
 }
 

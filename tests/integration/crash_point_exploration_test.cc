@@ -38,6 +38,7 @@
 
 #include "src/servers/account_server.h"
 #include "src/tabs/world.h"
+#include "tests/integration/fault_census.h"
 
 namespace tabs {
 namespace {
@@ -445,6 +446,21 @@ TEST(CrashPointCoverage, PrintsCoverageSummary) {
   }
   std::printf("total        %2d points\n", distinct);
   EXPECT_GE(distinct, 20);
+}
+
+// Every fault point the fault-free workload reaches at seeds 1-4, with its
+// hits per node, against tests/golden/fault_points[.paxos].txt.
+TEST(FaultPointCensus, ExplorationWorkload) {
+  std::string census;
+  for (unsigned seed = 1; seed <= 4; ++seed) {
+    World world(3, ExplorationOptions());
+    auto [b1, b2, b3] = AddBanks(world);
+    world.faults().StartRecording();
+    Model m;
+    RunWorkload(world, seed, b1, b2, b3, m);
+    census += RenderCensus(seed, world.faults().recorded_hits());
+  }
+  ExpectCensusMatchesGolden(census, "fault_points");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CrashPointExplorationTest,

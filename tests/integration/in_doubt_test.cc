@@ -1,0 +1,227 @@
+// In-doubt transactions across recovery: a prepared participant holds its
+// locks until it learns the verdict where its prepare says it lives (Section
+// 3.2.3), whether it prepared in this incarnation or was re-locked by crash
+// recovery (Section 3.2.2). Presumed abort holds only at a node that has
+// forgotten the transaction: a node that is itself undecided must answer
+// "not decided here", never "not committed". Recovered in-doubt records pin
+// the log like live ones, and a lock re-acquired by single-server recovery is
+// released by the verdict.
+
+#include <gtest/gtest.h>
+
+#include <vector>
+
+#include "src/servers/array_server.h"
+#include "src/tabs/world.h"
+
+namespace tabs {
+namespace {
+
+using servers::ArrayServer;
+
+WorldOptions TwoPhaseOptions() {
+  WorldOptions opt;
+  opt.commit_mode = txn::CommitMode::kTwoPhase;
+  return opt;
+}
+
+// Writes a cell of another node's array server from this node, so this node
+// becomes that node's parent in the transaction's spanning tree.
+class RelayServer : public server::DataServer {
+ public:
+  explicit RelayServer(const server::ServerContext& ctx) : DataServer(ctx, Options()) {}
+
+  Status Forward(const server::Tx& tx, ArrayServer* target, std::uint32_t cell,
+                 std::int32_t value) {
+    auto r = Call<bool>(tx, "Forward", [this, tx, target, cell, value]() -> Result<bool> {
+      server::Tx hop{tx.tid, tx.top, node_id(), &cm()};
+      Status s = target->SetCell(hop, cell, value);
+      if (s != Status::kOk) {
+        return s;
+      }
+      return true;
+    });
+    return r.ok() ? Status::kOk : r.status();
+  }
+};
+
+class InDoubtTest : public ::testing::Test {
+ protected:
+  explicit InDoubtTest(const WorldOptions& opt = TwoPhaseOptions()) : world_(3, opt) {
+    world_.AddServerOf<ArrayServer>(1, "a1", 8u);
+    world_.AddServerOf<ArrayServer>(2, "a2", 8u);
+    world_.AddServerOf<ArrayServer>(3, "a3", 8u);
+  }
+
+  // Servers are looked up on every use: recovery rebuilds a node's servers.
+  ArrayServer* array(NodeId n) {
+    static const char* const kNames[] = {"", "a1", "a2", "a3"};
+    return world_.Server<ArrayServer>(n, kNames[n]);
+  }
+
+  // Writes n into cell 0 of node n's array for n = 1..3, from node 1.
+  Status WriteAll(Application& app) {
+    return app.Transaction([&](const server::Tx& tx) {
+      for (NodeId n = 1; n <= 3; ++n) {
+        Status s = array(n)->SetCell(tx, 0, static_cast<std::int32_t>(n));
+        if (s != Status::kOk) {
+          return s;
+        }
+      }
+      return Status::kOk;
+    });
+  }
+
+  // Cell 0 of every node's array, read in a fresh transaction.
+  std::vector<std::int32_t> ReadAll(NodeId from) {
+    std::vector<std::int32_t> out;
+    world_.RunApp(from, [&](Application& app) {
+      app.Transaction([&](const server::Tx& tx) {
+        for (NodeId n = 1; n <= 3; ++n) {
+          auto v = array(n)->GetCell(tx, 0);
+          EXPECT_TRUE(v.ok()) << "node " << n;
+          out.push_back(v.ok() ? v.value() : -1);
+        }
+        return Status::kOk;
+      });
+    });
+    return out;
+  }
+
+  World world_;
+};
+
+TEST_F(InDoubtTest, UndecidedParentAnswersNotDecided) {
+  // Tree 1 -> 2 -> 3: node 2 writes its own cell and relays node 3's write.
+  auto* relay = world_.AddServerOf<RelayServer>(2, "relay");
+  world_.network().SetDatagramLossTagged([](NodeId from, NodeId to, const std::string& what) {
+    return from == 1 && to == 2 && what == "2pc-commit";
+  });
+  Status outcome = Status::kInternal;
+  world_.RunApp(1, [&](Application& app) {
+    outcome = app.Transaction([&](const server::Tx& tx) {
+      Status s = array(1)->SetCell(tx, 0, 1);
+      if (s == Status::kOk) {
+        s = array(2)->SetCell(tx, 0, 2);
+      }
+      return s == Status::kOk ? relay->Forward(tx, array(3), 0, 3) : s;
+    });
+  });
+  ASSERT_EQ(outcome, Status::kOk);
+  world_.network().SetDatagramLossTagged({});
+  ASSERT_EQ(world_.tm(2).InDoubt().size(), 1u);
+  ASSERT_EQ(world_.tm(3).InDoubt().size(), 1u);
+  const TransactionId tid = world_.tm(3).InDoubt()[0];
+
+  world_.RunApp(1, [&](Application&) {
+    // Node 3's parent is node 2, which is in doubt itself: no verdict yet.
+    EXPECT_EQ(world_.tm(3).ResolveInDoubt(tid), Status::kNodeDown);
+    // Node 2 learns the commit from the root and passes it down.
+    EXPECT_EQ(world_.tm(2).ResolveInDoubt(tid), Status::kOk);
+  });
+  EXPECT_TRUE(world_.tm(3).InDoubt().empty());
+  EXPECT_EQ(ReadAll(1), (std::vector<std::int32_t>{1, 2, 3}));
+}
+
+TEST_F(InDoubtTest, UndecidedRootAnswersNotDecided) {
+  // Node 3's vote is late; meanwhile node 2, already prepared, crashes and
+  // recovers, and asks the root, which is still collecting votes.
+  world_.faults().ArmDelay("2pc.vote.before_record", 5'000'000, 2);
+  Status end = Status::kInternal;
+  Status resolved = Status::kInternal;
+  world_.SpawnApp(1, "root", [&](Application& app) { end = WriteAll(app); });
+  world_.SpawnApp(
+      3, "crasher",
+      [&](Application&) {
+        world_.CrashNode(2);
+        world_.RecoverNode(2, /*resolve_in_doubt=*/false);
+        auto in_doubt = world_.tm(2).InDoubt();
+        ASSERT_EQ(in_doubt.size(), 1u);
+        resolved = world_.tm(2).ResolveInDoubt(in_doubt[0]);
+      },
+      /*start_time=*/2'000'000);
+  EXPECT_EQ(world_.Drain(), 0);
+  world_.faults().Disarm();
+  EXPECT_EQ(resolved, Status::kNodeDown);
+  EXPECT_EQ(end, Status::kOk);
+  EXPECT_TRUE(world_.tm(2).InDoubt().empty());
+  EXPECT_EQ(ReadAll(1), (std::vector<std::int32_t>{1, 2, 3}));
+}
+
+TEST_F(InDoubtTest, RecoveredInDoubtRecordsSurviveReclamation) {
+  // The root dies before its commit record: nodes 2 and 3 stay prepared.
+  world_.faults().ArmCrash("2pc.commit.before_record");
+  world_.RunApp(1, [&](Application& app) { WriteAll(app); });
+  ASSERT_TRUE(world_.faults().crash_fired());
+  world_.faults().Disarm();
+
+  TransactionId tid;
+  std::vector<Lsn> undo;
+  world_.RunApp(3, [&](Application&) {
+    world_.CrashNode(2);
+    world_.RecoverNode(2);  // the root is down and node 3 is in doubt too
+    ASSERT_EQ(world_.tm(2).InDoubt().size(), 1u);
+    tid = world_.tm(2).InDoubt()[0];
+    undo = world_.rm(2).UndoListOf(tid);
+  });
+  ASSERT_FALSE(undo.empty());
+
+  world_.RunApp(2, [&](Application& app) {
+    for (std::uint32_t cell = 1; cell <= 5; ++cell) {
+      EXPECT_EQ(app.Transaction([&](const server::Tx& tx) {
+        return array(2)->SetCell(tx, cell, static_cast<std::int32_t>(cell));
+      }),
+                Status::kOk);
+    }
+    world_.ReclaimLog(2);
+  });
+  for (Lsn lsn : undo) {
+    EXPECT_TRUE(world_.rm(2).log().ReadRecord(lsn).has_value()) << "lsn " << lsn;
+  }
+
+  world_.RunApp(3, [&](Application&) {
+    world_.CrashNode(2);
+    world_.RecoverNode(2, /*resolve_in_doubt=*/false);
+  });
+  EXPECT_EQ(world_.tm(2).InDoubt(), std::vector<TransactionId>{tid});
+
+  world_.RunApp(3, [&](Application&) {
+    world_.RecoverNode(1);
+    for (NodeId n = 2; n <= 3; ++n) {
+      for (const TransactionId& t : world_.tm(n).InDoubt()) {
+        EXPECT_EQ(world_.tm(n).ResolveInDoubt(t), Status::kAborted);
+      }
+    }
+  });
+  EXPECT_EQ(ReadAll(3), (std::vector<std::int32_t>{0, 0, 0}));
+}
+
+// Follows the commit mode of the run: the verdict is learned from the root
+// under 2PC and from the acceptors under Paxos Commit.
+class SingleServerInDoubtTest : public InDoubtTest {
+ protected:
+  SingleServerInDoubtTest() : InDoubtTest(WorldOptions()) {}
+};
+
+TEST_F(SingleServerInDoubtTest, VerdictReleasesLockRetakenByServerRecovery) {
+  world_.network().SetDatagramLossTagged([](NodeId, NodeId to, const std::string& what) {
+    return to == 2 && (what == "2pc-commit" || what == "paxos-verdict");
+  });
+  Status outcome = Status::kInternal;
+  world_.RunApp(1, [&](Application& app) { outcome = WriteAll(app); });
+  ASSERT_EQ(outcome, Status::kOk);
+  world_.network().SetDatagramLossTagged({});
+  ASSERT_EQ(world_.tm(2).InDoubt().size(), 1u);
+  const TransactionId tid = world_.tm(2).InDoubt()[0];
+
+  world_.RunApp(2, [&](Application&) {
+    world_.CrashServer(2, "a2");
+    world_.RecoverServer(2, "a2");
+    EXPECT_EQ(world_.tm(2).ResolveInDoubt(tid), Status::kOk);
+  });
+  EXPECT_EQ(array(2)->locks().LockedObjectCount(), 0u);
+  EXPECT_EQ(ReadAll(1), (std::vector<std::int32_t>{1, 2, 3}));
+}
+
+}  // namespace
+}  // namespace tabs

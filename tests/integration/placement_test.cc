@@ -27,6 +27,7 @@
 #include "src/servers/btree_server.h"
 #include "src/tabs/service_handle.h"
 #include "src/tabs/world.h"
+#include "tests/integration/fault_census.h"
 
 namespace tabs {
 namespace {
@@ -624,6 +625,21 @@ TEST_P(ShardFanOutCrashTest, CommFaultPointsRecoverConsistently) {
       break;
     }
   }
+}
+
+// Every fault point the fault-free fan-out workload reaches at seeds 1-2,
+// with its hits per node, against tests/golden/fanout_points[.paxos].txt.
+TEST(FaultPointCensus, FanOutWorkload) {
+  std::string census;
+  for (unsigned seed = 1; seed <= 2; ++seed) {
+    World world(3, FanOutOptions());
+    world.AddShardedServiceOf<ArrayServer>("cells", {1, 2}, 2, kCells);
+    world.faults().StartRecording();
+    Model m;
+    RunShardedWorkload(world, seed, m);
+    census += RenderCensus(seed, world.faults().recorded_hits());
+  }
+  ExpectCensusMatchesGolden(census, "fanout_points");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShardFanOutCrashTest, ::testing::Values(1u, 2u),

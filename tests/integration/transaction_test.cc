@@ -281,6 +281,43 @@ TEST_F(TransactionTest, SubtransactionRemoteWriteFollowsParentOutcome) {
   });
 }
 
+TEST_F(TransactionTest, RemoteSubtransactionAbortReleasesItsLocks) {
+  world_.RunApp(1, [&](Application& app) {
+    TxnScope parent(app);
+    EXPECT_EQ(a2_->SetCell(parent.tx(), 0, 10), Status::kOk);
+    {
+      TxnScope child(app, parent.id());
+      EXPECT_EQ(a2_->SetCell(child.tx(), 1, 11), Status::kOk);
+      child.Abort();
+    }
+    // The child's lock on node 2 went with its abort.
+    EXPECT_EQ(a2_->SetCell(parent.tx(), 1, 12), Status::kOk);
+    EXPECT_EQ(parent.Commit(), Status::kOk);
+    app.Transaction([&](const server::Tx& tx) {
+      EXPECT_EQ(a2_->GetCell(tx, 0).value(), 10);
+      EXPECT_EQ(a2_->GetCell(tx, 1).value(), 12);
+      return Status::kOk;
+    });
+  });
+}
+
+TEST_F(TransactionTest, ParentAbortUndoesCommittedRemoteSubtransaction) {
+  world_.RunApp(1, [&](Application& app) {
+    TxnScope parent(app);
+    EXPECT_EQ(a2_->SetCell(parent.tx(), 0, 10), Status::kOk);
+    TxnScope child(app, parent.id());
+    EXPECT_EQ(a2_->SetCell(child.tx(), 1, 11), Status::kOk);
+    EXPECT_EQ(child.Commit(), Status::kOk);
+    parent.Abort();
+    app.Transaction([&](const server::Tx& tx) {
+      EXPECT_EQ(a2_->GetCell(tx, 0).value(), 0);
+      EXPECT_EQ(a2_->GetCell(tx, 1).value(), 0);
+      return Status::kOk;
+    });
+  });
+  EXPECT_EQ(a2_->locks().LockedObjectCount(), 0u);
+}
+
 TEST_F(TransactionTest, NameServerFindsLocalAndRemoteBindings) {
   world_.RunApp(1, [&](Application& app) {
     name::Resolver resolver(/*max_wait=*/200'000);

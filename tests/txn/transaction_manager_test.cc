@@ -165,11 +165,11 @@ TEST_F(TmTest, DoubleAbortIsHarmless) {
 TEST_F(TmTest, QueryCommittedPresumesAbort) {
   world_.RunApp(1, [&](Application& app) {
     TransactionId unknown{1, 424242};
-    EXPECT_FALSE(world_.tm(1).QueryCommitted(unknown));
+    EXPECT_EQ(world_.tm(1).KnownOutcome(unknown, /*presume_abort=*/true), -1);
     TransactionId t = app.Begin();
     arr_->SetCell(app.MakeTx(t), 0, 1);
     app.End(t);
-    EXPECT_TRUE(world_.tm(1).QueryCommitted(t));
+    EXPECT_EQ(world_.tm(1).KnownOutcome(t, /*presume_abort=*/true), 1);
   });
 }
 
