@@ -1,8 +1,7 @@
 #include "src/lock/lock_manager.h"
 
-#include <algorithm>
 #include <bit>
-#include <cassert>
+#include <set>
 
 namespace tabs::lock {
 
@@ -10,13 +9,14 @@ LockManager::LockManager(sim::Scheduler& sched, CompatibilityMatrix matrix,
                          SimTime default_timeout)
     : sched_(sched), matrix_(std::move(matrix)), default_timeout_(default_timeout) {}
 
-bool LockManager::CanGrant(const LockHead& head, const TransactionId& tid,
+bool LockManager::CanGrant(const ObjectId& oid, const TransactionId& tid,
                            LockMode mode) const {
-  for (const auto& holder : head.granted) {
-    if (holder.key == tid) {
+  for (auto it = grants_.lower_bound({oid, kNullTransaction});
+       it != grants_.end() && it->first.first == oid; ++it) {
+    if (it->first.second == tid) {
       continue;  // conversion: own locks never conflict with the request
     }
-    for (ModeMask m = holder.value; m != 0; m &= m - 1) {
+    for (ModeMask m = it->second; m != 0; m &= m - 1) {
       LockMode held = static_cast<LockMode>(std::countr_zero(m));
       if (!matrix_.Compatible(mode, held)) {
         return false;
@@ -24,6 +24,13 @@ bool LockManager::CanGrant(const LockHead& head, const TransactionId& tid,
     }
   }
   return true;
+}
+
+void LockManager::Grant(const TransactionId& tid, const ObjectId& oid, LockMode mode) {
+  grants_[{oid, tid}] |= ModeBit(mode);
+  if (grant_sink_) {
+    grant_sink_(tid, oid);
+  }
 }
 
 Status LockManager::Lock(const TransactionId& tid, const ObjectId& oid, LockMode mode,
@@ -34,28 +41,18 @@ Status LockManager::Lock(const TransactionId& tid, const ObjectId& oid, LockMode
   if (requester_veto_ && requester_veto_(tid)) {
     return Status::kAborted;  // the requester is mid-abort: refuse new locks
   }
-  LockHead& head = heads_[oid];
-  if (CanGrant(head, tid, mode) && !(grant_veto_ && grant_veto_(oid))) {
-    head.granted[tid] |= ModeBit(mode);
-    if (grant_sink_) {
-      grant_sink_(tid, oid);
-    }
+  if (CanGrant(oid, tid, mode) && !(grant_veto_ && grant_veto_(oid))) {
+    Grant(tid, oid, mode);
     return Status::kOk;
   }
   auto waiter = std::make_shared<Waiter>();
   waiter->tid = tid;
-  waiter->oid = oid;
   waiter->mode = mode;
-  head.waiters.push_back(waiter);
+  waiters_[oid].push_back(waiter);
 
-  bool granted_flag = false;
-  bool notified = sched_.Wait(waiter->queue, timeout);
-  // Re-look-up: the head may have been erased/recreated while we slept.
-  LockHead& head2 = heads_[oid];
-  auto* held = head2.granted.Find(tid);
-  granted_flag = held != nullptr && (held->value & ModeBit(mode)) != 0;
-
-  if (granted_flag) {
+  sched_.Wait(waiter->queue, timeout);
+  auto held = grants_.find({oid, tid});
+  if (held != grants_.end() && (held->second & ModeBit(mode)) != 0) {
     if (requester_veto_ && requester_veto_(tid)) {
       // Granted while a cascade abort consumed this transaction (the grant
       // sweep ran before this task resumed). The abort's ReleaseAll cleans
@@ -65,163 +62,138 @@ Status LockManager::Lock(const TransactionId& tid, const ObjectId& oid, LockMode
     return Status::kOk;  // granted, possibly racing a timeout
   }
   // Timed out or cancelled: withdraw the request.
-  auto& w = head2.waiters;
-  w.erase(std::remove(w.begin(), w.end(), waiter), w.end());
-  if (head2.granted.empty() && head2.waiters.empty()) {
-    heads_.Erase(oid);
+  if (auto q = waiters_.find(oid); q != waiters_.end()) {
+    std::erase(q->second, waiter);
+    if (q->second.empty()) {
+      waiters_.erase(q);
+    }
   }
-  if (waiter->cancelled) {
-    return Status::kAborted;
-  }
-  (void)notified;
-  return Status::kTimeout;
+  return waiter->cancelled ? Status::kAborted : Status::kTimeout;
 }
 
 bool LockManager::ConditionalLock(const TransactionId& tid, const ObjectId& oid,
                                   LockMode mode) {
-  LockHead& head = heads_[oid];
-  if (!CanGrant(head, tid, mode) || (grant_veto_ && grant_veto_(oid))) {
-    if (head.granted.empty() && head.waiters.empty()) {
-      heads_.Erase(oid);
-    }
+  if (!CanGrant(oid, tid, mode) || (grant_veto_ && grant_veto_(oid))) {
     return false;
   }
-  head.granted[tid] |= ModeBit(mode);
-  if (grant_sink_) {
-    grant_sink_(tid, oid);
-  }
+  Grant(tid, oid, mode);
   return true;
 }
 
 bool LockManager::IsLocked(const ObjectId& oid) const {
-  const auto* it = heads_.Find(oid);
-  return it != nullptr && !it->value.granted.empty();
+  auto it = grants_.lower_bound({oid, kNullTransaction});
+  return it != grants_.end() && it->first.first == oid;
 }
 
 bool LockManager::Holds(const TransactionId& tid, const ObjectId& oid, LockMode mode) const {
-  const auto* it = heads_.Find(oid);
-  if (it == nullptr) {
-    return false;
-  }
-  const auto* h = it->value.granted.Find(tid);
-  return h != nullptr && (h->value & ModeBit(mode)) != 0;
+  auto it = grants_.find({oid, tid});
+  return it != grants_.end() && (it->second & ModeBit(mode)) != 0;
 }
 
-void LockManager::GrantEligibleWaiters(LockHead& head) {
+void LockManager::GrantEligibleWaiters(Waiters::iterator queue) {
   // Strict FIFO: grant from the front until the first request that still
   // conflicts. This avoids starving writers behind a stream of readers.
-  while (!head.waiters.empty()) {
-    auto& w = head.waiters.front();
-    if (grant_sink_ && w->cancelled) {
-      // Queue mode: a waiter cancelled by a cascade abort must not be
-      // granted before its task resumes — drop the request; the sleeping
-      // task re-checks `cancelled` on wake and fails kAborted.
-      head.waiters.erase(head.waiters.begin());
-      continue;
+  const ObjectId& oid = queue->first;
+  auto& waiters = queue->second;
+  while (!waiters.empty()) {
+    Waiter& w = *waiters.front();
+    // A cancelled waiter (deadlock victim or cascade abort) is dropped, never
+    // granted: its sleeping task re-checks `cancelled` on wake and fails
+    // kAborted.
+    if (!w.cancelled) {
+      if (!CanGrant(oid, w.tid, w.mode)) {
+        break;
+      }
+      if (grant_veto_ && grant_veto_(oid)) {
+        break;  // a predecessor is mid-abort: stay parked until it settles
+      }
+      Grant(w.tid, oid, w.mode);
+      sched_.NotifyOne(w.queue);
     }
-    if (!CanGrant(head, w->tid, w->mode)) {
-      break;
-    }
-    if (grant_veto_ && grant_veto_(w->oid)) {
-      break;  // a predecessor is mid-abort: stay parked until it settles
-    }
-    head.granted[w->tid] |= ModeBit(w->mode);
-    if (grant_sink_) {
-      grant_sink_(w->tid, w->oid);
-    }
-    sched_.NotifyOne(w->queue);
-    head.waiters.erase(head.waiters.begin());
+    waiters.erase(waiters.begin());
+  }
+  if (waiters.empty()) {
+    waiters_.erase(queue);
   }
 }
 
 void LockManager::GrantAllEligible() {
-  // Same deterministic walk as ReleaseAll. Used after an abort settles: the
-  // grant veto parked requests as waiters; with the veto lifted they become
-  // eligible again.
-  for (const ObjectId& oid : SortedOids()) {
-    auto* it = heads_.Find(oid);
-    if (it == nullptr) {
-      continue;
-    }
-    GrantEligibleWaiters(it->value);
-    if (it->value.granted.empty() && it->value.waiters.empty()) {
-      heads_.Erase(oid);
-    }
+  // Used after an abort settles: the grant veto parked requests as waiters;
+  // with the veto lifted they become eligible again.
+  for (auto q = waiters_.begin(); q != waiters_.end();) {
+    GrantEligibleWaiters(q++);
   }
-}
-
-std::vector<ObjectId> LockManager::SortedOids() const {
-  std::vector<ObjectId> oids;
-  oids.reserve(heads_.size());
-  for (const auto& e : heads_) {
-    oids.push_back(e.key);
-  }
-  std::sort(oids.begin(), oids.end());
-  return oids;
 }
 
 void LockManager::ReleaseAll(const TransactionId& tid) {
-  // Walk in ObjectId order: GrantEligibleWaiters wakes tasks, and the wake
-  // sequence must not depend on hash-table iteration order.
-  for (const ObjectId& oid : SortedOids()) {
-    auto* it = heads_.Find(oid);
-    if (it == nullptr) {
+  // Walk in (object, holder) order: GrantEligibleWaiters wakes tasks, so the
+  // wake sequence follows object order. Its grants are all on the object just
+  // released, and a re-grant to `tid` itself sorts behind `it`, so no object
+  // is released twice.
+  for (auto it = grants_.begin(); it != grants_.end();) {
+    if (it->first.second != tid) {
+      ++it;
       continue;
     }
-    LockHead& head = it->value;
-    if (head.granted.Erase(tid)) {
-      GrantEligibleWaiters(head);
-    }
-    if (head.granted.empty() && head.waiters.empty()) {
-      heads_.Erase(oid);
+    ObjectId oid = it->first.first;
+    it = grants_.erase(it);
+    if (auto q = waiters_.find(oid); q != waiters_.end()) {
+      GrantEligibleWaiters(q);
     }
   }
 }
 
 void LockManager::InheritToParent(const TransactionId& child, const TransactionId& parent) {
-  // Pure re-keying: no wakes, no charges, and the final table state is the
-  // same whatever order the heads are visited in.
-  for (auto& e : heads_) {
-    auto* it = e.value.granted.Find(child);
-    if (it == nullptr) {
+  // Pure re-keying: no wakes, no charges, and no allocation (the node moves).
+  for (auto it = grants_.begin(); it != grants_.end();) {
+    if (it->first.second != child) {
+      ++it;
       continue;
     }
-    ModeMask modes = it->value;
-    e.value.granted.Erase(child);
-    e.value.granted[parent] |= modes;
+    auto node = grants_.extract(it++);
+    node.key().second = parent;
+    auto inserted = grants_.insert(std::move(node));
+    if (!inserted.inserted) {
+      inserted.position->second |= inserted.node.mapped();  // parent held it too
+    }
   }
 }
 
 std::vector<ObjectId> LockManager::LocksHeldBy(const TransactionId& tid) const {
   std::vector<ObjectId> out;
-  for (const ObjectId& oid : SortedOids()) {
-    if (heads_.Find(oid)->value.granted.Contains(tid)) {
-      out.push_back(oid);
+  for (const auto& [key, modes] : grants_) {
+    if (key.second == tid) {
+      out.push_back(key.first);
     }
   }
   return out;
 }
 
+size_t LockManager::LockedObjectCount() const {
+  std::set<ObjectId> objects;
+  for (const auto& [key, modes] : grants_) {
+    objects.insert(key.first);
+  }
+  for (const auto& [oid, waiters] : waiters_) {
+    objects.insert(oid);
+  }
+  return objects.size();
+}
+
 std::vector<LockManager::WaitsForEdge> LockManager::WaitsFor() const {
-  // Edge order feeds the deadlock detector's victim choice: keep it in
-  // ObjectId order, independent of hashing.
+  // Edge order feeds the deadlock detector's victim choice: object order,
+  // then FIFO order, then holder order.
   std::vector<WaitsForEdge> edges;
-  for (const ObjectId& oid : SortedOids()) {
-    const LockHead& head = heads_.Find(oid)->value;
-    // Holder order is observable through the edge list too: walk holders in
-    // TransactionId order, exactly as the old per-head std::map did.
-    std::vector<std::pair<TransactionId, ModeMask>> holders;
-    for (const auto& g : head.granted) {
-      holders.emplace_back(g.key, g.value);
-    }
-    std::sort(holders.begin(), holders.end());
-    for (const auto& w : head.waiters) {
-      for (const auto& [holder, modes] : holders) {
+  for (const auto& [oid, waiters] : waiters_) {
+    for (const auto& w : waiters) {
+      for (auto it = grants_.lower_bound({oid, kNullTransaction});
+           it != grants_.end() && it->first.first == oid; ++it) {
+        const TransactionId& holder = it->first.second;
         if (holder == w->tid) {
           continue;
         }
         bool conflicts = false;
-        for (ModeMask m = modes; m != 0 && !conflicts; m &= m - 1) {
+        for (ModeMask m = it->second; m != 0 && !conflicts; m &= m - 1) {
           conflicts = !matrix_.Compatible(
               w->mode, static_cast<LockMode>(std::countr_zero(m)));
         }
@@ -236,8 +208,8 @@ std::vector<LockManager::WaitsForEdge> LockManager::WaitsFor() const {
 
 void LockManager::CancelWaits(const TransactionId& tid) {
   // NotifyOne order is observable: ObjectId order, as with ReleaseAll.
-  for (const ObjectId& oid : SortedOids()) {
-    for (auto& w : heads_.Find(oid)->value.waiters) {
+  for (auto& [oid, waiters] : waiters_) {
+    for (auto& w : waiters) {
       if (w->tid == tid && !w->queue.empty()) {
         w->cancelled = true;
         sched_.NotifyOne(w->queue);

@@ -18,10 +18,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
-#include "src/common/flat_hash.h"
 #include "src/common/result.h"
 #include "src/common/types.h"
 #include "src/lock/lock_mode.h"
@@ -63,7 +64,8 @@ class LockManager {
   void InheritToParent(const TransactionId& child, const TransactionId& parent);
 
   std::vector<ObjectId> LocksHeldBy(const TransactionId& tid) const;
-  size_t LockedObjectCount() const { return heads_.size(); }
+  // Objects with a holder or a waiter.
+  size_t LockedObjectCount() const;
 
   // Waits-for edges (waiter -> holder) for the deadlock detector.
   struct WaitsForEdge {
@@ -74,7 +76,9 @@ class LockManager {
   std::vector<WaitsForEdge> WaitsFor() const;
 
   // Forcibly wakes any waiter belonging to `tid` with a timeout-style
-  // failure; used by the deadlock detector to sacrifice a victim.
+  // failure; used by the deadlock detector to sacrifice a victim. A
+  // cancelled request is never granted, even by a release that lands before
+  // its task resumes.
   void CancelWaits(const TransactionId& tid);
 
   // Queue-oriented execution hooks (src/txn/op_queue.h). The grant sink is
@@ -105,7 +109,6 @@ class LockManager {
  private:
   struct Waiter {
     TransactionId tid;
-    ObjectId oid;
     LockMode mode;
     bool cancelled = false;
     sim::WaitQueue queue;  // exactly one task waits here
@@ -115,32 +118,21 @@ class LockManager {
   // the whole per-holder std::set<LockMode> collapses into one word.
   using ModeMask = std::uint64_t;
   static ModeMask ModeBit(LockMode m) { return ModeMask{1} << m; }
-  struct LockHead {
-    // Modes held, per transaction (a holder may hold several modes).
-    // Iteration order is unspecified: WaitsFor() sorts holders itself.
-    FlatHashMap<TransactionId, ModeMask> granted;
-    std::vector<std::shared_ptr<Waiter>> waiters;  // FIFO
-  };
+  using Waiters = std::map<ObjectId, std::vector<std::shared_ptr<Waiter>>>;
 
-  bool CanGrant(const LockHead& head, const TransactionId& tid, LockMode mode) const;
-  void GrantEligibleWaiters(LockHead& head);
-  // The object table's keys in ObjectId order. Everywhere iteration order is
-  // observable (waiter wake order, waits-for edge order, held-lock listings)
-  // we walk this sorted view, which is exactly the order the table had when
-  // it was a std::map — so scheduling stays bit-identical while the hot
-  // per-operation lookups (Lock, ConditionalLock, IsLocked, Holds) drop from
-  // O(log n) to O(1).
-  std::vector<ObjectId> SortedOids() const;
+  bool CanGrant(const ObjectId& oid, const TransactionId& tid, LockMode mode) const;
+  void Grant(const TransactionId& tid, const ObjectId& oid, LockMode mode);
+  // Grants from the front of one object's FIFO; drops the queue once empty.
+  void GrantEligibleWaiters(Waiters::iterator queue);
 
   sim::Scheduler& sched_;
   CompatibilityMatrix matrix_;
   SimTime default_timeout_;
-  // Open-addressing on both levels of the lookup path: object -> head here,
-  // holder -> modes inside each head. References into this table do not
-  // survive insertions (see flat_hash.h), so no LockHead& is held across a
-  // heads_[...] call; the post-Wait re-lookup in Lock() already existed for
-  // the same reason.
-  FlatHashMap<ObjectId, LockHead> heads_;
+  // Both tables are ordered, so every walk that wakes tasks or feeds the
+  // deadlock detector runs in ObjectId order (then holder order) by
+  // construction. An object's holders are one contiguous range of grants_.
+  std::map<std::pair<ObjectId, TransactionId>, ModeMask> grants_;
+  Waiters waiters_;  // FIFO per object, only for objects someone awaits
   GrantSink grant_sink_;
   GrantVeto grant_veto_;
   RequesterVeto requester_veto_;

@@ -151,6 +151,30 @@ TEST_F(LockTest, SubtransactionLockInheritance) {
   EXPECT_EQ(sched_.Run(), 0);
 }
 
+TEST_F(LockTest, InheritanceMergesIntoAModeTheParentHolds) {
+  // The parent already holds the object the child commits: the child's modes
+  // join the parent's grant rather than replacing it.
+  constexpr LockMode kInc = 2, kDec = 3;
+  CompatibilityMatrix m(4);
+  m.SetCompatible(kInc, kDec);
+  LockManager typed(sched_, m, 5000);
+  Spawn([&] {
+    TransactionId parent{1, 10}, child{1, 11};
+    ASSERT_EQ(typed.Lock(parent, kObjA, kInc), Status::kOk);
+    ASSERT_EQ(typed.Lock(child, kObjA, kDec), Status::kOk);
+    typed.InheritToParent(child, parent);
+    EXPECT_TRUE(typed.Holds(parent, kObjA, kInc));
+    EXPECT_TRUE(typed.Holds(parent, kObjA, kDec));
+    EXPECT_FALSE(typed.Holds(child, kObjA, kInc));
+    EXPECT_FALSE(typed.Holds(child, kObjA, kDec));
+    EXPECT_EQ(typed.LocksHeldBy(parent), std::vector<ObjectId>{kObjA});
+    EXPECT_EQ(typed.LockedObjectCount(), 1u);
+    typed.ReleaseAll(parent);
+    EXPECT_EQ(typed.LockedObjectCount(), 0u);
+  });
+  EXPECT_EQ(sched_.Run(), 0);
+}
+
 TEST_F(LockTest, IntraTransactionDeadlockBetweenSubtransactions) {
   // The paper: subtransactions "may cause intra-transaction deadlock if two
   // subtransactions update the same data" (Section 2.1.3).
@@ -235,6 +259,40 @@ TEST_F(LockTest, DeadlockDetectorFindsAndBreaksCycle) {
   EXPECT_EQ(sched_.Run(), 0);
   EXPECT_EQ(t1_second, Status::kOk);
   EXPECT_EQ(t2_second, Status::kAborted);
+}
+
+TEST_F(LockTest, CancelledWaiterIsNotGrantedByALaterRelease) {
+  // A deadlock victim's wait fails even when the lock frees up before the
+  // victim's task resumes: the release must not hand it the lock.
+  Status got = Status::kInternal;
+  Spawn([&] { ASSERT_EQ(lm_.Lock(kT1, kObjA, kExclusive), Status::kOk); });
+  Spawn([&] { got = lm_.Lock(kT2, kObjA, kExclusive, 10000); }, 10);
+  Spawn(
+      [&] {
+        lm_.CancelWaits(kT2);
+        lm_.ReleaseAll(kT1);
+      },
+      20);
+  EXPECT_EQ(sched_.Run(), 0);
+  EXPECT_EQ(got, Status::kAborted);
+  EXPECT_FALSE(lm_.Holds(kT2, kObjA, kExclusive));
+  EXPECT_EQ(lm_.LockedObjectCount(), 0u);
+}
+
+TEST_F(LockTest, TimedOutWaiterLeavesNoEntry) {
+  Status got = Status::kInternal;
+  Spawn([&] {
+    ASSERT_EQ(lm_.Lock(kT1, kObjA, kExclusive), Status::kOk);
+    sched_.Charge(500);
+    sched_.Yield();  // T2 queues up and times out meanwhile
+    EXPECT_EQ(got, Status::kTimeout);
+    EXPECT_EQ(lm_.LockedObjectCount(), 1u);
+    lm_.ReleaseAll(kT1);
+    EXPECT_EQ(lm_.LockedObjectCount(), 0u);
+  });
+  Spawn([&] { got = lm_.Lock(kT2, kObjA, kExclusive, 100); }, 10);
+  EXPECT_EQ(sched_.Run(), 0);
+  EXPECT_EQ(got, Status::kTimeout);
 }
 
 TEST_F(LockTest, DetectorReportsNoCycleWhenNoneExists) {
