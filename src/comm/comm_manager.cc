@@ -19,9 +19,8 @@ void CommManager::NoteParent(const TransactionId& tid, NodeId parent) {
     return;
   }
   TreeInfo& info = trees_[tid];
-  if (info.parent == kInvalidNode && !info.initiated_remotely) {
+  if (info.parent == kInvalidNode) {
     info.parent = parent;
-    info.initiated_remotely = true;
     network_.substrate().Charge(sim::Primitive::kSmallMessage, 1);
     if (listener_ != nullptr) {
       listener_->OnRemoteParentObserved(tid, parent);

@@ -69,7 +69,6 @@ class CommManager {
   struct TreeInfo {
     NodeId parent = kInvalidNode;  // kInvalidNode: transaction is rooted here
     std::set<NodeId> children;
-    bool initiated_remotely = false;
   };
 
   // Session RPC to a remote node on behalf of a transaction. Updates the

@@ -47,7 +47,7 @@ void Network::SendDatagram(NodeId from, NodeId to, std::string what,
     return;
   }
   SimTime arrival = sched.Now() + substrate_.CostOf(sim::Primitive::kDatagram);
-  int deliveries = 1;
+  bool duplicate = false;
   if (datagram_faults_enabled_) {
     std::uniform_real_distribution<double> roll(0.0, 1.0);
     if (roll(fault_rng_) < datagram_faults_.jitter_probability) {
@@ -58,22 +58,20 @@ void Network::SendDatagram(NodeId from, NodeId to, std::string what,
       substrate_.metrics().CountFault(sim::FaultKind::kDatagramJitter);
     }
     if (roll(fault_rng_) < datagram_faults_.duplicate_probability) {
-      deliveries = 2;
+      duplicate = true;
       substrate_.metrics().CountFault(sim::FaultKind::kDatagramDuplicate);
     }
   }
-  for (int d = 0; d < deliveries; ++d) {
+  // The handler is the delivery task, tagged with `to`: a crash of `to`
+  // kills it in flight, before the node can come back.
+  if (duplicate) {
     // A duplicate trails the original by one datagram time (at-most-once is
     // the session layer's property, not the datagram layer's: 2PC handlers
     // must be — and are — idempotent against redelivery).
-    SimTime when = arrival + d * substrate_.CostOf(sim::Primitive::kDatagram);
-    sched.Spawn(what, to, when, [this, to, handler] {
-      if (!IsAlive(to)) {
-        return;
-      }
-      handler();
-    });
+    sched.Spawn(what, to, arrival, handler);
+    arrival += substrate_.CostOf(sim::Primitive::kDatagram);
   }
+  sched.Spawn(std::move(what), to, arrival, std::move(handler));
 }
 
 void Network::Broadcast(NodeId from, std::string what, std::function<void(NodeId)> handler) {

@@ -189,11 +189,8 @@ class Network {
     SimTime half = substrate_.CostOf(sim::Primitive::kInterNodeDataServerCall) / 2;
     sched.Charge(half);  // outbound transit — sends serialize at the sender
     sched.Spawn(std::move(what), to, sched.Now(),
-                [this, from, to, half, future, handler = std::move(handler),
+                [this, from, half, future, handler = std::move(handler),
                  on_complete = std::move(on_complete)] {
-                  if (!IsAlive(to)) {
-                    return;  // died in transit; the caller's Await times out
-                  }
                   if (!IsAlive(from)) {
                     return;  // sender died in transit: no session to reply
                              // on — discard instead of creating orphan state

@@ -46,8 +46,10 @@ void PageCleaner::RunPass() {
   };
   std::vector<Candidate> candidates;
   for (RecoverableSegment* seg : segments_) {
-    for (const RecoverableSegment::CleanCandidate& c : seg->CleanCandidates()) {
-      candidates.push_back({c.recovery_lsn, seg->id(), seg, c.page});
+    for (const RecoverableSegment::DirtyPage& d : seg->DirtyPages()) {
+      if (!d.pinned) {
+        candidates.push_back({d.recovery_lsn, seg->id(), seg, d.page});
+      }
     }
   }
   std::sort(candidates.begin(), candidates.end(), [](const Candidate& a, const Candidate& b) {
@@ -88,7 +90,9 @@ void PageCleaner::RunPass() {
   // or pages that were pinned when this sweep selected). Newly dirtied pages
   // re-arm through NotifyDirty.
   for (RecoverableSegment* seg : segments_) {
-    if (!seg->CleanCandidates().empty()) {
+    std::vector<RecoverableSegment::DirtyPage> dirty = seg->DirtyPages();
+    if (std::any_of(dirty.begin(), dirty.end(),
+                    [](const RecoverableSegment::DirtyPage& d) { return !d.pinned; })) {
       NotifyDirty();
       break;
     }

@@ -226,17 +226,17 @@ void RecoverableSegment::FlushAll() {
   }
 }
 
-std::vector<RecoverableSegment::CleanCandidate> RecoverableSegment::CleanCandidates() const {
-  std::vector<CleanCandidate> out;
+std::vector<RecoverableSegment::DirtyPage> RecoverableSegment::DirtyPages() const {
+  std::vector<DirtyPage> out;
   for (const auto& [page, frame] : frames_) {
-    if (frame.dirty && frame.pin_count == 0) {
-      out.push_back({page, frame.recovery_lsn});
+    if (frame.dirty) {
+      out.push_back({page, frame.recovery_lsn, frame.pin_count > 0});
     }
   }
-  // Page order, as documented: the cleaner flushes these as one elevator
-  // sweep and FlushPages requires ascending addresses.
+  // Page order, as documented: the cleaner and reclamation flush these as
+  // one elevator sweep and FlushPages requires ascending addresses.
   std::sort(out.begin(), out.end(),
-            [](const CleanCandidate& a, const CleanCandidate& b) { return a.page < b.page; });
+            [](const DirtyPage& a, const DirtyPage& b) { return a.page < b.page; });
   return out;
 }
 
@@ -267,16 +267,6 @@ size_t RecoverableSegment::dirty_page_count() const {
     n += frame.dirty ? 1 : 0;
   }
   return n;
-}
-
-std::map<PageNumber, Lsn> RecoverableSegment::DirtyPages() const {
-  std::map<PageNumber, Lsn> out;
-  for (const auto& [page, frame] : frames_) {
-    if (frame.dirty) {
-      out[page] = frame.recovery_lsn;
-    }
-  }
-  return out;
 }
 
 std::uint64_t RecoverableSegment::DiskSequenceNumber(PageNumber page) {

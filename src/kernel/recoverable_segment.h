@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <list>
-#include <map>
 #include <stdexcept>
 #include <unordered_map>
 #include <vector>
@@ -101,13 +100,15 @@ class RecoverableSegment {
   // checkpoints that force pages, orderly shutdown).
   void FlushAll();
 
-  // --- page-cleaner support ---------------------------------------------------
-  // Dirty, unpinned frames (the cleaner's candidate set), in page order.
-  struct CleanCandidate {
+  // --- dirty-page table -------------------------------------------------------
+  struct DirtyPage {
     PageNumber page;
     Lsn recovery_lsn;  // first LSN that dirtied the page since clean
+    bool pinned;
   };
-  std::vector<CleanCandidate> CleanCandidates() const;
+  // Every dirty frame, in page order: the checkpoint's dirty-page table, the
+  // reclamation sweep and, less its pinned entries, the cleaner's candidates.
+  std::vector<DirtyPage> DirtyPages() const;
 
   // Writes the given frames back through the WAL protocol without evicting
   // them. `pages` must be sorted ascending (one elevator sweep): a page whose
@@ -129,10 +130,6 @@ class RecoverableSegment {
   void set_prefer_clean_eviction(bool prefer_clean) { prefer_clean_eviction_ = prefer_clean; }
 
   size_t dirty_page_count() const;
-
-  // Dirty-page table for checkpoints: page -> recovery LSN (first LSN that
-  // dirtied it since clean).
-  std::map<PageNumber, Lsn> DirtyPages() const;
 
   // Disk sequence number of a page (recovery reads sector headers).
   std::uint64_t DiskSequenceNumber(PageNumber page);
@@ -162,10 +159,9 @@ class RecoverableSegment {
   size_t buffer_frames_;
   WriteAheadHooks* hooks_ = nullptr;
   // Hashed: FaultIn is a point lookup on every object Read/Write. Walks that
-  // need an order (FlushAll's write-back sequence, CleanCandidates' sweep
-  // order) sort explicitly; the remaining iterations (EvictOne's LRU scan
-  // over unique lru_ticks, UnpinAll, dirty_page_count, DirtyPages into a
-  // std::map) are order-insensitive.
+  // need an order (FlushAll's write-back sequence, DirtyPages) sort
+  // explicitly; the remaining iterations (EvictOne's LRU scan over unique
+  // lru_ticks, UnpinAll, dirty_page_count) are order-insensitive.
   std::unordered_map<PageNumber, Frame> frames_;
   std::uint64_t lru_clock_ = 0;
   std::uint64_t faults_ = 0;

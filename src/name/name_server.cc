@@ -40,9 +40,9 @@ std::vector<Binding> NameServer::LookUp(const std::string& name, size_t desired,
   }
 
   // Broadcast to every other Name Server; each replies (by datagram) with
-  // its local bindings. Replies land in a channel we drain until satisfied.
+  // its local bindings, which we read until satisfied.
   sim::Scheduler& sched = cm_.network().substrate().scheduler();
-  auto replies = std::make_shared<sim::Channel<std::vector<Binding>>>(sched);
+  auto replies = std::make_shared<sim::Replies<std::vector<Binding>>>(sched);
   const auto* peers = peers_;
   NodeId self = cm_.self();
   comm::Network& net = cm_.network();
@@ -64,11 +64,11 @@ std::vector<Binding> NameServer::LookUp(const std::string& name, size_t desired,
 
   SimTime deadline = sched.Now() + max_wait;
   while (found.size() < desired && sched.Now() < deadline) {
-    std::vector<Binding> batch;
-    if (!replies->PopWithTimeout(deadline - sched.Now(), &batch)) {
+    std::optional<std::vector<Binding>> batch = replies->Next(deadline);
+    if (!batch) {
       break;
     }
-    for (Binding& b : batch) {
+    for (Binding& b : *batch) {
       if (std::find(found.begin(), found.end(), b) == found.end()) {
         found.push_back(std::move(b));
       }

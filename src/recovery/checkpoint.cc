@@ -33,10 +33,10 @@ Lsn RecoveryManager::TakeCheckpoint(const std::vector<ActiveTxn>& active) {
   std::uint32_t dirty_total = 0;
   ByteWriter dirty;
   for (const auto& [name, seg] : segments_) {
-    for (const auto& [page, rec_lsn] : seg->DirtyPages()) {
+    for (const kernel::RecoverableSegment::DirtyPage& d : seg->DirtyPages()) {
       dirty.U32(seg->id());
-      dirty.U32(page);
-      dirty.U64(rec_lsn);
+      dirty.U32(d.page);
+      dirty.U64(d.recovery_lsn);
       ++dirty_total;
     }
   }
@@ -89,9 +89,9 @@ void RecoveryManager::ReclaimTo(const std::vector<ActiveTxn>& active,
     // very update whose page is pinned, and frames only ever hold logged
     // modifications, so the WAL gate alone orders the write.
     std::vector<PageNumber> sweep;
-    for (const auto& [page, rec_lsn] : seg->DirtyPages()) {
-      if (rec_lsn < target_low) {
-        sweep.push_back(page);
+    for (const kernel::RecoverableSegment::DirtyPage& d : seg->DirtyPages()) {
+      if (d.recovery_lsn < target_low) {
+        sweep.push_back(d.page);
       }
     }
     // DirtyPages is page-ordered already; the reclamation flushes are
@@ -109,8 +109,8 @@ void RecoveryManager::ReclaimTo(const std::vector<ActiveTxn>& active,
   // Fuzzy checkpoint: every page still dirty pins the log at its recovery
   // LSN (its committed contents may exist only as log records above it).
   for (auto& [name, seg] : segments_) {
-    for (const auto& [page, rec_lsn] : seg->DirtyPages()) {
-      low = std::min(low, rec_lsn);
+    for (const kernel::RecoverableSegment::DirtyPage& d : seg->DirtyPages()) {
+      low = std::min(low, d.recovery_lsn);
     }
   }
   // Media recovery needs the log from the last archive dump onward.

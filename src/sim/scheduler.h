@@ -44,9 +44,9 @@
 #ifndef TABS_SIM_SCHEDULER_H_
 #define TABS_SIM_SCHEDULER_H_
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -69,7 +69,7 @@ using TaskId = std::uint64_t;
 constexpr TaskId kInvalidTask = 0;
 
 // A FIFO of blocked tasks, linked through the tasks themselves so that a
-// queue allocates nothing. Lock managers, reply channels, and condition-like
+// queue allocates nothing. Lock managers, reply lists, and condition-like
 // constructs are built on WaitQueues.
 class WaitQueue {
  public:
@@ -326,7 +326,7 @@ class Scheduler {
 // wakes every waiter in FIFO order; Await blocks until fulfilled or until
 // `timeout` virtual time passes. A waiter resumes no earlier than the
 // fulfiller's clock — so the completion time of a pipelined remote call
-// composes into the caller's clock exactly like a Channel push, and a task
+// composes into the caller's clock exactly like a pushed reply, and a task
 // awaiting several futures resumes at the max of their completion times.
 template <typename T>
 class Future {
@@ -379,54 +379,60 @@ class Future {
 template <typename T>
 using FuturePtr = std::shared_ptr<Future<T>>;
 
-// A typed rendezvous channel: producers Push values (waking a consumer),
-// consumers Pop (blocking while empty). Used where several producers answer
-// one consumer: the commit protocols' votes, acks and promises, and name
-// lookup replies. (A session reply has one producer and rides a Future.)
+// The replies to one round of requests, in arrival order: the commit
+// protocols' votes, acks, promises and acceptances, and name lookup replies.
+// Producers Push (waking the consumer); the consumer reads each delivery once
+// through Next. A datagram may deliver a reply twice, so a round that counts
+// answerers passes each reply's sender to First. (A session reply has one
+// producer and rides a Future.)
 template <typename T>
-class Channel {
+class Replies {
  public:
-  explicit Channel(Scheduler& sched) : sched_(sched) {}
+  explicit Replies(Scheduler& sched) : sched_(sched) {}
 
   void Push(T v) {
     items_.push_back(std::move(v));
     sched_.NotifyOne(queue_);
   }
 
-  T Pop() {
-    while (items_.empty()) {
-      sched_.Wait(queue_);
-    }
-    T v = std::move(items_.front());
-    items_.pop_front();
-    return v;
-  }
-
-  // Pop with a timeout; returns false (leaving `out` untouched) on timeout.
-  bool PopWithTimeout(SimTime timeout, T* out) {
-    SimTime deadline = sched_.Now() + timeout;
-    while (items_.empty()) {
+  // The next unread delivery, waiting until virtual time `deadline` at most;
+  // nullopt when none arrived by then. A delivery that lands exactly at the
+  // deadline is still taken.
+  std::optional<T> Next(SimTime deadline) {
+    while (read_ == items_.size()) {
       SimTime remaining = deadline - sched_.Now();
       if (remaining <= 0 || !sched_.Wait(queue_, remaining)) {
-        if (items_.empty()) {
-          return false;
-        }
         break;
       }
     }
-    *out = std::move(items_.front());
-    items_.pop_front();
-    return true;
+    if (read_ == items_.size()) {
+      return std::nullopt;
+    }
+    return std::move(items_[read_++]);
   }
 
-  bool empty() const { return items_.empty(); }
-  size_t size() const { return items_.size(); }
+  // Counts `from` as an answerer; false when it already answered.
+  bool First(NodeId from) {
+    if (std::find(senders_.begin(), senders_.end(), from) != senders_.end()) {
+      return false;
+    }
+    senders_.push_back(from);
+    return true;
+  }
+  size_t senders() const { return senders_.size(); }
 
  private:
   Scheduler& sched_;
   WaitQueue queue_;
-  std::deque<T> items_;
+  std::vector<T> items_;
+  size_t read_ = 0;
+  std::vector<NodeId> senders_;
 };
+
+// Shared by the collecting task and the delivery tasks, which may outlive a
+// collector that gave up, so they live on the heap.
+template <typename T>
+using RepliesPtr = std::shared_ptr<Replies<T>>;
 
 }  // namespace tabs::sim
 

@@ -11,7 +11,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <set>
 
 #include "src/log/group_commit.h"
 #include "src/sim/fault_injector.h"
@@ -52,22 +51,19 @@ Ballot PaxosCommit::NextBallot() {
 }
 
 std::vector<NodeId> PaxosCommit::ChooseAcceptors(const TransactionId& tid) const {
-  std::vector<NodeId> members;
-  for (const auto& [id, tm] : *tm_.peers_) {
-    members.push_back(id);  // includes dead nodes: pure function of membership
-  }
-  size_t want = static_cast<size_t>(2 * f_ + 1);
-  if (want > members.size()) {
-    want = members.size();
-  }
+  const auto& members = *tm_.peers_;  // includes dead nodes: pure function of membership
+  size_t want = std::min(static_cast<size_t>(2 * f_ + 1), members.size());
   if (want % 2 == 0) {
     --want;  // an even set tolerates no more failures than the next odd one down
   }
-  size_t start = tid.counter() % members.size();
+  auto it = std::next(members.begin(), static_cast<std::ptrdiff_t>(tid.counter() % members.size()));
   std::vector<NodeId> out;
   out.reserve(want);
-  for (size_t i = 0; i < want; ++i) {
-    out.push_back(members[(start + i) % members.size()]);
+  while (out.size() < want) {
+    out.push_back(it->first);
+    if (++it == members.end()) {
+      it = members.begin();
+    }
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -132,22 +128,20 @@ int PaxosCommit::Decide(const TransactionId& tid, const std::vector<NodeId>& par
       values.push_back(InstanceValue{p, 0, v});
     }
     sim::Scheduler& sched = sub.scheduler();
-    auto replies = std::make_shared<AcceptChannel>(sched);
+    auto replies = std::make_shared<sim::Replies<PaxosAccepted>>(sched);
     size_t sent = SendAcceptBundles(tid, values, acceptors, replies, prepare_lsn);
     // F+1 distinct acceptors decide; a duplicated reply counts once.
     const size_t quorum = Quorum(acceptors);
-    std::set<NodeId> acked;
     SimTime deadline = sched.Now() + tm_.vote_timeout_;
-    while (acked.size() < std::min(sent, quorum)) {
-      PaxosAccepted a;
-      SimTime remaining = std::max<SimTime>(deadline - sched.Now(), 0);
-      if (!replies->PopWithTimeout(remaining, &a)) {
+    while (replies->senders() < std::min(sent, quorum)) {
+      std::optional<PaxosAccepted> a = replies->Next(deadline);
+      if (!a) {
         break;
       }
       sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 1);  // CM -> TM: 2b arrived
-      acked.insert(a.from);
+      replies->First(a->from);
     }
-    if (acked.size() >= quorum) {
+    if (replies->senders() >= quorum) {
       // The decision point: F+1 acceptors hold a durable acceptance of EVERY
       // instance (a bundle is atomic at its acceptor), so any future
       // takeover quorum intersects them and must choose the same values —
@@ -167,38 +161,11 @@ int PaxosCommit::Decide(const TransactionId& tid, const std::vector<NodeId>& par
   return Resolve(tid, participants, acceptors);
 }
 
-template <typename Local, typename Remote>
-size_t PaxosCommit::ToAcceptors(const std::vector<NodeId>& acceptors, Local local,
-                                Remote remote) {
-  sim::Substrate& sub = tm_.node_.substrate();
-  size_t reached = 0;
-  bool first_send = true;
-  for (NodeId a : acceptors) {
-    if (a == self()) {
-      local();
-      ++reached;
-      continue;
-    }
-    TransactionManager* atm = tm_.Peer(a);
-    if (atm == nullptr) {
-      continue;  // dead acceptor: a quorum of the others suffices
-    }
-    // The sender serializes sends: each datagram after the first delays by
-    // half a datagram time, as for prepares.
-    if (!first_send) {
-      sub.scheduler().Charge(sub.CostOf(sim::Primitive::kDatagram) / 2);
-    }
-    first_send = false;
-    ++reached;
-    remote(a, atm->paxos_.get(), &atm->cm_);
-  }
-  return reached;
-}
-
 size_t PaxosCommit::SendAcceptBundles(const TransactionId& tid,
                                       const std::vector<InstanceValue>& values,
                                       const std::vector<NodeId>& acceptors,
-                                      AcceptChannelPtr replies, Lsn prepare_lsn) {
+                                      const sim::RepliesPtr<PaxosAccepted>& replies,
+                                      Lsn prepare_lsn) {
   sim::Substrate& sub = tm_.node_.substrate();
   NodeId me = self();
   // The local acceptor runs first, before anything reaches the wire: its
@@ -207,20 +174,21 @@ size_t PaxosCommit::SendAcceptBundles(const TransactionId& tid,
   // can decide Prepared for this coordinator's instance while the
   // coordinator's redo is volatile.
   bool local = std::find(acceptors.begin(), acceptors.end(), me) != acceptors.end();
-  if (local) {
-    bool accepted = AcceptBundle(tid, 0, values, me, replies);
-    if (!accepted && prepare_lsn != kNullLsn) {
-      tm_.ForceLsn(prepare_lsn);  // stale local acceptor: force the prepare directly
-    }
+  if (local && AcceptBundle(tid, 0, values)) {
+    replies->Push(PaxosAccepted{me, 0, true});
   } else if (prepare_lsn != kNullLsn) {
-    tm_.ForceLsn(prepare_lsn);  // no local acceptance to ride on
+    // No local acceptance to ride on (or a stale one): force it directly.
+    tm_.ForceLsn(prepare_lsn);
   }
-  return ToAcceptors(acceptors, [] {}, [&](NodeId a, PaxosCommit* ap, comm::CommManager*) {
+  return tm_.ToPeers(acceptors, [] {}, [&](NodeId a, TransactionManager* atm) {
     // Crash window: this bundle is about to leave while bundles for other
     // acceptors of the same transaction may already be on the wire.
     FAULT_POINT(sub, "comm.accept-bundle");
-    tm_.cm_.SendDatagram(a, "paxos-accept-bundle", [ap, tid, values, me, replies] {
-      ap->AcceptBundle(tid, 0, values, me, replies);
+    tm_.cm_.SendDatagram(a, "paxos-accept-bundle", [atm, a, tid, values, me, replies] {
+      if (atm->paxos_->AcceptBundle(tid, 0, values)) {
+        atm->cm_.SendDatagram(me, "paxos-accepted",
+                              [replies, a] { replies->Push(PaxosAccepted{a, 0, true}); });
+      }
     });
   });
 }
@@ -270,13 +238,13 @@ int PaxosCommit::RunTakeover(const TransactionId& tid,
     Ballot b = NextBallot();
 
     // ---- phase 1: promises from an acceptor quorum ----
-    auto promises = std::make_shared<PromiseChannel>(sched);
-    size_t sent = ToAcceptors(
+    auto promises = std::make_shared<sim::Replies<PaxosPromise>>(sched);
+    size_t sent = tm_.ToPeers(
         acceptors, [&] { promises->Push(Promise(tid, b)); },
-        [&](NodeId a, PaxosCommit* ap, comm::CommManager* acm) {
-          tm_.cm_.SendDatagram(a, "paxos-ballot", [ap, acm, tid, b, me, promises] {
-            PaxosPromise p = ap->Promise(tid, b);
-            acm->SendDatagram(me, "paxos-promise", [promises, p] { promises->Push(p); });
+        [&](NodeId a, TransactionManager* atm) {
+          tm_.cm_.SendDatagram(a, "paxos-ballot", [atm, tid, b, me, promises] {
+            PaxosPromise p = atm->paxos_->Promise(tid, b);
+            atm->cm_.SendDatagram(me, "paxos-promise", [promises, p] { promises->Push(p); });
           });
         });
 
@@ -285,26 +253,24 @@ int PaxosCommit::RunTakeover(const TransactionId& tid,
     // already promised, which needs no force and so arrives first. That nok
     // is an echo of this round, not a rival's, so it is not counted.
     std::vector<PaxosPromise> oks;
-    std::set<NodeId> answered;
     Ballot highest = b;
     SimTime deadline = sched.Now() + tm_.vote_timeout_;
-    while (answered.size() < sent && oks.size() < quorum) {
-      PaxosPromise p;
-      SimTime remaining = std::max<SimTime>(deadline - sched.Now(), 0);
-      if (!promises->PopWithTimeout(remaining, &p)) {
+    while (promises->senders() < sent && oks.size() < quorum) {
+      std::optional<PaxosPromise> p = promises->Next(deadline);
+      if (!p) {
         break;
       }
       sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 1);  // CM -> TM
-      if (p.learned != 0) {
-        return p.learned;  // an acceptor already knows the outcome: adopt it
+      if (p->learned != 0) {
+        return p->learned;  // an acceptor already knows the outcome: adopt it
       }
-      if ((!p.ok && p.promised == b) || !answered.insert(p.from).second) {
+      if ((!p->ok && p->promised == b) || !promises->First(p->from)) {
         continue;
       }
-      if (p.ok) {
-        oks.push_back(std::move(p));
+      if (p->ok) {
+        oks.push_back(std::move(*p));
       } else {
-        highest = std::max(highest, p.promised);
+        highest = std::max(highest, p->promised);
       }
     }
     if (oks.size() < quorum) {
@@ -341,32 +307,30 @@ int PaxosCommit::RunTakeover(const TransactionId& tid,
     }
 
     // ---- phase 2: accept-all at ballot b ----
-    auto acks = std::make_shared<AcceptChannel>(sched);
-    size_t sent2 = ToAcceptors(
+    auto acks = std::make_shared<sim::Replies<PaxosAccepted>>(sched);
+    size_t sent2 = tm_.ToPeers(
         acceptors, [&] { acks->Push(PaxosAccepted{me, b, AcceptAll(tid, b, values)}); },
-        [&](NodeId a, PaxosCommit* ap, comm::CommManager* acm) {
-          tm_.cm_.SendDatagram(a, "paxos-accept", [ap, acm, tid, b, me, a, values, acks] {
-            PaxosAccepted r{a, b, ap->AcceptAll(tid, b, values)};
-            acm->SendDatagram(me, "paxos-accept-ack", [acks, r] { acks->Push(r); });
+        [&](NodeId a, TransactionManager* atm) {
+          tm_.cm_.SendDatagram(a, "paxos-accept", [atm, tid, b, me, a, values, acks] {
+            PaxosAccepted r{a, b, atm->paxos_->AcceptAll(tid, b, values)};
+            atm->cm_.SendDatagram(me, "paxos-accept-ack", [acks, r] { acks->Push(r); });
           });
         });
 
     // F+1 distinct acceptors decide; a duplicated ack counts once.
     size_t got = 0;
     bool nacked = false;
-    answered.clear();
     deadline = sched.Now() + tm_.vote_timeout_;
-    while (answered.size() < sent2 && got < quorum) {
-      PaxosAccepted r;
-      SimTime remaining = std::max<SimTime>(deadline - sched.Now(), 0);
-      if (!acks->PopWithTimeout(remaining, &r)) {
+    while (acks->senders() < sent2 && got < quorum) {
+      std::optional<PaxosAccepted> r = acks->Next(deadline);
+      if (!r) {
         break;
       }
       sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 1);  // CM -> TM
-      if (!answered.insert(r.from).second) {
+      if (!acks->First(r->from)) {
         continue;
       }
-      if (r.ok) {
+      if (r->ok) {
         ++got;
       } else {
         nacked = true;
@@ -427,8 +391,7 @@ void PaxosCommit::BroadcastLearn(const TransactionId& tid, int outcome,
 // --- acceptor side -----------------------------------------------------------
 
 bool PaxosCommit::AcceptBundle(const TransactionId& tid, Ballot ballot,
-                               const std::vector<InstanceValue>& values, NodeId leader,
-                               AcceptChannelPtr replies) {
+                               const std::vector<InstanceValue>& values) {
   sim::Substrate& sub = tm_.node_.substrate();
   sim::PhaseScope commit_phase(sub.metrics(), sim::Phase::kCommit);
   sim::SpanGuard span(sub.tracer(), sim::Component::kTransactionManager, "paxos.accept",
@@ -462,12 +425,6 @@ bool PaxosCommit::AcceptBundle(const TransactionId& tid, Ballot ballot,
   // The acceptances are durable but unreported: the leader times out and the
   // takeover path must find them here during phase 1.
   FAULT_POINT(sub, "paxos.accept-send");
-  PaxosAccepted acc{self(), ballot, true};
-  if (leader == self()) {
-    replies->Push(acc);
-    return true;
-  }
-  tm_.cm_.SendDatagram(leader, "paxos-accepted", [replies, acc] { replies->Push(acc); });
   return true;
 }
 

@@ -56,7 +56,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -99,8 +98,6 @@ struct VoteMsg {
   NodeId from = kInvalidNode;
   Vote vote = Vote::kNone;
 };
-using VoteChannel = sim::Channel<VoteMsg>;
-using VoteChannelPtr = std::shared_ptr<VoteChannel>;
 
 // One accepted (participant, ballot, vote) triple at an acceptor.
 struct InstanceValue {
@@ -118,8 +115,6 @@ struct PaxosAccepted {
   Ballot ballot = 0;
   bool ok = true;
 };
-using AcceptChannel = sim::Channel<PaxosAccepted>;
-using AcceptChannelPtr = std::shared_ptr<AcceptChannel>;
 
 // Phase-1b reply from acceptor `from`: promise (with everything it has
 // accepted for the transaction's instances) or rejection, plus any learned
@@ -131,7 +126,6 @@ struct PaxosPromise {
   int learned = 0;  // +1 committed, -1 aborted, 0 unknown
   std::vector<InstanceValue> accepted;
 };
-using PromiseChannel = sim::Channel<PaxosPromise>;
 
 // The per-node Paxos Commit engine: acceptor role for any transaction whose
 // acceptor set includes this node, plus the leader-side primitives the
@@ -183,13 +177,13 @@ class PaxosCommit {
                       const std::vector<NodeId>& acceptors);
 
   // --- acceptor side (run on the acceptor's node via datagram handlers) -----
-  // Ballot-0 2a: accept every instance in the bundle, log them as ONE forced
-  // multi-instance kPaxosAccept record, and acknowledge the whole bundle to
-  // `leader` with a single reply. Returns false (silently, no reply) when a
-  // takeover moved past ballot 0 or the outcome is already learned.
+  // Ballot-0 2a: accept every instance in the bundle and log them as ONE
+  // forced multi-instance kPaxosAccept record; the caller acknowledges the
+  // whole bundle with a single reply. Returns false (the caller stays
+  // silent) when a takeover moved past ballot 0 or the outcome is already
+  // learned.
   bool AcceptBundle(const TransactionId& tid, Ballot ballot,
-                    const std::vector<InstanceValue>& values, NodeId leader,
-                    AcceptChannelPtr replies);
+                    const std::vector<InstanceValue>& values);
   // Phase 1a at `ballot`: promise (durably) or reject.
   PaxosPromise Promise(const TransactionId& tid, Ballot ballot);
   // Takeover phase 2a at `ballot`: accept values for every instance at once.
@@ -219,11 +213,6 @@ class PaxosCommit {
 
   NodeId self() const;
   Ballot NextBallot();
-  // One round's fan-out, in acceptor order: `local()` when this node is an
-  // acceptor, `remote(node, its PaxosCommit, its CommManager)` for every
-  // live remote one. Returns how many acceptors were reached.
-  template <typename Local, typename Remote>
-  size_t ToAcceptors(const std::vector<NodeId>& acceptors, Local local, Remote remote);
   // Ballot-0 phase 2a, coalesced: ONE accept-bundle datagram per acceptor
   // node carries every instance's pre-assigned value; acceptances come back
   // through `replies`, one per acceptor. Returns the number of acceptors
@@ -234,8 +223,8 @@ class PaxosCommit {
   // quorum must never decide Prepared while the coordinator's redo is still
   // volatile.
   size_t SendAcceptBundles(const TransactionId& tid, const std::vector<InstanceValue>& values,
-                           const std::vector<NodeId>& acceptors, AcceptChannelPtr replies,
-                           Lsn prepare_lsn);
+                           const std::vector<NodeId>& acceptors,
+                           const sim::RepliesPtr<PaxosAccepted>& replies, Lsn prepare_lsn);
   // Appends one acceptor record at `ballot` carrying `values` (a kPaxosAccept
   // also records their acceptance): one record, and one force, per bundle.
   Lsn AppendRecord(log::RecordType type, const TransactionId& tid, Ballot ballot,

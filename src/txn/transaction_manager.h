@@ -264,7 +264,6 @@ class TransactionManager : public comm::TransactionTreeListener,
   // Implemented in two_phase_commit.cc.
   Status CommitTopLevel(Txn& txn);
   Tally PrepareSubtree(Txn& txn, bool leader);
-  void SendVote(NodeId parent, Vote vote, bool paxos, const VoteChannelPtr& votes);
   // Queue mode: a dependent may not vote or decide before its predecessors
   // do. Returns kOk to go on, kAborted when a cascade abort owns (or already
   // forgot) the transaction, kVoteNo when the wait failed and the subtree
@@ -287,6 +286,34 @@ class TransactionManager : public comm::TransactionTreeListener,
   void SettleSubtxn(const TransactionId& child, const TransactionId& parent,
                     const TransactionId& top, const TransactionId& holder);
   TransactionManager* Peer(NodeId node) const;
+  // One round's fan-out, in `nodes` order: `local()` for this node and
+  // `remote(node, its TransactionManager)` for every live peer. The sender
+  // serializes sends, so each datagram after the first leaves half a
+  // datagram time later (the paper's half-datagram estimate, Table 5-3
+  // note). Returns how many nodes it reached.
+  template <typename Nodes, typename Local, typename Remote>
+  size_t ToPeers(const Nodes& nodes, Local local, Remote remote) {
+    sim::Substrate& sub = node_.substrate();
+    size_t reached = 0;
+    size_t sends = 0;
+    for (NodeId node : nodes) {
+      if (node == node_.id()) {
+        local();
+        ++reached;
+        continue;
+      }
+      TransactionManager* peer = Peer(node);
+      if (peer == nullptr) {
+        continue;  // a dead peer: the round goes on without it
+      }
+      if (sends++ > 0) {
+        sub.scheduler().Charge(sub.CostOf(sim::Primitive::kDatagram) / 2);
+      }
+      ++reached;
+      remote(node, peer);
+    }
+    return reached;
+  }
 
   Lsn AppendTxnRecord(log::RecordType type, const Txn& txn);
   void ForceLsn(Lsn lsn);

@@ -196,32 +196,34 @@ TransactionManager::Tally TransactionManager::PrepareSubtree(Txn& txn, bool lead
   }
   FAULT_POINT(sub, "2pc.prepare.begin");
 
-  // Phase one downward: prepare datagrams to every child, in parallel. The
-  // sender serializes sends, so each datagram after the first delays by half
-  // a datagram time (the paper's half-datagram estimate, Table 5-3 note).
-  // A prepare carries the sibling list, so an in-doubt participant can run
-  // cooperative termination if this node later crashes; a Paxos leader's
-  // carries the participant and acceptor sets, so any survivor can run a
-  // takeover.
-  auto votes = std::make_shared<VoteChannel>(sched);
+  // Phase one downward: prepare datagrams to every child, in parallel; each
+  // child prepares its subtree and sends its vote back. A prepare carries the
+  // sibling list, so an in-doubt participant can run cooperative termination
+  // if this node later crashes; a Paxos leader's carries the participant and
+  // acceptor sets, so any survivor can run a takeover.
+  sim::RepliesPtr<VoteMsg> votes;
+  if (children > 0) {
+    votes = std::make_shared<sim::Replies<VoteMsg>>(sched);
+  }
   const NodeId self = node_.id();
-  bool first_send = true;
-  for (NodeId child : info.children) {
-    TransactionManager* child_tm = Peer(child);
-    if (!first_send) {
-      sched.Charge(sub.CostOf(sim::Primitive::kDatagram) / 2);
-    }
-    first_send = false;
+  ToPeers(info.children, [] {}, [&](NodeId child, TransactionManager* child_tm) {
     std::vector<NodeId> siblings =
         leader ? txn.siblings : std::vector<NodeId>(info.children.begin(), info.children.end());
     std::vector<NodeId> acceptors = leader ? txn.acceptors : std::vector<NodeId>();
-    cm_.SendDatagram(child, leader ? "paxos-prepare" : "2pc-prepare",
-                     [child_tm, tid, self, votes, siblings = std::move(siblings),
-                      acceptors = std::move(acceptors)] {
-                       Vote v = child_tm->HandlePrepare(tid, self, siblings, acceptors);
-                       child_tm->SendVote(self, v, !acceptors.empty(), votes);
-                     });
-  }
+    auto prepare = [child_tm, child, tid, self, votes, siblings = std::move(siblings),
+                    acceptors = std::move(acceptors)] {
+      Vote v = child_tm->HandlePrepare(tid, self, siblings, acceptors);
+      const bool paxos = !acceptors.empty();
+      if (paxos) {
+        // The vote is computed but not yet on the wire to the leader: a crash
+        // here leaves the instance open, decided by takeover as Aborted.
+        FAULT_POINT(child_tm->substrate(), "paxos.vote-send");
+      }
+      child_tm->cm_.SendDatagram(self, paxos ? "paxos-vote" : "2pc-vote",
+                                 [votes, child, v] { votes->Push(VoteMsg{child, v}); });
+    };
+    cm_.SendDatagram(child, leader ? "paxos-prepare" : "2pc-prepare", std::move(prepare));
+  });
 
   if (leader) {
     // A dependent may not vote before its predecessors decide: the leader's
@@ -269,22 +271,19 @@ TransactionManager::Tally TransactionManager::PrepareSubtree(Txn& txn, bool lead
   t.votes.reserve(children);
   SimTime vote_deadline = sched.Now() + vote_timeout_;
   while (t.votes.size() < children) {
-    VoteMsg m;
-    // A zero budget still pops an already-delivered vote without waiting.
-    SimTime remaining = std::max<SimTime>(vote_deadline - sched.Now(), 0);
-    if (!votes->PopWithTimeout(remaining, &m)) {
+    std::optional<VoteMsg> m = votes->Next(vote_deadline);
+    if (!m) {
       t.vote = Vote::kAborted;  // lost vote or crashed child: abort is always safe
       break;
     }
     sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 1);  // CM -> TM: vote arrived
-    if (std::any_of(t.votes.begin(), t.votes.end(),
-                    [&m](const VoteMsg& v) { return v.from == m.from; })) {
+    if (!votes->First(m->from)) {
       continue;
     }
-    t.votes.push_back(m);
-    if (m.vote == Vote::kAborted) {
+    t.votes.push_back(*m);
+    if (m->vote == Vote::kAborted) {
       t.vote = Vote::kAborted;
-    } else if (m.vote == Vote::kPrepared && t.vote != Vote::kAborted) {
+    } else if (m->vote == Vote::kPrepared && t.vote != Vote::kAborted) {
       t.vote = Vote::kPrepared;
     }
   }
@@ -298,18 +297,6 @@ TransactionManager::Tally TransactionManager::PrepareSubtree(Txn& txn, bool lead
     }
   }
   return t;
-}
-
-void TransactionManager::SendVote(NodeId parent, Vote vote, bool paxos,
-                                  const VoteChannelPtr& votes) {
-  if (paxos) {
-    // The vote is computed but not yet on the wire to the leader: a crash
-    // here leaves the instance open, decided by takeover as Aborted.
-    FAULT_POINT(node_.substrate(), "paxos.vote-send");
-  }
-  NodeId self = node_.id();
-  cm_.SendDatagram(parent, paxos ? "paxos-vote" : "2pc-vote",
-                   [votes, self, vote] { votes->Push(VoteMsg{self, vote}); });
 }
 
 Status TransactionManager::AwaitPredecessors(Txn& txn) {
@@ -430,27 +417,20 @@ void TransactionManager::CommitSubtree(Txn& txn, bool is_root) {
                       sub.tracer().enabled() ? ToString(txn.top) : std::string());
   bool wait_for_acks = !sub.arch().optimized_commit;
 
-  auto acks = std::make_shared<sim::Channel<bool>>(sched);
-  int expected = 0;
-  bool first_send = true;
-  for (NodeId child : txn.update_children) {
-    TransactionManager* child_tm = Peer(child);
-    if (child_tm == nullptr) {
-      continue;  // crashed child resolves via in-doubt query after recovery
-    }
-    if (!first_send) {
-      sched.Charge(sub.CostOf(sim::Primitive::kDatagram) / 2);
-    }
-    first_send = false;
-    ++expected;
-    TransactionId tid = txn.tid;
-    NodeId self = node_.id();
-    comm::CommManager* child_cm = &child_tm->cm_;
-    cm_.SendDatagram(child, "2pc-commit", [child_tm, child_cm, tid, self, acks] {
-      child_tm->HandleCommit(tid);
-      child_cm->SendDatagram(self, "2pc-ack", [acks] { acks->Push(true); });
-    });
+  sim::RepliesPtr<NodeId> acks;
+  if (!txn.update_children.empty()) {
+    acks = std::make_shared<sim::Replies<NodeId>>(sched);
   }
+  const TransactionId tid = txn.tid;
+  const NodeId self = node_.id();
+  // A crashed child resolves via the in-doubt query after recovery.
+  size_t expected =
+      ToPeers(txn.update_children, [] {}, [&](NodeId child, TransactionManager* child_tm) {
+        cm_.SendDatagram(child, "2pc-commit", [child_tm, child, tid, self, acks] {
+          child_tm->HandleCommit(tid);
+          child_tm->cm_.SendDatagram(self, "2pc-ack", [acks, child] { acks->Push(child); });
+        });
+      });
 
   for (CommitParticipant* s : txn.servers) {
     sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 1);  // TM -> server: commit
@@ -467,9 +447,8 @@ void TransactionManager::CommitSubtree(Txn& txn, bool is_root) {
       // already stands, so a crash here must still commit everywhere.
       FAULT_POINT(sub, "2pc.commit.before_acks");
     }
-    for (int i = 0; i < expected; ++i) {
-      bool b = false;
-      if (!acks->PopWithTimeout(vote_timeout_, &b)) {
+    for (size_t i = 0; i < expected; ++i) {
+      if (!acks->Next(sched.Now() + vote_timeout_)) {
         break;  // a child will resolve via in-doubt query; commit stands
       }
       sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 1);  // CM -> TM: ack arrived

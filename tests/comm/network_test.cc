@@ -103,6 +103,33 @@ TEST_F(NetworkTest, DatagramDeliveredOneWay) {
   EXPECT_EQ(receiver_at, 25'000);      // one datagram time later
 }
 
+TEST_F(NetworkTest, InFlightDeliveriesDieWithTheirDestination) {
+  // Node 2 crashes and is back up before either message arrives. Neither
+  // delivery task checks liveness: the crash killed them in flight.
+  bool datagram_ran = false;
+  bool session_ran = false;
+  Status status = Status::kOk;
+  sched_.Spawn("sender", 1, 0, [&] {
+    net_.SendDatagram(1, 2, "d", [&] { datagram_ran = true; });
+  });
+  sched_.Spawn("caller", 3, 0, [&] {
+    auto r = net_.SessionCall<int>(3, 2, "f", [&] {
+      session_ran = true;
+      return 1;
+    });
+    status = r.status();
+  });
+  sched_.Spawn("crash", 1, 10'000, [&] {
+    net_.SetAlive(2, false);
+    sched_.KillWhere([](const sim::Task& t) { return t.node == 2; });
+    net_.SetAlive(2, true);
+  });
+  EXPECT_EQ(sched_.Run(), 0);
+  EXPECT_FALSE(datagram_ran);
+  EXPECT_FALSE(session_ran);
+  EXPECT_EQ(status, Status::kNodeDown);
+}
+
 TEST_F(NetworkTest, DatagramLossFilterDrops) {
   net_.SetDatagramLoss([](NodeId from, NodeId to) { return to == 2; });
   int delivered = 0;

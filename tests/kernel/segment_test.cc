@@ -160,8 +160,10 @@ TEST_F(SegmentTest, DirtyPageTableTracksRecoveryLsns) {
     seg.Unpin(b);
     auto dirty = seg.DirtyPages();
     ASSERT_EQ(dirty.size(), 2u);
-    EXPECT_EQ(dirty[0], 11u);  // first LSN since clean, not the latest
-    EXPECT_EQ(dirty[1], 22u);
+    EXPECT_EQ(dirty[0].page, 0u);
+    EXPECT_EQ(dirty[0].recovery_lsn, 11u);  // first LSN since clean, not the latest
+    EXPECT_EQ(dirty[1].page, 1u);
+    EXPECT_EQ(dirty[1].recovery_lsn, 22u);
     seg.FlushAll();
     EXPECT_TRUE(seg.DirtyPages().empty());
   });
@@ -215,7 +217,7 @@ TEST_F(SegmentTest, CleanPreferringEvictionStealsCleanFrameFirst) {
     EXPECT_TRUE(hooks.before_write.empty());
     auto dirty_pages = seg.DirtyPages();
     ASSERT_EQ(dirty_pages.size(), 1u);
-    EXPECT_EQ(dirty_pages.count(0), 1u);  // page 0 still resident, still dirty
+    EXPECT_EQ(dirty_pages[0].page, 0u);  // page 0 still resident, still dirty
   });
 }
 
@@ -246,7 +248,9 @@ TEST_F(SegmentTest, FlushPagesSkipsPinnedUnlessAsked) {
     seg.Pin(a);
     seg.Write(a, Bytes{7, 7, 7, 7}, 9);
     // The background cleaner skips pinned frames entirely...
-    EXPECT_TRUE(seg.CleanCandidates().empty());
+    auto dirty = seg.DirtyPages();
+    ASSERT_EQ(dirty.size(), 1u);
+    EXPECT_TRUE(dirty[0].pinned);
     EXPECT_EQ(seg.FlushPages({0}, /*background=*/true), 0);
     EXPECT_EQ(disk_.PeekPage({1, 0}).data[0], 0);
     // ...while reclamation writes (but does not steal) the pinned frame.
@@ -258,7 +262,7 @@ TEST_F(SegmentTest, FlushPagesSkipsPinnedUnlessAsked) {
   });
 }
 
-TEST_F(SegmentTest, CleanCandidatesAreDirtyUnpinnedFrames) {
+TEST_F(SegmentTest, DirtyPagesMarkPinnedFrames) {
   RecoverableSegment seg(substrate_, disk_, 1, 8, 4);
   RunInTask([&] {
     ObjectId a{1, 0, 4}, b{1, kPageSize, 4};
@@ -268,10 +272,13 @@ TEST_F(SegmentTest, CleanCandidatesAreDirtyUnpinnedFrames) {
     seg.Write(b, Bytes{2, 0, 0, 0}, 22);
     seg.Unpin(a);
     seg.Read({1, 2 * kPageSize, 1});  // page 2: resident but clean
-    auto candidates = seg.CleanCandidates();
-    ASSERT_EQ(candidates.size(), 1u);  // only page 0: dirty AND unpinned
-    EXPECT_EQ(candidates[0].page, 0u);
-    EXPECT_EQ(candidates[0].recovery_lsn, 11u);
+    auto dirty = seg.DirtyPages();
+    ASSERT_EQ(dirty.size(), 2u);  // pages 0 and 1; page 2 is clean
+    EXPECT_EQ(dirty[0].page, 0u);  // the cleaner's only candidate: dirty AND unpinned
+    EXPECT_EQ(dirty[0].recovery_lsn, 11u);
+    EXPECT_FALSE(dirty[0].pinned);
+    EXPECT_EQ(dirty[1].page, 1u);
+    EXPECT_TRUE(dirty[1].pinned);
     seg.Unpin(b);
   });
 }

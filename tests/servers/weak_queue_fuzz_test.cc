@@ -15,24 +15,19 @@ namespace {
 
 using servers::WeakQueueServer;
 
-class WeakQueueFuzzTest : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(WeakQueueFuzzTest, ContentsMatchMultisetModel) {
-  std::mt19937 rng(GetParam());
-  // The drain-equals-model oracle needs synchronous commit outcomes. Under
-  // Paxos Commit a post-recovery commit can exceed the vote timeout (the
-  // recovery task's redo charges queue ahead of the acceptor's force in
-  // virtual time) and park in doubt — consistent, but unreachable for a
-  // drain that treats the first failed dequeue as "queue empty".
-  WorldOptions opt;
-  opt.commit_mode = txn::CommitMode::kTwoPhase;
-  World world(2, opt);
+// Traffic and the drain run on `client` against a queue on node 1, which
+// crashes and recovers every round. With the client on node 2 every commit
+// crosses nodes, so under Paxos Commit it runs the distributed commit, also
+// after recovery.
+void RunQueueFuzz(unsigned seed, NodeId client) {
+  std::mt19937 rng(seed);
+  World world(2);
   auto* q = world.AddServerOf<WeakQueueServer>(1, "q", 24u);
   std::multiset<std::int32_t> model;  // committed contents
   std::int32_t next_value = 0;
 
   for (int round = 0; round < 8; ++round) {
-    world.RunApp(1, [&](Application& app) {
+    world.RunApp(client, [&](Application& app) {
       for (int step = 0; step < 12; ++step) {
         switch (rng() % 4) {
           case 0: {  // committed enqueue (if capacity permits)
@@ -88,7 +83,7 @@ TEST_P(WeakQueueFuzzTest, ContentsMatchMultisetModel) {
     });
     // Drain completely and compare against the model.
     std::multiset<std::int32_t> drained;
-    world.RunApp(1, [&](Application& app) {
+    world.RunApp(client, [&](Application& app) {
       for (;;) {
         std::int32_t got = 0;
         Status s = app.Transaction([&](const server::Tx& tx) {
@@ -105,9 +100,17 @@ TEST_P(WeakQueueFuzzTest, ContentsMatchMultisetModel) {
         drained.insert(got);
       }
     });
-    EXPECT_EQ(drained, model) << "round " << round << " seed " << GetParam();
+    EXPECT_EQ(drained, model) << "round " << round << " seed " << seed << " client " << client;
     model.clear();
   }
+}
+
+class WeakQueueFuzzTest : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(WeakQueueFuzzTest, ContentsMatchMultisetModel) { RunQueueFuzz(GetParam(), 1); }
+
+TEST_P(WeakQueueFuzzTest, RemoteClientContentsMatchMultisetModel) {
+  RunQueueFuzz(GetParam(), 2);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WeakQueueFuzzTest, ::testing::Values(8u, 80u, 808u),
