@@ -204,7 +204,7 @@ void LogManager::ValidateStableTail() {
   }
 }
 
-Lsn LogManager::Append(LogRecord rec) {
+Lsn LogManager::Append(LogRecord& rec) {
   // Paxos acceptor records join no backward chain: rollback and the undo
   // pass follow prev_lsn only from update records, and an acceptor holding
   // no Txn for the transaction would never ForgetChain the entry.

@@ -125,10 +125,11 @@ class LogManager {
  public:
   LogManager(sim::Substrate& substrate, StableLogDevice& device);
 
-  // Appends `rec` to the volatile buffer, filling in prev_lsn from the
+  // Appends `rec` to the volatile buffer, filling in its prev_lsn from the
   // owner's chain (Paxos acceptor records join none). Returns the record's
-  // LSN. Does not force.
-  Lsn Append(LogRecord rec);
+  // LSN. Does not force. The caller keeps the record.
+  Lsn Append(LogRecord& rec);
+  Lsn Append(LogRecord&& rec) { return Append(rec); }
 
   // Forces the buffer through `upto` to the stable device, charging one
   // stable-storage write per page of forced log data (grouped). No-op if

@@ -107,19 +107,18 @@ Lsn RecoveryManager::LogOperation(const TransactionId& owner, const TransactionI
   rec.top = top;
   rec.server = server;
   rec.op_name = op_name;
-  Bytes apply_args = redo_args;
   rec.redo_args = std::move(redo_args);
   rec.undo_op_name = undo_op_name;
   rec.undo_args = std::move(undo_args);
   rec.pages = std::move(pages);
-  Lsn lsn = log_.Append(std::move(rec));
+  Lsn lsn = log_.Append(rec);
   undo_lists_[owner].push_back(lsn);
   // Apply the operation's effect through the server's dispatcher under the
   // record's LSN (forward processing applies exactly once).
   auto hooks = op_hooks_.find(server);
   assert(hooks != op_hooks_.end() && hooks->second.apply &&
          "operation logging requires registered hooks");
-  hooks->second.apply(op_name, apply_args, lsn);
+  hooks->second.apply(op_name, rec.redo_args, lsn);
   MaybeAutoReclaim();
   return lsn;
 }

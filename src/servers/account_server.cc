@@ -51,30 +51,26 @@ AccountServer::AccountServer(const server::ServerContext& ctx, placement::ShardS
 }
 
 std::int64_t AccountServer::CurrentBalance(std::uint32_t account) {
-  Bytes b = ReadObject(BalanceOid(account));
-  std::int64_t v;
-  std::memcpy(&v, b.data(), 8);
+  std::int64_t v = 0;
+  segment().Read(BalanceOid(account), reinterpret_cast<std::uint8_t*>(&v));
   return v;
 }
 
 void AccountServer::ApplyDelta(std::uint32_t account, std::int64_t delta, Lsn lsn) {
   std::int64_t v = CurrentBalance(account) + delta;
-  Bytes nv(8);
-  std::memcpy(nv.data(), &v, 8);
   ObjectId oid = BalanceOid(account);
   PinObject(oid);
-  segment().Write(oid, nv, lsn);
+  segment().Write(oid, reinterpret_cast<const std::uint8_t*>(&v), lsn);
   UnPinObject(oid);
 }
 
 Status AccountServer::LogDelta(const server::Tx& tx, std::uint32_t account,
                                std::int64_t delta, const char* op, const char* undo_op) {
   Bytes args(12);
-  std::uint32_t acc = account;
-  std::int64_t amount = delta;
-  std::memcpy(args.data(), &acc, 4);
-  std::memcpy(args.data() + 4, &amount, 8);
-  LogOperationRecord(tx, op, args, undo_op, args,
+  std::memcpy(args.data(), &account, 4);
+  std::memcpy(args.data() + 4, &delta, 8);
+  Bytes undo_args = args;
+  LogOperationRecord(tx, op, std::move(args), undo_op, std::move(undo_args),
                      {{segment().id(), BalanceOid(account).FirstPage()}});
   return Status::kOk;
 }

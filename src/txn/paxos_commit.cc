@@ -56,7 +56,8 @@ std::vector<NodeId> PaxosCommit::ChooseAcceptors(const TransactionId& tid) const
   if (want % 2 == 0) {
     --want;  // an even set tolerates no more failures than the next odd one down
   }
-  auto it = std::next(members.begin(), static_cast<std::ptrdiff_t>(tid.counter() % members.size()));
+  size_t start = (tid.counter() + tid.node) % members.size();
+  auto it = std::next(members.begin(), static_cast<std::ptrdiff_t>(start));
   std::vector<NodeId> out;
   out.reserve(want);
   while (out.size() < want) {

@@ -138,12 +138,13 @@ class PaxosCommit {
 
   void SetF(int f) { f_ = f < 0 ? 0 : f; }
 
-  // The 2F+1 acceptors for `tid`: a deterministic rotation of the sorted
-  // cluster membership keyed by the transaction counter, so concurrent
-  // transactions spread acceptor load. Clamped to the largest odd set the
-  // membership supports. Includes dead nodes on purpose: the set must be a
-  // pure function of (membership, tid) so every participant, standby leader
-  // and recovered node derives the same one.
+  // The 2F+1 acceptors for `tid`: a rotation of the sorted cluster membership
+  // starting at (counter + coordinator node) mod size. Every coordinator's
+  // counter advances at about the same pace, so keyed by the counter alone,
+  // transactions begun together on different nodes would share acceptors.
+  // Clamped to the largest odd set the membership supports. Includes dead
+  // nodes on purpose: the set must be a pure function of (membership, tid) so
+  // every participant, standby leader and recovered node derives the same one.
   std::vector<NodeId> ChooseAcceptors(const TransactionId& tid) const;
   static size_t Quorum(const std::vector<NodeId>& acceptors) {
     return acceptors.size() / 2 + 1;

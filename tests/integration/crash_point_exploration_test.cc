@@ -252,7 +252,7 @@ void RunWorkload(World& world, unsigned seed, AccountServer* b1, AccountServer* 
 void Recover(World& world) {
   NodeId runner = world.NodeAlive(1) ? 1 : 2;  // at most one node is dead
   world.RunApp(runner, [&world](Application&) {
-    for (NodeId n = 1; n <= 3; ++n) {
+    for (int n = 1; n <= world.node_count(); ++n) {
       if (!world.NodeAlive(n)) {
         world.RecoverNode(n);
       }
@@ -260,7 +260,7 @@ void Recover(World& world) {
     // Two passes: a resolution can require the coordinator's own recovered
     // outcome table, re-populated by the first pass.
     for (int pass = 0; pass < 2; ++pass) {
-      for (NodeId n = 1; n <= 3; ++n) {
+      for (int n = 1; n <= world.node_count(); ++n) {
         for (const TransactionId& tid : world.tm(n).InDoubt()) {
           world.tm(n).ResolveInDoubt(tid);
         }
@@ -313,7 +313,7 @@ std::string Describe(const Ledger& l) {
 // model, or — when the crash interrupted an EndTransaction — the model plus
 // that transaction's deltas. Either way money is conserved.
 void CheckInvariants(World& world, const Model& m, unsigned seed, const std::string& where) {
-  for (NodeId n = 1; n <= 3; ++n) {
+  for (int n = 1; n <= world.node_count(); ++n) {
     EXPECT_TRUE(world.tm(n).InDoubt().empty())
         << "unresolved in-doubt transactions on node " << n << " after crash at " << where
         << " (seed " << seed << ")";
@@ -479,7 +479,7 @@ void ResolveOnSurvivors(World& world, unsigned seed, const std::string& where) {
     // Two passes: the first can return "still in doubt" if it races a
     // concurrent standby-leader sweep that has the per-transaction lead.
     for (int pass = 0; pass < 2; ++pass) {
-      for (NodeId n = 1; n <= 3; ++n) {
+      for (int n = 1; n <= world.node_count(); ++n) {
         if (!world.NodeAlive(n)) {
           continue;
         }
@@ -489,7 +489,7 @@ void ResolveOnSurvivors(World& world, unsigned seed, const std::string& where) {
       }
     }
   });
-  for (NodeId n = 1; n <= 3; ++n) {
+  for (int n = 1; n <= world.node_count(); ++n) {
     if (!world.NodeAlive(n)) {
       continue;
     }
@@ -572,6 +572,61 @@ TEST_P(PaxosCrashPointExplorationTest, SurvivorsResolveEveryPaxosFaultPoint) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PaxosCrashPointExplorationTest,
+                         ::testing::Values(1u, 2u, 3u, 4u),
+                         [](const ::testing::TestParamInfo<unsigned>& info) {
+                           return "seed" + std::to_string(info.param);
+                         });
+
+// Five nodes and three acceptors per transaction, so the driver on node 3 is
+// outside its own acceptor window for 2 of every 5 transactions: its own
+// force, not a co-located acceptance, then makes its prepare record stable.
+// No 3-node world reaches that case, since there the window is the whole
+// membership. Nodes 4 and 5 hold no bank and only accept. What such a
+// coordinator could get wrong lies as much on the generic commit path after
+// the decision as in the paxos.* windows, so this run crashes at every hit of
+// every point.
+class PaxosFiveNodeExplorationTest : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(PaxosFiveNodeExplorationTest, CoordinatorOutsideItsWindowSurvivesEveryHit) {
+  const unsigned seed = GetParam();
+  constexpr int kNodes = 5;
+
+  std::vector<sim::FaultInjector::PointHit> hits;
+  {
+    World world(kNodes, PaxosExplorationOptions());
+    auto [b1, b2, b3] = AddBanks(world);
+    world.faults().StartRecording();
+    Model m;
+    RunWorkload(world, seed, b1, b2, b3, m);
+    EXPECT_FALSE(world.faults().crash_fired());
+    hits = world.faults().recorded_hits();
+    EXPECT_GT(world.tm(4).acceptor_state_count(), 0u) << "node 4 never accepted";
+    EXPECT_GT(world.tm(5).acceptor_state_count(), 0u) << "node 5 never accepted";
+    CheckInvariants(world, m, seed, "paxos-5-node-no-fault");
+    ASSERT_FALSE(::testing::Test::HasFailure()) << "fault-free run is already inconsistent";
+  }
+
+  for (const auto& h : hits) {
+    World world(kNodes, PaxosExplorationOptions());
+    auto [b1, b2, b3] = AddBanks(world);
+    world.faults().ArmCrash(h.point, h.hit);
+    Model m;
+    RunWorkload(world, seed, b1, b2, b3, m);
+    const std::string where = h.point + "#" + std::to_string(h.hit);
+    EXPECT_TRUE(world.faults().crash_fired())
+        << where << " never fired (seed " << seed << "): determinism broken between passes";
+    world.faults().Disarm();
+    ResolveOnSurvivors(world, seed, where);
+    Recover(world);
+    CheckInvariants(world, m, seed, where);
+    if (::testing::Test::HasFailure()) {
+      WriteRepro(seed, h.point, h.hit);
+      break;  // one repro is enough; later runs would drown it
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PaxosFiveNodeExplorationTest,
                          ::testing::Values(1u, 2u, 3u, 4u),
                          [](const ::testing::TestParamInfo<unsigned>& info) {
                            return "seed" + std::to_string(info.param);

@@ -10,13 +10,16 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
+#include "src/servers/account_server.h"
 #include "src/servers/array_server.h"
 #include "src/tabs/world.h"
 
 namespace tabs {
 namespace {
 
+using servers::AccountServer;
 using servers::ArrayServer;
 using txn::CommitMode;
 
@@ -108,6 +111,34 @@ TEST(PaxosCommitTest, AcceptorRecordsLeaveNoBackwardChain) {
   ASSERT_NE(world.rm(3).log().last_lsn(), kNullLsn);  // node 3 did log as acceptor
   for (NodeId n = 1; n <= 3; ++n) {
     EXPECT_EQ(world.rm(n).log().LastLsnOf(tid), kNullLsn) << "node " << n;
+  }
+}
+
+// --- where the acceptor windows land ----------------------------------------
+
+// Every coordinator's transaction counter advances at about the same pace.
+// Thirty-two coordinators that each begin their first transaction at once
+// must still spread the windows: each node accepts for exactly three of them
+// (a window keyed by the counter alone puts all 32 on nodes 2-4).
+TEST(PaxosCommitTest, ConcurrentCoordinatorsSpreadTheirAcceptorWindows) {
+  constexpr NodeId kNodes = 32;
+  World world(kNodes, PaxosOptions());
+  std::vector<AccountServer*> banks(kNodes + 1);
+  for (NodeId n = 1; n <= kNodes; ++n) {
+    banks[n] = world.AddServerOf<AccountServer>(n, "bank" + std::to_string(n), 1u);
+  }
+  for (NodeId n = 1; n <= kNodes; ++n) {
+    world.SpawnApp(n, "client", [&banks, n](Application& app) {
+      Status s = app.Transaction([&](const server::Tx& tx) {
+        Status own = banks[n]->Deposit(tx, 0, 1);
+        return own != Status::kOk ? own : banks[n % kNodes + 1]->Deposit(tx, 0, 1);
+      });
+      EXPECT_EQ(s, Status::kOk) << "node " << n;
+    });
+  }
+  ASSERT_EQ(world.Drain(), 0);
+  for (NodeId n = 1; n <= kNodes; ++n) {
+    EXPECT_EQ(world.tm(n).acceptor_state_count(), 3u) << "node " << n;
   }
 }
 

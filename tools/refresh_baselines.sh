@@ -17,9 +17,6 @@ repo="$(cd "$(dirname "$0")/.." && pwd)"
 build="${1:-$repo/build-baselines}"
 benches=(throughput checkpoint_ablation table5_4_benchmarks pipeline_ablation commit_ablation
          scaleout simspeed queue_ablation)
-artifacts=(BENCH_throughput.json BENCH_checkpoint.json BENCH_table5_4.json BENCH_pipeline.json
-           BENCH_commit_ablation.json BENCH_scaleout.json BENCH_simspeed.json
-           BENCH_queue_ablation.json)
 
 cmake -B "$build" -S "$repo" >/dev/null
 cmake --build "$build" -j "$(nproc)" --target "${benches[@]}"
@@ -27,14 +24,19 @@ cmake --build "$build" -j "$(nproc)" --target "${benches[@]}"
 commit="$(git -C "$repo" rev-parse --short HEAD 2>/dev/null || echo unknown)"
 date="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
 
-run_mode() { # $1 = smoke|full
-  local mode="$1" outdir tmp
-  outdir="$repo/bench/baselines/$mode"
+# $1 = smoke|full, $2 = commit mode ("" for two-phase commit, or paxos), then
+# the benches to run. A Paxos leg's baselines go in a paxos/ subdirectory.
+run_mode() {
+  local mode="$1" commit_mode="$2" outdir tmp a
+  shift 2
+  outdir="bench/baselines/$mode${commit_mode:+/$commit_mode}"
   tmp="$(mktemp -d)"
-  mkdir -p "$outdir"
+  mkdir -p "$repo/$outdir"
   (
     cd "$tmp"
-    for b in "${benches[@]}"; do
+    # Set for every leg, so the caller's shell cannot pick the protocol.
+    export TABS_COMMIT_MODE="$commit_mode"
+    for b in "$@"; do
       if [ "$mode" = smoke ]; then
         TABS_BENCH_SMOKE=1 "$build/bench/$b" >/dev/null
       else
@@ -42,8 +44,14 @@ run_mode() { # $1 = smoke|full
       fi
     done
   )
-  for a in "${artifacts[@]}"; do
-    python3 - "$tmp/$a" "$outdir/$a" "$mode" "$commit" "$date" <<'EOF'
+  local written=("$tmp"/BENCH_*.json)
+  if [ "${#written[@]}" -ne "$#" ]; then
+    echo "expected one BENCH_*.json per bench ($#), found ${#written[@]}" >&2
+    exit 1
+  fi
+  for a in "${written[@]}"; do
+    a="${a##*/}"
+    python3 - "$tmp/$a" "$repo/$outdir/$a" "$mode" "$commit" "$date" <<'EOF'
 import json, sys
 src, dst, mode, commit, date = sys.argv[1:6]
 doc = json.load(open(src))
@@ -53,10 +61,11 @@ with open(dst, "w") as f:
     json.dump(doc, f, indent=1, sort_keys=False)
     f.write("\n")
 EOF
-    echo "wrote bench/baselines/$mode/$a"
+    echo "wrote $outdir/$a"
   done
   rm -rf "$tmp"
 }
 
-run_mode smoke
-run_mode full
+run_mode smoke "" "${benches[@]}"
+run_mode smoke paxos scaleout
+run_mode full "" "${benches[@]}"
