@@ -43,7 +43,7 @@ std::shared_ptr<CommManager::CallWindow> CommManager::AdmitAsync(const Transacti
   // erase the map entry while we sleep.
   std::shared_ptr<CallWindow> win = slot;
   while (win->outstanding >= max_outstanding_calls_) {
-    if (!sched.Wait(win->slots, Network::kDefaultSessionTimeout)) {
+    if (!sched.WaitUntil(win->slots, sched.Now() + Network::kDefaultSessionTimeout)) {
       return nullptr;  // an in-flight call died with its destination
     }
   }

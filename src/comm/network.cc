@@ -38,11 +38,7 @@ void Network::SendDatagram(NodeId from, NodeId to, std::string what,
   if (!Reachable(from, to)) {
     return;  // silently lost, as datagrams are
   }
-  if (drop_ && drop_(from, to)) {
-    substrate_.metrics().CountFault(sim::FaultKind::kDatagramDrop);
-    return;
-  }
-  if (tagged_drop_ && tagged_drop_(from, to, what)) {
+  if (drop_ && drop_(from, to, what)) {
     substrate_.metrics().CountFault(sim::FaultKind::kDatagramDrop);
     return;
   }

@@ -55,17 +55,13 @@ class Network {
   void SetPartitioned(NodeId a, NodeId b, bool partitioned);
   bool Reachable(NodeId from, NodeId to) const;
 
-  // Drop filter for datagrams: return true to drop. Cleared by passing {}.
-  void SetDatagramLoss(std::function<bool(NodeId from, NodeId to)> drop) {
-    drop_ = std::move(drop);
-  }
-
-  // Tag-aware drop filter: also sees the datagram's `what` label, so tests
-  // can lose one protocol message class (e.g. every "2pc-commit") while the
-  // rest of the traffic flows. Cleared by passing {}.
-  void SetDatagramLossTagged(
+  // Drop filter for datagrams: return true to drop. It sees the datagram's
+  // `what` label too, so tests can lose one protocol message class (e.g.
+  // every "2pc-commit") while the rest of the traffic flows. Cleared by
+  // passing {}.
+  void SetDatagramLoss(
       std::function<bool(NodeId from, NodeId to, const std::string& what)> drop) {
-    tagged_drop_ = std::move(drop);
+    drop_ = std::move(drop);
   }
 
   // Loss filter for session traffic (establishment and sends): a dropped
@@ -212,8 +208,7 @@ class Network {
   sim::Substrate& substrate_;
   std::set<NodeId> alive_;
   std::set<std::pair<NodeId, NodeId>> partitions_;  // normalized (min,max)
-  std::function<bool(NodeId, NodeId)> drop_;
-  std::function<bool(NodeId, NodeId, const std::string&)> tagged_drop_;
+  std::function<bool(NodeId, NodeId, const std::string&)> drop_;
   std::function<bool(NodeId, NodeId)> session_drop_;
   DatagramFaults datagram_faults_;
   bool datagram_faults_enabled_ = false;

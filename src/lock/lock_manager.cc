@@ -50,7 +50,7 @@ Status LockManager::Lock(const TransactionId& tid, const ObjectId& oid, LockMode
   waiter->mode = mode;
   waiters_[oid].push_back(waiter);
 
-  sched_.Wait(waiter->queue, timeout);
+  sched_.WaitUntil(waiter->queue, sched_.Now() + timeout);
   auto held = grants_.find({oid, tid});
   if (held != grants_.end() && (held->second & ModeBit(mode)) != 0) {
     if (requester_veto_ && requester_veto_(tid)) {

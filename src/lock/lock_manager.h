@@ -33,9 +33,7 @@ namespace tabs::lock {
 class LockManager {
  public:
   // `default_timeout` applies when Lock() is called without an explicit
-  // timeout; pass kNoTimeout to wait forever (tests only — production
-  // servers always configure a timeout).
-  static constexpr SimTime kNoTimeout = -1;
+  // timeout.
   static constexpr SimTime kUseDefault = -2;
 
   LockManager(sim::Scheduler& sched, CompatibilityMatrix matrix, SimTime default_timeout);

@@ -35,7 +35,7 @@ void GroupCommit::WaitStable(Lsn lsn) {
                 [this, gen] { FlushBatch(gen); });
   }
   ++pending_;
-  if (pending_ >= max_batch_) {
+  if (pending_ >= kMaxBatch) {
     // Batch is full: the arriving member flushes on behalf of everyone
     // rather than letting latency accumulate until the timer fires.
     FlushBatch(generation_);

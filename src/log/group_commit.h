@@ -7,8 +7,8 @@
 // classic realisation. A transaction that needs its records stable no longer
 // calls Force itself — it registers its LSN with the per-node GroupCommit
 // daemon and blocks. The daemon flushes the whole buffer once per batch
-// window (or earlier, when the batch fills), and a single Force wakes every
-// member whose LSN it covered.
+// window (or earlier, when kMaxBatch members have joined), and a single Force
+// wakes every member whose LSN it covered.
 //
 // With window == 0 the daemon is disabled and WaitStable degenerates to an
 // immediate Force — byte-identical to the paper-faithful per-transaction
@@ -26,16 +26,17 @@ namespace tabs::log {
 
 class GroupCommit {
  public:
+  // A batch flushes early when it reaches this many members.
+  static constexpr int kMaxBatch = 32;
+
   // window_us <= 0 disables batching (legacy per-transaction force).
-  GroupCommit(NodeId node, LogManager& log, SimTime window_us, int max_batch)
-      : node_(node), log_(log), window_us_(window_us),
-        max_batch_(max_batch < 1 ? 1 : max_batch) {}
+  GroupCommit(NodeId node, LogManager& log, SimTime window_us)
+      : node_(node), log_(log), window_us_(window_us) {}
   GroupCommit(const GroupCommit&) = delete;
   GroupCommit& operator=(const GroupCommit&) = delete;
 
   bool enabled() const { return window_us_ > 0; }
   SimTime window_us() const { return window_us_; }
-  int max_batch() const { return max_batch_; }
 
   // Blocks the calling task until everything through `lsn` is on the stable
   // device. Disabled (or outside a task): forces immediately, exactly like
@@ -56,7 +57,6 @@ class GroupCommit {
   NodeId node_;
   LogManager& log_;
   SimTime window_us_;
-  int max_batch_;
   // Membership of the currently open batch. The generation counter lets a
   // timer-spawned flusher detect that its batch was already flushed early
   // (or that it fired for a batch that a checkpoint force absorbed).

@@ -120,11 +120,10 @@ Status AccountServer::Withdraw(const server::Tx& tx, std::uint32_t account,
       SimTime deadline = sched.Now() + options_.lock_timeout;
       FAULT_POINT(substrate(), "escrow.wait");
       while (guaranteed < amount) {
-        SimTime remaining = deadline - sched.Now();
-        if (remaining <= 0) {
+        if (sched.Now() >= deadline) {
           return Status::kConflict;  // funds never appeared
         }
-        sched.Wait(escrow_waiters_[account], remaining);
+        sched.WaitUntil(escrow_waiters_[account], deadline);
         if (ctx_.tm->RefusesOps(tx.tid)) {
           return Status::kAborted;  // cascade-aborted while parked
         }

@@ -190,8 +190,9 @@ void IoServer::TypeInput(IoAreaId area, std::string line) {
 
 Result<std::string> IoServer::BlockForInput(IoAreaId area) {
   auto& queue = pending_input_[area];
+  sim::Scheduler& sched = substrate().scheduler();
   while (queue.empty()) {
-    if (!substrate().scheduler().Wait(input_arrived_, 60'000'000)) {
+    if (!sched.WaitUntil(input_arrived_, sched.Now() + 60'000'000)) {
       return Status::kTimeout;  // conversational patience has limits
     }
   }

@@ -102,7 +102,6 @@ TaskId Scheduler::Spawn(std::string name, NodeId node, SimTime start_time,
   task->time = start_time;
   task->timed_out = false;
   task->killed = false;
-  task->timer_armed = false;
   task->waiting_on = nullptr;
   task->fn = std::move(fn);
   task->scheduler = this;
@@ -260,77 +259,86 @@ void Scheduler::FlushClockEvents() {
   observer_->OnClockEvents(clock_events_scratch_.data(), clock_events_scratch_.size());
 }
 
-void Scheduler::PushReady(Task* t) {
-  assert(t->state == Task::State::kReady);
-  ready_.push_back(ReadyEntry{t->time, t->id, t});
-  std::push_heap(ready_.begin(), ready_.end(), ReadyAfter{});
+bool Scheduler::Before(const Task* a, const Task* b) {
+  if (a->due != b->due) {
+    return a->due < b->due;
+  }
+  bool a_fires = a->state == Task::State::kBlocked;
+  if (a_fires != (b->state == Task::State::kBlocked)) {
+    return !a_fires;  // a runnable task precedes a timeout due at its time
+  }
+  return a->order < b->order;
 }
 
-Task* Scheduler::PeekReady() {
-  while (!ready_.empty()) {
-    const ReadyEntry& e = ready_.front();
-    // An entry is pushed when its task becomes ready and popped when the
-    // task is selected to run, so the top is normally live; the guard only
-    // protects against a recycled Task object (fresh id) behind a stale
-    // pointer.
-    if (e.task->state == Task::State::kReady && e.task->id == e.id) {
-      assert(e.task->time == e.time && "a ready task's clock is immutable");
-      return e.task;
-    }
-    std::pop_heap(ready_.begin(), ready_.end(), ReadyAfter{});
-    ready_.pop_back();
+void Scheduler::Place(Task* t) {
+  if (t->slot == Task::kNotQueued) {
+    t->slot = heap_.size();
+    heap_.push_back(t);
   }
-  return nullptr;
+  // Sift up, then down: a new or re-keyed entry may have to move either way.
+  std::size_t i = t->slot;
+  while (i > 0 && Before(t, heap_[(i - 1) / 2])) {
+    heap_[i] = heap_[(i - 1) / 2];
+    heap_[i]->slot = i;
+    i = (i - 1) / 2;
+  }
+  for (std::size_t child = 2 * i + 1; child < heap_.size(); child = 2 * i + 1) {
+    if (child + 1 < heap_.size() && Before(heap_[child + 1], heap_[child])) {
+      ++child;
+    }
+    if (!Before(heap_[child], t)) {
+      break;
+    }
+    heap_[i] = heap_[child];
+    heap_[i]->slot = i;
+    i = child;
+  }
+  heap_[i] = t;
+  t->slot = i;
+}
+
+void Scheduler::PushReady(Task* t) {
+  assert(t->state == Task::State::kReady);
+  t->due = t->time;
+  t->order = t->id;
+  Place(t);
 }
 
 Task* Scheduler::SelectNext() {
   for (;;) {
     assert(current_ == nullptr);
     ReapDone();
-    Task* best = PeekReady();
-
-    // A pending lock-wait timeout fires if it precedes every runnable task.
-    while (!timers_.empty()) {
-      auto it = timers_.begin();
-      if (best != nullptr && best->time <= it->deadline) {
-        break;  // a runnable task precedes the earliest timeout
-      }
-      // Fire the timeout: pull the victim out of its wait queue. Entries are
-      // erased eagerly on cancellation, so the victim is always still blocked.
-      Task* victim = it->task;
-      SimTime deadline = it->deadline;
-      assert(victim->state == Task::State::kBlocked && victim->timer_armed);
-      timers_.erase(it);
-      victim->timer_armed = false;
-      Unlink(victim);
-      victim->timed_out = true;
-      victim->state = Task::State::kReady;
-      if (deadline > victim->time) {
-        SimTime from = victim->time;
-        victim->time = deadline;
-        if (observer_ != nullptr) {
-          PushClockEvent({ClockEvent::Kind::kTimeout, victim->id, kInvalidTask, from, deadline});
-        }
-      }
-      PushReady(victim);
-      best = PeekReady();
-    }
-
-    if (best == nullptr) {
+    if (heap_.empty()) {
       return nullptr;  // quiescent: either all done or the rest are blocked forever
     }
-    assert(ready_.front().task == best);
-    std::pop_heap(ready_.begin(), ready_.end(), ReadyAfter{});
-    ready_.pop_back();
-    best->state = Task::State::kRunning;
-    current_ = best;
+    Task* next = heap_.front();
+    next->slot = Task::kNotQueued;
+    Task* last = heap_.back();
+    heap_.pop_back();
+    if (last != next) {
+      last->slot = 0;
+      Place(last);
+    }
+    if (next->state == Task::State::kBlocked) {
+      // Its timeout reached the top, so no runnable task is due by the
+      // deadline: the task resumes there, ahead of every later entry.
+      assert(next->due > next->time);
+      Unlink(next);
+      next->timed_out = true;
+      if (observer_ != nullptr) {
+        PushClockEvent({ClockEvent::Kind::kTimeout, next->id, kInvalidTask, next->time, next->due});
+      }
+      next->time = next->due;
+    }
+    next->state = Task::State::kRunning;
+    current_ = next;
     ++steps_;
-    if (!best->killed || best->fiber != nullptr) {
-      return best;
+    if (!next->killed || next->fiber != nullptr) {
+      return next;
     }
     // Killed before its first dispatch: there is no stack to unwind, so the
     // task finishes here without ever taking one.
-    Finish(best);
+    Finish(next);
   }
 }
 
@@ -349,7 +357,7 @@ void Scheduler::ReapDone() {
     return;
   }
   for (Task* t : done_) {
-    assert(!t->timer_armed && t->fiber == nullptr);
+    assert(t->slot == Task::kNotQueued && t->fiber == nullptr);
     std::size_t idx = t->index;
     assert(tasks_[idx].get() == t);
     std::unique_ptr<Task> owned = std::move(tasks_[idx]);
@@ -411,7 +419,7 @@ void Scheduler::ParkCurrent(Task* t) {
   }
 }
 
-bool Scheduler::Wait(WaitQueue& q, SimTime timeout) {
+Task* Scheduler::Block(WaitQueue& q) {
   Task* t = current_;
   assert(t != nullptr && "Wait() called outside a task");
   if (t->killed) {
@@ -423,13 +431,19 @@ bool Scheduler::Wait(WaitQueue& q, SimTime timeout) {
   t->wait_prev = q.tail_;
   (q.tail_ != nullptr ? q.tail_->wait_next : q.head_) = t;
   q.tail_ = t;
-  assert(!t->timer_armed && "a task arms at most one timer");
-  if (timeout >= 0) {
-    t->timer_armed = true;
-    t->timer_deadline = t->time + timeout;
-    t->timer_seq = ++timer_seq_;
-    timers_.insert(TimerKey{t->timer_deadline, t->timer_seq, t});
+  return t;
+}
+
+void Scheduler::Wait(WaitQueue& q) { ParkCurrent(Block(q)); }
+
+bool Scheduler::WaitUntil(WaitQueue& q, SimTime deadline) {
+  if (deadline <= Now()) {
+    return false;
   }
+  Task* t = Block(q);
+  t->due = deadline;
+  t->order = ++timer_seq_;
+  Place(t);
   ParkCurrent(t);
   return !t->timed_out;
 }
@@ -445,16 +459,8 @@ void Scheduler::Unlink(Task* t) {
   t->waiting_on = nullptr;
 }
 
-void Scheduler::CancelTimer(Task* t) {
-  if (t->timer_armed) {
-    timers_.erase(TimerKey{t->timer_deadline, t->timer_seq, nullptr});
-    t->timer_armed = false;
-  }
-}
-
 void Scheduler::Wake(Task* t, SimTime wake_time) {
   Unlink(t);
-  CancelTimer(t);  // purge the pending timeout eagerly
   t->state = Task::State::kReady;
   if (wake_time > t->time) {
     SimTime from = t->time;
@@ -465,7 +471,7 @@ void Scheduler::Wake(Task* t, SimTime wake_time) {
       PushClockEvent({ClockEvent::Kind::kWake, t->id, current_->id, from, wake_time});
     }
   }
-  PushReady(t);
+  PushReady(t);  // re-keys a pending timeout's entry in place
 }
 
 void Scheduler::NotifyOne(WaitQueue& q) {

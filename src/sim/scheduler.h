@@ -33,13 +33,13 @@
 //    own stack, is announced with __sanitizer_start_switch_fiber and
 //    __sanitizer_finish_switch_fiber, so ASan always knows which stack is live.
 // The substrate decides only how a selected task resumes, never which task is
-// selected: runnable tasks live in a binary min-heap keyed (virtual time, task
-// id), pending Wait() timeouts in an ordered set keyed (deadline, arming
-// sequence) that is purged eagerly when a timer is cancelled, and each resume
-// counts one step. The schedule, and with it every virtual-time output, does
-// not depend on how tasks are switched. Task objects are recycled through a
-// freelist, and a WaitQueue is threaded through the tasks it holds, so
-// blocking allocates nothing.
+// selected: runnable tasks and pending WaitUntil() timeouts share one binary
+// min-heap of tasks (see Task::due), each resume counts one step, and a
+// timeout fires when its entry reaches the top. The schedule, and with it
+// every virtual-time output, does not depend on how tasks are switched. Task
+// objects are recycled through a freelist, each task records its own heap
+// slot, and a WaitQueue is threaded through the tasks it holds, so blocking,
+// with or without a deadline, allocates nothing.
 
 #ifndef TABS_SIM_SCHEDULER_H_
 #define TABS_SIM_SCHEDULER_H_
@@ -50,7 +50,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -100,11 +99,15 @@ struct Task {
   NodeId node = kInvalidNode;   // which simulated node this activity runs on
   State state = State::kReady;
   SimTime time = 0;             // the task's virtual clock
-  bool timed_out = false;       // set when a Wait() ended by timeout
+  bool timed_out = false;       // set when a WaitUntil() ended by timeout
   bool killed = false;
-  bool timer_armed = false;     // a Wait() timeout is pending in the timer set
-  SimTime timer_deadline = 0;   // valid while timer_armed
-  std::uint64_t timer_seq = 0;  // arming order: deterministic same-deadline tie-break
+  // The task's key in the scheduler's heap. A runnable task sits at (time,
+  // id), a blocked one with a pending timeout at (deadline, arming sequence),
+  // after every runnable task due by its deadline.
+  SimTime due = 0;
+  std::uint64_t order = 0;
+  static constexpr std::size_t kNotQueued = SIZE_MAX;
+  std::size_t slot = kNotQueued;  // position in the heap
   std::size_t index = 0;        // position in Scheduler::tasks_ (swap-erase)
   WaitQueue* waiting_on = nullptr;
   Task* wait_prev = nullptr;    // neighbours in waiting_on's FIFO
@@ -165,7 +168,7 @@ class Scheduler {
   // from inside a task or from the outside (before Run).
   TaskId Spawn(std::string name, NodeId node, SimTime start_time, std::function<void()> fn);
 
-  // Runs tasks until none are runnable and no timers are pending. Returns the
+  // Runs tasks until none are runnable and no timeouts are pending. Returns the
   // number of tasks still blocked (0 on clean completion; nonzero indicates
   // an un-broken deadlock, which tests assert against).
   int Run();
@@ -179,10 +182,12 @@ class Scheduler {
   // Moves the clock forward to `t` if it is ahead (message-arrival join).
   void AdvanceTo(SimTime t);
 
-  // Blocks on `q` until notified. With `timeout >= 0`, gives up after that
-  // much virtual time and returns false (TABS breaks deadlock by timeout,
-  // Section 2.1.2). Returns true when genuinely notified.
-  bool Wait(WaitQueue& q, SimTime timeout = -1);
+  // Blocks on `q` until notified.
+  void Wait(WaitQueue& q);
+  // Blocks on `q` until notified (true) or until virtual time `deadline`
+  // (false; TABS breaks deadlock by timeout, Section 2.1.2). Returns false at
+  // once when the deadline has already been reached.
+  bool WaitUntil(WaitQueue& q, SimTime deadline);
 
   // Wakes the longest-waiting task in `q`. The woken task resumes no earlier
   // than the notifier's current virtual time (the wake-up *is* an event).
@@ -236,38 +241,10 @@ class Scheduler {
   void Shutdown();
 
  private:
-  // Runnable tasks, a binary min-heap over (virtual time, task id). Entries
-  // are pushed when a task becomes ready and popped exactly when it is
-  // selected to run, so an entry's key is immutable while it is in the heap
-  // (a ready task's clock cannot advance). Max-comparator: std::push_heap
-  // builds a max-heap, so "after" means "scheduled later".
-  struct ReadyEntry {
-    SimTime time;
-    TaskId id;
-    Task* task;
-  };
-  struct ReadyAfter {
-    bool operator()(const ReadyEntry& a, const ReadyEntry& b) const {
-      return a.time > b.time || (a.time == b.time && a.id > b.id);
-    }
-  };
-  // Pending Wait() timeouts, ordered (deadline, arming seq) — the arming
-  // sequence reproduces the old multimap's insertion-order tie-break. An
-  // entry is erased eagerly the moment its timer is cancelled (wake, kill,
-  // shutdown) or fires, so the set only ever holds live timers.
-  struct TimerKey {
-    SimTime deadline;
-    std::uint64_t seq;
-    Task* task;
-    bool operator<(const TimerKey& o) const {
-      return deadline < o.deadline || (deadline == o.deadline && seq < o.seq);
-    }
-  };
-
-  // Selects the runnable task with the smallest (time, id), firing every
-  // timeout that precedes it, marks it running and counts the step. A task
-  // killed before its first dispatch finishes here without taking a stack,
-  // and selection goes on. Returns nullptr when nothing is runnable.
+  // Pops the heap's top, firing the timeout when the top is a blocked task,
+  // marks the task running and counts the step. A task killed before its
+  // first dispatch finishes here without taking a stack, and selection goes
+  // on. Returns nullptr when nothing is runnable and no timeout is pending.
   Task* SelectNext();
   // Parks the running task `t` (state already updated) and resumes its
   // successor; returns once `t` is resumed, at once if it selected itself.
@@ -285,9 +262,14 @@ class Scheduler {
   void Finish(Task* t);
   void Unlink(Task* t);  // removes a blocked task from its wait queue
   void Wake(Task* t, SimTime wake_time);
+  // Links the running task into `q` as blocked; returns it.
+  Task* Block(WaitQueue& q);
+  // Keys `t` at (time, id) and places it in the heap.
   void PushReady(Task* t);
-  void CancelTimer(Task* t);
-  Task* PeekReady();
+  // Places `t` in the heap under its current key, or re-keys it in place.
+  void Place(Task* t);
+  // True when `a` leaves the heap before `b`.
+  static bool Before(const Task* a, const Task* b);
   void ReapDone();
 
   // Appends one event to the batch buffer; callers have already checked
@@ -302,9 +284,8 @@ class Scheduler {
   std::vector<std::unique_ptr<Task>> tasks_;      // live tasks (swap-erase order)
   std::vector<std::unique_ptr<Task>> task_pool_;  // recycled Task objects
   std::vector<Task*> done_;                       // finished, awaiting reap
-  std::vector<ReadyEntry> ready_;                 // min-heap via ReadyAfter
-  std::set<TimerKey> timers_;
-  std::uint64_t timer_seq_ = 0;
+  std::vector<Task*> heap_;                       // min-heap by Before()
+  std::uint64_t timer_seq_ = 0;                   // arming sequence of timeouts
   Fiber* loop_ = nullptr;           // Run()'s own context while Run() is active
   Fiber* released_ = nullptr;       // a finished fiber, pooled after the switch
   std::vector<Fiber*> fiber_pool_;  // unbound fibers, stacks still mapped
@@ -354,11 +335,7 @@ class Future {
       return true;
     }
     SimTime deadline = sched_.Now() + timeout;
-    while (!ready()) {
-      SimTime remaining = deadline - sched_.Now();
-      if (remaining <= 0 || !sched_.Wait(queue_, remaining)) {
-        break;
-      }
+    while (!ready() && sched_.WaitUntil(queue_, deadline)) {
     }
     return ready();
   }
@@ -399,11 +376,7 @@ class Replies {
   // nullopt when none arrived by then. A delivery that lands exactly at the
   // deadline is still taken.
   std::optional<T> Next(SimTime deadline) {
-    while (read_ == items_.size()) {
-      SimTime remaining = deadline - sched_.Now();
-      if (remaining <= 0 || !sched_.Wait(queue_, remaining)) {
-        break;
-      }
+    while (read_ == items_.size() && sched_.WaitUntil(queue_, deadline)) {
     }
     if (read_ == items_.size()) {
       return std::nullopt;

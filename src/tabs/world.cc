@@ -60,9 +60,7 @@ void World::BuildRuntime(NodeId id) {
   rt.cm->ConfigurePipeline(options_.max_outstanding_calls, options_.op_coalesce_batch);
   rt.tm = std::make_unique<txn::TransactionManager>(node(id), *rt.rm, *rt.cm);
   rt.ns = std::make_unique<name::NameServer>(*rt.cm);
-  rt.gc = std::make_unique<log::GroupCommit>(id, rt.rm->log(),
-                                            options_.group_commit_window_us,
-                                            options_.group_commit_max_batch);
+  rt.gc = std::make_unique<log::GroupCommit>(id, rt.rm->log(), options_.group_commit_window_us);
   rt.tm->SetGroupCommit(rt.gc.get());
   rt.tm->SetCheckpointInterval(options_.checkpoint_interval);
   rt.tm->SetVoteTimeout(options_.vote_timeout_us);

@@ -57,8 +57,6 @@ struct WorldOptions {
   // once per transaction. 0 (the default) keeps the paper-faithful
   // per-transaction force — every table_5_* number is unchanged.
   SimTime group_commit_window_us = 0;
-  // A batch flushes early when it reaches this many members.
-  int group_commit_max_batch = 32;
   // Background page cleaning: a per-node daemon writes dirty unpinned frames
   // back between transactions — oldest recovery LSN first, elevator-ordered
   // by disk address — so page faults find clean victims and reclamation

@@ -48,18 +48,13 @@ Status OpQueue::AwaitPredecessors(TransactionId top, SimTime timeout) {
   }
   assert(sched_ != nullptr && sched_->in_task());
   SimTime deadline = sched_->Now() + timeout;
-  while (pending()) {
-    SimTime remaining = deadline - sched_->Now();
-    if (remaining <= 0) {
-      return Status::kTimeout;
-    }
-    sched_->Wait(waiters_[top], remaining);
+  while (pending() && sched_->WaitUntil(waiters_[top], deadline)) {
   }
   auto wit = waiters_.find(top);
   if (wit != waiters_.end() && wit->second.empty()) {
     waiters_.erase(wit);
   }
-  return Status::kOk;
+  return pending() ? Status::kTimeout : Status::kOk;
 }
 
 void OpQueue::Discharge(const TransactionId& dependent, const TransactionId& predecessor) {

@@ -89,6 +89,10 @@ class OpQueue {
   std::vector<TransactionId> TakeDependents(const TransactionId& top);
   void FinishAbort(const TransactionId& top);
 
+  // Leak observability for tests: wait queues of transactions parked in
+  // AwaitPredecessors (must drain to zero once every wait has returned).
+  size_t WaitQueueCount() const { return waiters_.size(); }
+
  private:
   void Discharge(const TransactionId& dependent, const TransactionId& predecessor);
   // Removes `top` from the tail of every object it tainted.

@@ -131,7 +131,7 @@ TEST_F(NetworkTest, InFlightDeliveriesDieWithTheirDestination) {
 }
 
 TEST_F(NetworkTest, DatagramLossFilterDrops) {
-  net_.SetDatagramLoss([](NodeId from, NodeId to) { return to == 2; });
+  net_.SetDatagramLoss([](NodeId from, NodeId to, const std::string&) { return to == 2; });
   int delivered = 0;
   sched_.Spawn("sender", 1, 0, [&] {
     net_.SendDatagram(1, 2, "lost", [&] { ++delivered; });

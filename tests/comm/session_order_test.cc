@@ -92,7 +92,7 @@ TEST(SchedulerStressTest, WaitersAndNotifiersAtScale) {
   int woken = 0;
   for (int i = 0; i < 64; ++i) {
     sched.Spawn("waiter", 1, i, [&] {
-      if (sched.Wait(queue, 1'000'000)) {
+      if (sched.WaitUntil(queue, sched.Now() + 1'000'000)) {
         ++woken;
       }
     });

@@ -41,7 +41,7 @@ TEST_F(CooperativeTerminationTest, SiblingSuppliesCommitWhenCoordinatorIsDown) {
   // stays in doubt. The coordinator then crashes. Node 2 resolves through
   // its sibling (node 3) without waiting for node 1.
   int count_1_2 = 0;
-  world_.network().SetDatagramLoss([&](NodeId from, NodeId to) {
+  world_.network().SetDatagramLoss([&](NodeId from, NodeId to, const std::string&) {
     if (from == 1 && to == 2) {
       ++count_1_2;
       return count_1_2 == 2;  // the commit, not the prepare
@@ -77,7 +77,7 @@ TEST_F(CooperativeTerminationTest, StillBlockedWhenNobodyKnows) {
   // Lose the commit datagrams to BOTH participants: both are in doubt, the
   // coordinator crashes — cooperative termination cannot invent a verdict.
   int commits_lost = 0;
-  world_.network().SetDatagramLoss([&](NodeId from, NodeId to) {
+  world_.network().SetDatagramLoss([&](NodeId from, NodeId to, const std::string&) {
     if (from == 1 && to != 1) {
       // Datagrams 1->2: prepare, commit; 1->3: prepare, commit. Count per
       // destination: drop the second to each.
@@ -125,7 +125,7 @@ TEST_F(CooperativeTerminationTest, SiblingSuppliesAbortVerdict) {
   // datagram reaches node 3 but not node 2; coordinator dies; node 2 learns
   // "aborted" from node 3.
   int count_1_2 = 0;
-  world_.network().SetDatagramLoss([&](NodeId from, NodeId to) {
+  world_.network().SetDatagramLoss([&](NodeId from, NodeId to, const std::string&) {
     if (from == 1 && to == 2) {
       ++count_1_2;
       return count_1_2 == 2;  // lose node 2's verdict datagram

@@ -643,7 +643,7 @@ TEST(PaxosTakeoverWindow, CrashMidTakeoverBlocksSafelyUntilQuorumReturns) {
 
   // Commit the seed transfer with every verdict datagram lost: the decision
   // is durable at the acceptors, but participants 1 and 2 stay in doubt.
-  world.network().SetDatagramLossTagged(
+  world.network().SetDatagramLoss(
       [](NodeId from, NodeId, const std::string& what) {
         return from == 3 && (what == "2pc-commit" || what == "paxos-learn");
       });
@@ -658,7 +658,7 @@ TEST(PaxosTakeoverWindow, CrashMidTakeoverBlocksSafelyUntilQuorumReturns) {
     });
   });
   ASSERT_EQ(outcome, Status::kOk);
-  world.network().SetDatagramLossTagged({});
+  world.network().SetDatagramLoss({});
   ASSERT_EQ(world.tm(1).InDoubt().size(), 1u);
   ASSERT_EQ(world.tm(2).InDoubt().size(), 1u);
 

@@ -124,7 +124,7 @@ TEST_F(CrashTest, LostCommitDatagramLeavesParticipantInDoubtThenResolvesCommit) 
   // Drop the second 1->2 datagram (the commit); the participant stays
   // prepared across a crash and later learns the verdict from its parent.
   int count_1_to_2 = 0;
-  world_.network().SetDatagramLoss([&](NodeId from, NodeId to) {
+  world_.network().SetDatagramLoss([&](NodeId from, NodeId to, const std::string&) {
     if (from == 1 && to == 2) {
       ++count_1_to_2;
       return count_1_to_2 == 2;
@@ -168,7 +168,7 @@ TEST_F(PresumedAbortCrashTest, CoordinatorCrashAfterPrepareResolvesAbortByPresum
   // commit record. After both recover, the participant asks and learns the
   // transaction aborted (presumed abort for unknown outcomes).
   int dropped = 0;
-  world_.network().SetDatagramLoss([&](NodeId from, NodeId to) {
+  world_.network().SetDatagramLoss([&](NodeId from, NodeId to, const std::string&) {
     // Drop the participant's vote so the coordinator never reaches commit.
     if (from == 2 && to == 1) {
       ++dropped;

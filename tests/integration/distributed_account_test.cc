@@ -86,7 +86,7 @@ TEST_F(TwoPhaseAccountTest, ParticipantCrashInDoubtResolvesWithOperationLog) {
   // Lose the commit datagram so the remote account server's node recovers an
   // in-doubt operation-logged transaction, then resolve via the coordinator.
   int count = 0;
-  world_.network().SetDatagramLoss([&](NodeId from, NodeId to) {
+  world_.network().SetDatagramLoss([&](NodeId from, NodeId to, const std::string&) {
     if (from == 1 && to == 2) {
       ++count;
       return count == 2;  // prepare passes, commit is lost

@@ -34,7 +34,7 @@ TEST(DuplicateVoteTest, RepeatedVoteCannotStandInForALostOne) {
     world.CrashServer(3, "a3");
     world.RecoverServer(3, "a3");
     // That vote is lost, and every other datagram arrives twice.
-    world.network().SetDatagramLossTagged([](NodeId from, NodeId, const std::string& what) {
+    world.network().SetDatagramLoss([](NodeId from, NodeId, const std::string& what) {
       return from == 3 && (what == "2pc-vote" || what == "paxos-vote");
     });
     comm::Network::DatagramFaults faults;
@@ -46,7 +46,7 @@ TEST(DuplicateVoteTest, RepeatedVoteCannotStandInForALostOne) {
   EXPECT_NE(end, Status::kOk);
 
   world.network().SetDatagramFaults({});
-  world.network().SetDatagramLossTagged(nullptr);
+  world.network().SetDatagramLoss(nullptr);
   world.RunApp(1, [&](Application& app) {
     Status s = app.Transaction([&](const server::Tx& tx) {
       for (NodeId n : {2, 3}) {

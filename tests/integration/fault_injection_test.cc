@@ -282,7 +282,7 @@ std::vector<SimTime> RunRetriesUnderVoteLoss(unsigned accounts_seed) {
   World world(2, opt);
   auto* bank = world.AddServerOf<AccountServer>(2, "bank", accounts_seed + 1);
   world.network().SetDatagramLoss(
-      [](NodeId from, NodeId to) { return from == 2 && to == 1; });
+      [](NodeId from, NodeId to, const std::string&) { return from == 2 && to == 1; });
 
   std::vector<SimTime> attempt_starts;
   world.RunApp(1, [&](Application& app) {
@@ -326,7 +326,7 @@ std::vector<SimTime> RunRetriesWithPolicy(const Application::RetryPolicy& policy
   World world(2, opt);
   auto* bank = world.AddServerOf<AccountServer>(2, "bank", 7);
   world.network().SetDatagramLoss(
-      [](NodeId from, NodeId to) { return from == 2 && to == 1; });
+      [](NodeId from, NodeId to, const std::string&) { return from == 2 && to == 1; });
   std::vector<SimTime> attempt_starts;
   world.RunApp(1, [&](Application& app) {
     auto result = app.RunTransactional(

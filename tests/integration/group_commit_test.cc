@@ -17,10 +17,9 @@ namespace {
 
 using servers::ArrayServer;
 
-WorldOptions GroupCommitOptions(SimTime window_us, int max_batch = 32) {
+WorldOptions GroupCommitOptions(SimTime window_us) {
   WorldOptions opt;
   opt.group_commit_window_us = window_us;
-  opt.group_commit_max_batch = max_batch;
   return opt;
 }
 
@@ -79,13 +78,14 @@ TEST(GroupCommitTest, ConcurrentCommittersShareOneForce) {
 }
 
 TEST(GroupCommitTest, FullBatchFlushesBeforeWindowExpires) {
-  // Window far larger than the workload's span: only the max-batch early
+  // Window far larger than the workload's span: only the full-batch early
   // flush can complete these commits promptly.
-  World world(1, GroupCommitOptions(50'000'000, /*max_batch=*/4));
+  World world(1, GroupCommitOptions(50'000'000));
   ArrayServer* a = world.AddServerOf<ArrayServer>(1, "array", 64u);
+  constexpr int kCommitters = log::GroupCommit::kMaxBatch;
   int committed = 0;
   std::vector<SimTime> commit_times;
-  for (int i = 0; i < 4; ++i) {
+  for (int i = 0; i < kCommitters; ++i) {
     world.SpawnApp(1, "app" + std::to_string(i), [&, i](Application& app) {
       if (app.Transaction([&](const server::Tx& tx) {
             return a->SetCell(tx, static_cast<std::uint32_t>(i), 1);
@@ -96,11 +96,11 @@ TEST(GroupCommitTest, FullBatchFlushesBeforeWindowExpires) {
     }, i * 100);
   }
   EXPECT_EQ(world.Drain(), 0);
-  EXPECT_EQ(committed, 4);
+  EXPECT_EQ(committed, kCommitters);
   for (SimTime t : commit_times) {
     EXPECT_LT(t, 50'000'000) << "commit waited for the window timer";
   }
-  EXPECT_EQ(world.group_commit(1).largest_batch(), 4);
+  EXPECT_EQ(world.group_commit(1).largest_batch(), kCommitters);
 }
 
 TEST(GroupCommitTest, CrashMidBatchAbortsUnforcedTail) {

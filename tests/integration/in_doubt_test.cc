@@ -94,7 +94,7 @@ class InDoubtTest : public ::testing::Test {
 TEST_F(InDoubtTest, UndecidedParentAnswersNotDecided) {
   // Tree 1 -> 2 -> 3: node 2 writes its own cell and relays node 3's write.
   auto* relay = world_.AddServerOf<RelayServer>(2, "relay");
-  world_.network().SetDatagramLossTagged([](NodeId from, NodeId to, const std::string& what) {
+  world_.network().SetDatagramLoss([](NodeId from, NodeId to, const std::string& what) {
     return from == 1 && to == 2 && what == "2pc-commit";
   });
   Status outcome = Status::kInternal;
@@ -108,7 +108,7 @@ TEST_F(InDoubtTest, UndecidedParentAnswersNotDecided) {
     });
   });
   ASSERT_EQ(outcome, Status::kOk);
-  world_.network().SetDatagramLossTagged({});
+  world_.network().SetDatagramLoss({});
   ASSERT_EQ(world_.tm(2).InDoubt().size(), 1u);
   ASSERT_EQ(world_.tm(3).InDoubt().size(), 1u);
   const TransactionId tid = world_.tm(3).InDoubt()[0];
@@ -204,13 +204,13 @@ class SingleServerInDoubtTest : public InDoubtTest {
 };
 
 TEST_F(SingleServerInDoubtTest, VerdictReleasesLockRetakenByServerRecovery) {
-  world_.network().SetDatagramLossTagged([](NodeId, NodeId to, const std::string& what) {
+  world_.network().SetDatagramLoss([](NodeId, NodeId to, const std::string& what) {
     return to == 2 && (what == "2pc-commit" || what == "paxos-verdict");
   });
   Status outcome = Status::kInternal;
   world_.RunApp(1, [&](Application& app) { outcome = WriteAll(app); });
   ASSERT_EQ(outcome, Status::kOk);
-  world_.network().SetDatagramLossTagged({});
+  world_.network().SetDatagramLoss({});
   ASSERT_EQ(world_.tm(2).InDoubt().size(), 1u);
   const TransactionId tid = world_.tm(2).InDoubt()[0];
 

@@ -152,7 +152,7 @@ TEST(PaxosCommitTest, ConcurrentCoordinatorsSpreadTheirAcceptorWindows) {
 template <typename WorldT>
 void CommitWithVerdictsLost(WorldT& world, ArrayServer* a1, ArrayServer* a2,
                             ArrayServer* a3) {
-  world.network().SetDatagramLossTagged(
+  world.network().SetDatagramLoss(
       [](NodeId from, NodeId, const std::string& what) {
         return from == 1 && (what == "2pc-commit" || what == "paxos-learn");
       });
@@ -166,7 +166,7 @@ void CommitWithVerdictsLost(WorldT& world, ArrayServer* a1, ArrayServer* a2,
     });
   });
   ASSERT_EQ(outcome, Status::kOk);  // the coordinator decided commit
-  world.network().SetDatagramLossTagged({});
+  world.network().SetDatagramLoss({});
   ASSERT_EQ(world.tm(2).InDoubt().size(), 1u);
   ASSERT_EQ(world.tm(3).InDoubt().size(), 1u);
 }
@@ -251,7 +251,7 @@ TEST(PaxosVoteTimeoutTest, LostAcceptRepliesFlipTimeoutToCommit) {
   auto* a1 = world.AddServerOf<ArrayServer>(1, "a1", 4u);
   auto* a2 = world.AddServerOf<ArrayServer>(2, "a2", 4u);
   auto* a3 = world.AddServerOf<ArrayServer>(3, "a3", 4u);
-  world.network().SetDatagramLossTagged(
+  world.network().SetDatagramLoss(
       [](NodeId, NodeId, const std::string& what) { return what == "paxos-accepted"; });
 
   Status outcome = Status::kInternal;
@@ -266,7 +266,7 @@ TEST(PaxosVoteTimeoutTest, LostAcceptRepliesFlipTimeoutToCommit) {
   // The flip point: the votes were all Prepared and durably accepted, so the
   // read path finds them and the transaction COMMITS despite the timeout.
   EXPECT_EQ(outcome, Status::kOk);
-  world.network().SetDatagramLossTagged({});
+  world.network().SetDatagramLoss({});
 
   world.RunApp(2, [&](Application& app) {
     app.Transaction([&](const server::Tx& tx) {
@@ -291,7 +291,7 @@ TEST(PaxosVoteTimeoutTest, TwoPhaseControlPresumesAbortOnTheSameLoss) {
   auto* a1 = world.AddServerOf<ArrayServer>(1, "a1", 4u);
   auto* a2 = world.AddServerOf<ArrayServer>(2, "a2", 4u);
   auto* a3 = world.AddServerOf<ArrayServer>(3, "a3", 4u);
-  world.network().SetDatagramLossTagged(
+  world.network().SetDatagramLoss(
       [](NodeId, NodeId to, const std::string& what) { return to == 1 && what == "2pc-vote"; });
 
   Status outcome = Status::kInternal;
@@ -304,7 +304,7 @@ TEST(PaxosVoteTimeoutTest, TwoPhaseControlPresumesAbortOnTheSameLoss) {
     });
   });
   EXPECT_EQ(outcome, Status::kVoteNo);
-  world.network().SetDatagramLossTagged({});
+  world.network().SetDatagramLoss({});
 
   world.RunApp(2, [&](Application& app) {
     // Participants resolve to abort through the (live) coordinator.
@@ -340,7 +340,7 @@ TEST(PaxosBatchedAcceptTest, ReplayedBundleSurvivesReclaimAndDecidesTakeover) {
   // but the accept record's own pin can hold its log tail. Drop the bundle to
   // acceptor 2 (the commit quorum becomes {3, 1}) and every verdict out of
   // the coordinator, leaving node 2 in doubt and every acceptance undecided.
-  world.network().SetDatagramLossTagged(
+  world.network().SetDatagramLoss(
       [](NodeId from, NodeId to, const std::string& what) {
         return (what == "paxos-accept-bundle" && to == 2) ||
                (from == 3 && (what == "2pc-commit" || what == "paxos-learn"));
@@ -353,7 +353,7 @@ TEST(PaxosBatchedAcceptTest, ReplayedBundleSurvivesReclaimAndDecidesTakeover) {
     });
   });
   ASSERT_EQ(outcome, Status::kOk);  // acceptors 3 and 1 hold both instances
-  world.network().SetDatagramLossTagged({});
+  world.network().SetDatagramLoss({});
   ASSERT_EQ(world.tm(2).InDoubt().size(), 1u);
 
   // Crash the loaded acceptor twice, with a checkpoint and log reclamation

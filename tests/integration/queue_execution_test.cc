@@ -31,6 +31,7 @@
 #include "src/servers/array_server.h"
 #include "src/sim/cost_model.h"
 #include "src/tabs/world.h"
+#include "src/txn/op_queue.h"
 
 namespace tabs {
 namespace {
@@ -135,7 +136,7 @@ TEST(QueueExecution, AbortCascadeConsumesOnlyQueuedSuccessors) {
   World world(2, opt);
   auto* arr = world.AddServerOf<ArrayServer>(2, "cells", 16u);
 
-  world.network().SetDatagramLossTagged(
+  world.network().SetDatagramLoss(
       [](NodeId from, NodeId, const std::string& what) {
         return from == 2 && what == "2pc-vote";
       });
@@ -158,7 +159,7 @@ TEST(QueueExecution, AbortCascadeConsumesOnlyQueuedSuccessors) {
     end_b = app.End(tid);  // parks on the commit dependency, then cascades
   }, 150'000);
   world.Drain();
-  world.network().SetDatagramLossTagged({});
+  world.network().SetDatagramLoss({});
 
   EXPECT_EQ(end_a, Status::kVoteNo);
   EXPECT_EQ(write_b, Status::kOk) << "B was never granted the released lock";
@@ -198,7 +199,7 @@ TEST(QueueExecution, RetriedVictimObservesCleanState) {
   World world(2, opt);
   auto* arr = world.AddServerOf<ArrayServer>(2, "cells", 16u);
 
-  world.network().SetDatagramLossTagged(
+  world.network().SetDatagramLoss(
       [](NodeId from, NodeId, const std::string& what) {
         return from == 2 && what == "2pc-vote";
       });
@@ -222,7 +223,7 @@ TEST(QueueExecution, RetriedVictimObservesCleanState) {
     });
   }, 150'000);  // inside A's hold window, as above
   world.Drain();
-  world.network().SetDatagramLossTagged({});
+  world.network().SetDatagramLoss({});
 
   EXPECT_EQ(end_a, Status::kVoteNo);
   ASSERT_TRUE(run_b.ok()) << "victim never recovered: " << StatusName(run_b.status);
@@ -244,6 +245,30 @@ TEST(QueueExecution, RetriedVictimObservesCleanState) {
 // Escrow wait: with the mode on, a withdrawal short on guaranteed funds
 // parks until a concurrent outcome frees escrow; with it off, the same
 // schedule is a straight kConflict reject.
+TEST(QueueExecution, TimedOutDependentLeavesNoWaitQueue) {
+  // The predecessor released early and never decides: its dependent gives
+  // up waiting and aborts. No wait queue may outlive the wait.
+  sim::Scheduler sched;
+  txn::OpQueue queue;
+  queue.Attach(&sched);
+  queue.Enable(true);
+  const TransactionId pred{1, 1};
+  const TransactionId dep{1, 2};
+  const ObjectId oid{1, 0, 4};
+  Status waited = Status::kOk;
+  sched.Spawn("dependent", 1, 0, [&] {
+    queue.NoteEarlyRelease(pred, {oid});
+    queue.NoteAccess(dep, oid);
+    waited = queue.AwaitPredecessors(dep, 100);
+    EXPECT_EQ(sched.Now(), 100);
+    queue.BeginAbort(dep);
+    queue.FinishAbort(dep);
+  });
+  EXPECT_EQ(sched.Run(), 0);
+  EXPECT_EQ(waited, Status::kTimeout);
+  EXPECT_EQ(queue.WaitQueueCount(), 0u);
+}
+
 TEST(QueueExecution, EscrowWaitAdmitsWhenFundsSettle) {
   for (bool queue_on : {false, true}) {
     World world(1, QueueOptions(queue_on));

@@ -139,9 +139,10 @@ TEST_P(DistributedFuzzTest, TransfersAreAtomicAcrossCrashes) {
     if (rng() % 3 == 0) {
       int drop_after = static_cast<int>(rng() % 3);
       // The filter outlives this block, so the counter must live inside it.
-      world.network().SetDatagramLoss([count = 0, drop_after](NodeId from, NodeId to) mutable {
-        return ++count == drop_after + 1;
-      });
+      world.network().SetDatagramLoss(
+          [count = 0, drop_after](NodeId from, NodeId to, const std::string&) mutable {
+            return ++count == drop_after + 1;
+          });
     }
     world.RunApp(1, [&](Application& app) {
       TransactionId tid = app.Begin();

@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <optional>
+#include <random>
 #include <utility>
 #include <vector>
 
@@ -65,7 +66,7 @@ TEST(SchedulerTest, WaitAndNotifyTransfersTime) {
   WaitQueue q;
   SimTime waiter_resumed_at = -1;
   sched.Spawn("waiter", 1, 0, [&] {
-    EXPECT_TRUE(sched.Wait(q));
+    sched.Wait(q);
     waiter_resumed_at = sched.Now();
   });
   sched.Spawn("notifier", 1, 0, [&] {
@@ -83,7 +84,7 @@ TEST(SchedulerTest, WaitTimeoutFires) {
   bool notified = true;
   SimTime woke_at = -1;
   sched.Spawn("waiter", 1, 100, [&] {
-    notified = sched.Wait(q, 250);
+    notified = sched.WaitUntil(q, sched.Now() + 250);
     woke_at = sched.Now();
   });
   EXPECT_EQ(sched.Run(), 0);
@@ -95,7 +96,7 @@ TEST(SchedulerTest, NotifyBeatsTimeout) {
   Scheduler sched;
   WaitQueue q;
   bool notified = false;
-  sched.Spawn("waiter", 1, 0, [&] { notified = sched.Wait(q, 1000); });
+  sched.Spawn("waiter", 1, 0, [&] { notified = sched.WaitUntil(q, sched.Now() + 1000); });
   sched.Spawn("notifier", 1, 0, [&] {
     sched.Charge(10);
     sched.NotifyOne(q);
@@ -111,15 +112,15 @@ TEST(SchedulerTest, TimersFireInDeadlineOrder) {
   // Armed out of deadline order: the queue must fire them by deadline, not
   // by arming order.
   sched.Spawn("slow", 1, 0, [&] {
-    sched.Wait(q, 900);
+    sched.WaitUntil(q, sched.Now() + 900);
     order.push_back("slow@" + std::to_string(sched.Now()));
   });
   sched.Spawn("fast", 1, 0, [&] {
-    sched.Wait(q, 300);
+    sched.WaitUntil(q, sched.Now() + 300);
     order.push_back("fast@" + std::to_string(sched.Now()));
   });
   sched.Spawn("mid", 1, 0, [&] {
-    sched.Wait(q, 600);
+    sched.WaitUntil(q, sched.Now() + 600);
     order.push_back("mid@" + std::to_string(sched.Now()));
   });
   EXPECT_EQ(sched.Run(), 0);
@@ -127,21 +128,107 @@ TEST(SchedulerTest, TimersFireInDeadlineOrder) {
 }
 
 TEST(SchedulerTest, SameDeadlineTimersFireInArmingOrder) {
-  Scheduler sched;
-  WaitQueue q;
-  std::vector<int> order;
   // Both deadlines land at exactly t=500; the tie must break by arming
   // order (first armed fires first), reproducing FIFO insertion order.
-  sched.Spawn("first", 1, 0, [&] {
-    sched.Wait(q, 500);
-    order.push_back(1);
-  });
-  sched.Spawn("second", 1, 100, [&] {
-    sched.Wait(q, 400);
-    order.push_back(2);
-  });
-  EXPECT_EQ(sched.Run(), 0);
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  // Returns the ids in firing order.
+  auto fire_order = [](SimTime start1, SimTime wait1, SimTime start2, SimTime wait2) {
+    Scheduler sched;
+    WaitQueue q;
+    std::vector<int> order;
+    sched.Spawn("id1", 1, start1, [&] {
+      sched.WaitUntil(q, sched.Now() + wait1);
+      order.push_back(1);
+    });
+    sched.Spawn("id2", 1, start2, [&] {
+      sched.WaitUntil(q, sched.Now() + wait2);
+      order.push_back(2);
+    });
+    EXPECT_EQ(sched.Run(), 0);
+    return order;
+  };
+  EXPECT_EQ(fire_order(0, 500, 100, 400), (std::vector<int>{1, 2}));
+  // The higher id arms first, so arming order and id order disagree.
+  EXPECT_EQ(fire_order(100, 400, 0, 500), (std::vector<int>{2, 1}));
+}
+
+TEST(SchedulerTest, SurvivingTimeoutsFireInDeadlineThenArmingOrder) {
+  // About 200 waiters arm timeouts, many on shared deadlines. A notifier
+  // wakes random waiters early and kills others, so entries leave from the
+  // middle of the queue while the rest are pending; every survivor must time
+  // out at its own deadline, in (deadline, arming) order.
+  for (unsigned seed = 1; seed <= 3; ++seed) {
+    std::mt19937 rng(seed);
+    Scheduler sched;
+    constexpr int kWaiters = 200;
+    struct Waiter {
+      WaitQueue q;
+      SimTime deadline = 0;
+      int armed = -1;            // arming order
+      SimTime woken_at = -1;     // the notifier's clock at its wake
+      SimTime resumed_at = -1;
+      bool notified = false;
+      bool killed = false;
+    };
+    std::vector<Waiter> waiters(kWaiters);
+    int armed = 0;
+    std::vector<int> timed_out;  // waiter indices, in firing order
+    for (int i = 0; i < kWaiters; ++i) {
+      SimTime start = static_cast<SimTime>(rng() % 10) * 100;
+      SimTime timeout = static_cast<SimTime>(1 + rng() % 40) * 100;
+      sched.Spawn("waiter", static_cast<NodeId>(100 + i), start, [&, i, timeout] {
+        Waiter& w = waiters[i];
+        w.armed = armed++;
+        w.deadline = sched.Now() + timeout;
+        w.notified = sched.WaitUntil(w.q, w.deadline);
+        w.resumed_at = sched.Now();
+        if (!w.notified) {
+          timed_out.push_back(i);
+        }
+      });
+    }
+    sched.Spawn("notifier", 1, 500, [&] {
+      for (int step = 0; step < 150; ++step) {
+        sched.Charge(static_cast<SimTime>(1 + rng() % 40));
+        int i = static_cast<int>(rng() % kWaiters);
+        if (!waiters[i].q.empty()) {
+          if (rng() % 4 == 0) {
+            waiters[i].killed = true;
+            sched.KillWhere([i](const Task& t) { return t.node == static_cast<NodeId>(100 + i); });
+          } else {
+            waiters[i].woken_at = sched.Now();
+            sched.NotifyOne(waiters[i].q);
+          }
+        }
+        sched.Yield();
+      }
+    });
+    EXPECT_EQ(sched.Run(), 0);
+
+    int woken = 0;
+    int killed = 0;
+    for (const Waiter& w : waiters) {
+      if (w.killed) {
+        ++killed;
+        EXPECT_EQ(w.resumed_at, -1) << "seed " << seed;
+      } else if (w.woken_at >= 0) {
+        ++woken;
+        EXPECT_TRUE(w.notified) << "seed " << seed;
+        EXPECT_EQ(w.resumed_at, w.woken_at) << "seed " << seed;
+      } else {
+        EXPECT_FALSE(w.notified) << "seed " << seed;
+        EXPECT_EQ(w.resumed_at, w.deadline) << "seed " << seed;
+      }
+    }
+    EXPECT_GT(woken, 0) << "seed " << seed;
+    EXPECT_GT(killed, 0) << "seed " << seed;
+    ASSERT_EQ(timed_out.size(), static_cast<size_t>(kWaiters - woken - killed)) << "seed " << seed;
+    for (size_t k = 1; k < timed_out.size(); ++k) {
+      const Waiter& a = waiters[timed_out[k - 1]];
+      const Waiter& b = waiters[timed_out[k]];
+      EXPECT_TRUE(a.deadline < b.deadline || (a.deadline == b.deadline && a.armed < b.armed))
+          << "seed " << seed << ": waiter " << timed_out[k] << " fired after " << timed_out[k - 1];
+    }
+  }
 }
 
 TEST(SchedulerTest, SameTimeSelectionAlwaysPicksLowestId) {
@@ -173,10 +260,10 @@ TEST(SchedulerTest, CancelledTimerDoesNotFireLater) {
     // First wait is notified before its 10'000 deadline; the timer must be
     // purged eagerly — a later wait with a nearer deadline must be the one
     // that fires, and at its own time.
-    bool notified = sched.Wait(q, 10'000);
+    bool notified = sched.WaitUntil(q, sched.Now() + 10'000);
     events.push_back(std::string(notified ? "notified" : "timeout") + "@" +
                      std::to_string(sched.Now()));
-    notified = sched.Wait(q, 200);
+    notified = sched.WaitUntil(q, sched.Now() + 200);
     events.push_back(std::string(notified ? "notified" : "timeout") + "@" +
                      std::to_string(sched.Now()));
   });
@@ -196,7 +283,7 @@ TEST(SchedulerTest, StepCountIsDeterministic) {
       sched.Spawn("t", 1, t * 10, [&] {
         sched.Charge(25);
         sched.Yield();
-        sched.Wait(q, 100);
+        sched.WaitUntil(q, sched.Now() + 100);
         sched.Charge(5);
       });
     }
@@ -547,7 +634,13 @@ TEST(SchedulerTest, WaitersKeepFifoOrderAfterTimeoutsAndKills) {
     NodeId node = (i == 2 || i == 5) ? 9 : 1;
     SimTime timeout = (i == 0 || i == 3 || i == 7) ? 100 : -1;
     sched.Spawn("waiter", node, i, [&, i, timeout] {
-      if (sched.Wait(q, timeout)) {
+      bool notified = true;
+      if (timeout < 0) {
+        sched.Wait(q);
+      } else {
+        notified = sched.WaitUntil(q, sched.Now() + timeout);
+      }
+      if (notified) {
         woke.push_back(std::to_string(i) + "@" + std::to_string(sched.Now()));
       }
     });

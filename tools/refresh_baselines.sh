@@ -9,7 +9,9 @@
 #
 #   tools/refresh_baselines.sh [BUILD_DIR]
 #
-# BUILD_DIR defaults to ./build-baselines (created if needed).
+# BUILD_DIR defaults to ./build-baselines (created if needed). perfbench is
+# built in BUILD_DIR/perfbench the way perfbench/run.py builds it, and its
+# seed-1 output goes to bench/baselines/perfbench/<workload>.trace<0|1>.json.
 
 set -euo pipefail
 
@@ -21,8 +23,25 @@ benches=(throughput checkpoint_ablation table5_4_benchmarks pipeline_ablation co
 cmake -B "$build" -S "$repo" >/dev/null
 cmake --build "$build" -j "$(nproc)" --target "${benches[@]}"
 
+cmake -S "$repo/perfbench" -B "$build/perfbench" -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build "$build/perfbench" -j "$(nproc)"
+
 commit="$(git -C "$repo" rev-parse --short HEAD 2>/dev/null || echo unknown)"
 date="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
+
+# Copies bench JSON $1 to $2 with a provenance stamp for mode $3.
+stamp() {
+  python3 - "$1" "$2" "$3" "$commit" "$date" <<'EOF'
+import json, sys
+src, dst, mode, commit, date = sys.argv[1:6]
+doc = json.load(open(src))
+doc["meta"] = {"mode": mode, "commit": commit, "generated": date,
+               "refresh": "tools/refresh_baselines.sh"}
+with open(dst, "w") as f:
+    json.dump(doc, f, indent=1, sort_keys=False)
+    f.write("\n")
+EOF
+}
 
 # $1 = smoke|full, $2 = commit mode ("" for two-phase commit, or paxos), then
 # the benches to run. A Paxos leg's baselines go in a paxos/ subdirectory.
@@ -51,21 +70,31 @@ run_mode() {
   fi
   for a in "${written[@]}"; do
     a="${a##*/}"
-    python3 - "$tmp/$a" "$repo/$outdir/$a" "$mode" "$commit" "$date" <<'EOF'
-import json, sys
-src, dst, mode, commit, date = sys.argv[1:6]
-doc = json.load(open(src))
-doc["meta"] = {"mode": mode, "commit": commit, "generated": date,
-               "refresh": "tools/refresh_baselines.sh"}
-with open(dst, "w") as f:
-    json.dump(doc, f, indent=1, sort_keys=False)
-    f.write("\n")
-EOF
+    stamp "$tmp/$a" "$repo/$outdir/$a" "$mode"
     echo "wrote $outdir/$a"
   done
   rm -rf "$tmp"
 }
 
+# perfbench's result line for every workload at seed 1, untraced and traced,
+# with the settings run.py scrubs cleared so the caller's shell cannot leak
+# into them.
+run_perfbench() {
+  local tmp w t
+  tmp="$(mktemp)"
+  mkdir -p "$repo/bench/baselines/perfbench"
+  for w in bank-local sharded-2pc sharded-paxos paged-recovery; do
+    for t in 0 1; do
+      (cd "$repo" && env -u TABS_COMMIT_MODE -u TABS_TRACE -u TABS_BENCH_SMOKE \
+        "$build/perfbench/perfbench" --workload "$w" --seed 1 --trace "$t" | tail -n 1 > "$tmp")
+      stamp "$tmp" "$repo/bench/baselines/perfbench/$w.trace$t.json" perfbench
+      echo "wrote bench/baselines/perfbench/$w.trace$t.json"
+    done
+  done
+  rm -f "$tmp"
+}
+
 run_mode smoke "" "${benches[@]}"
 run_mode smoke paxos scaleout
 run_mode full "" "${benches[@]}"
+run_perfbench
