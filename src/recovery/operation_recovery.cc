@@ -34,10 +34,17 @@ Lsn RecoveryManager::AnalysisPass(TxnOutcomeSource& outcomes, RecoveryStats* sta
   Lsn scan_low = log_.first_lsn();
   *saw_operations = false;
 
-  // Transactions seen with updates, in first-contact order, plus the LSNs of
-  // their (non-compensation) updates for rebuilding in-doubt undo lists.
-  std::vector<TransactionId> update_tops;
+  // Transactions seen with updates or a prepare record, in first-contact
+  // order, plus the LSNs of their (non-compensation) updates for rebuilding
+  // in-doubt undo lists. A relay node whose subtree wrote but which wrote
+  // nothing itself has only its prepare record here, and is in doubt too.
+  std::vector<TransactionId> tops;
   std::unordered_set<TransactionId> seen_tops;
+  auto note_top = [&](const TransactionId& top) {
+    if (seen_tops.insert(top).second) {
+      tops.push_back(top);
+    }
+  };
   std::unordered_map<TransactionId, std::vector<Lsn>> update_lsns_by_owner;
   std::unordered_map<TransactionId, std::vector<TransactionId>> owners_by_top;
 
@@ -49,6 +56,11 @@ Lsn RecoveryManager::AnalysisPass(TxnOutcomeSource& outcomes, RecoveryStats* sta
     ++stats->records_scanned;
     switch (rec->type) {
       case RecordType::kTxnPrepare:
+        if (only_server == nullptr) {
+          note_top(rec->top);  // single-server recovery re-creates no relay
+        }
+        outcomes.ObserveTxnRecord(*rec);
+        break;
       case RecordType::kTxnCommit:
       case RecordType::kTxnAbort:
       case RecordType::kTxnEnd:
@@ -68,10 +80,7 @@ Lsn RecoveryManager::AnalysisPass(TxnOutcomeSource& outcomes, RecoveryStats* sta
         if (only_server != nullptr && rec->server != *only_server) {
           break;  // another (live) server's record: not ours to recover
         }
-        if (!seen_tops.contains(rec->top)) {
-          seen_tops.insert(rec->top);
-          update_tops.push_back(rec->top);
-        }
+        note_top(rec->top);
         if (!rec->IsCompensation()) {
           auto& owner_list = update_lsns_by_owner[rec->owner];
           if (owner_list.empty()) {
@@ -85,7 +94,7 @@ Lsn RecoveryManager::AnalysisPass(TxnOutcomeSource& outcomes, RecoveryStats* sta
     }
   }
 
-  for (const TransactionId& top : update_tops) {
+  for (const TransactionId& top : tops) {
     switch (outcomes.OutcomeOf(top)) {
       case TxnOutcome::kActive:
         stats->losers.push_back(top);

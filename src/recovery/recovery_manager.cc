@@ -77,13 +77,16 @@ Lsn RecoveryManager::LogValue(const TransactionId& owner, const TransactionId& t
 }
 
 void RecoveryManager::MaybeAutoReclaim() {
-  if (log_budget_bytes_ == 0 || reclaiming_ || !active_source_) {
+  if (log_budget_bytes_ == 0 || reclaiming_ || !active_source_ ||
+      log_.last_lsn() < reclaim_rearm_lsn_) {
     return;
   }
-  std::uint64_t in_use = log_.StableBytesInUse() + (log_.last_lsn() - log_.durable_lsn());
+  auto in_use = [this] {
+    return log_.StableBytesInUse() + (log_.last_lsn() - log_.durable_lsn());
+  };
   std::uint64_t trigger =
       static_cast<std::uint64_t>(static_cast<double>(log_budget_bytes_) * reclaim_watermark_);
-  if (in_use < trigger) {
+  if (in_use() < trigger) {
     return;
   }
   reclaiming_ = true;  // Reclaim itself appends records; don't recurse
@@ -93,6 +96,12 @@ void RecoveryManager::MaybeAutoReclaim() {
   ReclaimTo(active_source_(), log_budget_bytes_ / 2);
   reclaiming_ = false;
   ++auto_reclaims_;
+  // Still at or above the trigger: something below the target pins the low-
+  // water mark (an active transaction's first record, a prepared entry, an
+  // undecided Paxos instance), and a repeat before the log grows would free
+  // nothing. Hold off for another half budget, what a reclamation that
+  // reaches its target frees; one that reaches it re-arms at the watermark.
+  reclaim_rearm_lsn_ = in_use() < trigger ? kNullLsn : log_.last_lsn() + log_budget_bytes_ / 2;
 }
 
 Lsn RecoveryManager::LogOperation(const TransactionId& owner, const TransactionId& top,

@@ -164,8 +164,11 @@ class RecoveryManager : public kernel::WriteAheadHooks {
   // Automatic reclamation: when the retained log grows past the watermark
   // fraction of `budget_bytes`, the next update triggers an incremental
   // ReclaimTo aiming at half the budget ("when the system is close to
-  // running out of log space", Section 3.2.2). The source callback supplies
-  // the Transaction Manager's active-transaction table. 0 disables.
+  // running out of log space", Section 3.2.2). A reclamation that leaves
+  // the log at or above the trigger (a pin holds the low-water mark) does
+  // not re-trigger until the log has grown by another half budget. The
+  // source callback supplies the Transaction Manager's active-transaction
+  // table. 0 disables.
   void SetLogSpaceBudget(std::uint64_t budget_bytes,
                          std::function<std::vector<ActiveTxn>()> active_source,
                          double watermark = 1.0) {
@@ -229,6 +232,9 @@ class RecoveryManager : public kernel::WriteAheadHooks {
   double reclaim_watermark_ = 1.0;
   std::function<std::vector<ActiveTxn>()> active_source_;
   int auto_reclaims_ = 0;
+  // The automatic trigger sleeps until last_lsn reaches this (kNullLsn:
+  // armed at the watermark).
+  Lsn reclaim_rearm_lsn_ = kNullLsn;
   bool reclaiming_ = false;
   Lsn archive_low_water_ = kNullLsn;
 };

@@ -62,7 +62,6 @@ void World::BuildRuntime(NodeId id) {
   rt.ns = std::make_unique<name::NameServer>(*rt.cm);
   rt.gc = std::make_unique<log::GroupCommit>(id, rt.rm->log(), options_.group_commit_window_us);
   rt.tm->SetGroupCommit(rt.gc.get());
-  rt.tm->SetCheckpointInterval(options_.checkpoint_interval);
   rt.tm->SetVoteTimeout(options_.vote_timeout_us);
   rt.tm->SetCommitMode(options_.commit_mode, options_.paxos_f);
   // Before any server is installed: servers wire their lock managers to the

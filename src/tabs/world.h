@@ -50,8 +50,6 @@ struct WorldOptions {
   // log tail and aims at half the budget, so a lower watermark trades more
   // frequent, smaller reclamations for flatter commit-latency tails.
   double log_reclaim_watermark = 1.0;
-  // TM-driven periodic checkpoints, virtual time between them. 0 disables.
-  SimTime checkpoint_interval = 0;
   // Group commit: committing (and preparing) transactions batch their log
   // forces through a per-node daemon that flushes once per window instead of
   // once per transaction. 0 (the default) keeps the paper-faithful

@@ -138,22 +138,7 @@ Status TransactionManager::End(const TransactionId& tid) {
     CommitSubtransaction(*txn);
     return Status::kOk;
   }
-  Status s = CommitTopLevel(*txn);
-  MaybeCheckpoint();
-  return s;
-}
-
-void TransactionManager::MaybeCheckpoint() {
-  if (checkpoint_interval_ <= 0 || !node_.substrate().scheduler().in_task()) {
-    return;
-  }
-  SimTime now = node_.substrate().scheduler().Now();
-  if (now - last_checkpoint_time_ < checkpoint_interval_) {
-    return;
-  }
-  last_checkpoint_time_ = now;
-  rm_.TakeCheckpoint(ActiveTransactions());
-  ++checkpoints_taken_;
+  return CommitTopLevel(*txn);
 }
 
 void TransactionManager::Abort(const TransactionId& tid) {
@@ -229,8 +214,7 @@ void TransactionManager::ForceLsn(Lsn lsn) {
   group_commit_->WaitStable(lsn);
 }
 
-void TransactionManager::LogDurably(RecordType type, Txn& txn, bool taint) {
-  Lsn lsn = AppendTxnRecord(type, txn);
+void TransactionManager::MakeDurable(Lsn lsn, Txn& txn, bool taint) {
   if (op_queue_.enabled()) {
     FAULT_POINT(node_.substrate(),
                 taint ? "queue.prepare.early-release" : "queue.commit.early-release");
@@ -296,6 +280,7 @@ void TransactionManager::ObserveTxnRecord(const LogRecord& rec) {
       Txn& prepared = logged_prepares_[rec.top];
       prepared.tid = prepared.top = rec.top;
       prepared.state = TxnState::kPrepared;
+      prepared.prepare_lsn = rec.lsn;
       prepared.parent_node = rec.parent_node;
       prepared.siblings = rec.siblings;
       prepared.acceptors = rec.acceptors;
@@ -510,6 +495,9 @@ std::vector<recovery::RecoveryManager::ActiveTxn> TransactionManager::ActiveTran
     at.top = txn.top;
     at.prepared = txn.state == TxnState::kPrepared;
     at.first_lsn = rm_.FirstLsnOf(tid);
+    if (at.first_lsn == kNullLsn) {
+      at.first_lsn = txn.prepare_lsn;  // a relay: no updates here, only the prepare
+    }
     out.push_back(at);
   }
   // Undecided Paxos instances this node accepts for pin the log exactly like

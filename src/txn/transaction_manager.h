@@ -206,12 +206,6 @@ class TransactionManager : public comm::TransactionTreeListener,
   // Active-transaction table for checkpoints.
   std::vector<recovery::RecoveryManager::ActiveTxn> ActiveTransactions() const;
 
-  // "Checkpoints are performed at intervals determined by the transaction
-  // manager" (Section 3.2.2): after a commit, if at least `interval` virtual
-  // time has passed since the last checkpoint, take one. 0 disables.
-  void SetCheckpointInterval(SimTime interval) { checkpoint_interval_ = interval; }
-  int checkpoint_count() const { return checkpoints_taken_; }
-
   sim::Substrate& substrate() { return node_.substrate(); }
 
   // Routes commit/prepare-record forces through the node's group-commit
@@ -236,6 +230,9 @@ class TransactionManager : public comm::TransactionTreeListener,
     std::vector<NodeId> siblings;      // fellow participants (from the prepare)
     std::vector<NodeId> acceptors;     // Paxos Commit: the 2F+1 acceptor set
                                        // (empty: plain 2PC governs this txn)
+    // This node's prepare record. It pins the log while the entry is in
+    // doubt, also on a relay node that wrote nothing of its own.
+    Lsn prepare_lsn = kNullLsn;
     // Exactly one task may drive this transaction's abort. Whoever sets the
     // flag owns the whole path through AbortSubtree and ForgetTxn; every
     // other abort/commit attempt that observes it backs off — re-entering
@@ -317,17 +314,16 @@ class TransactionManager : public comm::TransactionTreeListener,
 
   Lsn AppendTxnRecord(log::RecordType type, const Txn& txn);
   void ForceLsn(Lsn lsn);
-  // Appends the record and blocks until it is stable. Queue mode drops the
-  // transaction's locks in between (OnEarlyRelease), `taint`ed when the
+  // Blocks until the appended record at `lsn` is stable. Queue mode drops
+  // the transaction's locks first (OnEarlyRelease), `taint`ed when the
   // outcome is still undecided: a successor granted a released object then
   // becomes commit-dependent on this transaction.
-  void LogDurably(log::RecordType type, Txn& txn, bool taint);
+  void MakeDurable(Lsn lsn, Txn& txn, bool taint);
   // Queue mode: abort a queued successor of an aborting early-releaser. The
   // victim's entry is consumed here; its own task observes the abort through
   // the RefusesOps / cascading-set guards.
   void CascadeAbort(const TransactionId& tid);
   void ForgetTxn(const TransactionId& tid);
-  void MaybeCheckpoint();
 
   kernel::Node& node_;
   recovery::RecoveryManager& rm_;
@@ -349,10 +345,6 @@ class TransactionManager : public comm::TransactionTreeListener,
   // with where the verdict lives. Scratch: PostRecovery moves the in-doubt
   // ones into txns_ and clears it.
   std::map<TransactionId, Txn> logged_prepares_;
-
-  SimTime checkpoint_interval_ = 0;
-  SimTime last_checkpoint_time_ = 0;
-  int checkpoints_taken_ = 0;
 
   // How long the coordinator waits for each vote or ack before treating the
   // child as failed (WorldOptions::vote_timeout_us; fault sweeps tighten it).

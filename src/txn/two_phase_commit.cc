@@ -146,7 +146,7 @@ Status TransactionManager::CommitTopLevel(Txn& txn) {
       // forces in LSN order, so any successor's durable record implies ours —
       // so locks release before the force, untainted, and successors
       // pipeline into the group-commit window.
-      LogDurably(RecordType::kTxnCommit, txn, /*taint=*/false);
+      MakeDurable(AppendTxnRecord(RecordType::kTxnCommit, txn), txn, /*taint=*/false);
       // The verdict is durable but no participant knows it: a crash here
       // must resolve to commit via the in-doubt query.
       FAULT_POINT(sub, "2pc.commit.after_record");
@@ -328,11 +328,13 @@ bool TransactionManager::PrepareLocally(Txn& txn, Lsn* deferred) {
   // The subtree voted yes but the prepare record is still volatile: a crash
   // here means this participant never prepared, and presumed abort applies.
   FAULT_POINT(sub, "2pc.vote.before_record");
+  // The record pins the log from here on, through the force below.
+  txn.prepare_lsn = AppendTxnRecord(RecordType::kTxnPrepare, txn);
   if (deferred != nullptr && !op_queue_.enabled()) {
-    *deferred = AppendTxnRecord(RecordType::kTxnPrepare, txn);
+    *deferred = txn.prepare_lsn;
   } else {
     // In doubt until the verdict: a queue-mode early release is tainted.
-    LogDurably(RecordType::kTxnPrepare, txn, /*taint=*/true);
+    MakeDurable(txn.prepare_lsn, txn, /*taint=*/true);
   }
   // Prepared and in doubt: a crash here must leave the updates locked until
   // the verdict is learned.

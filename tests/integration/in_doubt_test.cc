@@ -4,7 +4,8 @@
 // recovery (Section 3.2.2). Presumed abort holds only at a node that has
 // forgotten the transaction: a node that is itself undecided must answer
 // "not decided here", never "not committed". Recovered in-doubt records pin
-// the log like live ones, and a lock re-acquired by single-server recovery is
+// the log like live ones, a relay node that wrote nothing pins and recovers
+// its prepare record, and a lock re-acquired by single-server recovery is
 // released by the verdict.
 
 #include <gtest/gtest.h>
@@ -121,6 +122,45 @@ TEST_F(InDoubtTest, UndecidedParentAnswersNotDecided) {
   });
   EXPECT_TRUE(world_.tm(3).InDoubt().empty());
   EXPECT_EQ(ReadAll(1), (std::vector<std::int32_t>{1, 2, 3}));
+}
+
+TEST_F(InDoubtTest, RelayOnlyPrepareSurvivesReclamationAndCrash) {
+  // Tree 1 -> 2 -> 3, but node 2 writes nothing: its prepare record is the
+  // only record it holds for the transaction.
+  auto* relay = world_.AddServerOf<RelayServer>(2, "relay");
+  world_.network().SetDatagramLoss([](NodeId from, NodeId to, const std::string& what) {
+    return from == 1 && to == 2 && what == "2pc-commit";
+  });
+  Status outcome = Status::kInternal;
+  world_.RunApp(1, [&](Application& app) {
+    outcome = app.Transaction([&](const server::Tx& tx) {
+      Status s = array(1)->SetCell(tx, 0, 1);
+      return s == Status::kOk ? relay->Forward(tx, array(3), 0, 3) : s;
+    });
+  });
+  ASSERT_EQ(outcome, Status::kOk);
+  world_.network().SetDatagramLoss({});
+  ASSERT_EQ(world_.tm(2).InDoubt().size(), 1u);
+  const TransactionId tid = world_.tm(2).InDoubt()[0];
+  ASSERT_TRUE(world_.rm(2).UndoListOf(tid).empty());
+
+  // Reclamation keeps the prepare record, and recovery re-creates the entry.
+  world_.RunApp(2, [&](Application&) { world_.ReclaimLog(2); });
+  world_.RunApp(3, [&](Application&) {
+    world_.CrashNode(2);
+    world_.RecoverNode(2, /*resolve_in_doubt=*/false);
+  });
+  ASSERT_EQ(world_.tm(2).InDoubt(), std::vector<TransactionId>{tid});
+
+  world_.RunApp(3, [&](Application&) {
+    // Undecided at node 2, not forgotten: node 3 may not presume abort.
+    EXPECT_EQ(world_.tm(3).ResolveInDoubt(tid), Status::kNodeDown);
+    EXPECT_EQ(world_.tm(2).ResolveInDoubt(tid), Status::kOk);
+    EXPECT_EQ(world_.tm(3).ResolveInDoubt(tid), Status::kOk);
+  });
+  EXPECT_TRUE(world_.tm(2).InDoubt().empty());
+  EXPECT_TRUE(world_.tm(3).InDoubt().empty());
+  EXPECT_EQ(ReadAll(1), (std::vector<std::int32_t>{1, 0, 3}));
 }
 
 TEST_F(InDoubtTest, UndecidedRootAnswersNotDecided) {

@@ -1,7 +1,9 @@
-// Log-maintenance tests: automatic reclamation under a log-space budget and
-// TM-driven periodic checkpoints (Section 3.2.2).
+// Log-maintenance tests: automatic reclamation under a log-space budget
+// (Section 3.2.2).
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "src/servers/array_server.h"
 #include "src/tabs/world.h"
@@ -70,23 +72,66 @@ TEST(MaintenanceTest, ReclaimPreservesActiveTransactionUndo) {
   });
 }
 
-TEST(MaintenanceTest, PeriodicCheckpointsFire) {
+TEST(MaintenanceTest, PinnedLogReclaimsOncePerHalfBudget) {
   WorldOptions options;
-  // The 5..10 checkpoint band is calibrated against 2PC commit latencies;
-  // paxos acceptor traffic stretches the run and shifts the count.
-  options.commit_mode = txn::CommitMode::kTwoPhase;
-  options.checkpoint_interval = 2'000'000;  // every 2 virtual seconds
-  World world(1, options);
-  auto* arr = world.AddServerOf<ArrayServer>(1, "arr", 64u);
+  options.log_space_budget = 16 * 1024;
+  options.log_reclaim_watermark = 0.75;
+  World world(2, options);
+  constexpr std::uint32_t kCells = 1024;
+  auto* arr = world.AddServerOf<ArrayServer>(1, "arr", kCells);
+  std::vector<std::int32_t> model(kCells, 0);
+
   world.RunApp(1, [&](Application& app) {
-    for (int i = 0; i < 50; ++i) {  // ~280 ms per write txn -> ~14 s total
-      app.Transaction([&](const server::Tx& tx) {
-        arr->SetCell(tx, i % 16, i);
-        return Status::kOk;
-      });
+    // One long transaction pins the log from its first record, so past the
+    // watermark no reclamation can truncate anything until it commits.
+    const Lsn start = world.rm(1).log().last_lsn();
+    ASSERT_EQ(app.Transaction([&](const server::Tx& tx) {
+      for (std::uint32_t c = 0; c < kCells; ++c) {
+        Status s = arr->SetCell(tx, c, static_cast<std::int32_t>(c + 1));
+        if (s != Status::kOk) {
+          return s;
+        }
+      }
+      return Status::kOk;
+    }),
+              Status::kOk);
+    for (std::uint32_t c = 0; c < kCells; ++c) {
+      model[c] = static_cast<std::int32_t>(c + 1);
     }
-    EXPECT_GE(world.tm(1).checkpoint_count(), 5);
-    EXPECT_LE(world.tm(1).checkpoint_count(), 10);
+    // A reclamation the pin makes futile waits for another half budget of
+    // log instead of repeating on every update.
+    const std::uint64_t log_bytes = world.rm(1).log().last_lsn() - start;
+    const std::uint64_t half = options.log_space_budget / 2;
+    EXPECT_GT(world.rm(1).auto_reclaim_count(), 0);
+    EXPECT_LE(static_cast<std::uint64_t>(world.rm(1).auto_reclaim_count()),
+              1 + (log_bytes + half - 1) / half);
+    EXPECT_GT(world.rm(1).StableLogBytesInUse(), options.log_space_budget);
+
+    // With the pin gone, short transactions bring the log back under budget.
+    for (std::uint32_t i = 0; i < 100; ++i) {
+      const std::uint32_t cell = (i * 37) % kCells;
+      const auto value = static_cast<std::int32_t>(-1 - static_cast<std::int32_t>(i));
+      ASSERT_EQ(app.Transaction(
+                    [&](const server::Tx& tx) { return arr->SetCell(tx, cell, value); }),
+                Status::kOk);
+      model[cell] = value;
+    }
+    EXPECT_LT(world.rm(1).StableLogBytesInUse(), options.log_space_budget);
+  });
+
+  // Every acknowledged cell survives a crash.
+  world.RunApp(1, [&](Application&) { world.CrashNode(1); });
+  world.RunApp(2, [&](Application&) {
+    world.RecoverNode(1);
+    arr = world.Server<ArrayServer>(1, "arr");
+  });
+  world.RunApp(1, [&](Application& app) {
+    app.Transaction([&](const server::Tx& tx) {
+      for (std::uint32_t c = 0; c < kCells; ++c) {
+        EXPECT_EQ(arr->GetCell(tx, c).value(), model[c]) << "cell " << c;
+      }
+      return Status::kOk;
+    });
   });
 }
 
@@ -100,7 +145,6 @@ TEST(MaintenanceTest, CheckpointsDisabledByDefault) {
         return Status::kOk;
       });
     }
-    EXPECT_EQ(world.tm(1).checkpoint_count(), 0);
     EXPECT_EQ(world.rm(1).auto_reclaim_count(), 0);
   });
 }

@@ -4,8 +4,10 @@
 # Run this when a change intentionally shifts bench numbers (new primitive on
 # a path, cost-model change, workload change), then commit the resulting diff
 # with that change — the baseline diff is the reviewable record of the perf
-# impact. The benches are fully deterministic (virtual time), so a refresh on
-# an unchanged tree is a no-op.
+# impact. A baseline is rewritten only when tools/check_bench.py, run with the
+# flags CI uses for that file, finds a difference against the fresh output;
+# otherwise it keeps its bytes (and its stamp) and the script prints
+# "unchanged". So a refresh on an unchanged tree is a no-op.
 #
 #   tools/refresh_baselines.sh [BUILD_DIR]
 #
@@ -43,6 +45,28 @@ with open(dst, "w") as f:
 EOF
 }
 
+# CI's comparison flags: simspeed's wall-clock fields at a 9x relative
+# tolerance, perfbench's host and set-up figures skipped and its two
+# allocation figures at 0.5%. Every other baseline compares exactly.
+simspeed_flags=(--tolerance 'rows/*/wall_ms=9.0' --tolerance 'rows/*/events_per_sec=9.0'
+                --tolerance 'rows/*/sim_per_wall=9.0')
+perfbench_flags=(--allow 'host/*' --allow 'setup_s/*'
+                 --tolerance 'exact/host_allocs_per_txn=0.005'
+                 --tolerance 'exact/host.alloc_bytes_per_txn=0.005')
+
+# Stamps bench JSON $1 into baseline $2 for mode $3 when check_bench.py, given
+# the remaining arguments as flags, reports a difference (or $2 is missing).
+refresh() {
+  local src="$1" dst="$2" mode="$3"
+  shift 3
+  if [ -f "$dst" ] && python3 "$repo/tools/check_bench.py" "$dst" "$src" "$@" >/dev/null; then
+    echo "unchanged ${dst#"$repo/"}"
+  else
+    stamp "$src" "$dst" "$mode"
+    echo "wrote ${dst#"$repo/"}"
+  fi
+}
+
 # $1 = smoke|full, $2 = commit mode ("" for two-phase commit, or paxos), then
 # the benches to run. A Paxos leg's baselines go in a paxos/ subdirectory.
 run_mode() {
@@ -70,8 +94,11 @@ run_mode() {
   fi
   for a in "${written[@]}"; do
     a="${a##*/}"
-    stamp "$tmp/$a" "$repo/$outdir/$a" "$mode"
-    echo "wrote $outdir/$a"
+    if [ "$a" = BENCH_simspeed.json ]; then
+      refresh "$tmp/$a" "$repo/$outdir/$a" "$mode" "${simspeed_flags[@]}"
+    else
+      refresh "$tmp/$a" "$repo/$outdir/$a" "$mode"
+    fi
   done
   rm -rf "$tmp"
 }
@@ -87,8 +114,8 @@ run_perfbench() {
     for t in 0 1; do
       (cd "$repo" && env -u TABS_COMMIT_MODE -u TABS_TRACE -u TABS_BENCH_SMOKE \
         "$build/perfbench/perfbench" --workload "$w" --seed 1 --trace "$t" | tail -n 1 > "$tmp")
-      stamp "$tmp" "$repo/bench/baselines/perfbench/$w.trace$t.json" perfbench
-      echo "wrote bench/baselines/perfbench/$w.trace$t.json"
+      refresh "$tmp" "$repo/bench/baselines/perfbench/$w.trace$t.json" perfbench \
+        "${perfbench_flags[@]}"
     done
   done
   rm -f "$tmp"
