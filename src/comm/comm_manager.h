@@ -12,14 +12,14 @@
 // RemoteCall maintains exactly that relation on both ends and notifies the
 // local Transaction Manager the first time remote sites become involved.
 //
-// The asynchronous fast path (AsyncRemoteCall / AsyncRemoteCallBatch) lets a
-// transaction overlap independent remote operations: up to
-// `max_outstanding_calls` session calls may be in flight per top-level
-// transaction, and up to `op_coalesce_batch` independent operations bound
-// for the same server travel as one large message. Both knobs default to 1,
-// which reproduces the paper's strictly sequential one-op-per-message
-// behaviour (every table5_* number is unchanged); spanning-tree maintenance
-// and reachability checks are identical on both paths.
+// The asynchronous fast path (AsyncRemoteCallBatch) lets a transaction
+// overlap independent remote operations: up to `max_outstanding_calls`
+// session calls may be in flight per top-level transaction, and up to
+// `op_coalesce_batch` independent operations bound for the same server
+// travel as one large message. Both knobs default to 1, which reproduces
+// the paper's strictly sequential one-op-per-message behaviour (every
+// table5_* number is unchanged); spanning-tree maintenance and reachability
+// checks are identical to the blocking RemoteCall's.
 
 #ifndef TABS_COMM_COMM_MANAGER_H_
 #define TABS_COMM_COMM_MANAGER_H_
@@ -88,44 +88,25 @@ class CommManager {
                                    remote.Received(tid, self_, std::move(handler)));
   }
 
-  // The asynchronous fast path: issues the session call and returns a future
-  // instead of blocking. At most `max_outstanding_calls` calls per top-level
-  // transaction are in flight — the issuer blocks for a free window slot
-  // first, so the window is a backpressure bound, not a queue. Tree
-  // maintenance and failure semantics match RemoteCall exactly: the remote
-  // node joins the spanning tree before the message flows, an unreachable
-  // destination yields an already-failed kNodeDown future, and a destination
-  // that dies in flight leaves the future empty (the awaiting task's
-  // Await(timeout) reports the broken session). `handler` returns Result<R>:
-  // operation and session failures share the future's flat Result.
-  template <typename R>
-  sim::FuturePtr<Result<R>> AsyncRemoteCall(const TransactionId& tid, CommManager& remote,
-                                            std::string what,
-                                            std::function<Result<R>()> handler) {
-    sim::Substrate& sub = network_.substrate();
-    sim::SpanGuard span(sub.tracer(), sim::Component::kCommunicationManager, "cm.async-call",
-                        sub.tracer().enabled() ? ToString(tid) : std::string());
-    auto win = AdmitAsync(tid, remote.self_);
-    if (win == nullptr) {
-      return FailedFuture<R>();
-    }
-    // Crash window: the remote node is already in the spanning tree but the
-    // request has not left this node yet (a shard fan-out may die here with
-    // earlier calls of the same transaction in flight).
-    FAULT_POINT(sub, "comm.async-issue");
-    return network_.AsyncSessionCall<R>(self_, remote.self_, std::move(what),
-                                        remote.Received(tid, self_, std::move(handler)),
-                                        ReleaseSlotFn(win));
-  }
-
-  // Coalescing: `ops` (independent operations bound for the same server)
-  // travel in ONE session call. The session primitive is charged once for
-  // the whole batch; a batch of more than one op additionally charges a
-  // large-message marshal on the sender and a large-message unmarshal plus a
-  // local data-server-call dispatch per extra op on the receiver — so
-  // coalescing trades k-1 inter-node calls for k-1 local dispatches. Results
-  // arrive in issue order; the outer Result carries session-layer failure,
-  // the inner per-op Results carry each operation's own verdict.
+  // The asynchronous fast path: `ops` (independent operations bound for the
+  // same server) travel in ONE session call, issued without blocking on the
+  // reply. At most `max_outstanding_calls` calls per top-level transaction
+  // are in flight — the issuer blocks for a free window slot first, so the
+  // window is a backpressure bound, not a queue. Tree maintenance and
+  // failure semantics match RemoteCall exactly: the remote node joins the
+  // spanning tree before the message flows, an unreachable destination
+  // yields an already-failed kNodeDown future, and a destination that dies
+  // in flight leaves the future empty (the awaiting task's Await(timeout)
+  // reports the broken session).
+  //
+  // The session primitive is charged once for the whole batch, so a batch
+  // of one op charges exactly what RemoteCall does; a batch of more than one op
+  // additionally charges a large-message marshal on the sender and a
+  // large-message unmarshal plus a local data-server-call dispatch per extra
+  // op on the receiver — so coalescing trades k-1 inter-node calls for k-1
+  // local dispatches. Results arrive in issue order; the outer Result
+  // carries session-layer failure, the inner per-op Results carry each
+  // operation's own verdict.
   template <typename R>
   sim::FuturePtr<Result<std::vector<Result<R>>>> AsyncRemoteCallBatch(
       const TransactionId& tid, CommManager& remote, std::string what,
@@ -196,6 +177,11 @@ class CommManager {
   // also carry transaction identifiers the CM scans).
   void NoteChild(const TransactionId& tid, NodeId child);
   void NoteParent(const TransactionId& tid, NodeId parent);
+  // Crash recovery: a prepared relay's children, as its prepare record
+  // logged them. Nothing is charged: the first contact preceded the crash.
+  void RestoreChildren(const TransactionId& tid, const std::set<NodeId>& children) {
+    trees_[tid].children.insert(children.begin(), children.end());
+  }
 
   // Leak observability for tests: live spanning-tree entries and live
   // pipeline windows (both must drain to zero once transactions finish).

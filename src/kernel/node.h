@@ -1,11 +1,11 @@
 // A simulated TABS node (one Perq workstation).
 //
 // Node owns the *durable* hardware — the disk holding recoverable segments
-// and the log device — plus the node's identity and liveness. Everything
-// volatile (log buffer, Recovery/Transaction/Communication Managers, data
-// servers, lock tables) is layered on top by tabs::World and is destroyed and
-// rebuilt when the node crashes and recovers, exactly like process state on a
-// real machine.
+// and the log device — plus the node's identity. Everything volatile (log
+// buffer, Recovery/Transaction/Communication Managers, data servers, lock
+// tables) is layered on top by tabs::World and is destroyed and rebuilt when
+// the node crashes and recovers, exactly like process state on a real
+// machine. Liveness is the network's (comm::Network::IsAlive).
 
 #ifndef TABS_KERNEL_NODE_H_
 #define TABS_KERNEL_NODE_H_
@@ -24,8 +24,6 @@ class Node {
   Node(NodeId id, sim::Substrate& substrate);
 
   NodeId id() const { return id_; }
-  bool alive() const { return alive_; }
-  void set_alive(bool a) { alive_ = a; }
 
   sim::Substrate& substrate() { return substrate_; }
   sim::SimDisk& disk() { return *disk_; }
@@ -37,7 +35,6 @@ class Node {
 
  private:
   NodeId id_;
-  bool alive_ = true;
   sim::Substrate& substrate_;
   std::unique_ptr<sim::SimDisk> disk_;
   std::unique_ptr<log::StableLogDevice> stable_log_;

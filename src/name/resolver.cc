@@ -16,18 +16,6 @@ std::vector<Binding> Resolver::LookUpAndCache(NameServer& ns, const std::string&
   return found;
 }
 
-std::vector<Binding> Resolver::Resolve(NameServer& ns, const std::string& name,
-                                       size_t desired) {
-  auto it = cache_.find(name);
-  if (it != cache_.end() && it->second.size() >= desired) {
-    ++stats_.cache_hits;
-    std::vector<Binding> out = it->second;
-    out.resize(desired);
-    return out;
-  }
-  return LookUpAndCache(ns, name, desired);
-}
-
 Resolver::ServiceResolution Resolver::ResolveService(NameServer& ns,
                                                      const std::string& name) {
   auto expected_of = [](const std::vector<Binding>& bs) -> std::uint32_t {

@@ -1,11 +1,11 @@
 // name::Resolver — the one client-side resolution path.
 //
 // Every consumer of Name Server lookups (replicated-directory clients,
-// sharded service handles, plain by-name opens) shares the same needs: look
-// a name up, cache the bindings so repeated operations do not re-broadcast,
-// and drop cached bindings that turn out to be stale when a routed call
-// comes back kNodeDown. This class centralises that behaviour so replicas
-// and shards resolve through one code path.
+// sharded service handles) shares the same needs: look a name up, cache the
+// bindings so repeated operations do not re-broadcast, and drop cached
+// bindings that turn out to be stale when a routed call comes back
+// kNodeDown. This class centralises that behaviour so replicas and shards
+// resolve through one code path.
 //
 // Methods take the NameServer per call rather than holding a reference:
 // node recovery tears the name server down and rebuilds it, so a stored
@@ -35,17 +35,15 @@ class Resolver {
   // `max_wait` bounds each underlying LookUp broadcast (virtual time).
   explicit Resolver(SimTime max_wait = 1'000'000) : max_wait_(max_wait) {}
 
-  // LookUp with a cache in front: returns up to `desired` bindings. A cached
-  // entry satisfies the call only if it already holds enough bindings;
-  // otherwise the name is re-looked-up and the cache replaced. Must run
-  // inside a task (a miss broadcasts and blocks in virtual time).
-  std::vector<Binding> Resolve(NameServer& ns, const std::string& name, size_t desired);
-
-  // Resolves a logical *service* (replicated or sharded): every binding's
-  // object id carries the member count, so one binding teaches the resolver
-  // how many to gather. `complete()` distinguishes a full member set from a
-  // partial one (some member's node down) — shard routing requires complete;
-  // quorum-based replica sets may proceed on partial.
+  // Resolves a name through a cache: a logical *service* (replicated or
+  // sharded) or a plain server name, which is a service of one member. Every
+  // binding's object id carries the member count, so one binding teaches the
+  // resolver how many to gather. `complete()` distinguishes a full member
+  // set from a partial one (some member's node down) — shard routing
+  // requires complete; quorum-based replica sets may proceed on partial. A
+  // cached entry answers only when it holds every member; otherwise the name
+  // is looked up again and the cache replaced. Must run inside a task (a
+  // miss broadcasts and blocks in virtual time).
   struct ServiceResolution {
     std::uint32_t expected = 0;  // member count claimed by the bindings
     std::vector<Binding> bindings;

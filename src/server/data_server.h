@@ -100,33 +100,18 @@ class DataServer : public txn::CommitParticipant {
                                        Arrival(tx, std::move(op)));
   }
 
-  // Asynchronous entry point: like Call, but a remote invocation returns a
-  // future instead of blocking, letting the caller overlap independent
-  // operations on several servers (up to the CM's pipeline window). A local
-  // invocation has no network latency to hide and runs synchronously,
-  // returning an already-fulfilled future — so callers can use one shape for
-  // both. Failure semantics match Call: a dead destination surfaces as
-  // kNodeDown when the future is awaited.
-  template <typename R>
-  sim::FuturePtr<Result<R>> AsyncCall(const Tx& tx, std::string what,
-                                      std::function<Result<R>()> op) {
-    if (tx.origin == node_id()) {
-      auto f = std::make_shared<sim::Future<Result<R>>>(substrate().scheduler());
-      f->Fulfil(Call<R>(tx, std::move(what), std::move(op)));
-      return f;
-    }
-    assert(tx.origin_cm != nullptr && "remote call without an origin CM");
-    return tx.origin_cm->AsyncRemoteCall<R>(tx.top, *ctx_.cm, std::move(what),
-                                            Arrival(tx, std::move(op)));
-  }
-
-  // Batch entry point: runs the independent `ops` in this server on behalf
-  // of `tx`, one future per wire message. Remote invocations chunk the batch
-  // by the CM's coalescing limit and put every chunk on the wire before
-  // returning (so batching composes with pipelining); local invocations
+  // Asynchronous entry point: runs the independent `ops` in this server on
+  // behalf of `tx` without blocking on remote replies, one future per wire
+  // message, so the caller can overlap operations on several servers (up to
+  // the CM's pipeline window). Remote invocations chunk the batch by the
+  // CM's coalescing limit and put every chunk on the wire before returning
+  // (so batching composes with pipelining); a chunk of one op is one
+  // pipelined call. Local invocations have no network latency to hide and
   // dispatch each op exactly like separate Calls into a single ready chunk —
-  // coalescing saves messages, never server work. Results are in op order;
-  // Application::AsyncOps joins the futures.
+  // coalescing saves messages, never server work. Failure semantics match
+  // Call: a dead destination surfaces as kNodeDown when the chunk is
+  // awaited. Results are in op order; Application::AsyncOps joins the
+  // futures.
   template <typename R>
   std::vector<sim::FuturePtr<Result<std::vector<Result<R>>>>> AsyncCallChunks(
       const Tx& tx, const std::string& what, std::vector<std::function<Result<R>()>> ops) {

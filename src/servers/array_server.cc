@@ -69,17 +69,6 @@ Status ArrayServer::SetCell(const server::Tx& tx, std::uint32_t cell, std::int32
   return r.ok() ? Status::kOk : r.status();
 }
 
-sim::FuturePtr<Result<std::int32_t>> ArrayServer::AsyncGetCell(const server::Tx& tx,
-                                                               std::uint32_t cell) {
-  return AsyncCall<std::int32_t>(tx, "GetCell", ReadOp(tx, cell));
-}
-
-sim::FuturePtr<Result<bool>> ArrayServer::AsyncSetCell(const server::Tx& tx,
-                                                       std::uint32_t cell,
-                                                       std::int32_t value) {
-  return AsyncCall<bool>(tx, "SetCell", WriteOp(tx, cell, value));
-}
-
 std::vector<sim::FuturePtr<Result<std::vector<Result<std::int32_t>>>>>
 ArrayServer::AsyncGetCells(const server::Tx& tx, const std::vector<std::uint32_t>& cells) {
   std::vector<std::function<Result<std::int32_t>()>> ops;

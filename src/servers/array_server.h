@@ -37,14 +37,10 @@ class ArrayServer : public server::DataServer {
   // PROCEDURE SetCell(cellNum: integer; value: integer)
   Status SetCell(const server::Tx& tx, std::uint32_t cell, std::int32_t value);
 
-  // Asynchronous variants (the communication fast path): the operation is
-  // pipelined when this server is remote from `tx`; Await/AsyncOps joins it.
-  sim::FuturePtr<Result<std::int32_t>> AsyncGetCell(const server::Tx& tx, std::uint32_t cell);
-  sim::FuturePtr<Result<bool>> AsyncSetCell(const server::Tx& tx, std::uint32_t cell,
-                                            std::int32_t value);
-
-  // Coalesced batches: independent cells travel together, chunked by the
-  // origin CM's op_coalesce_batch. One future per wire message.
+  // Asynchronous variants (the communication fast path): the cells are
+  // pipelined when this server is remote from `tx`, travelling together in
+  // chunks of the origin CM's op_coalesce_batch. One future per wire
+  // message; AsyncOps joins them. A single cell is a one-op chunk.
   std::vector<sim::FuturePtr<Result<std::vector<Result<std::int32_t>>>>> AsyncGetCells(
       const server::Tx& tx, const std::vector<std::uint32_t>& cells);
   std::vector<sim::FuturePtr<Result<std::vector<Result<bool>>>>> AsyncSetCells(

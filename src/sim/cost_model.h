@@ -78,17 +78,18 @@ struct CostModel {
 
 // Structural variants of TABS explored by Section 5.3.
 struct ArchitectureModel {
-  // "Improved TABS Architecture": Recovery Manager and Transaction Manager
-  // merged with the kernel — local messages between application/data-server
-  // and TM/RM are eliminated, and one prepare message does the work of two.
-  bool merged_tm_rm = false;
-  // Optimized commit: unnecessary messages eliminated, and commit processing
-  // of distributed write transactions overlapped with successor transactions
-  // (the second commit phase leaves the latency-critical path).
-  bool optimized_commit = false;
+  // The "Improved TABS Architecture", whose two changes Section 5.3 projects
+  // together. The Recovery Manager and Transaction Manager are merged with
+  // the kernel: local messages between application/data-server and TM/RM
+  // are eliminated, and one prepare message does the work of two
+  // (Substrate::ChargeSystemMessage). And commit is optimized: commit
+  // processing of distributed write transactions overlaps successor
+  // transactions, so the second commit phase leaves the latency-critical
+  // path (TransactionManager::CommitSubtree).
+  bool improved = false;
 
   static ArchitectureModel Prototype() { return {}; }
-  static ArchitectureModel Improved() { return {.merged_tm_rm = true, .optimized_commit = true}; }
+  static ArchitectureModel Improved() { return {.improved = true}; }
 };
 
 }  // namespace tabs::sim

@@ -56,7 +56,7 @@ class Substrate {
   // Manager. Under the Improved TABS Architecture these components are merged
   // into the kernel, so the message disappears entirely (Section 5.3).
   void ChargeSystemMessage(Primitive p, double n = 1.0) {
-    if (arch_.merged_tm_rm || suppress_system_messages_ > 0) {
+    if (arch_.improved || suppress_system_messages_ > 0) {
       return;
     }
     Charge(p, n);

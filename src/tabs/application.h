@@ -81,12 +81,13 @@ class Application {
   comm::CommManager* cm_;
 };
 
-// The join half of the parallel-ops API: collects futures minted by the
-// servers' Async* operations and awaits them all. Add() registers a pending
-// operation; Join() waits for every one (in issue order, so the caller's
-// clock advances to the latest completion) and returns kOk or the first
-// failure. A future left empty by a destination crash surfaces as kNodeDown
-// after a session timeout, exactly like a blocked synchronous call.
+// The join half of the parallel-ops API: collects the chunk futures minted
+// by the servers' Async* operations and awaits them all. AddBatch()
+// registers pending chunks; Join() waits for every one (in issue order, so
+// the caller's clock advances to the latest completion) and returns kOk or
+// the first failure. A future left empty by a destination crash surfaces as
+// kNodeDown after a session timeout, exactly like a blocked synchronous
+// call.
 //
 // Join() must be called before the transaction Ends: TABS pipelines only
 // within the pre-commit phase, so every operation's verdict is known before
@@ -96,24 +97,13 @@ class Application::AsyncOps {
   explicit AsyncOps(SimTime timeout = comm::Network::kDefaultSessionTimeout)
       : timeout_(timeout) {}
 
-  // A single pipelined operation.
-  template <typename R>
-  void Add(sim::FuturePtr<Result<R>> f) {
-    waits_.push_back([f = std::move(f), timeout = timeout_]() -> Status {
-      if (!f->Await(timeout)) {
-        return Status::kNodeDown;  // broken session: the reply never came
-      }
-      return f->value().status();
-    });
-  }
-
   // A coalesced chunk (DataServer::AsyncCallChunks): the outer Result is the
   // session verdict, the inner per-op Results are each operation's own.
   template <typename R>
   void AddBatch(sim::FuturePtr<Result<std::vector<Result<R>>>> f) {
     waits_.push_back([f = std::move(f), timeout = timeout_]() -> Status {
       if (!f->Await(timeout)) {
-        return Status::kNodeDown;
+        return Status::kNodeDown;  // broken session: the reply never came
       }
       if (!f->value().ok()) {
         return f->value().status();

@@ -49,7 +49,7 @@ Status ArrayService::Set(const server::Tx& tx, std::uint64_t index, std::int32_t
 
 Result<std::vector<std::int32_t>> ArrayService::GetMany(
     const server::Tx& tx, const std::vector<std::uint64_t>& indices) {
-  using Chunk = sim::FuturePtr<Result<std::vector<Result<std::int32_t>>>>;
+  using Chunks = std::vector<sim::FuturePtr<Result<std::vector<Result<std::int32_t>>>>>;
   return Routed(tx, [&](const placement::ShardMap& map) -> Result<std::vector<std::int32_t>> {
     std::vector<std::vector<std::uint32_t>> locals(map.shard_count());
     std::vector<std::vector<size_t>> positions(map.shard_count());
@@ -58,12 +58,9 @@ Result<std::vector<std::int32_t>> ArrayService::GetMany(
       locals[shard].push_back(Cell(map, indices[i]));
       positions[shard].push_back(i);
     }
-    // Issue every shard's chunks before awaiting any.
-    struct ShardBatch {
-      std::vector<Chunk> chunks;
-      const std::vector<size_t>* pos;
-    };
-    std::vector<ShardBatch> batches;
+    Application::AsyncOps ops(timeout_);
+    Chunks issued;             // every shard's chunks, in issue order
+    std::vector<size_t> order;  // the argument position of each op in `issued`
     Status failed = Status::kOk;
     for (std::uint32_t shard = 0; shard < map.shard_count(); ++shard) {
       if (locals[shard].empty()) {
@@ -74,35 +71,22 @@ Result<std::vector<std::int32_t>> ArrayService::GetMany(
         failed = srv.status();  // still drain what is already on the wire
         break;
       }
-      batches.push_back({srv.value()->AsyncGetCells(tx, locals[shard]), &positions[shard]});
+      Chunks chunks = srv.value()->AsyncGetCells(tx, locals[shard]);
+      ops.AddBatch<std::int32_t>(chunks);
+      issued.insert(issued.end(), chunks.begin(), chunks.end());
+      order.insert(order.end(), positions[shard].begin(), positions[shard].end());
     }
-    // Await in issue order, draining everything even after a failure so
-    // the pipeline window empties (exactly like AsyncOps::Join).
+    Status joined = ops.Join();
+    if (failed != Status::kOk || joined != Status::kOk) {
+      return failed != Status::kOk ? failed : joined;
+    }
+    // A clean join: every chunk holds every one of its ops' values.
     std::vector<std::int32_t> out(indices.size());
-    for (ShardBatch& b : batches) {
-      size_t k = 0;
-      for (Chunk& f : b.chunks) {
-        if (!f->Await(timeout_)) {
-          if (failed == Status::kOk) failed = Status::kNodeDown;
-          continue;
-        }
-        const Result<std::vector<Result<std::int32_t>>>& chunk = f->value();
-        if (!chunk.ok()) {
-          if (failed == Status::kOk) failed = chunk.status();
-          continue;
-        }
-        for (const Result<std::int32_t>& r : chunk.value()) {
-          if (r.ok()) {
-            out[(*b.pos)[k]] = r.value();
-          } else if (failed == Status::kOk) {
-            failed = r.status();
-          }
-          ++k;
-        }
+    size_t k = 0;
+    for (const auto& chunk : issued) {
+      for (const Result<std::int32_t>& r : chunk->value().value()) {
+        out[order[k++]] = r.value();
       }
-    }
-    if (failed != Status::kOk) {
-      return failed;
     }
     return out;
   });

@@ -18,8 +18,9 @@
 //
 // Cross-shard batches (GetMany/SetMany) group operations per shard and put
 // every shard's coalesced chunks on the wire before awaiting any
-// (CommManager::AsyncRemoteCallBatch), so the fan-out composes with the
-// pipelining window and coalescing limits of WorldOptions.
+// (CommManager::AsyncRemoteCallBatch), then join them through
+// Application::AsyncOps, so the fan-out composes with the pipelining window
+// and coalescing limits of WorldOptions.
 
 #ifndef TABS_TABS_SERVICE_HANDLE_H_
 #define TABS_TABS_SERVICE_HANDLE_H_

@@ -80,11 +80,12 @@ void World::WirePeers() {
   tm_peers_.clear();
   ns_peers_.clear();
   for (auto& [id, rt] : runtimes_) {
-    tm_peers_[id] = rt.dead ? nullptr : rt.tm.get();
-    ns_peers_[id] = rt.dead ? nullptr : rt.ns.get();
+    const bool alive = NodeAlive(id);
+    tm_peers_[id] = alive ? rt.tm.get() : nullptr;
+    ns_peers_[id] = alive ? rt.ns.get() : nullptr;
   }
   for (auto& [id, rt] : runtimes_) {
-    if (!rt.dead) {
+    if (NodeAlive(id)) {
       rt.tm->SetPeers(&tm_peers_);
       rt.ns->SetPeers(&ns_peers_);
     }
@@ -168,9 +169,7 @@ void World::SpawnApp(NodeId node_id, std::string name,
 
 void World::CrashNode(NodeId node_id) {
   network_->SetAlive(node_id, false);
-  runtime(node_id).dead = true;
   WirePeers();
-  node(node_id).set_alive(false);
   // Surviving nodes resolve the dead node's orphans: active transactions it
   // coordinated here can never prepare (its volatile state is gone), so
   // their locks and dirty values must not linger, and prepared ones with an
@@ -180,7 +179,7 @@ void World::CrashNode(NodeId node_id) {
   // an orphan after this sweep. Spawned before KillWhere: if the caller runs
   // on the dying node, KillWhere ends it by throwing.
   for (auto& [id, rt] : runtimes_) {
-    if (id == node_id || rt.dead) {
+    if (!NodeAlive(id)) {
       continue;
     }
     txn::TransactionManager* tm = rt.tm.get();
@@ -197,7 +196,6 @@ recovery::RecoveryStats World::RecoverNode(NodeId node_id, bool resolve_in_doubt
   // Discard the dead volatile stack and rebuild the system components.
   runtimes_.erase(node_id);
   BuildRuntime(node_id);
-  node(node_id).set_alive(true);
   network_->SetAlive(node_id, true);
   WirePeers();
 
@@ -308,7 +306,7 @@ void World::ReclaimLog(NodeId node_id) {
 lock::DeadlockDetector World::GlobalDeadlockDetector() {
   lock::DeadlockDetector detector;
   for (auto& [id, rt] : runtimes_) {
-    if (rt.dead) {
+    if (!NodeAlive(id)) {
       continue;
     }
     for (auto& [name, server] : rt.servers) {
@@ -321,7 +319,7 @@ lock::DeadlockDetector World::GlobalDeadlockDetector() {
 std::string World::DescribeNode(NodeId node_id) {
   Runtime& rt = runtime(node_id);
   std::ostringstream os;
-  os << "TABS node " << node_id << (rt.dead ? " (crashed)" : "") << "\n";
+  os << "TABS node " << node_id << (NodeAlive(node_id) ? "" : " (crashed)") << "\n";
   os << "  system components: Name Server, Communication Manager, Recovery Manager, "
         "Transaction Manager\n";
   os << "  data servers:";

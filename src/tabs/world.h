@@ -192,8 +192,8 @@ class World {
   int Drain() { return scheduler_.Run(); }
 
   // --- failures --------------------------------------------------------------------------
-  // Crashes `node`: every task running on it dies, volatile state is marked
-  // dead. Call from inside a task (the crash is an event in virtual time).
+  // Crashes `node`: the network marks it down and every task running on it
+  // dies. Call from inside a task (the crash is an event in virtual time).
   void CrashNode(NodeId node);
   // Rebuilds the node: fresh system components and data servers, log-driven
   // recovery, in-doubt relocking, server Recover() hooks, name
@@ -253,7 +253,6 @@ class World {
     // are killed tasks; a scheduled flusher for a dead incarnation is killed
     // too and never runs).
     std::unique_ptr<log::GroupCommit> gc;
-    bool dead = false;
   };
   struct Blueprint {
     std::string name;

@@ -284,6 +284,11 @@ void TransactionManager::ObserveTxnRecord(const LogRecord& rec) {
       prepared.parent_node = rec.parent_node;
       prepared.siblings = rec.siblings;
       prepared.acceptors = rec.acceptors;
+      // A relay passes the verdict down once it learns it, so its logged
+      // children come back. A root's takeover tells every participant.
+      if (rec.parent_node != kInvalidNode) {
+        prepared.update_children = std::set<NodeId>(rec.children.begin(), rec.children.end());
+      }
       break;
     }
     case RecordType::kPaxosPromise:
@@ -328,7 +333,12 @@ void TransactionManager::PostRecovery(
     const std::map<std::string, CommitParticipant*>& participants) {
   for (const TransactionId& tid : stats.in_doubt) {
     // After a single-server crash the transaction is still live.
-    Txn& txn = txns_.try_emplace(tid, std::move(logged_prepares_[tid])).first->second;
+    auto [entry, recreated] = txns_.try_emplace(tid, std::move(logged_prepares_[tid]));
+    Txn& txn = entry->second;
+    if (recreated && !txn.update_children.empty()) {
+      // A relay: the verdict's abort path reads its children from the tree.
+      cm_.RestoreChildren(tid, txn.update_children);
+    }
     // Rebuild lock state: every object the in-doubt transaction updated
     // stays inaccessible until the verdict releases it through the entry.
     for (Lsn lsn : rm_.UndoListOf(tid)) {

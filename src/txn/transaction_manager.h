@@ -177,8 +177,9 @@ class TransactionManager : public comm::TransactionTreeListener,
   recovery::TxnOutcome OutcomeOf(const TransactionId& top) override;
 
   // After RecoveryManager::Recover: makes each in-doubt transaction a
-  // prepared entry (a node recovery re-creates it from the prepare record;
-  // a single-server recovery finds it still live) and re-locks its objects
+  // prepared entry (a node recovery re-creates it from the prepare record,
+  // a relay's logged children included, so the verdict reaches them; a
+  // single-server recovery finds it still live) and re-locks its objects
   // through the named participants, which join the entry.
   void PostRecovery(const recovery::RecoveryStats& stats,
                     const std::map<std::string, CommitParticipant*>& participants);
@@ -226,7 +227,8 @@ class TransactionManager : public comm::TransactionTreeListener,
     NodeId parent_node = kInvalidNode;  // 2PC tree parent (kInvalid: rooted here)
     std::vector<CommitParticipant*> servers;
     std::set<TransactionId> live_subtxns;
-    std::set<NodeId> update_children;  // children that voted yes (not read-only)
+    std::set<NodeId> update_children;  // children that voted yes (not read-only);
+                                       // recovered: every child the prepare logged
     std::vector<NodeId> siblings;      // fellow participants (from the prepare)
     std::vector<NodeId> acceptors;     // Paxos Commit: the 2F+1 acceptor set
                                        // (empty: plain 2PC governs this txn)

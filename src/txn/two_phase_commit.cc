@@ -417,7 +417,7 @@ void TransactionManager::CommitSubtree(Txn& txn, bool is_root) {
   sim::Scheduler& sched = sub.scheduler();
   sim::SpanGuard span(sub.tracer(), sim::Component::kTransactionManager, "2pc.commit-subtree",
                       sub.tracer().enabled() ? ToString(txn.top) : std::string());
-  bool wait_for_acks = !sub.arch().optimized_commit;
+  bool wait_for_acks = !sub.arch().improved;
 
   sim::RepliesPtr<NodeId> acks;
   if (!txn.update_children.empty()) {

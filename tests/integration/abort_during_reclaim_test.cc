@@ -45,13 +45,14 @@ void RunWorkload(unsigned seed) {
       TransactionId t = app.Begin();
       server::Tx tx = app.MakeTx(t);
       std::map<std::pair<NodeId, std::uint32_t>, std::int32_t> writes;
-      std::vector<sim::FuturePtr<Result<bool>>> futures;
+      std::vector<sim::FuturePtr<Result<std::vector<Result<bool>>>>> futures;
       int count = 1 + static_cast<int>(rng() % 3);
       for (int w = 0; w < count; ++w) {
         NodeId n = 1 + static_cast<NodeId>(rng() % kNodes);
         std::uint32_t cell = rng() % kCells;
         std::int32_t value = i + 1;
-        futures.push_back(world.Server<ArrayServer>(n, NameOf(n))->AsyncSetCell(tx, cell, value));
+        auto* server = world.Server<ArrayServer>(n, NameOf(n));
+        futures.push_back(server->AsyncSetCells(tx, {{cell, value}}).front());
         writes[{n, cell}] = value;
       }
       if (i % 5 == 4) {
@@ -62,7 +63,8 @@ void RunWorkload(unsigned seed) {
       }
       bool ok = true;
       for (auto& f : futures) {
-        ok = f->Await(comm::Network::kDefaultSessionTimeout) && f->value().ok() && ok;
+        ok = f->Await(comm::Network::kDefaultSessionTimeout) && f->value().ok() &&
+             f->value().value().front().ok() && ok;
       }
       if (!ok) {
         app.Abort(t);

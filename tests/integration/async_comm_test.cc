@@ -49,9 +49,12 @@ TEST(AsyncCommTest, PipelinedReadsReturnCorrectValues) {
     ASSERT_EQ(seeded, Status::kOk);
 
     Status s = app.Transaction([&](const server::Tx& tx) {
-      std::vector<sim::FuturePtr<Result<std::int32_t>>> singles;
+      // One-op chunks: each read is a pipelined call of its own.
+      std::vector<sim::FuturePtr<Result<std::vector<Result<std::int32_t>>>>> singles;
       for (std::uint32_t c = 0; c < 4; ++c) {
-        singles.push_back(remote->AsyncGetCell(tx, c));
+        auto chunks = remote->AsyncGetCells(tx, {c});
+        EXPECT_EQ(chunks.size(), 1u);
+        singles.push_back(chunks.front());
       }
       auto chunks = third->AsyncGetCells(tx, {0, 1, 2, 3, 4});
       std::vector<std::int32_t> third_values;
@@ -67,11 +70,13 @@ TEST(AsyncCommTest, PipelinedReadsReturnCorrectValues) {
       }
       EXPECT_EQ(third_values, (std::vector<std::int32_t>{200, 201, 202, 203, 204}));
       for (std::uint32_t c = 0; c < 4; ++c) {
-        if (!singles[c]->Await() || !singles[c]->value().ok()) {
+        if (!singles[c]->Await() || !singles[c]->value().ok() ||
+            !singles[c]->value().value().front().ok()) {
           ADD_FAILURE() << "pipelined read " << c << " failed";
           return Status::kNodeDown;
         }
-        EXPECT_EQ(singles[c]->value().value(), static_cast<std::int32_t>(100 + c));
+        EXPECT_EQ(singles[c]->value().value().front().value(),
+                  static_cast<std::int32_t>(100 + c));
       }
       return Status::kOk;
     });
@@ -119,7 +124,7 @@ TEST(AsyncCommTest, PipeliningIsFasterThanSequential) {
       app.Transaction([&](const server::Tx& tx) {
         Application::AsyncOps ops = app.Parallel();
         for (std::uint32_t c = 0; c < 8; ++c) {
-          ops.Add<std::int32_t>(remote->AsyncGetCell(tx, c));
+          ops.AddBatch<std::int32_t>(remote->AsyncGetCells(tx, {c}));
         }
         return ops.Join();
       });
@@ -139,7 +144,7 @@ TEST(AsyncCommTest, CrashWithCallsInFlightSurfacesAsNodeDown) {
     Status s = app.Transaction([&](const server::Tx& tx) {
       Application::AsyncOps ops = app.Parallel();
       for (std::uint32_t c = 0; c < 3; ++c) {
-        ops.Add<std::int32_t>(remote->AsyncGetCell(tx, c));
+        ops.AddBatch<std::int32_t>(remote->AsyncGetCells(tx, {c}));
       }
       // The destination dies with three calls in flight: their futures are
       // never fulfilled, so each Join arm times out and reports kNodeDown.
@@ -181,11 +186,71 @@ TEST(AsyncCommTest, SessionLossFailsFastAsNodeDown) {
   world.RunApp(1, [&](Application& app) {
     Status s = app.Transaction([&](const server::Tx& tx) {
       Application::AsyncOps ops = app.Parallel();
-      ops.Add<std::int32_t>(remote->AsyncGetCell(tx, 0));
+      ops.AddBatch<std::int32_t>(remote->AsyncGetCells(tx, {0}));
       return ops.Join();
     });
     EXPECT_EQ(s, Status::kOk);
   });
+}
+
+// A one-op chunk is one pipelined call. With window 1 and batch 1, awaiting
+// it through AsyncOps leaves the caller at the same virtual time, with the
+// same primitive counts, as the blocking call; only the pipelined-call
+// counter tells the two apart.
+struct RemoteOpCost {
+  Status op = Status::kInternal;
+  SimTime op_clock = 0;
+  sim::PrimitiveCounts op_total;
+  Status end = Status::kInternal;
+  SimTime end_clock = 0;
+  sim::PrimitiveCounts end_total;
+  double async_calls = 0;
+};
+
+RemoteOpCost CostOfRemoteOp(bool write, bool pipelined) {
+  World world(2, PipelineOptions(/*window=*/1, /*batch=*/1));
+  auto* remote = world.AddServerOf<ArrayServer>(2, "arr", 16u);
+  RemoteOpCost out;
+  world.RunApp(1, [&](Application& app) {
+    TransactionId tid = app.Begin();
+    server::Tx tx = app.MakeTx(tid);
+    if (pipelined) {
+      Application::AsyncOps ops = app.Parallel();
+      if (write) {
+        ops.AddBatch<bool>(remote->AsyncSetCells(tx, {{3, 7}}));
+      } else {
+        ops.AddBatch<std::int32_t>(remote->AsyncGetCells(tx, {3}));
+      }
+      out.op = ops.Join();
+    } else {
+      out.op = write ? remote->SetCell(tx, 3, 7) : remote->GetCell(tx, 3).status();
+    }
+    out.op_clock = world.scheduler().Now();
+    out.op_total = world.metrics().Total();
+    out.end = app.End(tid);
+    out.end_clock = world.scheduler().Now();
+  });
+  out.end_total = world.metrics().Total();
+  out.async_calls = world.metrics().async_calls_issued();
+  return out;
+}
+
+TEST(AsyncCommTest, OneOpChunkCostsWhatTheBlockingCallCosts) {
+  for (bool write : {false, true}) {
+    SCOPED_TRACE(write ? "SetCell" : "GetCell");
+    RemoteOpCost blocking = CostOfRemoteOp(write, /*pipelined=*/false);
+    RemoteOpCost chunk = CostOfRemoteOp(write, /*pipelined=*/true);
+    EXPECT_EQ(blocking.op, Status::kOk);
+    EXPECT_EQ(chunk.op, Status::kOk);
+    EXPECT_EQ(chunk.op_clock, blocking.op_clock);
+    EXPECT_EQ(chunk.op_total.count, blocking.op_total.count);
+    EXPECT_EQ(blocking.end, Status::kOk);
+    EXPECT_EQ(chunk.end, Status::kOk);
+    EXPECT_EQ(chunk.end_clock, blocking.end_clock);
+    EXPECT_EQ(chunk.end_total.count, blocking.end_total.count);
+    EXPECT_EQ(blocking.async_calls, 0);
+    EXPECT_EQ(chunk.async_calls, 1);
+  }
 }
 
 // Same seed knobs on -> bit-identical virtual time and counters.

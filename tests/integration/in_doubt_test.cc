@@ -5,8 +5,9 @@
 // forgotten the transaction: a node that is itself undecided must answer
 // "not decided here", never "not committed". Recovered in-doubt records pin
 // the log like live ones, a relay node that wrote nothing pins and recovers
-// its prepare record, and a lock re-acquired by single-server recovery is
-// released by the verdict.
+// its prepare record and passes the verdict it learns down to its children,
+// and a lock re-acquired by single-server recovery is released by the
+// verdict.
 
 #include <gtest/gtest.h>
 
@@ -156,11 +157,46 @@ TEST_F(InDoubtTest, RelayOnlyPrepareSurvivesReclamationAndCrash) {
     // Undecided at node 2, not forgotten: node 3 may not presume abort.
     EXPECT_EQ(world_.tm(3).ResolveInDoubt(tid), Status::kNodeDown);
     EXPECT_EQ(world_.tm(2).ResolveInDoubt(tid), Status::kOk);
-    EXPECT_EQ(world_.tm(3).ResolveInDoubt(tid), Status::kOk);
+    // Node 2 passed the commit down: node 3 has nothing left to resolve.
+    EXPECT_EQ(world_.tm(3).ResolveInDoubt(tid), Status::kNotFound);
   });
   EXPECT_TRUE(world_.tm(2).InDoubt().empty());
   EXPECT_TRUE(world_.tm(3).InDoubt().empty());
   EXPECT_EQ(ReadAll(1), (std::vector<std::int32_t>{1, 0, 3}));
+}
+
+TEST_F(InDoubtTest, RecoveredRelayPassesPresumedAbortDown) {
+  // Tree 1 -> 2 -> 3 with a relay-only node 2, and the root writes nothing
+  // either. The root dies before its commit record, so it forgets the
+  // transaction and presumes abort.
+  auto* relay = world_.AddServerOf<RelayServer>(2, "relay");
+  world_.faults().ArmCrash("2pc.commit.before_record");
+  world_.RunApp(1, [&](Application& app) {
+    app.Transaction(
+        [&](const server::Tx& tx) { return relay->Forward(tx, array(3), 0, 3); });
+  });
+  ASSERT_TRUE(world_.faults().crash_fired());
+  world_.faults().Disarm();
+  ASSERT_EQ(world_.tm(2).InDoubt().size(), 1u);
+  const TransactionId tid = world_.tm(2).InDoubt()[0];
+  ASSERT_EQ(world_.tm(3).InDoubt(), std::vector<TransactionId>{tid});
+
+  world_.RunApp(2, [&](Application&) { world_.ReclaimLog(2); });
+  world_.RunApp(3, [&](Application&) {
+    world_.CrashNode(2);
+    world_.RecoverNode(2, /*resolve_in_doubt=*/false);
+    world_.RecoverNode(1);
+  });
+  ASSERT_EQ(world_.tm(2).InDoubt(), std::vector<TransactionId>{tid});
+  ASSERT_EQ(array(3)->locks().LockedObjectCount(), 1u);
+
+  world_.RunApp(2, [&](Application&) {
+    EXPECT_EQ(world_.tm(2).ResolveInDoubt(tid), Status::kAborted);
+  });
+  // Node 2 passed the abort down: node 3 never asked anyone.
+  EXPECT_TRUE(world_.tm(3).InDoubt().empty());
+  EXPECT_EQ(array(3)->locks().LockedObjectCount(), 0u);
+  EXPECT_EQ(ReadAll(2), (std::vector<std::int32_t>{0, 0, 0}));
 }
 
 TEST_F(InDoubtTest, UndecidedRootAnswersNotDecided) {

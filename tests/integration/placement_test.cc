@@ -5,10 +5,10 @@
 // commit atomically under the unchanged two-phase protocol, and the handle
 // heals itself across shard-node crash and recovery. The last test reuses
 // the crash-point exploration harness over the *fan-out* windows the
-// sharded batches open (comm.async-issue, comm.batch-issue on the
-// coordinator; comm.batch-dispatch on the receiving shard): for every
-// reached communication fault point, a crash armed there must leave the
-// committed prefix intact and conserve the array total after recovery.
+// sharded batches open (comm.batch-issue on the coordinator,
+// comm.batch-dispatch on the receiving shard): for every reached
+// communication fault point, a crash armed there must leave the committed
+// prefix intact and conserve the array total after recovery.
 
 #include <gtest/gtest.h>
 
@@ -454,8 +454,8 @@ void RunShardedWorkload(World& world, unsigned seed, Model& m) {
           },
           doom);
       if (i == 4) {
-        // One single-op async probe per run: the AsyncRemoteCall issue
-        // window (comm.async-issue) is part of the explored surface too.
+        // One single-op async probe per run: a one-op chunk, issued and
+        // awaited on its own, is part of the explored surface too.
         transact(
             [&](const server::Tx& tx, Cells&) {
               auto* shard0 =
@@ -463,11 +463,14 @@ void RunShardedWorkload(World& world, unsigned seed, Model& m) {
               if (shard0 == nullptr) {
                 return Status::kNodeDown;
               }
-              auto f = shard0->AsyncGetCell(tx, 0);
+              auto f = shard0->AsyncGetCells(tx, {0}).front();
               if (!f->Await(comm::Network::kDefaultSessionTimeout)) {
                 return Status::kTimeout;
               }
-              return f->value().ok() ? Status::kOk : f->value().status();
+              if (!f->value().ok()) {
+                return f->value().status();
+              }
+              return f->value().value().front().status();
             },
             /*doom=*/false);
       }
@@ -584,7 +587,6 @@ TEST_P(ShardFanOutCrashTest, CommFaultPointsRecoverConsistently) {
     // The new communication windows must be part of the reached surface.
     EXPECT_TRUE(distinct.count("comm.batch-issue")) << "batch issue window not reached";
     EXPECT_TRUE(distinct.count("comm.batch-dispatch")) << "batch dispatch window not reached";
-    EXPECT_TRUE(distinct.count("comm.async-issue")) << "async issue window not reached";
     CheckInvariants(world, m, seed, "no-fault");
     ASSERT_FALSE(::testing::Test::HasFailure()) << "fault-free run is already inconsistent";
   }

@@ -321,19 +321,19 @@ TEST_F(TransactionTest, ParentAbortUndoesCommittedRemoteSubtransaction) {
 TEST_F(TransactionTest, NameServerFindsLocalAndRemoteBindings) {
   world_.RunApp(1, [&](Application& app) {
     name::Resolver resolver(/*max_wait=*/200'000);
-    auto local = resolver.Resolve(world_.names(1), "array1", 1);
+    auto local = resolver.ResolveService(world_.names(1), "array1").bindings;
     ASSERT_EQ(local.size(), 1u);
     EXPECT_EQ(local[0].node, 1u);
     // Remote name resolved by broadcast (and cached: the repeat is a hit,
     // not a second broadcast).
-    auto remote = resolver.Resolve(world_.names(1), "array3", 1);
+    auto remote = resolver.ResolveService(world_.names(1), "array3").bindings;
     ASSERT_EQ(remote.size(), 1u);
     EXPECT_EQ(remote[0].node, 3u);
-    resolver.Resolve(world_.names(1), "array3", 1);
+    resolver.ResolveService(world_.names(1), "array3");
     EXPECT_EQ(resolver.stats().lookups, 2u);
     EXPECT_EQ(resolver.stats().cache_hits, 1u);
     // Unknown names come back empty after the broadcast wait.
-    EXPECT_TRUE(resolver.Resolve(world_.names(1), "no-such-server", 1).empty());
+    EXPECT_TRUE(resolver.ResolveService(world_.names(1), "no-such-server").bindings.empty());
   });
 }
 

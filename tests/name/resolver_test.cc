@@ -72,9 +72,9 @@ class ResolverTest : public ::testing::Test {
 TEST_F(ResolverTest, SecondResolveIsACacheHit) {
   ns(1).Register("printer", Binding{1, "printer", {1, 0, 1}});
   RunTask([&] {
-    auto first = resolver_.Resolve(ns(1), "printer", 1);
+    auto first = resolver_.ResolveService(ns(1), "printer").bindings;
     ASSERT_EQ(first.size(), 1u);
-    auto second = resolver_.Resolve(ns(1), "printer", 1);
+    auto second = resolver_.ResolveService(ns(1), "printer").bindings;
     ASSERT_EQ(second.size(), 1u);
     EXPECT_EQ(second[0], first[0]);
   });
@@ -133,11 +133,11 @@ TEST_F(ResolverTest, IncompleteResolutionIsNotServedFromCache) {
 }
 
 TEST_F(ResolverTest, UnknownNameIsNotCachedAsEmpty) {
-  RunTask([&] { EXPECT_TRUE(resolver_.Resolve(ns(1), "nothing", 1).empty()); });
+  RunTask([&] { EXPECT_TRUE(resolver_.ResolveService(ns(1), "nothing").bindings.empty()); });
   // Late registration is visible: the empty result was not cached.
   ns(2).Register("nothing", Binding{2, "late", {1, 0, 1}});
   RunTask([&] {
-    auto found = resolver_.Resolve(ns(1), "nothing", 1);
+    auto found = resolver_.ResolveService(ns(1), "nothing").bindings;
     ASSERT_EQ(found.size(), 1u);
     EXPECT_EQ(found[0].node, 2u);
   });
@@ -148,7 +148,7 @@ TEST_F(ResolverTest, InvalidateNodeDropsOnlyThatNodesBindings) {
   ns(1).Register("printer", Binding{1, "printer", {1, 0, 1}});
   RunTask([&] {
     resolver_.ResolveService(ns(1), "accounts");
-    resolver_.Resolve(ns(1), "printer", 1);
+    resolver_.ResolveService(ns(1), "printer");
   });
   std::uint64_t lookups_before = resolver_.stats().lookups;
 
@@ -158,7 +158,7 @@ TEST_F(ResolverTest, InvalidateNodeDropsOnlyThatNodesBindings) {
   RunTask([&] {
     // "printer" (node 1) is still served from cache; "accounts" lost its
     // node-2 shard and must re-resolve.
-    resolver_.Resolve(ns(1), "printer", 1);
+    resolver_.ResolveService(ns(1), "printer");
     EXPECT_EQ(resolver_.stats().lookups, lookups_before);
     auto res = resolver_.ResolveService(ns(1), "accounts");
     EXPECT_TRUE(res.complete());
@@ -173,7 +173,7 @@ TEST_F(ResolverTest, StaleBindingHealsAfterInvalidate) {
   Binding old_home{3, "svc", {1, 0, 1}};
   ns(3).Register("svc", old_home);
   RunTask([&] {
-    auto found = resolver_.Resolve(ns(1), "svc", 1);
+    auto found = resolver_.ResolveService(ns(1), "svc").bindings;
     ASSERT_EQ(found.size(), 1u);
     EXPECT_EQ(found[0].node, 3u);
   });
@@ -183,14 +183,14 @@ TEST_F(ResolverTest, StaleBindingHealsAfterInvalidate) {
   CrashNode(3);
   ns(2).Register("svc", Binding{2, "svc", {1, 0, 1}});
   RunTask([&] {
-    auto cached = resolver_.Resolve(ns(1), "svc", 1);
+    auto cached = resolver_.ResolveService(ns(1), "svc").bindings;
     ASSERT_EQ(cached.size(), 1u);
     EXPECT_EQ(cached[0].node, 3u);  // stale, by design: caller invalidates on kNodeDown
   });
 
   resolver_.InvalidateNode(3);
   RunTask([&] {
-    auto fresh = resolver_.Resolve(ns(1), "svc", 1);
+    auto fresh = resolver_.ResolveService(ns(1), "svc").bindings;
     ASSERT_EQ(fresh.size(), 1u);
     EXPECT_EQ(fresh[0].node, 2u);
   });
