@@ -10,7 +10,8 @@
 //  * Operation records carry an operation name and enough information to
 //    invoke its redo/undo. Crash recovery is three passes (analysis, redo,
 //    undo) guarded by the page sequence numbers the modified kernel stamps
-//    into each sector header.
+//    into each sector header; redo shares analysis's forward read, and undo
+//    reads back only as far as the earliest loser's first update.
 //
 // Every update record carries two transaction identifiers: `owner`, the
 // (sub)transaction that wrote it — whose backward chain `prev_lsn` threads —
@@ -18,9 +19,9 @@
 // at crash recovery (subtransactions commit only with their top-level parent,
 // Section 2.1.3).
 //
-// Compensation records (written while undoing) carry `undo_next_lsn`, the
-// prev_lsn of the record they compensate, so that an abort interrupted by a
-// crash never undoes the same update twice.
+// Compensation records (written while undoing) belong to the owner of the
+// record they compensate and carry `undo_next_lsn`, that record's prev_lsn,
+// so that an abort interrupted by a crash never undoes the same update twice.
 
 #ifndef TABS_LOG_LOG_RECORD_H_
 #define TABS_LOG_LOG_RECORD_H_

@@ -1,24 +1,27 @@
-// The analysis pass shared by both recovery algorithms, and the
-// operation-logging redo/undo passes.
+// The forward pass shared by both recovery algorithms, and the
+// operation-logging undo pass.
 //
 // Operation logging buys multi-page records, more concurrency, and less log
 // space, at the price of "three passes over the log during crash recovery,
 // instead of the single pass needed for the value-based algorithm"
-// (Section 2.1.3):
+// (Section 2.1.3). Each of the three passes reads only the log it needs:
 //
-//  pass 1 (analysis) — forward: replay transaction-management records into
-//    the Transaction Manager, classify every top-level transaction, find the
-//    losers and the in-doubt (prepared) set.
-//  pass 2 (redo) — forward: repeat history. An operation (or compensation)
-//    is re-applied iff some page it touches carries a sector sequence number
-//    older than the record's LSN — the kernel's atomically-stamped sequence
-//    number is exactly the guard that makes non-idempotent operations safe
-//    to replay (Section 3.2.1).
-//  pass 3 (undo) — backward: invoke the inverse operation for every loser
-//    update not already compensated, writing compensation records whose
-//    undo_next pointers make the undo itself restartable.
+//  pass 1 (analysis) — forward over the retained log: replay transaction-
+//    management records into the Transaction Manager, classify every
+//    top-level transaction, find the losers and the in-doubt (prepared) set.
+//  pass 2 (redo) — rides pass 1's reads: repeat history. An operation (or
+//    compensation) is re-applied iff some page it touches carries a sector
+//    sequence number older than the record's LSN — the kernel's atomically-
+//    stamped sequence number is exactly the guard that makes non-idempotent
+//    operations safe to replay (Section 3.2.1), and it needs nothing the
+//    analysis computes.
+//  pass 3 (undo) — backward from the end of the log, only when there are
+//    losers, and only down to the earliest loser's first update: invoke the
+//    inverse operation for every loser update not already compensated,
+//    writing compensation records whose undo_next pointers make the undo
+//    itself restartable.
 
-#include <cassert>
+#include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -29,15 +32,16 @@ namespace tabs::recovery {
 using log::LogRecord;
 using log::RecordType;
 
-Lsn RecoveryManager::AnalysisPass(TxnOutcomeSource& outcomes, RecoveryStats* stats,
-                                  bool* saw_operations, const std::string* only_server) {
-  Lsn scan_low = log_.first_lsn();
-  *saw_operations = false;
+RecoveryManager::Analysis RecoveryManager::AnalysisPass(TxnOutcomeSource& outcomes,
+                                                        RecoveryStats* stats,
+                                                        const std::string* only_server) {
+  Analysis result;
 
   // Transactions seen with updates or a prepare record, in first-contact
-  // order, plus the LSNs of their (non-compensation) updates for rebuilding
-  // in-doubt undo lists. A relay node whose subtree wrote but which wrote
-  // nothing itself has only its prepare record here, and is in doubt too.
+  // order, plus each owner's updates not compensated before the crash (for
+  // rebuilding in-doubt undo lists and bounding the undo pass). A relay node
+  // whose subtree wrote but which wrote nothing itself has only its prepare
+  // record here, and is in doubt too.
   std::vector<TransactionId> tops;
   std::unordered_set<TransactionId> seen_tops;
   auto note_top = [&](const TransactionId& top) {
@@ -48,7 +52,37 @@ Lsn RecoveryManager::AnalysisPass(TxnOutcomeSource& outcomes, RecoveryStats* sta
   std::unordered_map<TransactionId, std::vector<Lsn>> update_lsns_by_owner;
   std::unordered_map<TransactionId, std::vector<TransactionId>> owners_by_top;
 
-  for (Lsn lsn = scan_low; lsn != kNullLsn; lsn = log_.NextLsn(lsn)) {
+  // Redo's sequence numbers are read from disk once per page and then
+  // tracked as redo progresses (redone effects live in volatile frames until
+  // the final flush re-stamps the sectors).
+  std::unordered_map<PageId, std::uint64_t> page_seq;
+  auto redo = [&](const LogRecord& rec) {
+    kernel::RecoverableSegment* seg = SegmentOf(rec.server);
+    auto hooks = op_hooks_.find(rec.server);
+    if (seg == nullptr || hooks == op_hooks_.end()) {
+      return;
+    }
+    bool needs_redo = false;
+    for (const PageId& page : rec.pages) {
+      auto it = page_seq.find(page);
+      if (it == page_seq.end()) {
+        it = page_seq.emplace(page, seg->DiskSequenceNumber(page.page)).first;
+      }
+      if (it->second < rec.lsn) {
+        needs_redo = true;
+      }
+    }
+    if (!needs_redo) {
+      return;
+    }
+    hooks->second.apply(rec.op_name, rec.redo_args, rec.lsn);
+    for (const PageId& page : rec.pages) {
+      page_seq[page] = rec.lsn;
+    }
+    ++stats->operations_redone;
+  };
+
+  for (Lsn lsn = log_.first_lsn(); lsn != kNullLsn; lsn = log_.NextLsn(lsn)) {
     auto rec = log_.ReadRecord(lsn);
     if (!rec.has_value()) {
       break;  // torn tail: everything durable ends here
@@ -73,22 +107,32 @@ Lsn RecoveryManager::AnalysisPass(TxnOutcomeSource& outcomes, RecoveryStats* sta
         break;
       case RecordType::kOperationUpdate:
       case RecordType::kOpCompensation:
-        *saw_operations = true;
-        [[fallthrough]];
       case RecordType::kValueUpdate:
-      case RecordType::kCompensation:
+      case RecordType::kCompensation: {
+        (rec->IsValueStyle() ? result.saw_values : result.saw_operations) = true;
         if (only_server != nullptr && rec->server != *only_server) {
           break;  // another (live) server's record: not ours to recover
         }
+        if (!rec->IsValueStyle()) {
+          redo(*rec);
+        }
         note_top(rec->top);
-        if (!rec->IsCompensation()) {
-          auto& owner_list = update_lsns_by_owner[rec->owner];
-          if (owner_list.empty()) {
-            owners_by_top[rec->top].push_back(rec->owner);
+        auto [entry, first_sight] = update_lsns_by_owner.try_emplace(rec->owner);
+        if (first_sight) {
+          owners_by_top[rec->top].push_back(rec->owner);
+        }
+        std::vector<Lsn>& owner_lsns = entry->second;
+        if (rec->IsCompensation()) {
+          // The rule the undo pass's cursor follows: the owner's updates
+          // above undo_next were rolled back before the crash.
+          while (!owner_lsns.empty() && owner_lsns.back() > rec->undo_next_lsn) {
+            owner_lsns.pop_back();
           }
-          owner_list.push_back(lsn);
+        } else {
+          owner_lsns.push_back(lsn);
         }
         break;
+      }
       case RecordType::kCheckpoint:
         break;  // full-scan recovery; checkpoints drive reclamation only
     }
@@ -98,6 +142,12 @@ Lsn RecoveryManager::AnalysisPass(TxnOutcomeSource& outcomes, RecoveryStats* sta
     switch (outcomes.OutcomeOf(top)) {
       case TxnOutcome::kActive:
         stats->losers.push_back(top);
+        for (const TransactionId& owner : owners_by_top[top]) {
+          const std::vector<Lsn>& lsns = update_lsns_by_owner[owner];
+          if (!lsns.empty() && (result.undo_low == kNullLsn || lsns.front() < result.undo_low)) {
+            result.undo_low = lsns.front();
+          }
+        }
         break;
       case TxnOutcome::kPrepared: {
         stats->in_doubt.push_back(top);
@@ -120,65 +170,17 @@ Lsn RecoveryManager::AnalysisPass(TxnOutcomeSource& outcomes, RecoveryStats* sta
         break;
     }
   }
-  return scan_low;
+  return result;
 }
 
-void RecoveryManager::RunOperationPasses(TxnOutcomeSource& outcomes, Lsn scan_low,
-                                         RecoveryStats* stats,
-                                         const std::string* only_server) {
-  // ---- pass 2: redo (repeat history, guarded by sector sequence numbers) --
-  // Sequence numbers are read from disk once per page and then tracked as
-  // redo progresses (redone effects live in volatile frames until the final
-  // flush re-stamps the sectors).
-  std::unordered_map<PageId, std::uint64_t> page_seq;
-  auto effective_seq = [&](kernel::RecoverableSegment* seg, PageId page) {
-    auto it = page_seq.find(page);
-    if (it == page_seq.end()) {
-      it = page_seq.emplace(page, seg->DiskSequenceNumber(page.page)).first;
-    }
-    return it->second;
-  };
-
-  for (Lsn lsn = scan_low; lsn != kNullLsn; lsn = log_.NextLsn(lsn)) {
-    auto rec = log_.ReadRecord(lsn);
-    if (!rec.has_value()) {
-      break;
-    }
-    ++stats->records_scanned;
-    if (rec->type != RecordType::kOperationUpdate && rec->type != RecordType::kOpCompensation) {
-      continue;
-    }
-    if (only_server != nullptr && rec->server != *only_server) {
-      continue;
-    }
-    kernel::RecoverableSegment* seg = SegmentOf(rec->server);
-    auto hooks = op_hooks_.find(rec->server);
-    if (seg == nullptr || hooks == op_hooks_.end()) {
-      continue;
-    }
-    bool needs_redo = false;
-    for (const PageId& page : rec->pages) {
-      if (effective_seq(seg, page) < rec->lsn) {
-        needs_redo = true;
-      }
-    }
-    if (!needs_redo) {
-      continue;
-    }
-    hooks->second.apply(rec->op_name, rec->redo_args, rec->lsn);
-    for (const PageId& page : rec->pages) {
-      page_seq[page] = rec->lsn;
-    }
-    ++stats->operations_redone;
-  }
-
-  // ---- pass 3: undo losers (backward, compensation-aware) -----------------
+void RecoveryManager::UndoPass(Lsn undo_low, RecoveryStats* stats,
+                               const std::string* only_server) {
   std::unordered_set<TransactionId> losers(stats->losers.begin(), stats->losers.end());
   // Records with LSN above an owner's cursor were already compensated before
   // the crash (the compensation's undo_next points below them).
   std::unordered_map<TransactionId, Lsn> cursor;
 
-  for (Lsn lsn = log_.LastDurableLsn(); lsn != kNullLsn && lsn >= scan_low;
+  for (Lsn lsn = log_.LastDurableLsn(); lsn != kNullLsn && lsn >= undo_low;
        lsn = log_.PrevLsn(lsn)) {
     auto rec = log_.ReadRecord(lsn);
     if (!rec.has_value()) {

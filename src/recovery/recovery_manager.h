@@ -13,6 +13,8 @@
 //  * Operation logging — records name an operation and its redo/undo
 //    arguments; crash recovery is three passes (analysis, redo, undo),
 //    guarded by the sequence numbers the kernel stamps into sector headers.
+//    Redo rides the analysis pass's forward read, and undo reads back only
+//    as far as the earliest loser's first update.
 //
 // Both kinds share one common log, as in TABS.
 
@@ -76,8 +78,10 @@ struct Archive {
 };
 
 struct RecoveryStats {
-  int passes = 0;             // 1 for value-only logs, 3 when operations present
-  int records_scanned = 0;
+  // Recovery's passes: 1 for a value-only log, 3 (analysis, redo, undo)
+  // when operations are present, however little of the log each reads.
+  int passes = 0;
+  int records_scanned = 0;    // records read, summed over every pass
   int values_restored = 0;
   int operations_redone = 0;
   int operations_undone = 0;
@@ -203,19 +207,24 @@ class RecoveryManager : public kernel::WriteAheadHooks {
   void AfterPageWrite(PageId page, bool ok) override;
 
  private:
-  friend class ValueRecoveryPass;
-  friend class OperationRecoveryPass;
-
+  // What the forward pass leaves for the backward ones.
+  struct Analysis {
+    bool saw_operations = false;
+    bool saw_values = false;
+    Lsn undo_low = kNullLsn;  // the earliest loser update not yet compensated
+  };
   // Implemented in value_recovery.cc / operation_recovery.cc. `only_server`
   // (nullptr = all) restricts which servers' records are applied.
   void RunValueBackwardPass(TxnOutcomeSource& outcomes, Lsn scan_low, RecoveryStats* stats,
                             const std::string* only_server);
-  void RunOperationPasses(TxnOutcomeSource& outcomes, Lsn scan_low, RecoveryStats* stats,
-                          const std::string* only_server);
-  // Analysis shared by both: feeds txn records to `outcomes`, finds scan low
-  // point from the last checkpoint, collects loser/in-doubt sets.
-  Lsn AnalysisPass(TxnOutcomeSource& outcomes, RecoveryStats* stats, bool* saw_operations,
-                   const std::string* only_server);
+  // The forward pass over the whole retained log, shared by both techniques:
+  // feeds txn records to `outcomes`, redoes operation records, collects the
+  // loser/in-doubt sets and rebuilds in-doubt undo lists.
+  Analysis AnalysisPass(TxnOutcomeSource& outcomes, RecoveryStats* stats,
+                        const std::string* only_server);
+  // Rolls back loser operation records, from the end of the log down to
+  // `undo_low`.
+  void UndoPass(Lsn undo_low, RecoveryStats* stats, const std::string* only_server);
 
   kernel::RecoverableSegment* SegmentForOid(const std::string& server, const ObjectId& oid);
 

@@ -6,13 +6,15 @@
 // "not decided here", never "not committed". Recovered in-doubt records pin
 // the log like live ones, a relay node that wrote nothing pins and recovers
 // its prepare record and passes the verdict it learns down to its children,
-// and a lock re-acquired by single-server recovery is released by the
-// verdict.
+// a recovered undo list leaves out what an aborted subtransaction already
+// rolled back, and a lock re-acquired by single-server recovery is released
+// by the verdict.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "src/servers/account_server.h"
 #include "src/servers/array_server.h"
 #include "src/tabs/world.h"
 
@@ -270,6 +272,112 @@ TEST_F(InDoubtTest, RecoveredInDoubtRecordsSurviveReclamation) {
     }
   });
   EXPECT_EQ(ReadAll(3), (std::vector<std::int32_t>{0, 0, 0}));
+}
+
+TEST_F(InDoubtTest, RecoveredUndoListSkipsAbortedSubtransaction) {
+  // P writes a1; its subtransaction writes a2 cell 1 and aborts, which
+  // compensates that write at node 2. T2 then commits cell 1 = 77, P writes
+  // a2 cell 0, and the root dies before its commit record.
+  TransactionId p;
+  world_.RunApp(1, [&](Application& app) {
+    p = app.Begin();
+    ASSERT_EQ(array(1)->SetCell(app.MakeTx(p), 0, 1), Status::kOk);
+    TransactionId child = app.Begin(p);
+    ASSERT_EQ(array(2)->SetCell(app.MakeTx(child), 1, 11), Status::kOk);
+    app.Abort(child);
+    ASSERT_EQ(app.Transaction([&](const server::Tx& tx) { return array(2)->SetCell(tx, 1, 77); }),
+              Status::kOk);
+    ASSERT_EQ(array(2)->SetCell(app.MakeTx(p), 0, 2), Status::kOk);
+    world_.faults().ArmCrash("2pc.commit.before_record");
+    app.End(p);
+  });
+  ASSERT_TRUE(world_.faults().crash_fired());
+  world_.faults().Disarm();
+  const std::vector<Lsn> live = world_.rm(2).UndoListOf(p);
+  ASSERT_EQ(live.size(), 1u);
+
+  auto read_cell1 = [&] {
+    std::int32_t value = -1;
+    world_.RunApp(2, [&](Application& app) {
+      EXPECT_EQ(app.Transaction([&](const server::Tx& tx) {
+        auto v = array(2)->GetCell(tx, 1);
+        value = v.ok() ? v.value() : -1;
+        return v.status();
+      }),
+                Status::kOk);
+    });
+    return value;
+  };
+  world_.RunApp(3, [&](Application&) {
+    world_.CrashNode(2);
+    world_.RecoverNode(2, /*resolve_in_doubt=*/false);
+  });
+  ASSERT_EQ(world_.tm(2).InDoubt(), std::vector<TransactionId>{p});
+  // Recovery rebuilds the list the live node held: the subtransaction's
+  // write was rolled back before the prepare, so it neither relocks cell 1
+  // nor is undone a second time by the verdict.
+  EXPECT_EQ(world_.rm(2).UndoListOf(p), live);
+  EXPECT_EQ(read_cell1(), 77);
+
+  world_.RunApp(2, [&](Application&) {
+    world_.RecoverNode(1);
+    EXPECT_EQ(world_.tm(2).ResolveInDoubt(p), Status::kAborted);
+  });
+  EXPECT_EQ(read_cell1(), 77);
+  EXPECT_EQ(ReadAll(2), (std::vector<std::int32_t>{0, 0, 0}));
+}
+
+TEST_F(InDoubtTest, RecoveredOperationUndoListConservesMoney) {
+  // The operation-logged shape of the case above: undoing the aborted
+  // subtransaction's deposit a second time would destroy money.
+  world_.AddServerOf<servers::AccountServer>(2, "bank", 4u);
+  auto bank = [&] { return world_.Server<servers::AccountServer>(2, "bank"); };
+  TransactionId p;
+  world_.RunApp(1, [&](Application& app) {
+    ASSERT_EQ(app.Transaction([&](const server::Tx& tx) {
+      Status s = bank()->Deposit(tx, 0, 100);
+      return s == Status::kOk ? bank()->Deposit(tx, 1, 100) : s;
+    }),
+              Status::kOk);
+    p = app.Begin();
+    ASSERT_EQ(array(1)->SetCell(app.MakeTx(p), 0, 1), Status::kOk);
+    TransactionId child = app.Begin(p);
+    ASSERT_EQ(bank()->Deposit(app.MakeTx(child), 1, 10), Status::kOk);
+    app.Abort(child);
+    ASSERT_EQ(app.Transaction([&](const server::Tx& tx) { return bank()->Deposit(tx, 1, 7); }),
+              Status::kOk);
+    ASSERT_EQ(bank()->Withdraw(app.MakeTx(p), 0, 5), Status::kOk);
+    world_.faults().ArmCrash("2pc.commit.before_record");
+    app.End(p);
+  });
+  ASSERT_TRUE(world_.faults().crash_fired());
+  world_.faults().Disarm();
+  const std::vector<Lsn> live = world_.rm(2).UndoListOf(p);
+  ASSERT_EQ(live.size(), 1u);
+
+  world_.RunApp(3, [&](Application&) {
+    world_.CrashNode(2);
+    world_.RecoverNode(2, /*resolve_in_doubt=*/false);
+  });
+  EXPECT_EQ(world_.rm(2).UndoListOf(p), live);
+  world_.RunApp(2, [&](Application& app) {
+    world_.RecoverNode(1);
+    EXPECT_EQ(world_.tm(2).ResolveInDoubt(p), Status::kAborted);
+    std::int64_t total = 0;
+    EXPECT_EQ(app.Transaction([&](const server::Tx& tx) {
+      for (std::uint32_t account = 0; account < 4; ++account) {
+        auto b = bank()->ReadBalance(tx, account);
+        if (!b.ok()) {
+          return b.status();
+        }
+        total += b.value();
+      }
+      return Status::kOk;
+    }),
+              Status::kOk);
+    // Only the two committed transactions' deposits remain.
+    EXPECT_EQ(total, 207);
+  });
 }
 
 // Follows the commit mode of the run: the verdict is learned from the root

@@ -1,6 +1,6 @@
 // Crash-recovery tests: value logging (single backward pass), operation
-// logging (three passes, page-sequence-number guard), abort processing with
-// compensation, checkpoints and reclamation.
+// logging (three passes, page-sequence-number guard, and the span each pass
+// reads), abort processing with compensation, checkpoints and reclamation.
 
 #include "src/recovery/recovery_manager.h"
 
@@ -86,6 +86,26 @@ class RecoveryTest : public ::testing::Test {
     e.rm.log().Append(std::move(rec));
     e.rm.log().ForceAll();
     e.rm.ForgetTransaction(tid);
+  }
+
+  // Records from `from` to the end of the stable log.
+  static int RecordsFrom(Epoch& e, Lsn from) {
+    int n = 0;
+    for (Lsn lsn = from; lsn != kNullLsn; lsn = e.rm.log().NextLsn(lsn)) {
+      ++n;
+    }
+    return n;
+  }
+
+  // The sequential reads a scan from `from` to the end of the stable log
+  // is charged: one per 512-byte page.
+  double PagesFrom(Lsn from) {
+    return static_cast<double>((node_.stable_log().size() - (from - 1) + kPageSize - 1) /
+                               kPageSize);
+  }
+
+  double SequentialReads() {
+    return substrate_.metrics().Total().Of(sim::Primitive::kSequentialRead);
   }
 
   sim::Scheduler sched_;
@@ -317,10 +337,11 @@ struct CounterServer {
     epoch.seg.Unpin(Oid());
   }
 
-  void Add(const TransactionId& tid, std::int64_t delta) {
+  Lsn Add(const TransactionId& tid, std::int64_t delta) { return Add(tid, tid, delta); }
+  Lsn Add(const TransactionId& owner, const TransactionId& top, std::int64_t delta) {
     Bytes args(8);
     memcpy(args.data(), &delta, 8);
-    epoch.rm.LogOperation(tid, tid, kServer, "add", args, "sub", args, {{kSeg, 0}});
+    return epoch.rm.LogOperation(owner, top, kServer, "add", args, "sub", args, {{kSeg, 0}});
   }
 
   static ObjectId Oid() { return {kSeg, 0, 8}; }
@@ -356,6 +377,106 @@ TEST_F(RecoveryTest, OperationRedoAfterCrashUsesThreePasses) {
     EXPECT_EQ(stats.passes, 3);
     EXPECT_EQ(stats.operations_redone, 2);
     EXPECT_EQ(ctr2.Get(), 17u);
+  });
+}
+
+TEST_F(RecoveryTest, OperationLogWithoutLosersIsReadOnce) {
+  RunInTask([&] {
+    Epoch before(node_);
+    CounterServer ctr(before);
+    for (std::uint64_t i = 1; i <= 40; ++i) {
+      TransactionId t{1, i};
+      ctr.Add(t, 1);
+      Commit(before, t);
+    }
+    Epoch after(node_);
+    CounterServer ctr2(after);
+    const int records = RecordsFrom(after, after.rm.log().first_lsn());
+    const std::uint64_t retained = after.rm.StableLogBytesInUse();
+    ASSERT_GT(retained, 2 * kPageSize);
+    const double reads = SequentialReads();
+    TestOutcomes outcomes;
+    RecoveryStats stats = after.rm.Recover(outcomes);
+    EXPECT_EQ(stats.passes, 3);
+    EXPECT_TRUE(stats.losers.empty());
+    // Redo rides the analysis read; with no losers and no value records
+    // nothing reads the log again.
+    EXPECT_EQ(stats.records_scanned, records);
+    EXPECT_EQ(SequentialReads() - reads,
+              static_cast<double>((retained + kPageSize - 1) / kPageSize));
+    EXPECT_EQ(stats.operations_redone, 40);
+    EXPECT_EQ(ctr2.Get(), 40u);
+  });
+}
+
+TEST_F(RecoveryTest, UndoReadsBackOnlyToTheEarliestLoser) {
+  TransactionId loser{1, 100};
+  RunInTask([&] {
+    Epoch before(node_);
+    CounterServer ctr(before);
+    auto commit_adds = [&](std::uint64_t from, std::uint64_t to) {
+      for (std::uint64_t i = from; i <= to; ++i) {
+        TransactionId t{1, i};
+        ctr.Add(t, 1);
+        Commit(before, t);
+      }
+    };
+    commit_adds(1, 30);
+    const Lsn loser_first = ctr.Add(loser, 1000);
+    commit_adds(31, 40);
+    ctr.Add(loser, 1000);
+    before.rm.log().ForceAll();
+    before.seg.FlushAll();  // the loser's adds reach the disk
+    Epoch after(node_);
+    CounterServer ctr2(after);
+    const Lsn first = after.rm.log().first_lsn();
+    const int records = RecordsFrom(after, first);
+    const int undo_span = RecordsFrom(after, loser_first);
+    ASSERT_LT(undo_span, records / 2);
+    const double pages = PagesFrom(first) + PagesFrom(loser_first);
+    const double reads = SequentialReads();
+    TestOutcomes outcomes;
+    RecoveryStats stats = after.rm.Recover(outcomes);
+    EXPECT_EQ(stats.losers, std::vector<TransactionId>{loser});
+    EXPECT_EQ(stats.operations_undone, 2);
+    EXPECT_EQ(ctr2.Get(), 40u);
+    // The undo scan stops at the loser's first record, and is charged from
+    // there to the end of the log.
+    EXPECT_EQ(stats.records_scanned, records + undo_span);
+    EXPECT_EQ(SequentialReads() - reads, pages);
+  });
+}
+
+TEST_F(RecoveryTest, MixedLogRollsBackAValueLoserAndAnOperationLoser) {
+  // On page 2: the counter lives on page 0, and a fault on page 1 after it
+  // would be a sequential read of its own.
+  ObjectId cell{kSeg, 2 * kPageSize, 4};
+  TransactionId winner{1, 1}, value_loser{1, 2}, op_loser{1, 3};
+  RunInTask([&] {
+    Epoch before(node_);
+    CounterServer ctr(before);
+    WriteValue(before, winner, cell, {1, 1, 1, 1});
+    ctr.Add(winner, 5);
+    Commit(before, winner);
+    WriteValue(before, value_loser, cell, {2, 2, 2, 2});
+    const Lsn losers_first = before.rm.log().last_lsn();
+    ctr.Add(op_loser, 11);
+    before.rm.log().ForceAll();
+    before.seg.FlushAll();  // both losers' effects reach the disk
+    Epoch after(node_);
+    CounterServer ctr2(after);
+    // Forward pass and value pass over the whole log, undo from the
+    // earliest loser's first update.
+    const double pages = 2 * PagesFrom(after.rm.log().first_lsn()) + PagesFrom(losers_first);
+    const double reads = SequentialReads();
+    TestOutcomes outcomes;
+    RecoveryStats stats = after.rm.Recover(outcomes);
+    EXPECT_EQ(stats.passes, 3);
+    EXPECT_EQ(stats.losers, (std::vector<TransactionId>{value_loser, op_loser}));
+    EXPECT_EQ(stats.operations_undone, 1);
+    EXPECT_EQ(after.seg.Read(cell), (Bytes{1, 1, 1, 1}));
+    EXPECT_EQ(ctr2.Get(), 5u);
+    EXPECT_EQ(SequentialReads() - reads, pages);
   });
 }
 
@@ -483,6 +604,62 @@ TEST_F(RecoveryTest, PartialAbortBeforeCrashFinishesAtRecovery) {
     EXPECT_EQ(stats.operations_redone, 1);
     EXPECT_EQ(stats.operations_undone, 2);
     EXPECT_EQ(mini.Get(), 0u);
+  });
+}
+
+TEST_F(RecoveryTest, ParentAbortCompensatesSubtransactionUpdateOnce) {
+  // A committed subtransaction's add joins its parent's undo list. The
+  // parent's abort compensates both adds durably, and the crash comes
+  // before the abort record: nothing is left to undo.
+  TransactionId parent{1, 1}, child{1, 2};
+  RunInTask([&] {
+    Epoch before(node_);
+    CounterServer ctr(before);
+    ctr.Add(parent, 5);
+    ctr.Add(child, parent, 10);
+    before.rm.MergeChild(child, parent);
+    before.rm.UndoTransaction(parent, parent);
+    before.rm.log().ForceAll();
+    before.seg.FlushAll();
+    Epoch after(node_);
+    CounterServer ctr2(after);
+    TestOutcomes outcomes;
+    RecoveryStats stats = after.rm.Recover(outcomes);
+    EXPECT_EQ(stats.losers, std::vector<TransactionId>{parent});
+    EXPECT_EQ(stats.operations_undone, 0);
+    EXPECT_EQ(ctr2.Get(), 0u);
+  });
+}
+
+TEST_F(RecoveryTest, InDoubtUndoListLeavesOutANestedAbortedSubtransaction) {
+  // P's subtransaction C1 aborts after its own subtransaction C2 committed
+  // into it; then P adds and prepares. The rebuilt list holds P's add only.
+  TransactionId p{1, 1}, c1{1, 2}, c2{1, 3};
+  RunInTask([&] {
+    Epoch before(node_);
+    CounterServer ctr(before);
+    ctr.Add(c2, p, 10);
+    before.rm.MergeChild(c2, c1);
+    ctr.Add(c1, p, 20);
+    before.rm.UndoTransaction(c1, p);
+    const Lsn own = ctr.Add(p, 5);
+    LogRecord prep;
+    prep.type = RecordType::kTxnPrepare;
+    prep.owner = p;
+    prep.top = p;
+    before.rm.log().Append(std::move(prep));
+    before.rm.log().ForceAll();
+    ASSERT_EQ(before.rm.UndoListOf(p), std::vector<Lsn>{own});
+    Epoch after(node_);
+    CounterServer ctr2(after);
+    TestOutcomes outcomes;
+    RecoveryStats stats = after.rm.Recover(outcomes);
+    EXPECT_EQ(stats.in_doubt, std::vector<TransactionId>{p});
+    EXPECT_EQ(after.rm.UndoListOf(p), std::vector<Lsn>{own});
+    EXPECT_EQ(ctr2.Get(), 5u);
+    // The coordinator's abort verdict unwinds P's own add only.
+    after.rm.UndoTransaction(p, p);
+    EXPECT_EQ(ctr2.Get(), 0u);
   });
 }
 

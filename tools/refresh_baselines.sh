@@ -20,7 +20,7 @@ set -euo pipefail
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 build="${1:-$repo/build-baselines}"
 benches=(throughput checkpoint_ablation table5_4_benchmarks pipeline_ablation commit_ablation
-         scaleout simspeed queue_ablation)
+         scaleout simspeed queue_ablation logging_ablation)
 
 cmake -B "$build" -S "$repo" >/dev/null
 cmake --build "$build" -j "$(nproc)" --target "${benches[@]}"
