@@ -204,12 +204,7 @@ void LogManager::ValidateStableTail() {
   }
 }
 
-Lsn LogManager::Append(LogRecord& rec) {
-  // Paxos acceptor records join no backward chain: rollback and the undo
-  // pass follow prev_lsn only from update records, and an acceptor holding
-  // no Txn for the transaction would never ForgetChain the entry.
-  bool chained = !rec.owner.IsNull() && !rec.IsPaxosAcceptor();
-  rec.prev_lsn = chained ? LastLsnOf(rec.owner) : kNullLsn;
+Lsn LogManager::Append(const LogRecord& rec) {
   Lsn lsn = next_lsn_;
   // Framed in place in the volatile buffer: a length placeholder, the
   // record, then the length patched into the placeholder and repeated as the
@@ -221,10 +216,6 @@ Lsn LogManager::Append(LogRecord& rec) {
   buffer_.resize(buffer_.size() + 4);
   WriteU32(buffer_.data() + start, len);
   WriteU32(buffer_.data() + buffer_.size() - 4, len);
-
-  if (chained) {
-    chains_[rec.owner] = lsn;
-  }
   next_lsn_ += buffer_.size() - start;
   last_record_lsn_ = lsn;
   return lsn;
@@ -373,11 +364,6 @@ Lsn LogManager::PrevLsn(Lsn lsn) const {
   }
   std::uint64_t prev = offset - kFrameOverhead - len;
   return prev < device_.truncated_prefix() ? kNullLsn : prev + 1;
-}
-
-Lsn LogManager::LastLsnOf(const TransactionId& owner) const {
-  auto it = chains_.find(owner);
-  return it == chains_.end() ? kNullLsn : it->second;
 }
 
 }  // namespace tabs::log

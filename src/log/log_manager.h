@@ -1,12 +1,12 @@
 // The per-node log: a volatile buffer in front of an append-only stable
-// device, with group force and backward chains.
+// device, with group force.
 //
 // "All log records are written into a volatile buffer until the buffer fills
 // or until the buffer is forced to non-volatile storage by either the
 // write-ahead-log or commit protocols." (Section 3.2.2.)
 //
 // LSNs are 1 + the byte offset of the record in the log stream; kNullLsn (0)
-// terminates backward chains. Each record is framed as
+// is no record. Each record is framed as
 //   [u32 length][record bytes][u32 length]
 // so the log can be scanned in either direction (the value-logging crash
 // recovery is a single *backward* pass).
@@ -19,7 +19,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/types.h"
@@ -125,11 +124,9 @@ class LogManager {
  public:
   LogManager(sim::Substrate& substrate, StableLogDevice& device);
 
-  // Appends `rec` to the volatile buffer, filling in its prev_lsn from the
-  // owner's chain (Paxos acceptor records join none). Returns the record's
-  // LSN. Does not force. The caller keeps the record.
-  Lsn Append(LogRecord& rec);
-  Lsn Append(LogRecord&& rec) { return Append(rec); }
+  // Appends `rec`, exactly as the caller built it, to the volatile buffer.
+  // Returns the record's LSN. Does not force.
+  Lsn Append(const LogRecord& rec);
 
   // Forces the buffer through `upto` to the stable device, charging one
   // stable-storage write per page of forced log data (grouped). No-op if
@@ -152,7 +149,7 @@ class LogManager {
   Lsn first_lsn() const { return device_.truncated_prefix() + 1; }
 
   // Reads a record by LSN. During normal operation this reads through the
-  // volatile buffer (abort processing follows chains into unforced records);
+  // volatile buffer (abort processing reads unforced records);
   // after a crash the buffer is empty, so recovery naturally sees only what
   // reached the stable device. Returns nullopt for unknown/reclaimed LSNs.
   std::optional<LogRecord> ReadRecord(Lsn lsn) const;
@@ -163,11 +160,6 @@ class LogManager {
   Lsn LastDurableLsn() const;
   // LSN of the record preceding `lsn` in the stable log, or kNullLsn.
   Lsn PrevLsn(Lsn lsn) const;
-
-  // Backward chain bookkeeping: last LSN appended by `owner` (volatile; used
-  // for abort processing during normal operation).
-  Lsn LastLsnOf(const TransactionId& owner) const;
-  void ForgetChain(const TransactionId& owner) { chains_.erase(owner); }
 
   // Bytes of stable log in use (for reclamation policy tests).
   std::uint64_t StableBytesInUse() const {
@@ -191,7 +183,6 @@ class LogManager {
   Lsn next_lsn_ = 1;
   Lsn last_record_lsn_ = kNullLsn;
   Lsn durable_lsn_ = kNullLsn;
-  std::unordered_map<TransactionId, Lsn> chains_;
   // Virtual time at which the stable device finishes its in-flight write;
   // forces queue behind it (it is one spindle, not one per transaction).
   SimTime device_busy_until_ = 0;

@@ -11,13 +11,14 @@
 //    invoke its redo/undo. Crash recovery is three passes (analysis, redo,
 //    undo) guarded by the page sequence numbers the modified kernel stamps
 //    into each sector header; redo shares analysis's forward read, and undo
-//    reads back only as far as the earliest loser's first update.
+//    reads back only as far as the earliest update it rolls back.
 //
 // Every update record carries two transaction identifiers: `owner`, the
-// (sub)transaction that wrote it — whose backward chain `prev_lsn` threads —
-// and `top`, the top-level ancestor whose commit outcome decides redo-vs-undo
-// at crash recovery (subtransactions commit only with their top-level parent,
-// Section 2.1.3).
+// (sub)transaction that wrote it, and `top`, the top-level ancestor whose
+// commit outcome decides redo-vs-undo at crash recovery (subtransactions
+// commit only with their top-level parent, Section 2.1.3). Its `prev_lsn` is
+// the previous entry of the owner's undo list when it was written, which
+// after a subtransaction commit may be a merged child's record.
 //
 // Compensation records (written while undoing) belong to the owner of the
 // record they compensate and carry `undo_next_lsn`, that record's prev_lsn,
@@ -64,7 +65,7 @@ struct LogRecord {
   RecordType type = RecordType::kValueUpdate;
   TransactionId owner;          // writing (sub)transaction
   TransactionId top;            // top-level ancestor (== owner for top-level)
-  Lsn prev_lsn = kNullLsn;      // backward chain of `owner` (filled by LogManager)
+  Lsn prev_lsn = kNullLsn;      // updates: the previous entry of owner's undo list
   Lsn undo_next_lsn = kNullLsn; // compensation records only
 
   // Update / compensation records.
@@ -131,10 +132,6 @@ struct LogRecord {
   }
   bool IsValueStyle() const {
     return type == RecordType::kValueUpdate || type == RecordType::kCompensation;
-  }
-  bool IsPaxosAcceptor() const {
-    return type == RecordType::kPaxosPromise || type == RecordType::kPaxosAccept ||
-           type == RecordType::kPaxosLearn;
   }
 };
 

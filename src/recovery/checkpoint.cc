@@ -3,8 +3,9 @@
 // "At checkpoint time, a list of the pages currently in volatile storage and
 // the status of currently active transactions are written to the log."
 // Checkpoints bound how much log must survive: everything below the oldest
-// of (the checkpoint itself, the first record of any active transaction, the
-// recovery LSN of any dirty page) can be reclaimed. When the system nears
+// of (the checkpoint itself, the first record of any active transaction or
+// of any undo list the Recovery Manager holds, the recovery LSN of any dirty
+// page) can be reclaimed. When the system nears
 // the end of its log space, the Recovery Manager "runs a reclamation
 // algorithm... [which] may force pages back to disk before they would
 // otherwise be written."
@@ -51,7 +52,7 @@ Lsn RecoveryManager::TakeCheckpoint(const std::vector<ActiveTxn>& active) {
   // collected but not yet in the log: a crash here must leave the previous
   // checkpoint authoritative.
   FAULT_POINT(node_.substrate(), "checkpoint.before_append");
-  Lsn lsn = log_.Append(std::move(rec));
+  Lsn lsn = log_.Append(rec);
   // This force also covers any commit records a group-commit batch has
   // appended but not yet flushed: it advances the durable frontier and wakes
   // their WaitDurable waiters, whose (now stale) batch flusher then no-ops.
@@ -104,6 +105,14 @@ void RecoveryManager::ReclaimTo(const std::vector<ActiveTxn>& active,
   for (const ActiveTxn& t : active) {
     if (t.first_lsn != kNullLsn) {
       low = std::min(low, t.first_lsn);
+    }
+  }
+  // Every update an abort may still compensate stays readable, including a
+  // remote subtransaction's, which the Transaction Manager files under its
+  // top-level entry.
+  for (const auto& [owner, list] : undo_lists_) {
+    if (!list.empty()) {
+      low = std::min(low, list.front());
     }
   }
   // Fuzzy checkpoint: every page still dirty pins the log at its recovery

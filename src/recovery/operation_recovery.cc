@@ -15,11 +15,15 @@
 //    stamped sequence number is exactly the guard that makes non-idempotent
 //    operations safe to replay (Section 3.2.1), and it needs nothing the
 //    analysis computes.
-//  pass 3 (undo) — backward from the end of the log, only when there are
-//    losers, and only down to the earliest loser's first update: invoke the
-//    inverse operation for every loser update not already compensated,
-//    writing compensation records whose undo_next pointers make the undo
-//    itself restartable.
+//  pass 3 (undo) — backward from the end of the log, only when pass 1 left
+//    a rollback list, and only down to its earliest update: compensate every
+//    operation record in the list through the routine abort uses, writing
+//    compensation records whose undo_next pointers make the undo itself
+//    restartable.
+//
+// The rollback list holds every update not yet compensated of a transaction
+// that neither committed nor prepared. An aborted transaction is in it too:
+// its abort skipped the records of a server that had crashed on its own.
 
 #include <algorithm>
 #include <unordered_map>
@@ -39,7 +43,7 @@ RecoveryManager::Analysis RecoveryManager::AnalysisPass(TxnOutcomeSource& outcom
 
   // Transactions seen with updates or a prepare record, in first-contact
   // order, plus each owner's updates not compensated before the crash (for
-  // rebuilding in-doubt undo lists and bounding the undo pass). A relay node
+  // rebuilding in-doubt undo lists and the rollback list). A relay node
   // whose subtree wrote but which wrote nothing itself has only its prepare
   // record here, and is in doubt too.
   std::vector<TransactionId> tops;
@@ -123,8 +127,8 @@ RecoveryManager::Analysis RecoveryManager::AnalysisPass(TxnOutcomeSource& outcom
         }
         std::vector<Lsn>& owner_lsns = entry->second;
         if (rec->IsCompensation()) {
-          // The rule the undo pass's cursor follows: the owner's updates
-          // above undo_next were rolled back before the crash.
+          // The owner's updates above undo_next were rolled back before the
+          // crash.
           while (!owner_lsns.empty() && owner_lsns.back() > rec->undo_next_lsn) {
             owner_lsns.pop_back();
           }
@@ -138,16 +142,21 @@ RecoveryManager::Analysis RecoveryManager::AnalysisPass(TxnOutcomeSource& outcom
     }
   }
 
+  // A top's updates not yet compensated, from every owner under it.
+  auto append_updates = [&](const TransactionId& top, std::vector<Lsn>& out) {
+    for (const TransactionId& owner : owners_by_top[top]) {
+      const std::vector<Lsn>& lsns = update_lsns_by_owner[owner];
+      out.insert(out.end(), lsns.begin(), lsns.end());
+    }
+  };
   for (const TransactionId& top : tops) {
     switch (outcomes.OutcomeOf(top)) {
       case TxnOutcome::kActive:
         stats->losers.push_back(top);
-        for (const TransactionId& owner : owners_by_top[top]) {
-          const std::vector<Lsn>& lsns = update_lsns_by_owner[owner];
-          if (!lsns.empty() && (result.undo_low == kNullLsn || lsns.front() < result.undo_low)) {
-            result.undo_low = lsns.front();
-          }
-        }
+        append_updates(top, result.rollback);
+        break;
+      case TxnOutcome::kAborted:
+        append_updates(top, result.rollback);
         break;
       case TxnOutcome::kPrepared: {
         stats->in_doubt.push_back(top);
@@ -157,72 +166,35 @@ RecoveryManager::Analysis RecoveryManager::AnalysisPass(TxnOutcomeSource& outcom
         // Rebuild the undo list so a later coordinator "abort" verdict can
         // unwind this in-doubt transaction through the normal path.
         std::vector<Lsn> merged;
-        for (const TransactionId& owner : owners_by_top[top]) {
-          auto& lsns = update_lsns_by_owner[owner];
-          merged.insert(merged.end(), lsns.begin(), lsns.end());
-        }
+        append_updates(top, merged);
         std::sort(merged.begin(), merged.end());
         undo_lists_[top] = std::move(merged);
         break;
       }
       case TxnOutcome::kCommitted:
-      case TxnOutcome::kAborted:
         break;
     }
   }
+  std::sort(result.rollback.begin(), result.rollback.end());
   return result;
 }
 
-void RecoveryManager::UndoPass(Lsn undo_low, RecoveryStats* stats,
-                               const std::string* only_server) {
-  std::unordered_set<TransactionId> losers(stats->losers.begin(), stats->losers.end());
-  // Records with LSN above an owner's cursor were already compensated before
-  // the crash (the compensation's undo_next points below them).
-  std::unordered_map<TransactionId, Lsn> cursor;
-
-  for (Lsn lsn = log_.LastDurableLsn(); lsn != kNullLsn && lsn >= undo_low;
+void RecoveryManager::UndoPass(std::vector<Lsn> rollback, RecoveryStats* stats) {
+  for (Lsn lsn = log_.LastDurableLsn(); lsn != kNullLsn && !rollback.empty();
        lsn = log_.PrevLsn(lsn)) {
     auto rec = log_.ReadRecord(lsn);
     if (!rec.has_value()) {
       break;
     }
     ++stats->records_scanned;
-    if (!losers.contains(rec->top)) {
+    if (lsn != rollback.back()) {
       continue;
     }
-    if (rec->type == RecordType::kOpCompensation) {
-      // Only the latest compensation (first seen walking backward) matters:
-      // its undo_next names the next record still needing undo.
-      cursor.try_emplace(rec->owner, rec->undo_next_lsn);
-      continue;
+    rollback.pop_back();
+    // Value records of the list are the value pass's to restore.
+    if (rec->type == RecordType::kOperationUpdate && Compensate(*rec)) {
+      ++stats->operations_undone;
     }
-    if (rec->type != RecordType::kOperationUpdate) {
-      continue;  // value records of losers are handled by the value pass
-    }
-    if (only_server != nullptr && rec->server != *only_server) {
-      continue;
-    }
-    auto cur = cursor.find(rec->owner);
-    if (cur != cursor.end() && (cur->second == kNullLsn || rec->lsn > cur->second)) {
-      continue;  // already compensated before the crash
-    }
-    auto hooks = op_hooks_.find(rec->server);
-    if (hooks == op_hooks_.end()) {
-      continue;
-    }
-    LogRecord comp;
-    comp.type = RecordType::kOpCompensation;
-    comp.owner = rec->owner;
-    comp.top = rec->top;
-    comp.undo_next_lsn = rec->prev_lsn;
-    comp.server = rec->server;
-    comp.op_name = rec->undo_op_name;
-    comp.redo_args = rec->undo_args;
-    comp.pages = rec->pages;
-    Lsn comp_lsn = log_.Append(std::move(comp));
-    hooks->second.apply(rec->undo_op_name, rec->undo_args, comp_lsn);
-    cursor[rec->owner] = rec->prev_lsn;  // this record is now compensated
-    ++stats->operations_undone;
   }
 }
 

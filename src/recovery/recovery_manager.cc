@@ -65,13 +65,11 @@ Lsn RecoveryManager::LogValue(const TransactionId& owner, const TransactionId& t
   rec.server = server;
   rec.oid = oid;
   rec.old_value = std::move(old_value);
-  Bytes new_copy = new_value;  // applied to the segment below
   rec.new_value = std::move(new_value);
-  Lsn lsn = log_.Append(std::move(rec));
-  undo_lists_[owner].push_back(lsn);
+  Lsn lsn = AppendUpdate(rec);
   // Apply to volatile storage under the record's LSN: write-ahead ordering is
   // then enforced by the page-out gate (BeforePageWrite forces through LSN).
-  SegmentForOid(server, oid)->Write(oid, new_copy, lsn);
+  SegmentForOid(server, oid)->Write(oid, rec.new_value, lsn);
   MaybeAutoReclaim();
   return lsn;
 }
@@ -120,8 +118,7 @@ Lsn RecoveryManager::LogOperation(const TransactionId& owner, const TransactionI
   rec.undo_op_name = undo_op_name;
   rec.undo_args = std::move(undo_args);
   rec.pages = std::move(pages);
-  Lsn lsn = log_.Append(rec);
-  undo_lists_[owner].push_back(lsn);
+  Lsn lsn = AppendUpdate(rec);
   // Apply the operation's effect through the server's dispatcher under the
   // record's LSN (forward processing applies exactly once).
   auto hooks = op_hooks_.find(server);
@@ -132,66 +129,73 @@ Lsn RecoveryManager::LogOperation(const TransactionId& owner, const TransactionI
   return lsn;
 }
 
-void RecoveryManager::UndoTransaction(const TransactionId& owner, const TransactionId& top) {
+Lsn RecoveryManager::AppendUpdate(LogRecord& rec) {
+  std::vector<Lsn>& list = undo_lists_[rec.owner];
+  rec.prev_lsn = list.empty() ? kNullLsn : list.back();
+  Lsn lsn = log_.Append(rec);
+  list.push_back(lsn);
+  return lsn;
+}
+
+bool RecoveryManager::Compensate(const LogRecord& rec) {
+  kernel::RecoverableSegment* seg = SegmentOf(rec.server);
+  if (seg == nullptr) {
+    // The server crashed independently: its volatile state is gone and no
+    // compensation is written now. Its single-server recovery rolls this
+    // record back from the log.
+    return false;
+  }
+  // A compensation belongs to the owner of the record it compensates, which
+  // is a merged subtransaction when an ancestor inherited that record:
+  // analysis trims that owner's updates down to undo_next.
+  LogRecord comp;
+  comp.owner = rec.owner;
+  comp.top = rec.top;
+  comp.undo_next_lsn = rec.prev_lsn;
+  comp.server = rec.server;
+  if (rec.type == RecordType::kValueUpdate) {
+    comp.type = RecordType::kCompensation;
+    comp.oid = rec.oid;
+    comp.old_value = rec.new_value;
+    comp.new_value = rec.old_value;
+    Lsn comp_lsn = log_.Append(comp);
+    seg->Pin(rec.oid);
+    seg->Write(rec.oid, rec.old_value, comp_lsn);
+    seg->Unpin(rec.oid);
+    return true;
+  }
+  assert(rec.type == RecordType::kOperationUpdate && "compensating a non-update record");
+  // The compensation's redo *is* the original's undo: replaying it after a
+  // crash re-applies the inverse operation.
+  comp.type = RecordType::kOpCompensation;
+  comp.op_name = rec.undo_op_name;
+  comp.redo_args = rec.undo_args;
+  comp.pages = rec.pages;
+  Lsn comp_lsn = log_.Append(comp);
+  auto hooks = op_hooks_.find(rec.server);
+  assert(hooks != op_hooks_.end() && hooks->second.apply &&
+         "operation record for server without hooks");
+  hooks->second.apply(rec.undo_op_name, rec.undo_args, comp_lsn);
+  return true;
+}
+
+void RecoveryManager::UndoTransaction(const TransactionId& owner) {
   sim::SpanGuard span(node_.substrate().tracer(), sim::Component::kRecoveryManager, "rm.undo",
                       node_.substrate().tracer().enabled() ? ToString(owner) : std::string());
-  auto it = undo_lists_.find(owner);
-  if (it == undo_lists_.end()) {
-    return;
-  }
   // "...the recovery manager follows the backward chain of log records that
   // were written by the transaction and sends messages to the servers
   // instructing them to undo their effects." (Section 3.2.2)
-  std::vector<Lsn> list = std::move(it->second);
-  undo_lists_.erase(it);
-  for (auto rit = list.rbegin(); rit != list.rend(); ++rit) {
-    auto rec = log_.ReadRecord(*rit);
+  // The list stays registered while it unwinds: a compensation may wait on
+  // paging, and a reclamation that other tasks run meanwhile must keep the
+  // records still to undo (hence the lookup after each compensation).
+  for (auto it = undo_lists_.find(owner); it != undo_lists_.end() && !it->second.empty();
+       it = undo_lists_.find(owner)) {
+    auto rec = log_.ReadRecord(it->second.back());
+    it->second.pop_back();
     assert(rec.has_value() && "undo-list record vanished before abort finished");
-    if (SegmentOf(rec->server) == nullptr) {
-      // The server crashed independently: its volatile state is gone and no
-      // compensation is written now. Its single-server recovery will roll
-      // this (aborted) record back from the log.
-      continue;
-    }
-    // A compensation joins the chain of the record it compensates, which is a
-    // merged subtransaction's when `owner` inherited that record: recovery
-    // reads undo_next in the compensation owner's chain.
-    if (rec->type == RecordType::kValueUpdate) {
-      LogRecord comp;
-      comp.type = RecordType::kCompensation;
-      comp.owner = rec->owner;
-      comp.top = top;
-      comp.undo_next_lsn = rec->prev_lsn;
-      comp.server = rec->server;
-      comp.oid = rec->oid;
-      comp.old_value = rec->new_value;
-      comp.new_value = rec->old_value;
-      Bytes restored = rec->old_value;
-      Lsn comp_lsn = log_.Append(std::move(comp));
-      kernel::RecoverableSegment* seg = SegmentForOid(rec->server, rec->oid);
-      seg->Pin(rec->oid);
-      seg->Write(rec->oid, restored, comp_lsn);
-      seg->Unpin(rec->oid);
-    } else if (rec->type == RecordType::kOperationUpdate) {
-      LogRecord comp;
-      comp.type = RecordType::kOpCompensation;
-      comp.owner = rec->owner;
-      comp.top = top;
-      comp.undo_next_lsn = rec->prev_lsn;
-      comp.server = rec->server;
-      // The compensation's redo *is* the original's undo: replaying it after
-      // a crash re-applies the inverse operation.
-      comp.op_name = rec->undo_op_name;
-      comp.redo_args = rec->undo_args;
-      comp.pages = rec->pages;
-      Lsn comp_lsn = log_.Append(std::move(comp));
-      auto hooks = op_hooks_.find(rec->server);
-      assert(hooks != op_hooks_.end() && hooks->second.apply &&
-             "operation record for server without hooks");
-      hooks->second.apply(rec->undo_op_name, rec->undo_args, comp_lsn);
-    }
-    // Compensation records themselves never appear in undo lists.
+    Compensate(*rec);
   }
+  undo_lists_.erase(owner);
 }
 
 void RecoveryManager::MergeChild(const TransactionId& child, const TransactionId& parent) {
@@ -208,7 +212,6 @@ void RecoveryManager::MergeChild(const TransactionId& child, const TransactionId
 
 void RecoveryManager::ForgetTransaction(const TransactionId& owner) {
   undo_lists_.erase(owner);
-  log_.ForgetChain(owner);
 }
 
 std::vector<Lsn> RecoveryManager::UndoListOf(const TransactionId& owner) const {
@@ -265,10 +268,11 @@ RecoveryStats RecoveryManager::Recover(TxnOutcomeSource& outcomes,
   stats.passes = analysis.saw_operations ? 3 : 1;
   // Three-pass algorithm for operation-logged objects (Section 2.1.3: "it
   // requires three passes over the log during crash recovery"). Redo rode
-  // the analysis pass; undo reads back only to the earliest loser.
-  if (analysis.saw_operations && analysis.undo_low != kNullLsn) {
-    UndoPass(analysis.undo_low, &stats, only_server);
-    pages += pages_from(analysis.undo_low);
+  // the analysis pass; undo reads back only to the earliest update it rolls
+  // back.
+  if (analysis.saw_operations && !analysis.rollback.empty()) {
+    pages += pages_from(analysis.rollback.front());
+    UndoPass(std::move(analysis.rollback), &stats);
   }
   // Single backward pass for value-logged objects: both techniques co-exist
   // in the common log. A value-only log is charged one pass in all, as
@@ -288,7 +292,7 @@ RecoveryStats RecoveryManager::Recover(TxnOutcomeSource& outcomes,
       abort_rec.type = RecordType::kTxnAbort;
       abort_rec.owner = loser;
       abort_rec.top = loser;
-      log_.Append(std::move(abort_rec));
+      log_.Append(abort_rec);
     }
   }
   // Settle the rebuilt state onto non-volatile storage so a crash during the

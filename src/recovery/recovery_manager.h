@@ -14,9 +14,15 @@
 //    arguments; crash recovery is three passes (analysis, redo, undo),
 //    guarded by the sequence numbers the kernel stamps into sector headers.
 //    Redo rides the analysis pass's forward read, and undo reads back only
-//    as far as the earliest loser's first update.
+//    as far as the earliest update it rolls back.
 //
 // Both kinds share one common log, as in TABS.
+//
+// The backward chain is the per-(sub)transaction undo list: the only record
+// of who wrote what. Each update's prev_lsn is the list's previous entry, a
+// committed subtransaction's list joins its parent's, and reclamation keeps
+// every listed record. One routine (Compensate) writes and applies every
+// compensation, for an abort and for recovery's undo pass alike.
 
 #ifndef TABS_RECOVERY_RECOVERY_MANAGER_H_
 #define TABS_RECOVERY_RECOVERY_MANAGER_H_
@@ -129,7 +135,7 @@ class RecoveryManager : public kernel::WriteAheadHooks {
   // Undoes everything `owner` (and its committed subtransactions, which were
   // merged via MergeChild) did, writing compensation records. Used for both
   // transaction abort and independent subtransaction abort (Section 2.1.3).
-  void UndoTransaction(const TransactionId& owner, const TransactionId& top);
+  void UndoTransaction(const TransactionId& owner);
 
   // Subtransaction commit: the child's undo list joins the parent's, so a
   // later parent abort rolls the child's updates back too.
@@ -158,10 +164,11 @@ class RecoveryManager : public kernel::WriteAheadHooks {
   // first, elevator-ordered — which may still write pages "before they would
   // otherwise be written", Section 3.2.2), checkpoints, and truncates the
   // stable log below the new low-water mark. The mark honours every
-  // remaining dirty page's recovery LSN, so segments never need to be fully
-  // clean. `target_retained_bytes` is how much log may remain retained; 0
-  // reclaims everything reclaimable (every dirty unpinned page is flushed —
-  // the behaviour of explicit Reclaim calls).
+  // remaining dirty page's recovery LSN and the first record of every undo
+  // list, so segments never need to be fully clean and an abort always
+  // finds its records. `target_retained_bytes` is how much log may remain
+  // retained; 0 reclaims everything reclaimable (every dirty unpinned page
+  // is flushed — the behaviour of explicit Reclaim calls).
   void Reclaim(const std::vector<ActiveTxn>& active) { ReclaimTo(active, 0); }
   void ReclaimTo(const std::vector<ActiveTxn>& active, std::uint64_t target_retained_bytes);
 
@@ -211,7 +218,9 @@ class RecoveryManager : public kernel::WriteAheadHooks {
   struct Analysis {
     bool saw_operations = false;
     bool saw_values = false;
-    Lsn undo_low = kNullLsn;  // the earliest loser update not yet compensated
+    // Ascending: every update not yet compensated of a transaction that
+    // neither committed nor prepared.
+    std::vector<Lsn> rollback;
   };
   // Implemented in value_recovery.cc / operation_recovery.cc. `only_server`
   // (nullptr = all) restricts which servers' records are applied.
@@ -219,12 +228,21 @@ class RecoveryManager : public kernel::WriteAheadHooks {
                             const std::string* only_server);
   // The forward pass over the whole retained log, shared by both techniques:
   // feeds txn records to `outcomes`, redoes operation records, collects the
-  // loser/in-doubt sets and rebuilds in-doubt undo lists.
+  // loser/in-doubt sets and the rollback list, and rebuilds in-doubt undo
+  // lists.
   Analysis AnalysisPass(TxnOutcomeSource& outcomes, RecoveryStats* stats,
                         const std::string* only_server);
-  // Rolls back loser operation records, from the end of the log down to
-  // `undo_low`.
-  void UndoPass(Lsn undo_low, RecoveryStats* stats, const std::string* only_server);
+  // Compensates the operation records of `rollback`, reading back from the
+  // end of the log to its earliest entry.
+  void UndoPass(std::vector<Lsn> rollback, RecoveryStats* stats);
+
+  // Appends update `rec` with prev_lsn set from its owner's undo list, and
+  // adds it to that list.
+  Lsn AppendUpdate(log::LogRecord& rec);
+  // Writes the compensation of update `rec` and applies it: the before-image
+  // of a value record, the inverse of an operation record. Returns false,
+  // writing nothing, when rec's server is not registered.
+  bool Compensate(const log::LogRecord& rec);
 
   kernel::RecoverableSegment* SegmentForOid(const std::string& server, const ObjectId& oid);
 
@@ -235,7 +253,8 @@ class RecoveryManager : public kernel::WriteAheadHooks {
   std::map<std::string, kernel::RecoverableSegment*> segments_;
   std::map<std::string, OperationHooks> op_hooks_;
   kernel::PageCleaner* cleaner_ = nullptr;
-  // Volatile per-(sub)transaction undo lists (normal-operation abort).
+  // Volatile per-(sub)transaction undo lists (normal-operation abort), in
+  // LSN order.
   std::unordered_map<TransactionId, std::vector<Lsn>> undo_lists_;
   std::uint64_t log_budget_bytes_ = 0;
   double reclaim_watermark_ = 1.0;

@@ -89,7 +89,7 @@ Lsn PaxosCommit::AppendRecord(RecordType type, const TransactionId& tid, Ballot 
       st.accepted[v.participant] = InstanceValue{v.participant, ballot, v.vote};
     }
   }
-  Lsn lsn = tm_.rm_.log().Append(std::move(rec));
+  Lsn lsn = tm_.rm_.log().Append(rec);
   if (st.first_lsn == kNullLsn) {
     st.first_lsn = lsn;
   }

@@ -197,7 +197,7 @@ Lsn TransactionManager::AppendTxnRecord(RecordType type, const Txn& txn) {
   for (CommitParticipant* s : txn.servers) {
     rec.local_servers.push_back(s->participant_name());
   }
-  return rm_.log().Append(std::move(rec));
+  return rm_.log().Append(rec);
 }
 
 void TransactionManager::ForceLsn(Lsn lsn) {
@@ -372,7 +372,7 @@ void TransactionManager::BeginNewIncarnation() {
   rec.type = RecordType::kNodeEpoch;
   rec.owner = TransactionId{node_.id(), incarnation_ << kIncarnationShift};
   rec.top = rec.owner;
-  rm_.log().Append(std::move(rec));
+  rm_.log().Append(rec);
   rm_.log().ForceAll();
 }
 

@@ -516,7 +516,7 @@ void TransactionManager::AbortSubtree(Txn& txn) {
   }
   // Undo local effects (backward chain through the Recovery Manager), then
   // release locks.
-  rm_.UndoTransaction(txn.tid, txn.top);
+  rm_.UndoTransaction(txn.tid);
   for (CommitParticipant* s : txn.servers) {
     sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 1);  // TM -> server: abort
     s->OnAbort(txn.tid);
@@ -571,7 +571,7 @@ void TransactionManager::CommitSubtransaction(Txn& txn) {
   rec.owner = txn.tid;
   rec.top = txn.top;
   rec.parent_tid = txn.parent;
-  rm_.log().Append(std::move(rec));
+  rm_.log().Append(rec);
 
   const TransactionId tid = txn.tid;
   SettleSubtxn(tid, txn.parent, txn.top, tid);
@@ -585,7 +585,7 @@ void TransactionManager::SettleSubtxn(const TransactionId& child, const Transact
   if (committed) {
     rm_.MergeChild(child, parent);
   } else {
-    rm_.UndoTransaction(child, top);
+    rm_.UndoTransaction(child);
   }
   // Looked up after the undo, which may block on paging.
   const Txn* txn = Find(holder);

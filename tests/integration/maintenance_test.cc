@@ -72,6 +72,28 @@ TEST(MaintenanceTest, ReclaimPreservesActiveTransactionUndo) {
   });
 }
 
+// A remote subtransaction's updates are filed under the subtransaction at
+// the participant, whose Transaction Manager lists only the top-level entry
+// (with no first record there). Reclamation must still keep them until the
+// subtransaction aborts.
+TEST(MaintenanceTest, ReclaimKeepsALiveRemoteSubtransactionsUndo) {
+  World world(2);
+  auto* a2 = world.AddServerOf<ArrayServer>(2, "a2", 4u);
+  world.RunApp(1, [&](Application& app) {
+    app.Transaction([&](const server::Tx& tx) { return a2->SetCell(tx, 0, 5); });
+    TransactionId t = app.Begin();
+    TransactionId s = app.Begin(t);
+    ASSERT_EQ(a2->SetCell(app.MakeTx(s), 0, 9), Status::kOk);
+    world.ReclaimLog(2);
+    app.Abort(s);
+    EXPECT_EQ(app.End(t), Status::kOk);
+    app.Transaction([&](const server::Tx& tx) {
+      EXPECT_EQ(a2->GetCell(tx, 0).value(), 5);
+      return Status::kOk;
+    });
+  });
+}
+
 TEST(MaintenanceTest, PinnedLogReclaimsOncePerHalfBudget) {
   WorldOptions options;
   options.log_space_budget = 16 * 1024;

@@ -90,10 +90,10 @@ TEST(PaxosCommitTest, ReadOnlyParticipantsDropOutOfPhaseTwo) {
   }
 }
 
-// Acceptor records join no backward chain. Node 3 is an acceptor but not a
-// participant: it holds no Txn whose end would forget a chain entry, so one
-// left behind there would stay for the life of the node.
-TEST(PaxosCommitTest, AcceptorRecordsLeaveNoBackwardChain) {
+// Acceptor records join no undo list. Node 3 is an acceptor but not a
+// participant: it holds no Txn whose end would forget a list, so one left
+// behind there would stay for the life of the node.
+TEST(PaxosCommitTest, AcceptorRecordsLeaveNoUndoList) {
   World world(3, PaxosOptions());
   auto* a1 = world.AddServerOf<ArrayServer>(1, "a1", 4u);
   auto* a2 = world.AddServerOf<ArrayServer>(2, "a2", 4u);
@@ -110,7 +110,7 @@ TEST(PaxosCommitTest, AcceptorRecordsLeaveNoBackwardChain) {
   ASSERT_EQ(world.Drain(), 0);
   ASSERT_NE(world.rm(3).log().last_lsn(), kNullLsn);  // node 3 did log as acceptor
   for (NodeId n = 1; n <= 3; ++n) {
-    EXPECT_EQ(world.rm(n).log().LastLsnOf(tid), kNullLsn) << "node " << n;
+    EXPECT_TRUE(world.rm(n).UndoListOf(tid).empty()) << "node " << n;
   }
 }
 

@@ -4,12 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include "src/servers/account_server.h"
 #include "src/servers/array_server.h"
 #include "src/tabs/world.h"
 
 namespace tabs {
 namespace {
 
+using servers::AccountServer;
 using servers::ArrayServer;
 
 class ServerRecoveryTest : public ::testing::Test {
@@ -130,6 +132,66 @@ TEST_F(ServerRecoveryTest, ServerRecoveryScansOnlyItsOwnRecordsIntoSegment) {
     });
     EXPECT_GT(stats.records_scanned, 0);
   });
+}
+
+// An operation-logged server crashes under an active deposit. The abort
+// that follows skips the crashed server's record, so the deposit is in the
+// log with an abort record and no compensation: recovery must still roll it
+// back, although the transaction is no loser.
+class AccountServerRecoveryTest : public ::testing::Test {
+ protected:
+  AccountServerRecoveryTest() : world_(2) {
+    arr_ = world_.AddServerOf<ArrayServer>(1, "arr", 4u);
+    acc_ = world_.AddServerOf<AccountServer>(1, "acc", 16u);
+  }
+
+  // Commits a deposit of 100, then lets a transaction deposit 7 into the
+  // same account and crashes "acc", which aborts it.
+  void DepositThenCrashServer(Application& app) {
+    app.Transaction([&](const server::Tx& tx) { return acc_->Deposit(tx, 0, 100); });
+    TransactionId t = app.Begin();
+    ASSERT_EQ(acc_->Deposit(app.MakeTx(t), 0, 7), Status::kOk);
+    world_.CrashServer(1, "acc");
+    ASSERT_TRUE(app.TransactionIsAborted(t));
+  }
+
+  void ExpectBalance(Application& app, std::int64_t expected) {
+    acc_ = world_.Server<AccountServer>(1, "acc");
+    app.Transaction([&](const server::Tx& tx) {
+      EXPECT_EQ(acc_->ReadBalance(tx, 0).value(), expected);
+      return Status::kOk;
+    });
+  }
+
+  World world_;
+  ArrayServer* arr_;
+  AccountServer* acc_;
+};
+
+TEST_F(AccountServerRecoveryTest, AbortedDepositStaysRolledBackAfterServerRecovery) {
+  world_.RunApp(1, [&](Application& app) {
+    DepositThenCrashServer(app);
+    // An unrelated commit forces the deposit and its abort record.
+    app.Transaction([&](const server::Tx& tx) { return arr_->SetCell(tx, 0, 1); });
+    auto stats = world_.RecoverServer(1, "acc");
+    EXPECT_TRUE(stats.losers.empty());
+    EXPECT_EQ(stats.operations_redone, 2);
+    EXPECT_EQ(stats.operations_undone, 1);
+    ExpectBalance(app, 100);
+  });
+}
+
+TEST_F(AccountServerRecoveryTest, AbortedDepositStaysRolledBackAfterNodeRecovery) {
+  world_.RunApp(1, [&](Application& app) {
+    DepositThenCrashServer(app);
+    // Nothing forced the deposit: the server recovers without it, and its
+    // recovery's final force makes it durable.
+    world_.RecoverServer(1, "acc");
+    ExpectBalance(app, 100);
+    world_.CrashNode(1);
+  });
+  world_.RunApp(2, [&](Application& app) { world_.RecoverNode(1); });
+  world_.RunApp(1, [&](Application& app) { ExpectBalance(app, 100); });
 }
 
 }  // namespace

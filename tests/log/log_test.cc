@@ -137,21 +137,6 @@ TEST_F(LogTest, AppendAssignsMonotonicLsns) {
   EXPECT_EQ(a, 1u);
 }
 
-TEST_F(LogTest, BackwardChainThreadsPerOwner) {
-  TransactionId t1{1, 1}, t2{1, 2};
-  Lsn a = log_.Append(ValueRec(t1, {1, 0, 4}, {0}, {1}));
-  Lsn b = log_.Append(ValueRec(t2, {1, 4, 4}, {0}, {2}));
-  Lsn c = log_.Append(ValueRec(t1, {1, 8, 4}, {0}, {3}));
-  EXPECT_EQ(log_.LastLsnOf(t1), c);
-  EXPECT_EQ(log_.LastLsnOf(t2), b);
-  auto rec_c = log_.ReadRecord(c);
-  ASSERT_TRUE(rec_c.has_value());
-  EXPECT_EQ(rec_c->prev_lsn, a);
-  auto rec_a = log_.ReadRecord(a);
-  ASSERT_TRUE(rec_a.has_value());
-  EXPECT_EQ(rec_a->prev_lsn, kNullLsn);
-}
-
 TEST_F(LogTest, ReadsBufferedRecordsBeforeForce) {
   TransactionId t{1, 1};
   Lsn a = log_.Append(ValueRec(t, {1, 0, 4}, {9}, {1}));
@@ -578,6 +563,7 @@ TEST_F(LogTest, AppendFramesTheSerializedRecord) {
   op.undo_op_name = "delete";
   op.undo_args = {8};
   op.pages = {{4, 2}, {4, 3}};
+  op.prev_lsn = 99;  // set by the caller; the log frames it as given
 
   LogRecord accept;
   accept.type = RecordType::kPaxosAccept;
@@ -593,13 +579,15 @@ TEST_F(LogTest, AppendFramesTheSerializedRecord) {
   Lsn accept_lsn = log_.Append(accept);
   RunInTask([&] { log_.ForceAll(); });
 
-  op.prev_lsn = value_lsn;  // the owner's backward chain
   Bytes value_frame = Framed(value);
   Bytes op_frame = Framed(op);
   Bytes accept_frame = Framed(accept);
   EXPECT_EQ(DeviceBytes(value_lsn, value_frame.size()), value_frame);
   EXPECT_EQ(DeviceBytes(op_lsn, op_frame.size()), op_frame);
   EXPECT_EQ(DeviceBytes(accept_lsn, accept_frame.size()), accept_frame);
+  auto op_back = log_.ReadRecord(op_lsn);
+  ASSERT_TRUE(op_back.has_value());
+  EXPECT_EQ(op_back->prev_lsn, 99u);
   EXPECT_EQ(op_lsn, value_lsn + value_frame.size());
   EXPECT_EQ(accept_lsn, op_lsn + op_frame.size());
   EXPECT_EQ(device_.size(), accept_lsn - 1 + accept_frame.size());

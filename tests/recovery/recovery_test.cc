@@ -215,7 +215,7 @@ TEST_F(RecoveryTest, NormalAbortRestoresAndCompensates) {
     Epoch e(node_);
     WriteValue(e, t, oid, {5, 5, 5, 5});
     WriteValue(e, t, oid, {6, 6, 6, 6});
-    e.rm.UndoTransaction(t, t);
+    e.rm.UndoTransaction(t);
     EXPECT_EQ(e.seg.Read(oid), (Bytes{0, 0, 0, 0}));
   });
 }
@@ -226,7 +226,7 @@ TEST_F(RecoveryTest, CrashAfterDurableAbortStaysRolledBack) {
   RunInTask([&] {
     Epoch before(node_);
     WriteValue(before, t, oid, {5, 5, 5, 5});
-    before.rm.UndoTransaction(t, t);
+    before.rm.UndoTransaction(t);
     LogRecord rec;
     rec.type = RecordType::kTxnAbort;
     rec.owner = t;
@@ -254,7 +254,7 @@ TEST_F(RecoveryTest, AbortedSubtransactionInsideCommittedParent) {
     e.seg.Pin(b);
     e.rm.LogValue(child, parent, kServer, b, e.seg.Read(b), {2, 2, 2, 2});
     e.seg.Unpin(b);
-    e.rm.UndoTransaction(child, parent);  // subtransaction aborts alone
+    e.rm.UndoTransaction(child);  // subtransaction aborts alone
     Commit(e, parent);
     e.rm.log().ForceAll();
     Epoch after(node_);
@@ -274,8 +274,52 @@ TEST_F(RecoveryTest, CommittedSubtransactionRollsBackWithAbortedParent) {
     e.rm.LogValue(child, parent, kServer, b, e.seg.Read(b), {2, 2, 2, 2});
     e.seg.Unpin(b);
     e.rm.MergeChild(child, parent);  // subtransaction committed into parent
-    e.rm.UndoTransaction(parent, parent);  // ...then the parent aborts
+    e.rm.UndoTransaction(parent);  // ...then the parent aborts
     EXPECT_EQ(e.seg.Read(b), (Bytes{0, 0, 0, 0}));
+  });
+}
+
+TEST_F(RecoveryTest, UpdatesThreadPrevLsnThroughTheirUndoLists) {
+  // Three owners interleave. Each update's prev_lsn is the previous entry of
+  // its owner's undo list; once the child commits into the parent, the
+  // parent's next update points at the merged tail.
+  ObjectId a{kSeg, 0, 4}, b{kSeg, 4, 4}, c{kSeg, 8, 4};
+  TransactionId parent{1, 1}, other{1, 2}, child{1, 3};
+  RunInTask([&] {
+    Epoch e(node_);
+    auto write = [&](const TransactionId& owner, const TransactionId& top, const ObjectId& oid,
+                     std::uint8_t v) {
+      e.seg.Pin(oid);
+      Lsn lsn = e.rm.LogValue(owner, top, kServer, oid, e.seg.Read(oid), {v, v, v, v});
+      e.seg.Unpin(oid);
+      return lsn;
+    };
+    auto prev_of = [&](Lsn lsn) {
+      auto rec = e.rm.log().ReadRecord(lsn);
+      EXPECT_TRUE(rec.has_value());
+      return rec.has_value() ? rec->prev_lsn : kNullLsn;
+    };
+    const Lsn p1 = write(parent, parent, a, 1);
+    const Lsn o1 = write(other, other, b, 2);
+    const Lsn c1 = write(child, parent, c, 3);
+    const Lsn p2 = write(parent, parent, a, 4);
+    const Lsn o2 = write(other, other, b, 5);
+    const Lsn c2 = write(child, parent, c, 6);
+    EXPECT_EQ(prev_of(p1), kNullLsn);
+    EXPECT_EQ(prev_of(o1), kNullLsn);
+    EXPECT_EQ(prev_of(c1), kNullLsn);
+    EXPECT_EQ(prev_of(p2), p1);
+    EXPECT_EQ(prev_of(o2), o1);
+    EXPECT_EQ(prev_of(c2), c1);
+    e.rm.MergeChild(child, parent);
+    ASSERT_EQ(e.rm.UndoListOf(parent), (std::vector<Lsn>{p1, c1, p2, c2}));
+    const Lsn p3 = write(parent, parent, a, 7);
+    EXPECT_EQ(prev_of(p3), c2);
+    // The parent's abort unwinds its merged list and leaves the other owner's.
+    e.rm.UndoTransaction(parent);
+    EXPECT_EQ(e.seg.Read(a), (Bytes{0, 0, 0, 0}));
+    EXPECT_EQ(e.seg.Read(b), (Bytes{5, 5, 5, 5}));
+    EXPECT_EQ(e.seg.Read(c), (Bytes{0, 0, 0, 0}));
   });
 }
 
@@ -298,7 +342,7 @@ TEST_F(RecoveryTest, PreparedTransactionIsInDoubtAndKeepsValues) {
     EXPECT_EQ(stats.in_doubt[0], t);
     EXPECT_EQ(after.seg.Read(oid), (Bytes{8, 8, 8, 8}));
     // Coordinator later says abort: the rebuilt undo list unwinds it.
-    after.rm.UndoTransaction(t, t);
+    after.rm.UndoTransaction(t);
     EXPECT_EQ(after.seg.Read(oid), (Bytes{0, 0, 0, 0}));
   });
 }
@@ -356,7 +400,7 @@ TEST_F(RecoveryTest, OperationLoggingForwardAndAbort) {
     ctr.Add(t, 10);
     ctr.Add(t, 5);
     EXPECT_EQ(ctr.Get(), 15u);
-    e.rm.UndoTransaction(t, t);
+    e.rm.UndoTransaction(t);
     EXPECT_EQ(ctr.Get(), 0u);
   });
 }
@@ -525,7 +569,7 @@ TEST_F(RecoveryTest, CrashDuringAbortDoesNotDoubleUndo) {
     ctr.Add(t, 5);
     before.rm.log().ForceAll();
     // Abort proceeds: both compensations logged and applied...
-    before.rm.UndoTransaction(t, t);
+    before.rm.UndoTransaction(t);
     before.rm.log().ForceAll();
     before.seg.FlushAll();
     // ...but the abort record never made it. Recovery sees a loser whose
@@ -560,7 +604,7 @@ TEST_F(RecoveryTest, PartialAbortBeforeCrashFinishesAtRecovery) {
     // Run the abort; only its FIRST compensation record becomes durable
     // before the "crash" (we rebuild a byte-prefix of the log).
     Lsn pre_abort_end = before.rm.log().last_lsn();
-    before.rm.UndoTransaction(t, t);
+    before.rm.UndoTransaction(t);
     before.rm.log().ForceAll();
     Lsn first_comp = before.rm.log().NextLsn(pre_abort_end);
     ASSERT_NE(first_comp, kNullLsn);
@@ -618,7 +662,7 @@ TEST_F(RecoveryTest, ParentAbortCompensatesSubtransactionUpdateOnce) {
     ctr.Add(parent, 5);
     ctr.Add(child, parent, 10);
     before.rm.MergeChild(child, parent);
-    before.rm.UndoTransaction(parent, parent);
+    before.rm.UndoTransaction(parent);
     before.rm.log().ForceAll();
     before.seg.FlushAll();
     Epoch after(node_);
@@ -641,7 +685,7 @@ TEST_F(RecoveryTest, InDoubtUndoListLeavesOutANestedAbortedSubtransaction) {
     ctr.Add(c2, p, 10);
     before.rm.MergeChild(c2, c1);
     ctr.Add(c1, p, 20);
-    before.rm.UndoTransaction(c1, p);
+    before.rm.UndoTransaction(c1);
     const Lsn own = ctr.Add(p, 5);
     LogRecord prep;
     prep.type = RecordType::kTxnPrepare;
@@ -658,7 +702,7 @@ TEST_F(RecoveryTest, InDoubtUndoListLeavesOutANestedAbortedSubtransaction) {
     EXPECT_EQ(after.rm.UndoListOf(p), std::vector<Lsn>{own});
     EXPECT_EQ(ctr2.Get(), 5u);
     // The coordinator's abort verdict unwinds P's own add only.
-    after.rm.UndoTransaction(p, p);
+    after.rm.UndoTransaction(p);
     EXPECT_EQ(ctr2.Get(), 0u);
   });
 }
@@ -703,8 +747,61 @@ TEST_F(RecoveryTest, ReclaimRespectsActiveTransactions) {
     // The active transaction's first record must still be readable (it may
     // need to be undone).
     EXPECT_TRUE(e.rm.log().ReadRecord(first).has_value());
-    e.rm.UndoTransaction(active, active);
+    e.rm.UndoTransaction(active);
     EXPECT_EQ(e.seg.Read(a), (Bytes{0, 0, 0, 0}));
+  });
+}
+
+TEST_F(RecoveryTest, ReclaimDuringAnAbortKeepsTheRecordsStillToUndo) {
+  // The abort's compensations fault pages into a two-frame pool, and each
+  // eviction forces the log, which lets another task run. That task's
+  // updates, to a second segment, trigger an automatic reclamation with no
+  // active transaction listed. It must keep the records still to undo.
+  constexpr SegmentId kOtherSeg = 2;
+  constexpr PageNumber kPages = 8;
+  RecoveryManager rm(node_);
+  kernel::RecoverableSegment seg(substrate_, node_.disk(), kSeg, 16, 2);
+  kernel::RecoverableSegment other_seg(substrate_, node_.disk(), kOtherSeg, 16, 8);
+  rm.RegisterSegment(kServer, &seg);
+  rm.RegisterSegment("other", &other_seg);
+  rm.SetLogSpaceBudget(2048, [] { return std::vector<RecoveryManager::ActiveTxn>{}; });
+  auto cell = [](SegmentId segment, PageNumber page) {
+    return ObjectId{segment, page * kPageSize, 4};
+  };
+  auto write = [&](kernel::RecoverableSegment& s, const std::string& server,
+                   const TransactionId& tid, const ObjectId& oid, std::uint8_t v) {
+    s.Pin(oid);
+    rm.LogValue(tid, tid, server, oid, s.Read(oid), {v, v, v, v});
+    s.Unpin(oid);
+  };
+  TransactionId aborting{1, 1}, writer{1, 2};
+  sim::WaitQueue undo_started;
+  bool undoing = false;
+  int reclaims_during_undo = 0;
+  sched_.Spawn("abort", 1, 0, [&] {
+    for (PageNumber p = 0; p < kPages; ++p) {
+      write(seg, kServer, aborting, cell(kSeg, p), 1);
+    }
+    undoing = true;
+    sched_.NotifyAll(undo_started);
+    rm.UndoTransaction(aborting);
+    undoing = false;
+    reclaims_during_undo = rm.auto_reclaim_count();
+  });
+  sched_.Spawn("writer", 1, 0, [&] {
+    while (!undoing) {
+      sched_.Wait(undo_started);
+    }
+    for (int i = 0; i < 200 && undoing; ++i) {
+      write(other_seg, "other", writer, cell(kOtherSeg, i % 8), static_cast<std::uint8_t>(i));
+    }
+  });
+  ASSERT_EQ(sched_.Run(), 0);
+  ASSERT_GT(reclaims_during_undo, 0);
+  RunInTask([&] {
+    for (PageNumber p = 0; p < kPages; ++p) {
+      EXPECT_EQ(seg.Read(cell(kSeg, p)), (Bytes{0, 0, 0, 0})) << "page " << p;
+    }
   });
 }
 
