@@ -75,9 +75,9 @@ class CommManager {
   // spanning tree on both ends. `handler` runs on the destination node; its
   // Communication Manager must be passed so the receive side is recorded.
   // Blocking calls take no pipeline window slot.
-  template <typename R>
+  template <typename R, typename F>
   Result<R> RemoteCall(const TransactionId& tid, CommManager& remote, std::string what,
-                       std::function<Result<R>()> handler) {
+                       F handler) {
     sim::Tracer& tracer = network_.substrate().tracer();
     sim::SpanGuard span(tracer, sim::Component::kCommunicationManager, "cm.remote-call",
                         tracer.enabled() ? ToString(tid) : std::string());
@@ -107,10 +107,9 @@ class CommManager {
   // local dispatches. Results arrive in issue order; the outer Result
   // carries session-layer failure, the inner per-op Results carry each
   // operation's own verdict.
-  template <typename R>
+  template <typename R, typename Op>
   sim::FuturePtr<Result<std::vector<Result<R>>>> AsyncRemoteCallBatch(
-      const TransactionId& tid, CommManager& remote, std::string what,
-      std::vector<std::function<Result<R>()>> ops) {
+      const TransactionId& tid, CommManager& remote, std::string what, std::vector<Op> ops) {
     sim::Substrate& sub = network_.substrate();
     const size_t k = ops.size();
     sim::SpanGuard span(sub.tracer(), sim::Component::kCommunicationManager,
@@ -150,11 +149,16 @@ class CommManager {
           FAULT_POINT(*subp, "comm.batch-dispatch");
           return received();
         },
-        ReleaseSlotFn(win));
+        // Runs on the reply delivery task: frees the slot and wakes one
+        // blocked issuer.
+        [win = std::move(win), sched = &sub.scheduler()] {
+          --win->outstanding;
+          sched->NotifyOne(win->slots);
+        });
   }
 
   // Datagram on behalf of transaction management (commit protocol).
-  void SendDatagram(NodeId to, std::string what, std::function<void()> handler) {
+  void SendDatagram(NodeId to, std::string what, sim::TaskFn handler) {
     network_.SendDatagram(self_, to, std::move(what), std::move(handler));
   }
 
@@ -233,16 +237,6 @@ class CommManager {
     auto f = std::make_shared<sim::Future<Result<R>>>(network_.substrate().scheduler());
     f->Fulfil(Status::kNodeDown);
     return f;
-  }
-
-  // The on_complete hook handed to the network: frees the slot and wakes one
-  // blocked issuer. Runs on the reply delivery task.
-  std::function<void()> ReleaseSlotFn(const std::shared_ptr<CallWindow>& win) {
-    sim::Scheduler* sched = &network_.substrate().scheduler();
-    return [win, sched] {
-      --win->outstanding;
-      sched->NotifyOne(win->slots);
-    };
   }
 
   NodeId self_;

@@ -27,8 +27,7 @@ void Network::SetDatagramFaults(const DatagramFaults& faults) {
   fault_rng_.seed(faults.seed);
 }
 
-void Network::SendDatagram(NodeId from, NodeId to, std::string what,
-                           std::function<void()> handler) {
+void Network::SendDatagram(NodeId from, NodeId to, std::string what, sim::TaskFn handler) {
   sim::Scheduler& sched = substrate_.scheduler();
   // Zero-duration on the sender (datagrams don't advance its clock), but the
   // spawned handler's transit time is attributed to the comm manager.

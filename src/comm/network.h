@@ -17,8 +17,12 @@
 //
 // Handlers are C++ closures rather than serialized byte messages: this plays
 // the role Matchmaker-generated stubs played in TABS (packing/unpacking was
-// never protocol-visible). Handler tasks are tagged with the destination
-// node, so a node crash kills in-flight handlers exactly like process death.
+// never protocol-visible). Like Accent's fixed-shape typed messages, a
+// handler travels inline in its delivery task (sim::TaskFn): a session
+// call's handler is a template parameter all the way down, so the nested
+// layers become one closure, type-erased once when the task is spawned.
+// Handler tasks are tagged with the destination node, so a node crash kills
+// in-flight handlers exactly like process death.
 
 #ifndef TABS_COMM_NETWORK_H_
 #define TABS_COMM_NETWORK_H_
@@ -87,20 +91,20 @@ class Network {
   void SetDatagramFaults(const DatagramFaults& faults);
 
   // --- session RPC ----------------------------------------------------------
-  // Runs `handler` on node `to` and returns its value. Charges one inter-node
-  // data-server-call primitive split across the two transits. R must be
-  // movable. On unreachable/crashed destination returns kNodeDown. The call
-  // is AsyncSessionCall awaited — both share one issue path — so a blocking
-  // call and an awaited pipelined one charge and fail identically.
-  template <typename R>
-  Result<R> SessionCall(NodeId from, NodeId to, std::string what,
-                        std::function<Result<R>()> handler,
+  // Runs `handler` (a callable returning Result<R>) on node `to` and returns
+  // its value. Charges one inter-node data-server-call primitive split across
+  // the two transits. R must be movable. On unreachable/crashed destination
+  // returns kNodeDown. The call is AsyncSessionCall awaited — both share one
+  // issue path — so a blocking call and an awaited pipelined one charge and
+  // fail identically.
+  template <typename R, typename F>
+  Result<R> SessionCall(NodeId from, NodeId to, std::string what, F handler,
                         SimTime timeout = kDefaultSessionTimeout) {
     // The whole RPC — outbound transit, remote work, reply wait — is one
     // session span; the remote handler's own spans attribute the middle.
     sim::SpanGuard span(substrate_.tracer(), sim::Component::kCommunicationManager,
                         "session.call", substrate_.tracer().enabled() ? what : std::string());
-    auto reply = Issue<R>(from, to, std::move(what), std::move(handler), {});
+    auto reply = Issue<R>(from, to, std::move(what), std::move(handler), NoCompletion{});
     if (!reply->Await(timeout)) {
       return Status::kNodeDown;  // session broken: remote crash detected
     }
@@ -121,10 +125,12 @@ class Network {
   // If the destination dies with the call in flight it never runs and the
   // future stays empty — the caller's Await(timeout) detects the broken
   // session.
-  template <typename R>
+  struct NoCompletion {
+    void operator()() const {}
+  };
+  template <typename R, typename F, typename C = NoCompletion>
   sim::FuturePtr<Result<R>> AsyncSessionCall(NodeId from, NodeId to, std::string what,
-                                             std::function<Result<R>()> handler,
-                                             std::function<void()> on_complete = {}) {
+                                             F handler, C on_complete = {}) {
     // The issue side is a short span: only the outbound transit runs on the
     // caller; the remote work and return transit attribute to the delivery
     // task (the "session.reply" span).
@@ -137,7 +143,7 @@ class Network {
   // --- datagrams -------------------------------------------------------------
   // Fire-and-forget. The handler runs on `to` one datagram-time later; the
   // sender does not block and its clock does not advance.
-  void SendDatagram(NodeId from, NodeId to, std::string what, std::function<void()> handler);
+  void SendDatagram(NodeId from, NodeId to, std::string what, sim::TaskFn handler);
 
   // Datagram to every live node except the sender. `handler(node)` runs on
   // each destination.
@@ -150,17 +156,16 @@ class Network {
   // as outbound transit on the sender now, half as return transit on the
   // delivery task — and returns the reply future. An unreachable destination
   // or an injected session drop resolves it at once with kNodeDown; a
-  // destination that dies with the call in flight leaves it empty.
-  template <typename R>
-  sim::FuturePtr<Result<R>> Issue(NodeId from, NodeId to, std::string what,
-                                  std::function<Result<R>()> handler,
-                                  std::function<void()> on_complete) {
+  // destination that dies with the call in flight leaves it empty. The
+  // handler and the completion hook travel inside the delivery task's
+  // closure, type-erased once, by Spawn.
+  template <typename R, typename F, typename C>
+  sim::FuturePtr<Result<R>> Issue(NodeId from, NodeId to, std::string what, F handler,
+                                  C on_complete) {
     sim::Scheduler& sched = substrate_.scheduler();
     auto future = std::make_shared<sim::Future<Result<R>>>(sched);
     auto fail_now = [&] {
-      if (on_complete) {
-        on_complete();
-      }
+      on_complete();
       future->Fulfil(Status::kNodeDown);
       return future;
     };
@@ -182,11 +187,11 @@ class Network {
                                  sim::PrimitiveName(sim::Primitive::kInterNodeDataServerCall),
                                  what);
     }
-    SimTime half = substrate_.CostOf(sim::Primitive::kInterNodeDataServerCall) / 2;
-    sched.Charge(half);  // outbound transit — sends serialize at the sender
+    sched.Charge(HalfSessionCall());  // outbound transit — sends serialize at the sender
+    // `from` comes last, where it shares the hook's padding.
     sched.Spawn(std::move(what), to, sched.Now(),
-                [this, from, half, future, handler = std::move(handler),
-                 on_complete = std::move(on_complete)] {
+                [this, future, handler = std::move(handler),
+                 on_complete = std::move(on_complete), from] {
                   if (!IsAlive(from)) {
                     return;  // sender died in transit: no session to reply
                              // on — discard instead of creating orphan state
@@ -195,14 +200,16 @@ class Network {
                   {
                     sim::SpanGuard recv(substrate_.tracer(),
                                         sim::Component::kCommunicationManager, "session.reply");
-                    substrate_.scheduler().Charge(half);  // return transit
+                    substrate_.scheduler().Charge(HalfSessionCall());  // return transit
                   }
-                  if (on_complete) {
-                    on_complete();
-                  }
+                  on_complete();
                   future->Fulfil(std::move(r));
                 });
     return future;
+  }
+
+  SimTime HalfSessionCall() const {
+    return substrate_.CostOf(sim::Primitive::kInterNodeDataServerCall) / 2;
   }
 
   sim::Substrate& substrate_;

@@ -31,6 +31,12 @@ RecoverableSegment::Frame& RecoverableSegment::FaultIn(PageNumber page) {
   while (frames_.size() >= buffer_frames_) {
     EvictOne();
   }
+  // Eviction may have waited, and another task may have faulted the page in.
+  it = frames_.find(page);
+  if (it != frames_.end()) {
+    it->second.lru_tick = ++lru_clock_;
+    return it->second;
+  }
   Frame frame;
   frame.data.resize(kPageSize);
   // A fault on the page after the previous fault is a sequential read; any
@@ -54,9 +60,14 @@ void RecoverableSegment::EvictOne() {
   bool victim_dirty = false;
   std::uint64_t best = UINT64_MAX;
   bool found = false;
+  bool writing = false;
   for (auto& [page, frame] : frames_) {
     if (frame.pin_count > 0) {
       continue;  // pinned pages are never stolen
+    }
+    if (frame.writebacks > 0) {
+      writing = true;  // another task is writing it back
+      continue;
     }
     bool better;
     if (prefer_clean_eviction_ && found && victim_dirty != frame.dirty) {
@@ -71,6 +82,11 @@ void RecoverableSegment::EvictOne() {
       found = true;
     }
   }
+  if (!found && writing) {
+    // Every unpinned frame is mid-write-back: wait for one to finish.
+    substrate_.scheduler().Wait(writeback_done_);
+    return;
+  }
   if (!found) {
     throw BufferPoolExhausted("segment " + std::to_string(id_) + ": all " +
                               std::to_string(frames_.size()) +
@@ -83,10 +99,10 @@ void RecoverableSegment::EvictOne() {
     // this frame; the snapshot on disk doesn't cover those records, so flush
     // again rather than dropping them with the frame.
   }
-  if (frame.pin_count > 0) {
-    // Pinned during the write-back wait: no longer evictable. The frame is
-    // clean now, so the caller's retry loop will find another victim (or
-    // this one again once unpinned).
+  if (frame.pin_count > 0 || frame.writebacks > 0) {
+    // Pinned during the write-back wait, or another write-back of it is
+    // still in flight: not evictable now. The caller's retry loop will find
+    // another victim (or this one again later).
     return;
   }
   frames_.erase(victim);
@@ -104,6 +120,9 @@ void RecoverableSegment::WriteBack(PageNumber page, Frame& frame, bool sequentia
   // re-applying later compensations, corrupting the page.
   Bytes snapshot = frame.data;
   const Lsn covered = frame.last_lsn;
+  // The frame stays put until this write-back finishes: a frame with one in
+  // flight is never evicted, and the map keeps its elements in place.
+  ++frame.writebacks;
   std::uint64_t seqno = covered;
   if (hooks_ != nullptr) {
     // "The kernel does not write the page until it receives a message from
@@ -127,6 +146,10 @@ void RecoverableSegment::WriteBack(PageNumber page, Frame& frame, bool sequentia
   // later write-back picks up the new tail.
   if (hooks_ != nullptr) {
     hooks_->AfterPageWrite({id_, page}, true);
+  }
+  --frame.writebacks;
+  if (!writeback_done_.empty()) {
+    substrate_.scheduler().NotifyAll(writeback_done_);
   }
 }
 

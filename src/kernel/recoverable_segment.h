@@ -145,9 +145,14 @@ class RecoverableSegment {
     Lsn recovery_lsn = kNullLsn;  // first LSN since clean
     Lsn last_lsn = kNullLsn;      // latest LSN affecting the page
     std::uint64_t lru_tick = 0;
+    // Write-backs in flight. Each holds the frame across its waits, so
+    // EvictOne neither picks nor erases a frame while this is nonzero.
+    int writebacks = 0;
   };
 
   Frame& FaultIn(PageNumber page);
+  // Frees one frame, or waits for a write-back to finish when every unpinned
+  // frame is mid-write-back; the caller loops until a frame is free.
   void EvictOne();
   void WriteBack(PageNumber page, Frame& frame, bool sequential, bool background);
   void CheckBounds(const ObjectId& oid) const;
@@ -167,6 +172,8 @@ class RecoverableSegment {
   std::uint64_t faults_ = 0;
   PageNumber last_faulted_ = static_cast<PageNumber>(-2);
   bool prefer_clean_eviction_ = false;
+  // Evictors waiting for a write-back in flight to finish.
+  sim::WaitQueue writeback_done_;
 };
 
 }  // namespace tabs::kernel

@@ -63,6 +63,11 @@ struct ServerContext {
 
 class DataServer : public txn::CommitParticipant {
  public:
+  // One operation of a pipelined chunk (AsyncCallChunks), held inline: 64
+  // bytes fit the array server's cell operations.
+  template <typename R>
+  using Op = sim::InlineFunction<Result<R>(), 64>;
+
   struct Options {
     PageNumber pages = 16;
     size_t buffer_frames = 1024;  // effectively unbounded unless testing paging
@@ -84,8 +89,8 @@ class DataServer : public txn::CommitParticipant {
   // Runs `op` in this server on behalf of `tx`, routing remotely when the
   // caller is on another node, charging the appropriate call primitive, and
   // announcing the server to the Transaction Manager on first contact.
-  template <typename R>
-  Result<R> Call(const Tx& tx, std::string what, std::function<Result<R>()> op) {
+  template <typename R, typename F>
+  Result<R> Call(const Tx& tx, std::string what, F op) {
     if (tx.origin == node_id()) {
       sim::SpanGuard span(substrate().tracer(), sim::Component::kDataServer, "server.call",
                           substrate().tracer().enabled() ? what : std::string());
@@ -114,7 +119,7 @@ class DataServer : public txn::CommitParticipant {
   // futures.
   template <typename R>
   std::vector<sim::FuturePtr<Result<std::vector<Result<R>>>>> AsyncCallChunks(
-      const Tx& tx, const std::string& what, std::vector<std::function<Result<R>()>> ops) {
+      const Tx& tx, const std::string& what, std::vector<Op<R>> ops) {
     std::vector<sim::FuturePtr<Result<std::vector<Result<R>>>>> futures;
     if (ops.empty()) {
       return futures;
@@ -135,7 +140,7 @@ class DataServer : public txn::CommitParticipant {
     size_t limit = static_cast<size_t>(tx.origin_cm->op_coalesce_batch());
     for (size_t base = 0; base < ops.size(); base += limit) {
       size_t count = std::min(limit, ops.size() - base);
-      std::vector<std::function<Result<R>()>> wire_ops;
+      std::vector<decltype(Arrival(tx, std::move(ops[base])))> wire_ops;
       wire_ops.reserve(count);
       for (size_t i = 0; i < count; ++i) {
         wire_ops.push_back(Arrival(tx, std::move(ops[base + i])));
@@ -248,8 +253,8 @@ class DataServer : public txn::CommitParticipant {
   // Runs `op` as an operation of `tx` on this node: refused once the
   // transaction can no longer take operations (a zombie op after an abort
   // cascade consumed it), otherwise joined to the transaction first.
-  template <typename R>
-  Result<R> Serve(const Tx& tx, const std::function<Result<R>()>& op) {
+  template <typename F>
+  auto Serve(const Tx& tx, const F& op) -> decltype(op()) {
     if (ctx_.tm->RefusesOps(tx.tid)) {
       return Status::kAborted;
     }
@@ -259,8 +264,8 @@ class DataServer : public txn::CommitParticipant {
 
   // The server side of a remote invocation: `op` wrapped to run on arrival
   // as a local operation of `tx`, under its own "server.call" span.
-  template <typename R>
-  auto Arrival(const Tx& tx, std::function<Result<R>()> op) {
+  template <typename F>
+  auto Arrival(const Tx& tx, F op) {
     Tx local_tx = tx;
     local_tx.origin = node_id();  // on arrival, the op is local to this node
     return [this, local_tx, op = std::move(op)] {

@@ -24,8 +24,7 @@ ArrayServer::ArrayServer(const server::ServerContext& ctx, placement::ShardSlice
   slice_ = slice;
 }
 
-std::function<Result<std::int32_t>()> ArrayServer::ReadOp(const server::Tx& tx,
-                                                          std::uint32_t cell) {
+ArrayServer::Op<std::int32_t> ArrayServer::ReadOp(const server::Tx& tx, std::uint32_t cell) {
   return [this, tx, cell]() -> Result<std::int32_t> {
     if (cell >= cells_) {
       return Status::kOutOfRange;
@@ -42,8 +41,8 @@ std::function<Result<std::int32_t>()> ArrayServer::ReadOp(const server::Tx& tx,
   };
 }
 
-std::function<Result<bool>()> ArrayServer::WriteOp(const server::Tx& tx, std::uint32_t cell,
-                                                   std::int32_t value) {
+ArrayServer::Op<bool> ArrayServer::WriteOp(const server::Tx& tx, std::uint32_t cell,
+                                           std::int32_t value) {
   return [this, tx, cell, value]() -> Result<bool> {
     if (cell >= cells_) {
       return Status::kOutOfRange;
@@ -71,7 +70,7 @@ Status ArrayServer::SetCell(const server::Tx& tx, std::uint32_t cell, std::int32
 
 std::vector<sim::FuturePtr<Result<std::vector<Result<std::int32_t>>>>>
 ArrayServer::AsyncGetCells(const server::Tx& tx, const std::vector<std::uint32_t>& cells) {
-  std::vector<std::function<Result<std::int32_t>()>> ops;
+  std::vector<Op<std::int32_t>> ops;
   ops.reserve(cells.size());
   for (std::uint32_t cell : cells) {
     ops.push_back(ReadOp(tx, cell));
@@ -81,7 +80,7 @@ ArrayServer::AsyncGetCells(const server::Tx& tx, const std::vector<std::uint32_t
 
 std::vector<sim::FuturePtr<Result<std::vector<Result<bool>>>>> ArrayServer::AsyncSetCells(
     const server::Tx& tx, const std::vector<std::pair<std::uint32_t, std::int32_t>>& writes) {
-  std::vector<std::function<Result<bool>()>> ops;
+  std::vector<Op<bool>> ops;
   ops.reserve(writes.size());
   for (const auto& [cell, value] : writes) {
     ops.push_back(WriteOp(tx, cell, value));

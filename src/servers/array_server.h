@@ -54,9 +54,8 @@ class ArrayServer : public server::DataServer {
  private:
   // The operation bodies, shared by the synchronous and pipelined entry
   // points (identical locking, paging, and logging either way).
-  std::function<Result<std::int32_t>()> ReadOp(const server::Tx& tx, std::uint32_t cell);
-  std::function<Result<bool>()> WriteOp(const server::Tx& tx, std::uint32_t cell,
-                                        std::int32_t value);
+  Op<std::int32_t> ReadOp(const server::Tx& tx, std::uint32_t cell);
+  Op<bool> WriteOp(const server::Tx& tx, std::uint32_t cell, std::int32_t value);
 
   std::uint32_t cells_;
   placement::ShardSlice slice_;  // {0, 1} unless service-sharded

@@ -147,7 +147,7 @@ PageNumber BTreeServer::DescendToLeaf(const std::string& key, std::vector<PathEn
 }
 
 Result<std::string> BTreeServer::Lookup(const server::Tx& tx, const std::string& key) {
-  return Call<std::string>(tx, "Lookup", [this, tx, key]() -> Result<std::string> {
+  return Call<std::string>(tx, "Lookup", [this, tx, key = key]() -> Result<std::string> {
     Status s = LockObject(tx, TreeLockOid(), lock::kShared);
     if (s != Status::kOk) {
       return s;

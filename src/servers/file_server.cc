@@ -88,7 +88,7 @@ Result<std::uint32_t> FileServer::FindSlot(const server::Tx& tx, const std::stri
 }
 
 Status FileServer::Create(const server::Tx& tx, const std::string& name) {
-  auto r = Call<bool>(tx, "Create", [this, tx, name]() -> Result<bool> {
+  auto r = Call<bool>(tx, "Create", [this, tx, name = name]() -> Result<bool> {
     if (name.empty() || name.size() > kNameBytes) {
       return Status::kOutOfRange;
     }
@@ -117,7 +117,7 @@ Status FileServer::Create(const server::Tx& tx, const std::string& name) {
 }
 
 Status FileServer::Remove(const server::Tx& tx, const std::string& name) {
-  auto r = Call<bool>(tx, "Remove", [this, tx, name]() -> Result<bool> {
+  auto r = Call<bool>(tx, "Remove", [this, tx, name = name]() -> Result<bool> {
     auto idx = FindSlot(tx, name, lock::kExclusive);
     if (!idx.ok()) {
       return idx.status();
@@ -134,7 +134,7 @@ Status FileServer::Remove(const server::Tx& tx, const std::string& name) {
 
 Status FileServer::Write(const server::Tx& tx, const std::string& name, std::uint32_t offset,
                          const Bytes& data) {
-  auto r = Call<bool>(tx, "Write", [this, tx, name, offset, &data]() -> Result<bool> {
+  auto r = Call<bool>(tx, "Write", [this, tx, name = name, offset, &data]() -> Result<bool> {
     if (offset + data.size() > kMaxFileBytes) {
       return Status::kOutOfRange;
     }
@@ -189,7 +189,7 @@ Status FileServer::Append(const server::Tx& tx, const std::string& name, const B
 
 Result<Bytes> FileServer::Read(const server::Tx& tx, const std::string& name,
                                std::uint32_t offset, std::uint32_t length) {
-  return Call<Bytes>(tx, "Read", [this, tx, name, offset, length]() -> Result<Bytes> {
+  return Call<Bytes>(tx, "Read", [this, tx, name = name, offset, length]() -> Result<Bytes> {
     auto idx = FindSlot(tx, name, lock::kShared);
     if (!idx.ok()) {
       return idx.status();
@@ -215,7 +215,7 @@ Result<Bytes> FileServer::Read(const server::Tx& tx, const std::string& name,
 }
 
 Result<std::uint32_t> FileServer::Size(const server::Tx& tx, const std::string& name) {
-  return Call<std::uint32_t>(tx, "Size", [this, tx, name]() -> Result<std::uint32_t> {
+  return Call<std::uint32_t>(tx, "Size", [this, tx, name = name]() -> Result<std::uint32_t> {
     auto idx = FindSlot(tx, name, lock::kShared);
     if (!idx.ok()) {
       return idx.status();

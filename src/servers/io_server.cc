@@ -153,7 +153,7 @@ Status IoServer::AppendLine(const server::Tx& tx, IoAreaId area, const std::stri
 }
 
 Status IoServer::WriteToArea(const server::Tx& tx, IoAreaId area, const std::string& text) {
-  auto r = Call<bool>(tx, "WriteToArea", [this, tx, area, text]() -> Result<bool> {
+  auto r = Call<bool>(tx, "WriteToArea", [this, tx, area, text = text]() -> Result<bool> {
     if (area >= area_count_) {
       return Status::kOutOfRange;
     }
@@ -164,7 +164,7 @@ Status IoServer::WriteToArea(const server::Tx& tx, IoAreaId area, const std::str
 }
 
 Status IoServer::WriteLnToArea(const server::Tx& tx, IoAreaId area, const std::string& text) {
-  auto r = Call<bool>(tx, "WriteLnToArea", [this, tx, area, text]() -> Result<bool> {
+  auto r = Call<bool>(tx, "WriteLnToArea", [this, tx, area, text = text]() -> Result<bool> {
     std::string full = text;
     auto partial = partial_line_.find(area);
     if (partial != partial_line_.end()) {

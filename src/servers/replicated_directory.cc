@@ -39,7 +39,7 @@ DirectoryRep::DirectoryRep(const server::ServerContext& ctx, BTreeServer* storag
 }
 
 Result<RepEntry> DirectoryRep::RepRead(const server::Tx& tx, const std::string& key) {
-  return Call<RepEntry>(tx, "RepRead", [this, tx, key]() -> Result<RepEntry> {
+  return Call<RepEntry>(tx, "RepRead", [this, tx, key = key]() -> Result<RepEntry> {
     // The representative calls its local B-tree server (a nested data-server
     // call, as in the paper's layering).
     server::Tx local = tx;
@@ -58,10 +58,11 @@ Result<RepEntry> DirectoryRep::RepRead(const server::Tx& tx, const std::string& 
 
 Status DirectoryRep::RepWrite(const server::Tx& tx, const std::string& key,
                               const RepEntry& entry) {
-  auto r = Call<bool>(tx, "RepWrite", [this, tx, key, entry]() -> Result<bool> {
-    server::Tx local = tx;
-    local.origin = node_id();
-    local.origin_cm = &cm();
+  // The op captures only the transaction's ids, so that the session task
+  // carrying it (with the key and the entry) fits its inline buffer.
+  auto r = Call<bool>(tx, "RepWrite", [this, tid = tx.tid, top = tx.top, key = key,
+                                       entry = entry]() -> Result<bool> {
+    server::Tx local{tid, top, node_id(), &cm()};
     Status s = storage_->Upsert(local, key, EncodeEntry(entry));
     if (s != Status::kOk) {
       return s;

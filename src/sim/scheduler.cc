@@ -86,8 +86,7 @@ void Scheduler::Shutdown() {
   task_pool_.clear();
 }
 
-TaskId Scheduler::Spawn(std::string name, NodeId node, SimTime start_time,
-                        std::function<void()> fn) {
+TaskId Scheduler::Spawn(std::string name, NodeId node, SimTime start_time, TaskFn fn) {
   std::unique_ptr<Task> task;
   if (!task_pool_.empty()) {
     task = std::move(task_pool_.back());
@@ -347,7 +346,7 @@ void Scheduler::Finish(Task* t) {
     PushClockEvent({ClockEvent::Kind::kDone, t->id, kInvalidTask, 0, 0});
   }
   t->state = Task::State::kDone;
-  t->fn = nullptr;
+  t->fn.reset();
   done_.push_back(t);
   current_ = nullptr;
 }

@@ -37,9 +37,10 @@
 // min-heap of tasks (see Task::due), each resume counts one step, and a
 // timeout fires when its entry reaches the top. The schedule, and with it
 // every virtual-time output, does not depend on how tasks are switched. Task
-// objects are recycled through a freelist, each task records its own heap
-// slot, and a WaitQueue is threaded through the tasks it holds, so blocking,
-// with or without a deadline, allocates nothing.
+// objects are recycled through a freelist and hold their body inline
+// (TaskFn), each task records its own heap slot, and a WaitQueue is threaded
+// through the tasks it holds, so spawning, and blocking with or without a
+// deadline, allocate nothing.
 
 #ifndef TABS_SIM_SCHEDULER_H_
 #define TABS_SIM_SCHEDULER_H_
@@ -54,6 +55,7 @@
 #include <vector>
 
 #include "src/common/types.h"
+#include "src/sim/inline_function.h"
 
 namespace tabs::sim {
 
@@ -91,6 +93,12 @@ class WaitQueue {
 // A task's execution context: its stack and saved registers (scheduler.cc).
 struct Fiber;
 
+// A task body, type-erased once into the Task that runs it. The buffer fits
+// the largest closure in the tree: a session call's delivery task with a
+// replicated-directory write nested inside it.
+inline constexpr std::size_t kTaskFnBytes = 232;
+using TaskFn = InlineFunction<void(), kTaskFnBytes>;
+
 struct Task {
   enum class State { kReady, kRunning, kBlocked, kDone };
 
@@ -112,7 +120,7 @@ struct Task {
   WaitQueue* waiting_on = nullptr;
   Task* wait_prev = nullptr;    // neighbours in waiting_on's FIFO
   Task* wait_next = nullptr;
-  std::function<void()> fn;
+  TaskFn fn;                    // destroyed at Finish, releasing its captures
   Fiber* fiber = nullptr;       // bound from first dispatch until the task finishes
   Scheduler* scheduler = nullptr;
 };
@@ -166,7 +174,7 @@ class Scheduler {
   // Creates a task whose clock starts at `start_time` (typically the sender's
   // clock plus a transmission cost, for message-handler tasks). May be called
   // from inside a task or from the outside (before Run).
-  TaskId Spawn(std::string name, NodeId node, SimTime start_time, std::function<void()> fn);
+  TaskId Spawn(std::string name, NodeId node, SimTime start_time, TaskFn fn);
 
   // Runs tasks until none are runnable and no timeouts are pending. Returns the
   // number of tasks still blocked (0 on clean completion; nonzero indicates

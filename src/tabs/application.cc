@@ -5,8 +5,8 @@
 
 namespace tabs {
 
-Application::RunResult Application::RunTransactional(
-    const std::function<Status(const server::Tx&)>& body, const RetryPolicy& policy) {
+Application::RunResult Application::RunTransactional(const TxnBody& body,
+                                                     const RetryPolicy& policy) {
   RunResult result;
   SimTime backoff = policy.initial_backoff_us;
   std::mt19937_64 rng;
@@ -56,8 +56,7 @@ Application::RunResult Application::RunTransactional(
   }
 }
 
-Application::RunResult Application::RunTransactional(
-    const std::function<Status(const server::Tx&)>& body) {
+Application::RunResult Application::RunTransactional(const TxnBody& body) {
   return RunTransactional(body, RetryPolicy{});
 }
 

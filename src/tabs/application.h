@@ -23,6 +23,9 @@ namespace tabs {
 
 class Application {
  public:
+  // A transaction body. It never outlives the call that runs it.
+  using TxnBody = sim::InlineFunction<Status(const server::Tx&), sim::kTaskFnBytes>;
+
   Application(NodeId node, txn::TransactionManager& tm, comm::CommManager& cm)
       : node_(node), tm_(&tm), cm_(&cm) {}
 
@@ -48,7 +51,7 @@ class Application {
   }
 
   // Begin + body + End/Abort in one call. The body returns kOk to commit.
-  Status Transaction(const std::function<Status(const server::Tx&)>& body) {
+  Status Transaction(const TxnBody& body) {
     TransactionId tid = Begin();
     Status s = body(MakeTx(tid));
     if (s == Status::kOk) {
@@ -65,9 +68,8 @@ class Application {
   // a participant voting no, a lock-wait timeout (TABS's deadlock breaker,
   // Section 2.1.2), or an abort — e.g. a deadlock-detector sacrifice.
   // Non-retryable statuses (kNotFound, kNodeDown, ...) return immediately.
-  RunResult RunTransactional(const std::function<Status(const server::Tx&)>& body,
-                             const RetryPolicy& policy);
-  RunResult RunTransactional(const std::function<Status(const server::Tx&)>& body);
+  RunResult RunTransactional(const TxnBody& body, const RetryPolicy& policy);
+  RunResult RunTransactional(const TxnBody& body);
 
   class AsyncOps;
   // A joiner for the asynchronous fast path (see class below). `timeout`

@@ -154,13 +154,12 @@ server::DataServer* World::FindServer(NodeId node_id, const std::string& name) {
   return it == rt.servers.end() ? nullptr : it->second.get();
 }
 
-int World::RunApp(NodeId node_id, std::function<void(Application&)> body) {
+int World::RunApp(NodeId node_id, AppBody body) {
   SpawnApp(node_id, "app", std::move(body));
   return scheduler_.Run();
 }
 
-void World::SpawnApp(NodeId node_id, std::string name,
-                     std::function<void(Application&)> body, SimTime start_time) {
+void World::SpawnApp(NodeId node_id, std::string name, AppBody body, SimTime start_time) {
   scheduler_.Spawn(std::move(name), node_id, start_time, [this, node_id, body = std::move(body)] {
     Application app(node_id, tm(node_id), cm(node_id));
     body(app);

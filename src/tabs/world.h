@@ -185,10 +185,12 @@ class World {
   // Spawns `body` as an application task on `node` and drains the scheduler.
   // Returns the number of tasks still blocked (0 on clean completion). Must
   // be called from outside any task.
-  int RunApp(NodeId node, std::function<void(Application&)> body);
+  // The body is held inline; the task that runs it adds the world and the
+  // node around it, so it gets the task buffer less those 24 bytes.
+  using AppBody = sim::InlineFunction<void(Application&), sim::kTaskFnBytes - 24>;
+  int RunApp(NodeId node, AppBody body);
   // Spawns without draining (for concurrent scenarios), then call Drain().
-  void SpawnApp(NodeId node, std::string name, std::function<void(Application&)> body,
-                SimTime start_time = 0);
+  void SpawnApp(NodeId node, std::string name, AppBody body, SimTime start_time = 0);
   int Drain() { return scheduler_.Run(); }
 
   // --- failures --------------------------------------------------------------------------

@@ -73,13 +73,14 @@ std::vector<NodeId> PaxosCommit::ChooseAcceptors(const TransactionId& tid) const
 Lsn PaxosCommit::AppendRecord(RecordType type, const TransactionId& tid, Ballot ballot,
                               std::span<const InstanceValue> values) {
   assert(!values.empty());
-  LogRecord rec;
+  LogRecord& rec = record_;
   rec.type = type;
   rec.owner = tid;
   rec.top = tid;
   rec.paxos_ballot = ballot;
   rec.paxos_participant = values.front().participant;
   rec.paxos_vote = static_cast<std::int8_t>(values.front().vote);
+  rec.paxos_extra.clear();
   for (const InstanceValue& v : values.subspan(1)) {
     rec.paxos_extra.push_back({v.participant, static_cast<std::int8_t>(v.vote)});
   }
@@ -185,7 +186,7 @@ size_t PaxosCommit::SendAcceptBundles(const TransactionId& tid,
     // Crash window: this bundle is about to leave while bundles for other
     // acceptors of the same transaction may already be on the wire.
     FAULT_POINT(sub, "comm.accept-bundle");
-    tm_.cm_.SendDatagram(a, "paxos-accept-bundle", [atm, a, tid, values, me, replies] {
+    tm_.cm_.SendDatagram(a, "paxos-accept-bundle", [atm, a, tid, values = values, me, replies] {
       if (atm->paxos_->AcceptBundle(tid, 0, values)) {
         atm->cm_.SendDatagram(me, "paxos-accepted",
                               [replies, a] { replies->Push(PaxosAccepted{a, 0, true}); });

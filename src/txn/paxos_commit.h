@@ -228,6 +228,8 @@ class PaxosCommit {
                            const sim::RepliesPtr<PaxosAccepted>& replies, Lsn prepare_lsn);
   // Appends one acceptor record at `ballot` carrying `values` (a kPaxosAccept
   // also records their acceptance): one record, and one force, per bundle.
+  // The record is refilled in record_, as TransactionManager::AppendTxnRecord
+  // refills its own.
   Lsn AppendRecord(log::RecordType type, const TransactionId& tid, Ballot ballot,
                    std::span<const InstanceValue> values);
   // The ballot-driving loop behind Resolve (which adds the per-transaction
@@ -238,6 +240,7 @@ class PaxosCommit {
   TransactionManager& tm_;
   int f_ = 1;
   std::map<TransactionId, AcceptorState> states_;
+  log::LogRecord record_;
   int takeover_round_ = 0;
   // The verdict of each takeover in flight on this node, awaited by later
   // local callers for the same transaction.

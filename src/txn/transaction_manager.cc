@@ -185,17 +185,18 @@ bool TransactionManager::AbortInProgress(const Txn& txn) const {
 }
 
 Lsn TransactionManager::AppendTxnRecord(RecordType type, const Txn& txn) {
-  LogRecord rec;
+  LogRecord& rec = txn_record_;
   rec.type = type;
   rec.owner = txn.tid;
   rec.top = txn.top;
   rec.parent_node = txn.parent_node;
-  rec.siblings = txn.siblings;
-  rec.acceptors = txn.acceptors;
+  rec.siblings.assign(txn.siblings.begin(), txn.siblings.end());
+  rec.acceptors.assign(txn.acceptors.begin(), txn.acceptors.end());
   const auto& info = cm_.InfoFor(txn.top);
   rec.children.assign(info.children.begin(), info.children.end());
-  for (CommitParticipant* s : txn.servers) {
-    rec.local_servers.push_back(s->participant_name());
+  rec.local_servers.resize(txn.servers.size());
+  for (size_t i = 0; i < txn.servers.size(); ++i) {
+    rec.local_servers[i] = txn.servers[i]->participant_name();
   }
   return rm_.log().Append(rec);
 }

@@ -156,9 +156,9 @@ class TransactionManager : public comm::TransactionTreeListener,
   // its vote. `siblings` are the parent's other children (under Paxos
   // Commit, every participant), and a non-empty `acceptors` set marks a
   // Paxos Commit participant, whose verdict is decided at those acceptors.
+  // The entry takes the lists over.
   Vote HandlePrepare(const TransactionId& tid, NodeId parent_node,
-                     const std::vector<NodeId>& siblings,
-                     const std::vector<NodeId>& acceptors);
+                     std::vector<NodeId> siblings, std::vector<NodeId> acceptors);
   void HandleCommit(const TransactionId& tid);
   void HandleAbortMsg(const TransactionId& tid);
   // A verdict learned elsewhere (a takeover leader, or ResolveInDoubt's
@@ -314,6 +314,7 @@ class TransactionManager : public comm::TransactionTreeListener,
     return reached;
   }
 
+  // Refills txn_record_ from `txn` and appends it.
   Lsn AppendTxnRecord(log::RecordType type, const Txn& txn);
   void ForceLsn(Lsn lsn);
   // Blocks until the appended record at `lsn` is stable. Queue mode drops
@@ -339,6 +340,10 @@ class TransactionManager : public comm::TransactionTreeListener,
   std::uint64_t incarnation_ = 0;
   std::uint64_t next_sequence_ = 1;
   std::map<TransactionId, Txn> txns_;
+  // Every transaction record is built here: assign keeps each list's
+  // capacity, and LogManager::Append serializes the record before it returns
+  // (it never yields), so one scratch record serves every transaction.
+  log::LogRecord txn_record_;
 
   // Durable knowledge rebuilt from the log by ObserveTxnRecord, plus
   // outcomes decided since; consulted by KnownOutcome and OutcomeOf.

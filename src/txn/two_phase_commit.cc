@@ -210,10 +210,12 @@ TransactionManager::Tally TransactionManager::PrepareSubtree(Txn& txn, bool lead
     std::vector<NodeId> siblings =
         leader ? txn.siblings : std::vector<NodeId>(info.children.begin(), info.children.end());
     std::vector<NodeId> acceptors = leader ? txn.acceptors : std::vector<NodeId>();
+    // Each delivery, a duplicate included, runs its own copy of the closure,
+    // so the prepare hands its lists over to the participant's entry.
     auto prepare = [child_tm, child, tid, self, votes, siblings = std::move(siblings),
-                    acceptors = std::move(acceptors)] {
-      Vote v = child_tm->HandlePrepare(tid, self, siblings, acceptors);
+                    acceptors = std::move(acceptors)]() mutable {
       const bool paxos = !acceptors.empty();
+      Vote v = child_tm->HandlePrepare(tid, self, std::move(siblings), std::move(acceptors));
       if (paxos) {
         // The vote is computed but not yet on the wire to the leader: a crash
         // here leaves the instance open, decided by takeover as Aborted.
@@ -349,8 +351,8 @@ bool TransactionManager::PrepareLocally(Txn& txn, Lsn* deferred) {
 }
 
 Vote TransactionManager::HandlePrepare(const TransactionId& tid, NodeId parent_node,
-                                       const std::vector<NodeId>& siblings,
-                                       const std::vector<NodeId>& acceptors) {
+                                       std::vector<NodeId> siblings,
+                                       std::vector<NodeId> acceptors) {
   sim::Substrate& sub = node_.substrate();
   sim::PhaseScope commit_phase(sub.metrics(), sim::Phase::kCommit);
   sim::SpanGuard span(sub.tracer(), sim::Component::kTransactionManager, "2pc.handle-prepare",
@@ -371,8 +373,8 @@ Vote TransactionManager::HandlePrepare(const TransactionId& tid, NodeId parent_n
   // CM -> TM: prepare arrived; TM -> CM: vote handed back for the wire.
   sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 2);
   txn.parent_node = parent_node;
-  txn.siblings = siblings;
-  txn.acceptors = acceptors;
+  txn.siblings = std::move(siblings);
+  txn.acceptors = std::move(acceptors);
   txn.state = TxnState::kPreparing;
 
   Vote v = PrepareSubtree(txn, /*leader=*/false).vote;

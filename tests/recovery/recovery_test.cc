@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 
 #include "src/kernel/node.h"
 
@@ -801,6 +802,54 @@ TEST_F(RecoveryTest, ReclaimDuringAnAbortKeepsTheRecordsStillToUndo) {
   RunInTask([&] {
     for (PageNumber p = 0; p < kPages; ++p) {
       EXPECT_EQ(seg.Read(cell(kSeg, p)), (Bytes{0, 0, 0, 0})) << "page " << p;
+    }
+  });
+}
+
+TEST_F(RecoveryTest, ConcurrentEvictionsKeepEveryWrite) {
+  // Two tasks write through a two-frame pool. Evicting a dirty frame forces
+  // the log, which lets the other task run: it must neither evict the frame
+  // being written back nor fault in a page the first task is bringing in.
+  std::optional<Epoch> e;
+  RunInTask([&] { e.emplace(node_, 16, 2); });
+  auto write_pages = [&](TransactionId tid, PageNumber first) {
+    for (PageNumber p = first; p < first + 8; p += 2) {
+      auto v = static_cast<std::uint8_t>(p + 10);
+      WriteValue(*e, tid, ObjectId{kSeg, p * kPageSize, 4}, {v, v, v, v});
+    }
+  };
+  sched_.Spawn("low", 1, 0, [&] { write_pages(TransactionId{1, 1}, 0); });
+  sched_.Spawn("high", 1, 0, [&] { write_pages(TransactionId{1, 2}, 8); });
+  ASSERT_EQ(sched_.Run(), 0);
+  RunInTask([&] {
+    for (PageNumber p = 0; p < 16; p += 2) {
+      auto v = static_cast<std::uint8_t>(p + 10);
+      EXPECT_EQ(e->seg.Read(ObjectId{kSeg, p * kPageSize, 4}), (Bytes{v, v, v, v}))
+          << "page " << p;
+    }
+  });
+}
+
+TEST_F(RecoveryTest, EvictionWaitsWhileEveryFrameIsBeingWrittenBack) {
+  // Three tasks on two frames: the third evictor can find both frames
+  // mid-write-back, and must wait for one instead of failing its fault.
+  std::optional<Epoch> e;
+  RunInTask([&] { e.emplace(node_, 16, 2); });
+  for (PageNumber first = 0; first < 3; ++first) {
+    sched_.Spawn("writer", 1, 0, [&, first] {
+      for (PageNumber p = first; p < 12; p += 3) {
+        auto v = static_cast<std::uint8_t>(p + 10);
+        WriteValue(*e, TransactionId{1, first + 1}, ObjectId{kSeg, p * kPageSize, 4},
+                   {v, v, v, v});
+      }
+    });
+  }
+  ASSERT_EQ(sched_.Run(), 0);
+  RunInTask([&] {
+    for (PageNumber p = 0; p < 12; ++p) {
+      auto v = static_cast<std::uint8_t>(p + 10);
+      EXPECT_EQ(e->seg.Read(ObjectId{kSeg, p * kPageSize, 4}), (Bytes{v, v, v, v}))
+          << "page " << p;
     }
   });
 }
