@@ -68,7 +68,7 @@ struct Epoch {
             (kCounters * g_object_size + kPageSize - 1) / kPageSize + 1, 32) {
     rm.RegisterSegment(kServer, &seg);
     OperationHooks hooks;
-    hooks.apply = [this](const std::string& op, const Bytes& args, Lsn lsn) {
+    hooks.apply = [this](const std::string& op, std::span<const std::uint8_t> args, Lsn lsn) {
       std::uint32_t idx;
       std::int64_t delta;
       std::memcpy(&idx, args.data(), 4);
@@ -108,7 +108,7 @@ struct Epoch {
     std::memcpy(args.data(), &idx, 4);
     std::memcpy(args.data() + 4, &delta, 8);
     rm.LogOperation(tid, tid, kServer, "add", args, "sub", args,
-                    {{kSeg, idx * g_object_size / kPageSize}});
+                    std::vector<PageId>{{kSeg, idx * g_object_size / kPageSize}});
   }
 
   void Commit(const TransactionId& tid) {

@@ -1,16 +1,22 @@
 // Real-CPU micro-benchmarks (google-benchmark) of the substrate's hot
-// paths: log append/force/read-back, lock acquire/release, scheduler task
-// turnaround, recoverable-segment access, and B-tree operations. These
+// paths: log append/force/read-back, an operation-logged update, lock
+// acquire/release, a commit round's replies, scheduler task turnaround,
+// recoverable-segment access, and B-tree operations. These
 // measure the implementation itself (host nanoseconds), not the simulated
 // Perq — the Table 5-x binaries handle the paper's virtual-time results.
 
 #include <benchmark/benchmark.h>
 
+#include <cstring>
+
+#include "src/kernel/node.h"
 #include "src/lock/lock_manager.h"
 #include "src/log/log_manager.h"
+#include "src/recovery/recovery_manager.h"
 #include "src/servers/array_server.h"
 #include "src/servers/btree_server.h"
 #include "src/tabs/world.h"
+#include "src/txn/paxos_commit.h"
 
 namespace tabs {
 namespace {
@@ -95,6 +101,44 @@ void BM_LogRecordSerializeRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_LogRecordSerializeRoundTrip);
 
+// The Recovery Manager's side of one account update (Section 4.6): an
+// operation record appended and applied through the server's hook, then the
+// transaction's undo list dropped at commit. The hook only reads its
+// arguments, so the segment stays out of the figure.
+void BM_OperationLoggedUpdate(benchmark::State& state) {
+  sim::Scheduler sched;
+  sim::Substrate substrate(sched, sim::CostModel::Baseline(),
+                           sim::ArchitectureModel::Prototype());
+  kernel::Node node(1, substrate);
+  recovery::RecoveryManager rm(node);
+  std::int64_t applied = 0;
+  recovery::OperationHooks hooks;
+  hooks.apply = [&applied](const std::string&, std::span<const std::uint8_t> args, Lsn) {
+    std::int64_t delta;
+    std::memcpy(&delta, args.data() + 4, 8);
+    applied += delta;
+  };
+  rm.RegisterOperationHooks("accounts", hooks);
+  const std::string deposit = "deposit";
+  const std::string withdraw = "withdraw";
+  std::uint8_t args[12] = {};
+  args[4] = 1;
+  const PageId page{1, 0};
+  std::uint64_t sequence = 0;
+  for (auto _ : state) {
+    TransactionId tid{1, ++sequence};
+    Lsn lsn = rm.LogOperation(tid, tid, "accounts", deposit, args, withdraw, args, {&page, 1});
+    rm.ForgetTransaction(tid);
+    if (sequence % kLogBatch == 0) {
+      rm.log().ForceAll();
+      node.stable_log().TruncateBefore(lsn - 1);
+    }
+  }
+  benchmark::DoNotOptimize(applied);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_OperationLoggedUpdate);
+
 void BM_LockAcquireRelease(benchmark::State& state) {
   sim::Scheduler sched;
   lock::LockManager lm(sched, lock::CompatibilityMatrix::SharedExclusive(), 1000);
@@ -107,6 +151,26 @@ void BM_LockAcquireRelease(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LockAcquireRelease);
+
+// One commit round of three votes: the shared reply block, three
+// deliveries, and the collector reading each once and counting its sender.
+void BM_RepliesRound(benchmark::State& state) {
+  sim::Scheduler sched;
+  for (auto _ : state) {
+    auto votes = std::make_shared<sim::Replies<txn::VoteMsg>>(sched);
+    for (NodeId from = 2; from <= 4; ++from) {
+      votes->Push({from, txn::Vote::kPrepared});
+    }
+    int counted = 0;
+    for (int i = 0; i < 3; ++i) {
+      std::optional<txn::VoteMsg> vote = votes->Next(0);
+      counted += vote.has_value() && votes->First(vote->from) ? 1 : 0;
+    }
+    benchmark::DoNotOptimize(counted);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RepliesRound);
 
 void BM_SchedulerTaskTurnaround(benchmark::State& state) {
   for (auto _ : state) {

@@ -27,7 +27,7 @@ bool LockManager::CanGrant(const ObjectId& oid, const TransactionId& tid,
 }
 
 void LockManager::Grant(const TransactionId& tid, const ObjectId& oid, LockMode mode) {
-  grants_[{oid, tid}] |= ModeBit(mode);
+  grant_nodes_.Get(grants_, {oid, tid})->second |= ModeBit(mode);
   if (grant_sink_) {
     grant_sink_(tid, oid);
   }
@@ -136,7 +136,7 @@ void LockManager::ReleaseAll(const TransactionId& tid) {
       continue;
     }
     ObjectId oid = it->first.first;
-    it = grants_.erase(it);
+    grant_nodes_.Keep(grants_.extract(it++));
     if (auto q = waiters_.find(oid); q != waiters_.end()) {
       GrantEligibleWaiters(q);
     }
@@ -155,6 +155,7 @@ void LockManager::InheritToParent(const TransactionId& child, const TransactionI
     auto inserted = grants_.insert(std::move(node));
     if (!inserted.inserted) {
       inserted.position->second |= inserted.node.mapped();  // parent held it too
+      grant_nodes_.Keep(std::move(inserted.node));
     }
   }
 }

@@ -23,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/node_recycler.h"
 #include "src/common/result.h"
 #include "src/common/types.h"
 #include "src/lock/lock_mode.h"
@@ -129,7 +130,11 @@ class LockManager {
   // Both tables are ordered, so every walk that wakes tasks or feeds the
   // deadlock detector runs in ObjectId order (then holder order) by
   // construction. An object's holders are one contiguous range of grants_.
-  std::map<std::pair<ObjectId, TransactionId>, ModeMask> grants_;
+  // A released grant's node serves the next grant: nothing holds an entry
+  // across a wait (Lock looks its grant up again when it wakes).
+  using Grants = std::map<std::pair<ObjectId, TransactionId>, ModeMask>;
+  Grants grants_;
+  NodeRecycler<Grants> grant_nodes_;
   Waiters waiters_;  // FIFO per object, only for objects someone awaits
   GrantSink grant_sink_;
   GrantVeto grant_veto_;

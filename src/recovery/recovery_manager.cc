@@ -104,33 +104,38 @@ void RecoveryManager::MaybeAutoReclaim() {
 
 Lsn RecoveryManager::LogOperation(const TransactionId& owner, const TransactionId& top,
                                   const std::string& server, const std::string& op_name,
-                                  Bytes redo_args, const std::string& undo_op_name,
-                                  Bytes undo_args, std::vector<PageId> pages) {
+                                  std::span<const std::uint8_t> redo_args,
+                                  const std::string& undo_op_name,
+                                  std::span<const std::uint8_t> undo_args,
+                                  std::span<const PageId> pages) {
   sim::SpanGuard span(node_.substrate().tracer(), sim::Component::kRecoveryManager,
                       "rm.log-operation");
-  LogRecord rec;
+  // Refilled in place: assign keeps each field's capacity.
+  LogRecord& rec = op_record_;
   rec.type = RecordType::kOperationUpdate;
   rec.owner = owner;
   rec.top = top;
   rec.server = server;
   rec.op_name = op_name;
-  rec.redo_args = std::move(redo_args);
+  rec.redo_args.assign(redo_args.begin(), redo_args.end());
   rec.undo_op_name = undo_op_name;
-  rec.undo_args = std::move(undo_args);
-  rec.pages = std::move(pages);
+  rec.undo_args.assign(undo_args.begin(), undo_args.end());
+  rec.pages.assign(pages.begin(), pages.end());
   Lsn lsn = AppendUpdate(rec);
   // Apply the operation's effect through the server's dispatcher under the
-  // record's LSN (forward processing applies exactly once).
+  // record's LSN (forward processing applies exactly once). The apply may
+  // wait on a page fault while another task refills op_record_, so it reads
+  // the caller's arguments.
   auto hooks = op_hooks_.find(server);
   assert(hooks != op_hooks_.end() && hooks->second.apply &&
          "operation logging requires registered hooks");
-  hooks->second.apply(op_name, rec.redo_args, lsn);
+  hooks->second.apply(op_name, redo_args, lsn);
   MaybeAutoReclaim();
   return lsn;
 }
 
 Lsn RecoveryManager::AppendUpdate(LogRecord& rec) {
-  std::vector<Lsn>& list = undo_lists_[rec.owner];
+  std::vector<Lsn>& list = undo_nodes_.Get(undo_lists_, rec.owner)->second;
   rec.prev_lsn = list.empty() ? kNullLsn : list.back();
   Lsn lsn = log_.Append(rec);
   list.push_back(lsn);
@@ -195,7 +200,7 @@ void RecoveryManager::UndoTransaction(const TransactionId& owner) {
     assert(rec.has_value() && "undo-list record vanished before abort finished");
     Compensate(*rec);
   }
-  undo_lists_.erase(owner);
+  undo_nodes_.Keep(undo_lists_.extract(owner));
 }
 
 void RecoveryManager::MergeChild(const TransactionId& child, const TransactionId& parent) {
@@ -203,15 +208,17 @@ void RecoveryManager::MergeChild(const TransactionId& child, const TransactionId
   if (it == undo_lists_.end()) {
     return;
   }
-  auto& parent_list = undo_lists_[parent];
-  parent_list.insert(parent_list.end(), it->second.begin(), it->second.end());
+  // A reference, unlike an iterator, survives the parent insertion's rehash.
+  const std::vector<Lsn>& child_list = it->second;
+  auto& parent_list = undo_nodes_.Get(undo_lists_, parent)->second;
+  parent_list.insert(parent_list.end(), child_list.begin(), child_list.end());
   // Keep LSN order so a parent abort unwinds newest-first across children.
   std::sort(parent_list.begin(), parent_list.end());
-  undo_lists_.erase(child);
+  undo_nodes_.Keep(undo_lists_.extract(child));
 }
 
 void RecoveryManager::ForgetTransaction(const TransactionId& owner) {
-  undo_lists_.erase(owner);
+  undo_nodes_.Keep(undo_lists_.extract(owner));
 }
 
 std::vector<Lsn> RecoveryManager::UndoListOf(const TransactionId& owner) const {

@@ -29,10 +29,12 @@
 
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/node_recycler.h"
 #include "src/common/types.h"
 #include "src/kernel/node.h"
 #include "src/kernel/recoverable_segment.h"
@@ -69,7 +71,9 @@ class TxnOutcomeSource {
 // (undo_op_name, undo_args). Application must be deterministic given the
 // arguments (the page-sequence-number guard supplies exactly-once replay).
 struct OperationHooks {
-  std::function<void(const std::string& op_name, const Bytes& args, Lsn apply_lsn)> apply;
+  std::function<void(const std::string& op_name, std::span<const std::uint8_t> args,
+                     Lsn apply_lsn)>
+      apply;
 };
 
 // An off-line archive of a node's non-volatile storage (Section 2.1.3: "to
@@ -128,9 +132,9 @@ class RecoveryManager : public kernel::WriteAheadHooks {
   // Appends an operation record and applies it through the server's hook
   // under the returned LSN. The undo pair names the inverse operation.
   Lsn LogOperation(const TransactionId& owner, const TransactionId& top,
-                   const std::string& server, const std::string& op_name, Bytes redo_args,
-                   const std::string& undo_op_name, Bytes undo_args,
-                   std::vector<PageId> pages);
+                   const std::string& server, const std::string& op_name,
+                   std::span<const std::uint8_t> redo_args, const std::string& undo_op_name,
+                   std::span<const std::uint8_t> undo_args, std::span<const PageId> pages);
 
   // Undoes everything `owner` (and its committed subtransactions, which were
   // merged via MergeChild) did, writing compensation records. Used for both
@@ -254,8 +258,14 @@ class RecoveryManager : public kernel::WriteAheadHooks {
   std::map<std::string, OperationHooks> op_hooks_;
   kernel::PageCleaner* cleaner_ = nullptr;
   // Volatile per-(sub)transaction undo lists (normal-operation abort), in
-  // LSN order.
-  std::unordered_map<TransactionId, std::vector<Lsn>> undo_lists_;
+  // LSN order. An ended list's node, and its capacity, serve the next
+  // transaction: every walk re-finds its list after each compensation.
+  using UndoLists = std::unordered_map<TransactionId, std::vector<Lsn>>;
+  UndoLists undo_lists_;
+  NodeRecycler<UndoLists> undo_nodes_;
+  // Every operation record is built here: LogManager::Append serializes it
+  // before it returns and never yields, so one record serves every task.
+  log::LogRecord op_record_;
   std::uint64_t log_budget_bytes_ = 0;
   double reclaim_watermark_ = 1.0;
   std::function<std::vector<ActiveTxn>()> active_source_;

@@ -14,7 +14,7 @@ DataServer::DataServer(const ServerContext& ctx, Options options)
       locks_(ctx.node->substrate().scheduler(), options_.matrix, options_.lock_timeout) {
   ctx_.rm->RegisterSegment(name_, segment_.get());
   recovery::OperationHooks hooks;
-  hooks.apply = [this](const std::string& op, const Bytes& args, Lsn lsn) {
+  hooks.apply = [this](const std::string& op, std::span<const std::uint8_t> args, Lsn lsn) {
     auto it = operations_.find(op);
     assert(it != operations_.end() && "operation record names an unregistered operation");
     it->second(args, lsn);
@@ -86,7 +86,7 @@ void DataServer::LogAndUnPin(const Tx& tx, const ObjectId& oid) {
   // this transaction may run meanwhile. The write is already out of
   // staged_, so the abort's cleanup cannot free or unpin it, and the update
   // mark is set first, so that cleanup clears it.
-  updates_.insert(tx.tid);
+  update_nodes_.Get(updates_, tx.tid);
   ctx_.rm->LogValue(tx.tid, tx.top, name_, oid, std::move(staged.mapped().old_value),
                     std::move(staged.mapped().new_value));
   segment_->Unpin(oid);
@@ -186,20 +186,22 @@ void DataServer::RegisterOperation(const std::string& op_name, OpFn fn) {
   operations_[op_name] = std::move(fn);
 }
 
-Lsn DataServer::LogOperationRecord(const Tx& tx, const std::string& op_name, Bytes redo_args,
-                                   const std::string& undo_op_name, Bytes undo_args,
-                                   std::vector<PageId> pages) {
+Lsn DataServer::LogOperationRecord(const Tx& tx, const std::string& op_name,
+                                   std::span<const std::uint8_t> redo_args,
+                                   const std::string& undo_op_name,
+                                   std::span<const std::uint8_t> undo_args,
+                                   std::span<const PageId> pages) {
   Join(tx);
   substrate().ChargeSystemMessage(sim::Primitive::kLargeMessage, 1);
   substrate().ChargeSystemMessage(sim::Primitive::kSmallMessage, 2);
-  updates_.insert(tx.tid);
-  return ctx_.rm->LogOperation(tx.tid, tx.top, name_, op_name, std::move(redo_args),
-                               undo_op_name, std::move(undo_args), std::move(pages));
+  update_nodes_.Get(updates_, tx.tid);
+  return ctx_.rm->LogOperation(tx.tid, tx.top, name_, op_name, redo_args, undo_op_name,
+                               undo_args, pages);
 }
 
 void DataServer::OnCommit(const TransactionId& tid) {
   locks_.ReleaseAll(tid);
-  updates_.erase(tid);
+  update_nodes_.Keep(updates_.extract(tid));
   marked_.erase(tid);
   // Any staged-but-unlogged writes vanish (they were never applied).
   for (auto it = staged_.begin(); it != staged_.end();) {
@@ -218,8 +220,9 @@ void DataServer::OnAbort(const TransactionId& tid) {
 
 void DataServer::OnSubtxnCommit(const TransactionId& child, const TransactionId& parent) {
   locks_.InheritToParent(child, parent);
-  if (updates_.erase(child) > 0) {
-    updates_.insert(parent);
+  if (auto node = updates_.extract(child); !node.empty()) {
+    node.value() = parent;
+    update_nodes_.Keep(updates_.insert(std::move(node)).node);  // parent had updates too
   }
   marked_.erase(child);
 }
@@ -245,7 +248,7 @@ void DataServer::OnAbortSettled(const TransactionId& tid) {
 }
 
 void DataServer::RelockForRecovery(const TransactionId& tid, const log::LogRecord& rec) {
-  updates_.insert(tid);
+  update_nodes_.Get(updates_, tid);
   if (rec.IsValueStyle()) {
     locks_.ConditionalLock(tid, rec.oid, lock::kExclusive);
     return;

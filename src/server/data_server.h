@@ -29,10 +29,12 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "src/comm/comm_manager.h"
+#include "src/common/node_recycler.h"
 #include "src/kernel/node.h"
 #include "src/kernel/recoverable_segment.h"
 #include "src/lock/lock_manager.h"
@@ -203,11 +205,12 @@ class DataServer : public txn::CommitParticipant {
   Status ExecuteTransaction(const std::function<Status(const Tx&)>& body);
 
   // --- operation logging (the server library extension of Section 7) -----------------
-  using OpFn = std::function<void(const Bytes& args, Lsn lsn)>;
+  using OpFn = std::function<void(std::span<const std::uint8_t> args, Lsn lsn)>;
   void RegisterOperation(const std::string& op_name, OpFn fn);
-  Lsn LogOperationRecord(const Tx& tx, const std::string& op_name, Bytes redo_args,
-                         const std::string& undo_op_name, Bytes undo_args,
-                         std::vector<PageId> pages);
+  Lsn LogOperationRecord(const Tx& tx, const std::string& op_name,
+                         std::span<const std::uint8_t> redo_args,
+                         const std::string& undo_op_name,
+                         std::span<const std::uint8_t> undo_args, std::span<const PageId> pages);
 
   // --- CommitParticipant ----------------------------------------------------------
   bool HasUpdates(const TransactionId& tid) override { return updates_.contains(tid); }
@@ -284,7 +287,9 @@ class DataServer : public txn::CommitParticipant {
   };
   std::map<std::pair<TransactionId, ObjectId>, StagedWrite> staged_;
   std::map<TransactionId, std::vector<ObjectId>> marked_;
+  // Transactions with updates here; an ended one's node serves the next.
   std::set<TransactionId> updates_;
+  NodeRecycler<std::set<TransactionId>> update_nodes_;
   std::map<std::string, OpFn> operations_;
 };
 

@@ -27,15 +27,18 @@ server::DataServer::Options MakeOptions(std::uint32_t accounts) {
 }  // namespace
 
 AccountServer::AccountServer(const server::ServerContext& ctx, std::uint32_t accounts)
-    : DataServer(ctx, MakeOptions(accounts)), accounts_(accounts) {
-  RegisterOperation("deposit", [this](const Bytes& args, Lsn lsn) {
+    : DataServer(ctx, MakeOptions(accounts)),
+      accounts_(accounts),
+      pending_decrement_(accounts),
+      pending_increment_(accounts) {
+  RegisterOperation("deposit", [this](std::span<const std::uint8_t> args, Lsn lsn) {
     std::uint32_t account;
     std::int64_t amount;
     std::memcpy(&account, args.data(), 4);
     std::memcpy(&amount, args.data() + 4, 8);
     ApplyDelta(account, amount, lsn);
   });
-  RegisterOperation("withdraw", [this](const Bytes& args, Lsn lsn) {
+  RegisterOperation("withdraw", [this](std::span<const std::uint8_t> args, Lsn lsn) {
     std::uint32_t account;
     std::int64_t amount;
     std::memcpy(&account, args.data(), 4);
@@ -66,12 +69,13 @@ void AccountServer::ApplyDelta(std::uint32_t account, std::int64_t delta, Lsn ls
 
 Status AccountServer::LogDelta(const server::Tx& tx, std::uint32_t account,
                                std::int64_t delta, const char* op, const char* undo_op) {
-  Bytes args(12);
-  std::memcpy(args.data(), &account, 4);
-  std::memcpy(args.data() + 4, &delta, 8);
-  Bytes undo_args = args;
-  LogOperationRecord(tx, op, std::move(args), undo_op, std::move(undo_args),
-                     {{segment().id(), BalanceOid(account).FirstPage()}});
+  // The inverse takes the same arguments; both live on this task's stack
+  // for as long as the apply that reads them.
+  std::uint8_t args[12];
+  std::memcpy(args, &account, 4);
+  std::memcpy(args + 4, &delta, 8);
+  const PageId page{segment().id(), BalanceOid(account).FirstPage()};
+  LogOperationRecord(tx, op, args, undo_op, args, {&page, 1});
   return Status::kOk;
 }
 
@@ -86,7 +90,7 @@ Status AccountServer::Deposit(const server::Tx& tx, std::uint32_t account,
       return s;
     }
     pending_increment_[account] += amount;
-    txn_increments_[tx.tid][account] += amount;
+    escrow_.push_back({tx.tid, account, amount, /*decrement=*/false});
     LogDelta(tx, account, amount, "deposit", "withdraw");
     return true;
   });
@@ -132,7 +136,7 @@ Status AccountServer::Withdraw(const server::Tx& tx, std::uint32_t account,
       }
     }
     pending_decrement_[account] += amount;
-    txn_decrements_[tx.tid][account] += amount;
+    escrow_.push_back({tx.tid, account, amount, /*decrement=*/true});
     LogDelta(tx, account, amount, "withdraw", "deposit");
     return true;
   });
@@ -153,29 +157,21 @@ Result<std::int64_t> AccountServer::ReadBalance(const server::Tx& tx, std::uint3
 }
 
 void AccountServer::SettleEscrow(const TransactionId& tid) {
+  // Settling may free escrowed funds, so parked withdrawals on the touched
+  // accounts wake (they re-test and re-park if still short). Only queue
+  // mode parks any; std::set iteration keeps the wake order deterministic.
+  const bool wake = !escrow_waiters_.empty();
   std::set<std::uint32_t> touched;
-  auto dec = txn_decrements_.find(tid);
-  if (dec != txn_decrements_.end()) {
-    for (auto& [account, amount] : dec->second) {
-      pending_decrement_[account] -= amount;
-      touched.insert(account);
+  std::erase_if(escrow_, [&](const Escrowed& e) {
+    if (e.tid != tid) {
+      return false;
     }
-    txn_decrements_.erase(dec);
-  }
-  auto inc = txn_increments_.find(tid);
-  if (inc != txn_increments_.end()) {
-    for (auto& [account, amount] : inc->second) {
-      pending_increment_[account] -= amount;
-      touched.insert(account);
+    (e.decrement ? pending_decrement_ : pending_increment_)[e.account] -= e.amount;
+    if (wake) {
+      touched.insert(e.account);
     }
-    txn_increments_.erase(inc);
-  }
-  if (escrow_waiters_.empty()) {
-    return;  // mode off, or nothing parked
-  }
-  // Settling may have freed escrowed funds: wake parked withdrawals on the
-  // touched accounts (they re-test and re-park if still short). std::set
-  // iteration keeps the wake order deterministic.
+    return true;
+  });
   for (std::uint32_t account : touched) {
     auto it = escrow_waiters_.find(account);
     if (it != escrow_waiters_.end() && !it->second.empty()) {
@@ -207,18 +203,11 @@ void AccountServer::OnAbort(const TransactionId& tid) {
 }
 
 void AccountServer::OnSubtxnCommit(const TransactionId& child, const TransactionId& parent) {
-  auto move_into = [&](std::map<TransactionId, PerAccount>& table) {
-    auto it = table.find(child);
-    if (it != table.end()) {
-      auto& into = table[parent];
-      for (auto& [account, amount] : it->second) {
-        into[account] += amount;
-      }
-      table.erase(child);
+  for (Escrowed& e : escrow_) {
+    if (e.tid == child) {
+      e.tid = parent;
     }
-  };
-  move_into(txn_decrements_);
-  move_into(txn_increments_);
+  }
   DataServer::OnSubtxnCommit(child, parent);
 }
 

@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <map>
+#include <vector>
 
 #include "src/placement/shard_map.h"
 #include "src/server/data_server.h"
@@ -58,10 +59,9 @@ class AccountServer : public server::DataServer {
 
   // Rebuild escrow tracking after a crash (no uncommitted updates survive).
   void Recover() override {
-    pending_decrement_.clear();
-    pending_increment_.clear();
-    txn_decrements_.clear();
-    txn_increments_.clear();
+    pending_decrement_.assign(accounts_, 0);
+    pending_increment_.assign(accounts_, 0);
+    escrow_.clear();
   }
 
   // Escrow bookkeeping follows transaction outcomes.
@@ -82,7 +82,14 @@ class AccountServer : public server::DataServer {
                   const char* op, const char* undo_op);
   void SettleEscrow(const TransactionId& tid);
 
-  using PerAccount = std::map<std::uint32_t, std::int64_t>;
+  using PerAccount = std::vector<std::int64_t>;  // indexed by account
+  // One uncommitted update's share of the escrow bookkeeping.
+  struct Escrowed {
+    TransactionId tid;
+    std::uint32_t account;
+    std::int64_t amount;
+    bool decrement;  // a withdrawal; else a deposit
+  };
 
   std::uint32_t accounts_;
   placement::ShardSlice slice_;  // {0, 1} unless service-sharded
@@ -91,11 +98,11 @@ class AccountServer : public server::DataServer {
   // guards admission. A withdrawal is admitted against the balance minus
   // every uncommitted withdrawal (they may all commit) minus every
   // uncommitted deposit (they may all abort, and they are already applied
-  // to the in-memory balance).
+  // to the in-memory balance). escrow_ holds each uncommitted update, so an
+  // outcome can take its transaction's share back out of the pending sums.
   PerAccount pending_decrement_;
   PerAccount pending_increment_;
-  std::map<TransactionId, PerAccount> txn_decrements_;
-  std::map<TransactionId, PerAccount> txn_increments_;
+  std::vector<Escrowed> escrow_;
   // Queue mode only: withdrawals that failed the escrow test park here (per
   // account) instead of returning kConflict; SettleEscrow wakes them when a
   // transaction's outcome may have freed funds. Always empty when the mode

@@ -45,7 +45,7 @@
 #ifndef TABS_SIM_SCHEDULER_H_
 #define TABS_SIM_SCHEDULER_H_
 
-#include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstdint>
 #include <functional>
@@ -369,10 +369,15 @@ using FuturePtr = std::shared_ptr<Future<T>>;
 // Producers Push (waking the consumer); the consumer reads each delivery once
 // through Next. A datagram may deliver a reply twice, so a round that counts
 // answerers passes each reply's sender to First. (A session reply has one
-// producer and rides a Future.)
+// producer and rides a Future.) A round of up to kInlineReplies deliveries
+// and answerers keeps them inside the Replies, and so inside the shared block
+// that holds it; a wider round, such as a name-server broadcast, spills the
+// rest to the heap.
 template <typename T>
 class Replies {
  public:
+  static constexpr std::size_t kInlineReplies = 4;
+
   explicit Replies(Scheduler& sched) : sched_(sched) {}
 
   void Push(T v) {
@@ -394,8 +399,10 @@ class Replies {
 
   // Counts `from` as an answerer; false when it already answered.
   bool First(NodeId from) {
-    if (std::find(senders_.begin(), senders_.end(), from) != senders_.end()) {
-      return false;
+    for (std::size_t i = 0; i < senders_.size(); ++i) {
+      if (senders_[i] == from) {
+        return false;
+      }
     }
     senders_.push_back(from);
     return true;
@@ -403,11 +410,34 @@ class Replies {
   size_t senders() const { return senders_.size(); }
 
  private:
+  // The first kInlineReplies elements in place, the rest on the heap.
+  template <typename U>
+  class List {
+   public:
+    void push_back(U v) {
+      if (size_ < kInlineReplies) {
+        inline_[size_] = std::move(v);
+      } else {
+        spill_.push_back(std::move(v));
+      }
+      ++size_;
+    }
+    U& operator[](std::size_t i) {
+      return i < kInlineReplies ? inline_[i] : spill_[i - kInlineReplies];
+    }
+    std::size_t size() const { return size_; }
+
+   private:
+    std::array<U, kInlineReplies> inline_{};
+    std::vector<U> spill_;
+    std::size_t size_ = 0;
+  };
+
   Scheduler& sched_;
   WaitQueue queue_;
-  std::vector<T> items_;
+  List<T> items_;
   size_t read_ = 0;
-  std::vector<NodeId> senders_;
+  List<NodeId> senders_;
 };
 
 // Shared by the collecting task and the delivery tasks, which may outlive a

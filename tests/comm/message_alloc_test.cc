@@ -1,10 +1,12 @@
-// The message path allocates nothing for its closures: a task body lives
-// inline in the Task that runs it (sim::TaskFn), so spawning a task, sending
-// a datagram and delivering it take no heap memory, and a session call takes
-// only its reply future. This binary replaces the global operator new with a
-// counter, which is why it is a test executable of its own. Each count is
-// taken after a warm-up round has filled the scheduler's task pool and grown
-// its vectors.
+// The hot paths allocate nothing once warm. The message path: a task body
+// lives inline in the Task that runs it (sim::TaskFn), so spawning a task,
+// sending a datagram and delivering it take no heap memory, and a session
+// call takes only its reply future. A commit round's replies live inside
+// their one shared block. An operation-logged account update and a lock
+// grant reuse the nodes and buffers their predecessors left. This binary
+// replaces the global operator new with a counter, which is why it is a test
+// executable of its own. Each count is taken after a warm-up that filled the
+// scheduler's task pool, grew its vectors and left nodes to recycle.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +17,10 @@
 #include <vector>
 
 #include "src/comm/network.h"
+#include "src/lock/lock_manager.h"
+#include "src/servers/account_server.h"
+#include "src/tabs/world.h"
+#include "src/txn/paxos_commit.h"
 
 namespace {
 std::size_t g_allocs = 0;
@@ -105,6 +111,24 @@ TEST_F(MessageAllocTest, SpawningAClosureOfSharedPointersAllocatesNothing) {
   EXPECT_EQ(*a + *b + *c, 12);
 }
 
+TEST_F(MessageAllocTest, ReplyRoundOfThreeAllocatesOnlyItsSharedBlock) {
+  int votes = 0;
+  std::size_t allocs = AllocsOfSecondRound([&] {
+    sched_.Spawn("collector", 1, 0, [this, &votes] {
+      auto replies = std::make_shared<sim::Replies<txn::VoteMsg>>(sched_);
+      for (NodeId from = 2; from <= 4; ++from) {
+        replies->Push({from, txn::Vote::kPrepared});
+      }
+      for (int i = 0; i < 3; ++i) {
+        std::optional<txn::VoteMsg> vote = replies->Next(sched_.Now());
+        votes += vote.has_value() && replies->First(vote->from) ? 1 : 0;
+      }
+    });
+  });
+  EXPECT_EQ(allocs, 1u);
+  EXPECT_EQ(votes, 6);
+}
+
 TEST_F(MessageAllocTest, EachDuplicateDeliveryRunsItsOwnCopy) {
   net_.SetDatagramFaults({/*seed=*/1, /*duplicate_probability=*/1.0,
                           /*jitter_probability=*/0.0, /*max_jitter_us=*/0});
@@ -141,3 +165,49 @@ TEST_F(MessageAllocTest, FinishedTaskReleasesItsCaptures) {
 
 }  // namespace
 }  // namespace tabs::comm
+
+namespace tabs {
+namespace {
+
+TEST(WarmUpdateAllocTest, SecondDepositOfAWarmTransactionAllocatesNothing) {
+  World world(1);
+  auto* accounts = world.AddServerOf<servers::AccountServer>(1, "accounts", 16u);
+  std::size_t allocs = 0;
+  world.RunApp(1, [&](Application& app) {
+    // Transactions of the measured shape leave an undo list, an update mark
+    // and a grant to recycle, and grow the escrow list, the operation record
+    // and the log buffer. A deposit forces nothing, so the stable log's
+    // chunks do not enter the count.
+    for (int i = 0; i < 3; ++i) {
+      app.Transaction([&](const server::Tx& tx) {
+        accounts->Deposit(tx, 0, 1);
+        return accounts->Deposit(tx, 0, 1);
+      });
+    }
+    TransactionId t = app.Begin();
+    EXPECT_EQ(accounts->Deposit(app.MakeTx(t), 0, 1), Status::kOk);
+    std::size_t before = g_allocs;
+    EXPECT_EQ(accounts->Deposit(app.MakeTx(t), 0, 1), Status::kOk);
+    allocs = g_allocs - before;
+    EXPECT_EQ(app.End(t), Status::kOk);
+  });
+  EXPECT_EQ(allocs, 0u);
+}
+
+TEST(WarmUpdateAllocTest, LockAndReleaseOfAFreeObjectAllocateNothing) {
+  sim::Scheduler sched;
+  lock::LockManager locks(sched, lock::CompatibilityMatrix::SharedExclusive(), 1000);
+  const ObjectId oid{1, 0, 8};
+  TransactionId warm{1, 1};
+  ASSERT_EQ(locks.Lock(warm, oid, lock::kExclusive), Status::kOk);
+  locks.ReleaseAll(warm);
+  TransactionId tid{1, 2};
+  std::size_t before = g_allocs;
+  EXPECT_EQ(locks.Lock(tid, oid, lock::kExclusive), Status::kOk);
+  locks.ReleaseAll(tid);
+  EXPECT_EQ(g_allocs - before, 0u);
+  EXPECT_FALSE(locks.IsLocked(oid));
+}
+
+}  // namespace
+}  // namespace tabs

@@ -42,6 +42,16 @@ TEST_F(LockTest, ExclusiveConflictsTimeOut) {
   EXPECT_EQ(sched_.Run(), 0);
 }
 
+TEST_F(LockTest, RecycledGrantStartsWithNoModes) {
+  // kT1's released grant is the one kT2's grant on another object reuses.
+  ASSERT_EQ(lm_.Lock(kT1, kObjA, kExclusive), Status::kOk);
+  lm_.ReleaseAll(kT1);
+  ASSERT_EQ(lm_.Lock(kT2, kObjB, kShared), Status::kOk);
+  EXPECT_FALSE(lm_.Holds(kT2, kObjB, kExclusive));
+  EXPECT_TRUE(lm_.ConditionalLock(kT3, kObjB, kShared));
+  EXPECT_FALSE(lm_.IsLocked(kObjA));
+}
+
 TEST_F(LockTest, ReleaseWakesWaiter) {
   Status got = Status::kInternal;
   Spawn([&] {

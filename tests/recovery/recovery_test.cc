@@ -354,7 +354,7 @@ TEST_F(RecoveryTest, PreparedTransactionIsInDoubtAndKeepsValues) {
 struct CounterServer {
   explicit CounterServer(Epoch& e) : epoch(e) {
     OperationHooks hooks;
-    hooks.apply = [this](const std::string& op, const Bytes& args, Lsn lsn) {
+    hooks.apply = [this](const std::string& op, std::span<const std::uint8_t> args, Lsn lsn) {
       Apply(op, args, lsn);
     };
     epoch.rm.RegisterOperationHooks(kServer, hooks);
@@ -367,7 +367,7 @@ struct CounterServer {
     return x;
   }
 
-  void Apply(const std::string& op, const Bytes& args, Lsn lsn) {
+  void Apply(const std::string& op, std::span<const std::uint8_t> args, Lsn lsn) {
     std::int64_t delta;
     memcpy(&delta, args.data(), 8);
     if (op == "sub") {
@@ -386,7 +386,8 @@ struct CounterServer {
   Lsn Add(const TransactionId& owner, const TransactionId& top, std::int64_t delta) {
     Bytes args(8);
     memcpy(args.data(), &delta, 8);
-    return epoch.rm.LogOperation(owner, top, kServer, "add", args, "sub", args, {{kSeg, 0}});
+    return epoch.rm.LogOperation(owner, top, kServer, "add", args, "sub", args,
+                                 std::vector<PageId>{{kSeg, 0}});
   }
 
   static ObjectId Oid() { return {kSeg, 0, 8}; }
@@ -403,6 +404,31 @@ TEST_F(RecoveryTest, OperationLoggingForwardAndAbort) {
     EXPECT_EQ(ctr.Get(), 15u);
     e.rm.UndoTransaction(t);
     EXPECT_EQ(ctr.Get(), 0u);
+  });
+}
+
+TEST_F(RecoveryTest, RecycledUndoListStartsEmpty) {
+  // t1's ended undo list is the one t2's first update reuses: t2's abort
+  // must compensate its own update and nothing of t1's.
+  TransactionId t1{1, 1};
+  TransactionId t2{1, 2};
+  RunInTask([&] {
+    Epoch e(node_);
+    CounterServer ctr(e);
+    ctr.Add(t1, 1);
+    ctr.Add(t1, 2);
+    ctr.Add(t1, 4);
+    Commit(e, t1);
+    Lsn update = ctr.Add(t2, 8);
+    EXPECT_EQ(e.rm.UndoListOf(t2), std::vector<Lsn>{update});
+    e.rm.UndoTransaction(t2);
+    e.rm.log().ForceAll();
+    int compensations = 0;
+    for (Lsn lsn = e.rm.log().first_lsn(); lsn != kNullLsn; lsn = e.rm.log().NextLsn(lsn)) {
+      compensations += e.rm.log().ReadRecord(lsn)->type == RecordType::kOpCompensation;
+    }
+    EXPECT_EQ(compensations, 1);
+    EXPECT_EQ(ctr.Get(), 7u);
   });
 }
 
@@ -627,7 +653,7 @@ TEST_F(RecoveryTest, PartialAbortBeforeCrashFinishesAtRecovery) {
       }
     } mini{seg2};
     OperationHooks hooks;
-    hooks.apply = [&](const std::string& op, const Bytes& args, Lsn lsn) {
+    hooks.apply = [&](const std::string& op, std::span<const std::uint8_t> args, Lsn lsn) {
       std::int64_t delta;
       memcpy(&delta, args.data(), 8);
       if (op == "sub") {

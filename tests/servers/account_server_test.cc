@@ -155,6 +155,26 @@ TEST_F(AccountTest, UncommittedDepositCannotFundWithdrawal) {
   });
 }
 
+TEST_F(AccountTest, SubtransactionEscrowPassesToItsParent) {
+  world_.RunApp(1, [&](Application& app) {
+    app.Transaction([&](const server::Tx& tx) { return acct_->Deposit(tx, 0, 100); });
+    TransactionId parent = app.Begin();
+    TransactionId child = app.Begin(parent);
+    EXPECT_EQ(acct_->Withdraw(app.MakeTx(child), 0, 60), Status::kOk);
+    EXPECT_EQ(app.End(child), Status::kOk);
+    // The child's 60 stays escrowed under its parent.
+    TransactionId other = app.Begin();
+    EXPECT_EQ(acct_->Withdraw(app.MakeTx(other), 0, 50), Status::kConflict);
+    app.Abort(other);
+    // The parent's abort undoes the withdrawal and releases its escrow.
+    app.Abort(parent);
+    app.Transaction([&](const server::Tx& tx) {
+      EXPECT_EQ(acct_->Withdraw(tx, 0, 100), Status::kOk);
+      return Status::kOk;
+    });
+  });
+}
+
 TEST_F(AccountTest, CommittedBalancesSurviveCrashViaOperationRecovery) {
   world_.RunApp(1, [&](Application& app) {
     app.Transaction([&](const server::Tx& tx) {

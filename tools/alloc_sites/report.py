@@ -7,6 +7,10 @@ perfbench's nominal phase, by mechanism and by innermost src/ frame.
 SITES_FILE is what alloc_sites.cc wrote ("count bytes addr..." per distinct
 stack); the last line of RESULT_JSON_LINE_FILE is perfbench's result object,
 whose exact.committed is the divisor. tools/alloc_sites.sh runs this.
+
+Exits non-zero, after printing the tables, when the recorded allocations are
+not exactly the run's host_allocs_per_txn times its committed transactions,
+or when stacks were dropped: the tables then do not account for the figure.
 """
 
 import collections
@@ -129,6 +133,13 @@ def main():
     for site, n in by_site.most_common(top):
         print("%8.2f  %s" % (per_txn(n), site))
 
+    reported = round(result["exact"]["host_allocs_per_txn"] * committed)
+    if dropped != 0 or total != reported:
+        print("error: recorded %d allocations and dropped %d stacks; the run reports %d"
+              % (total, dropped, reported), file=sys.stderr)
+        return 1
+    return 0
+
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
