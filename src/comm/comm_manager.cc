@@ -3,28 +3,17 @@
 namespace tabs::comm {
 
 void CommManager::NoteChild(const TransactionId& tid, NodeId child) {
-  if (child == self_) {
-    return;
-  }
-  TreeInfo& info = trees_[tid];
-  if (info.children.insert(child).second) {
-    // First contact with this node for this transaction: the CM informs the
-    // Transaction Manager (one small local message) and records the child.
+  // First contact with this node for this transaction: the CM informs the
+  // Transaction Manager, one small local message.
+  if (child != self_ && listener_ != nullptr && listener_->OnChildObserved(tid, child)) {
     network_.substrate().Charge(sim::Primitive::kSmallMessage, 1);
   }
 }
 
 void CommManager::NoteParent(const TransactionId& tid, NodeId parent) {
-  if (parent == self_) {
-    return;
-  }
-  TreeInfo& info = trees_[tid];
-  if (info.parent == kInvalidNode) {
-    info.parent = parent;
+  if (parent != self_ && listener_ != nullptr &&
+      listener_->OnRemoteParentObserved(tid, parent)) {
     network_.substrate().Charge(sim::Primitive::kSmallMessage, 1);
-    if (listener_ != nullptr) {
-      listener_->OnRemoteParentObserved(tid, parent);
-    }
   }
 }
 

@@ -9,8 +9,8 @@
 //
 // A node A becomes the parent of node B for transaction T iff A was the
 // first node to invoke an operation on behalf of T on B (Section 3.2.3).
-// RemoteCall maintains exactly that relation on both ends and notifies the
-// local Transaction Manager the first time remote sites become involved.
+// RemoteCall reports that relation on both ends to the local Transaction
+// Manager, whose entry is the one record of the tree (the CM keeps no copy).
 //
 // The asynchronous fast path (AsyncRemoteCallBatch) lets a transaction
 // overlap independent remote operations: up to `max_outstanding_calls`
@@ -25,7 +25,6 @@
 #define TABS_COMM_COMM_MANAGER_H_
 
 #include <memory>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -37,15 +36,17 @@
 
 namespace tabs::comm {
 
-// How the Communication Manager informs the Transaction Manager that a
-// remote parent initiated a transaction here. The other progress message of
-// Section 3.2.3, that remote sites joined, the CM charges itself; the TM
-// reads the children from InfoFor at commit.
+// How the Communication Manager hands the Transaction Manager the tree it
+// constructs (Section 3.2.3's progress messages). Each hook returns whether
+// the edge is new to the TM's record; the CM charges one small message then.
 class TransactionTreeListener {
  public:
   virtual ~TransactionTreeListener() = default;
-  // First inter-node message received on behalf of `tid` at this node.
-  virtual void OnRemoteParentObserved(const TransactionId& tid, NodeId parent) = 0;
+  // An inter-node message on behalf of `tid` arrived from `parent`. New only
+  // at first contact, which makes `parent` this node's parent.
+  virtual bool OnRemoteParentObserved(const TransactionId& tid, NodeId parent) = 0;
+  // This node is about to invoke an operation on behalf of `tid` at `child`.
+  virtual bool OnChildObserved(const TransactionId& tid, NodeId child) = 0;
 };
 
 class CommManager {
@@ -66,14 +67,9 @@ class CommManager {
   int max_outstanding_calls() const { return max_outstanding_calls_; }
   int op_coalesce_batch() const { return op_coalesce_batch_; }
 
-  struct TreeInfo {
-    NodeId parent = kInvalidNode;  // kInvalidNode: transaction is rooted here
-    std::set<NodeId> children;
-  };
-
-  // Session RPC to a remote node on behalf of a transaction. Updates the
-  // spanning tree on both ends. `handler` runs on the destination node; its
-  // Communication Manager must be passed so the receive side is recorded.
+  // Session RPC to a remote node on behalf of a transaction. Reports the
+  // spanning-tree edge on both ends. `handler` runs on the destination node;
+  // its Communication Manager must be passed so the receive side is reported.
   // Blocking calls take no pipeline window slot.
   template <typename R, typename F>
   Result<R> RemoteCall(const TransactionId& tid, CommManager& remote, std::string what,
@@ -162,34 +158,11 @@ class CommManager {
     network_.SendDatagram(self_, to, std::move(what), std::move(handler));
   }
 
-  // The complete local tree info for `tid` ("The complete site list is
-  // obtained from the Communication Manager during commit processing").
-  // Returned by reference: commit processing reads it repeatedly and must
-  // not copy the child set on every message.
-  const TreeInfo& InfoFor(const TransactionId& tid) const {
-    static const TreeInfo kNoTree;
-    auto it = trees_.find(tid);
-    return it == trees_.end() ? kNoTree : it->second;
-  }
+  // The transaction ended here: its pipeline window goes.
+  void Forget(const TransactionId& tid) { windows_.erase(tid); }
 
-  void Forget(const TransactionId& tid) {
-    trees_.erase(tid);
-    windows_.erase(tid);
-  }
-
-  // Direct tree updates (used by the commit protocol's own messages, which
-  // also carry transaction identifiers the CM scans).
-  void NoteChild(const TransactionId& tid, NodeId child);
-  void NoteParent(const TransactionId& tid, NodeId parent);
-  // Crash recovery: a prepared relay's children, as its prepare record
-  // logged them. Nothing is charged: the first contact preceded the crash.
-  void RestoreChildren(const TransactionId& tid, const std::set<NodeId>& children) {
-    trees_[tid].children.insert(children.begin(), children.end());
-  }
-
-  // Leak observability for tests: live spanning-tree entries and live
-  // pipeline windows (both must drain to zero once transactions finish).
-  size_t TrackedTreeCount() const { return trees_.size(); }
+  // Leak observability for tests: live pipeline windows (they must drain to
+  // zero once transactions finish).
   size_t OpenCallWindowCount() const { return windows_.size(); }
 
  private:
@@ -201,6 +174,10 @@ class CommManager {
     int outstanding = 0;
     sim::WaitQueue slots;
   };
+
+  // The two ends of a spanning-tree edge, reported to the listener.
+  void NoteChild(const TransactionId& tid, NodeId child);
+  void NoteParent(const TransactionId& tid, NodeId parent);
 
   // Sender-side admission, shared by every remote call: an unreachable
   // destination is charged the session attempt and refused before any
@@ -222,7 +199,7 @@ class CommManager {
   std::shared_ptr<CallWindow> AdmitAsync(const TransactionId& tid, NodeId to);
 
   // The receive side, shared by every remote call: `handler` wrapped to run
-  // on this node, where the first message of `tid` from `parent` records the
+  // on this node, where each message of `tid` from `parent` reports the
   // spanning-tree edge before any work runs.
   template <typename F>
   auto Received(const TransactionId& tid, NodeId parent, F handler) {
@@ -244,10 +221,7 @@ class CommManager {
   TransactionTreeListener* listener_ = nullptr;
   int max_outstanding_calls_ = 1;
   int op_coalesce_batch_ = 1;
-  // Keyed by transaction id; iteration order is never protocol-visible (all
-  // protocol iteration happens over a single entry's child set), so hashed
-  // containers are safe and keep the per-message lookups O(1).
-  std::unordered_map<TransactionId, TreeInfo> trees_;
+  // Keyed by transaction id; never iterated, so a hashed map is safe.
   std::unordered_map<TransactionId, std::shared_ptr<CallWindow>> windows_;
   // Interned once on first use; AdmitAsync is on every pipelined call's path.
   sim::HistogramRegistry::Histogram* outstanding_hist_ = nullptr;

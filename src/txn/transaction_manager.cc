@@ -86,13 +86,23 @@ void TransactionManager::DetachParticipant(const CommitParticipant* server) {
   }
 }
 
-void TransactionManager::OnRemoteParentObserved(const TransactionId& tid, NodeId parent) {
+bool TransactionManager::OnRemoteParentObserved(const TransactionId& tid, NodeId parent) {
   auto [it, fresh] = txns_.try_emplace(tid);
   if (fresh) {
     it->second.tid = tid;
     it->second.top = tid;  // remote entries are tracked under the identifier used on the wire
     it->second.parent_node = parent;
   }
+  return fresh;
+}
+
+bool TransactionManager::OnChildObserved(const TransactionId& tid, NodeId child) {
+  Txn* txn = Find(tid);
+  if (txn == nullptr || std::binary_search(txn->children.begin(), txn->children.end(), child)) {
+    return false;
+  }
+  txn->children.insert(std::upper_bound(txn->children.begin(), txn->children.end(), child), child);
+  return true;
 }
 
 TxnState TransactionManager::StateOf(const TransactionId& tid) const {
@@ -192,8 +202,7 @@ Lsn TransactionManager::AppendTxnRecord(RecordType type, const Txn& txn) {
   rec.parent_node = txn.parent_node;
   rec.siblings.assign(txn.siblings.begin(), txn.siblings.end());
   rec.acceptors.assign(txn.acceptors.begin(), txn.acceptors.end());
-  const auto& info = cm_.InfoFor(txn.top);
-  rec.children.assign(info.children.begin(), info.children.end());
+  rec.children.assign(txn.children.begin(), txn.children.end());
   rec.local_servers.resize(txn.servers.size());
   for (size_t i = 0; i < txn.servers.size(); ++i) {
     rec.local_servers[i] = txn.servers[i]->participant_name();
@@ -288,6 +297,7 @@ void TransactionManager::ObserveTxnRecord(const LogRecord& rec) {
       // A relay passes the verdict down once it learns it, so its logged
       // children come back. A root's takeover tells every participant.
       if (rec.parent_node != kInvalidNode) {
+        prepared.children = rec.children;
         prepared.update_children = std::set<NodeId>(rec.children.begin(), rec.children.end());
       }
       break;
@@ -334,12 +344,7 @@ void TransactionManager::PostRecovery(
     const std::map<std::string, CommitParticipant*>& participants) {
   for (const TransactionId& tid : stats.in_doubt) {
     // After a single-server crash the transaction is still live.
-    auto [entry, recreated] = txns_.try_emplace(tid, std::move(logged_prepares_[tid]));
-    Txn& txn = entry->second;
-    if (recreated && !txn.update_children.empty()) {
-      // A relay: the verdict's abort path reads its children from the tree.
-      cm_.RestoreChildren(tid, txn.update_children);
-    }
+    Txn& txn = txns_.try_emplace(tid, std::move(logged_prepares_[tid])).first->second;
     // Rebuild lock state: every object the in-doubt transaction updated
     // stays inaccessible until the verdict releases it through the entry.
     for (Lsn lsn : rm_.UndoListOf(tid)) {

@@ -4,8 +4,9 @@
 // One Transaction Manager runs per node. Applications and data servers send
 // it messages to begin, commit, or abort transactions; data servers announce
 // themselves the first time they perform an operation for a transaction
-// (JoinServer), and the Communication Manager announces remote involvement.
-// The commit protocol is two-phase over the transaction's spanning tree:
+// (JoinServer), and the Communication Manager reports each edge of the
+// transaction's spanning tree, which the entry records once, at first contact.
+// The commit protocol is two-phase over that tree:
 // "each node serves as coordinator for the nodes that are its children."
 // One engine runs it in both commit modes (two_phase_commit.cc); the modes
 // differ only in where the verdict becomes durable (paxos_commit.h).
@@ -133,6 +134,8 @@ class TransactionManager : public comm::TransactionTreeListener,
   // logged or decided here, and Paxos acceptor states.
   size_t logged_outcome_count() const { return logged_outcomes_.size(); }
   size_t acceptor_state_count() const { return paxos_->state_count(); }
+  // Live transaction entries (leak checks: zero once transactions finish).
+  size_t live_entry_count() const { return txns_.size(); }
 
   // --- data server interface --------------------------------------------------
   // First operation by `server` on behalf of `tid` at this node. Remote
@@ -148,15 +151,20 @@ class TransactionManager : public comm::TransactionTreeListener,
   std::vector<TransactionId> TransactionsInvolving(const CommitParticipant* server) const;
   void DetachParticipant(const CommitParticipant* server);
 
-  // --- Communication Manager callback (TransactionTreeListener) ---------------
-  void OnRemoteParentObserved(const TransactionId& tid, NodeId parent) override;
+  // --- Communication Manager callbacks (TransactionTreeListener) --------------
+  // The first contact creates the entry with its parent; a call into a node
+  // that already has the entry (the root included) records nothing.
+  bool OnRemoteParentObserved(const TransactionId& tid, NodeId parent) override;
+  // Adds `child` to the entry's children; records nothing without an entry.
+  bool OnChildObserved(const TransactionId& tid, NodeId child) override;
 
   // --- participant side (invoked via datagram handlers) -----------------------
-  // Prepares the subtree rooted at this node for `parent_node` and returns
-  // its vote. `siblings` are the parent's other children (under Paxos
-  // Commit, every participant), and a non-empty `acceptors` set marks a
-  // Paxos Commit participant, whose verdict is decided at those acceptors.
-  // The entry takes the lists over.
+  // Prepares the subtree rooted at this node for its tree parent
+  // `parent_node` and returns its vote (kReadOnly to any other node; kNone,
+  // no vote at all, to a repeated prepare). `siblings` are the parent's other
+  // children (under Paxos Commit, every participant), and a non-empty
+  // `acceptors` set marks a Paxos Commit participant, whose verdict is
+  // decided at those acceptors. The entry takes the lists over.
   Vote HandlePrepare(const TransactionId& tid, NodeId parent_node,
                      std::vector<NodeId> siblings, std::vector<NodeId> acceptors);
   void HandleCommit(const TransactionId& tid);
@@ -224,7 +232,11 @@ class TransactionManager : public comm::TransactionTreeListener,
     TransactionId parent;           // null for top-level
     TransactionId top;
     TxnState state = TxnState::kActive;
-    NodeId parent_node = kInvalidNode;  // 2PC tree parent (kInvalid: rooted here)
+    // The spanning tree (top-level entries): the first node to invoke an
+    // operation here (kInvalidNode: rooted here), and the children in
+    // ascending order, the order prepares and aborts leave in.
+    NodeId parent_node = kInvalidNode;
+    std::vector<NodeId> children;
     std::vector<CommitParticipant*> servers;
     std::set<TransactionId> live_subtxns;
     std::set<NodeId> update_children;  // children that voted yes (not read-only);

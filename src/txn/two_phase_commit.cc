@@ -43,7 +43,6 @@ Status TransactionManager::CommitTopLevel(Txn& txn) {
   assert(txn.parent_node == kInvalidNode &&
          "EndTransaction must run at the transaction's birth node");
   sim::Substrate& sub = node_.substrate();
-  const auto& info = cm_.InfoFor(txn.top);
   // Paxos Commit replicates the verdict only when another site could be
   // left in doubt. With no children the participant set is exactly this
   // node, and its own log holds the outcome either way: the commit takes the
@@ -51,7 +50,7 @@ Status TransactionManager::CommitTopLevel(Txn& txn) {
   // prepare round plus acceptor forces that would buy nothing — the
   // coordinator-local fast path.
   const bool paxos = commit_mode_ == CommitMode::kPaxosCommit;
-  const bool leader = paxos && !info.children.empty();
+  const bool leader = paxos && !txn.children.empty();
   if (paxos && !leader) {
     FAULT_POINT(sub, "paxos.local-commit");
   }
@@ -69,15 +68,15 @@ Status TransactionManager::CommitTopLevel(Txn& txn) {
 
   sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 1);  // app -> TM: commit
   txn.state = TxnState::kPreparing;
-  if (!info.children.empty()) {
+  if (!txn.children.empty()) {
     // The CM hands the TM the complete site list (a pointer message).
     sub.Charge(sim::Primitive::kPointerMessage, 1);
   }
   if (leader) {
     // One Paxos instance per direct participant (this node and each child):
     // a child prepares its own subtree with plain 2PC and votes for it.
-    txn.siblings.reserve(info.children.size() + 1);
-    txn.siblings.assign(info.children.begin(), info.children.end());
+    txn.siblings.reserve(txn.children.size() + 1);
+    txn.siblings.assign(txn.children.begin(), txn.children.end());
     txn.siblings.push_back(node_.id());
     std::sort(txn.siblings.begin(), txn.siblings.end());
     txn.acceptors = paxos_->ChooseAcceptors(txn.top);
@@ -181,11 +180,10 @@ TransactionManager::Tally TransactionManager::PrepareSubtree(Txn& txn, bool lead
   sim::Scheduler& sched = sub.scheduler();
   sim::SpanGuard span(sub.tracer(), sim::Component::kTransactionManager, "2pc.prepare",
                       sub.tracer().enabled() ? ToString(txn.top) : std::string());
-  const auto& info = cm_.InfoFor(txn.top);
-  const size_t children = info.children.size();
+  const size_t children = txn.children.size();
   const TransactionId tid = txn.tid;
   Tally t;
-  for (NodeId child : info.children) {
+  for (NodeId child : txn.children) {
     if (Peer(child) == nullptr) {
       // A child crashed: its updates cannot be guaranteed. Abort before any
       // prepare leaves, so no live child forces a record for nothing.
@@ -206,9 +204,8 @@ TransactionManager::Tally TransactionManager::PrepareSubtree(Txn& txn, bool lead
     votes = std::make_shared<sim::Replies<VoteMsg>>(sched);
   }
   const NodeId self = node_.id();
-  ToPeers(info.children, [] {}, [&](NodeId child, TransactionManager* child_tm) {
-    std::vector<NodeId> siblings =
-        leader ? txn.siblings : std::vector<NodeId>(info.children.begin(), info.children.end());
+  ToPeers(txn.children, [] {}, [&](NodeId child, TransactionManager* child_tm) {
+    std::vector<NodeId> siblings = leader ? txn.siblings : txn.children;
     std::vector<NodeId> acceptors = leader ? txn.acceptors : std::vector<NodeId>();
     // Each delivery, a duplicate included, runs its own copy of the closure,
     // so the prepare hands its lists over to the participant's entry.
@@ -216,6 +213,9 @@ TransactionManager::Tally TransactionManager::PrepareSubtree(Txn& txn, bool lead
                     acceptors = std::move(acceptors)]() mutable {
       const bool paxos = !acceptors.empty();
       Vote v = child_tm->HandlePrepare(tid, self, std::move(siblings), std::move(acceptors));
+      if (v == Vote::kNone) {
+        return;  // a repeated prepare: the first delivery votes
+      }
       if (paxos) {
         // The vote is computed but not yet on the wire to the leader: a crash
         // here leaves the instance open, decided by takeover as Aborted.
@@ -367,12 +367,21 @@ Vote TransactionManager::HandlePrepare(const TransactionId& tid, NodeId parent_n
     return OutcomeOf(tid) == TxnOutcome::kAborted ? Vote::kAborted : Vote::kReadOnly;
   }
   Txn& txn = *found;
+  if (txn.parent_node != parent_node) {
+    // A later caller (or a called-back root) listed this node as a child too;
+    // only the tree parent, whose Admit recorded it first, prepares it.
+    return Vote::kReadOnly;
+  }
   if (txn.state == TxnState::kAborted) {
     return Vote::kAborted;
   }
+  if (txn.state != TxnState::kActive) {
+    // A repeated prepare: the first delivery votes. A ReadOnly would count as
+    // this node's vote and drop it from phase two.
+    return Vote::kNone;
+  }
   // CM -> TM: prepare arrived; TM -> CM: vote handed back for the wire.
   sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 2);
-  txn.parent_node = parent_node;
   txn.siblings = std::move(siblings);
   txn.acceptors = std::move(acceptors);
   txn.state = TxnState::kPreparing;
@@ -508,7 +517,7 @@ void TransactionManager::AbortSubtree(Txn& txn) {
       CascadeAbort(d);
     }
   }
-  for (NodeId child : cm_.InfoFor(txn.top).children) {
+  for (NodeId child : txn.children) {
     TransactionManager* child_tm = Peer(child);
     if (child_tm == nullptr) {
       continue;
@@ -601,7 +610,11 @@ void TransactionManager::SettleSubtxn(const TransactionId& child, const Transact
       s->OnAbort(child);
     }
   }
-  for (NodeId node : cm_.InfoFor(top).children) {
+  const Txn* tree = Find(top);
+  if (tree == nullptr) {
+    return;
+  }
+  for (NodeId node : tree->children) {
     TransactionManager* tm = Peer(node);
     if (tm == nullptr) {
       continue;

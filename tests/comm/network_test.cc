@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
+#include <set>
 #include <vector>
 
 #include "src/comm/network.h"
@@ -160,36 +162,83 @@ TEST_F(NetworkTest, PartitionBlocksBothDirections) {
   EXPECT_TRUE(net_.Reachable(1, 2));
 }
 
+// A stand-in for the Transaction Manager's record of the spanning tree: it
+// logs every edge the Communication Manager reports and, like the TM, keeps a
+// transaction's parent from the first contact only and each child once.
+class RecordingTreeListener : public TransactionTreeListener {
+ public:
+  struct Edge {
+    bool to_parent;
+    NodeId node;
+    bool operator==(const Edge&) const = default;
+  };
+
+  bool OnRemoteParentObserved(const TransactionId& tid, NodeId parent) override {
+    edges[tid].push_back({true, parent});
+    return parents.try_emplace(tid, parent).second;
+  }
+  bool OnChildObserved(const TransactionId& tid, NodeId child) override {
+    edges[tid].push_back({false, child});
+    return children[tid].insert(child).second;
+  }
+
+  std::map<TransactionId, std::vector<Edge>> edges;  // every report, in order
+  std::map<TransactionId, NodeId> parents;
+  std::map<TransactionId, std::set<NodeId>> children;
+};
+
+double SmallMessages(sim::Substrate& substrate) {
+  return substrate.metrics().Total().Of(Primitive::kSmallMessage);
+}
+
 TEST_F(NetworkTest, CommManagerBuildsSpanningTreeBothEnds) {
   CommManager cm1(1, net_);
   CommManager cm2(2, net_);
   CommManager cm3(3, net_);
+  RecordingTreeListener tree1;
+  RecordingTreeListener tree2;
+  RecordingTreeListener tree3;
+  cm1.SetListener(&tree1);
+  cm2.SetListener(&tree2);
+  cm3.SetListener(&tree3);
   TransactionId tid{1, 7};
+  double after_first = 0;
   sched_.Spawn("app", 1, 0, [&] {
     cm1.RemoteCall<int>(tid, cm2, "op", [&] {
       // Nested call: node 2 calls node 3 on behalf of the same transaction.
       cm2.RemoteCall<int>(tid, cm3, "nested", [] { return 0; });
       return 0;
     });
+    after_first = SmallMessages(substrate_);
+    // A repeat call reports both ends again, but neither edge is new.
+    cm1.RemoteCall<int>(tid, cm2, "again", [] { return 0; });
   });
   EXPECT_EQ(sched_.Run(), 0);
-  auto info1 = cm1.InfoFor(tid);
-  EXPECT_EQ(info1.parent, kInvalidNode);  // rooted at node 1
-  EXPECT_EQ(info1.children, (std::set<NodeId>{2}));
-  auto info2 = cm2.InfoFor(tid);
-  EXPECT_EQ(info2.parent, 1u);
-  EXPECT_EQ(info2.children, (std::set<NodeId>{3}));
-  auto info3 = cm3.InfoFor(tid);
-  EXPECT_EQ(info3.parent, 2u);
-  EXPECT_TRUE(info3.children.empty());
+  using Edge = RecordingTreeListener::Edge;
+  EXPECT_EQ(tree1.edges[tid], (std::vector<Edge>{{false, 2}, {false, 2}}));
+  EXPECT_EQ(tree2.edges[tid], (std::vector<Edge>{{true, 1}, {false, 3}, {true, 1}}));
+  EXPECT_EQ(tree3.edges[tid], (std::vector<Edge>{{true, 2}}));
+  EXPECT_FALSE(tree1.parents.contains(tid));  // rooted at node 1
+  EXPECT_EQ(tree2.parents[tid], 1u);
+  EXPECT_EQ(tree3.parents[tid], 2u);
+  EXPECT_EQ(tree1.children[tid], (std::set<NodeId>{2}));
+  EXPECT_EQ(tree2.children[tid], (std::set<NodeId>{3}));
+  EXPECT_FALSE(tree3.children.contains(tid));
+  // One small message per new edge at each end (1->2 and 2->3), none for
+  // the repeat call.
+  EXPECT_EQ(after_first, 4.0);
+  EXPECT_EQ(SmallMessages(substrate_), 4.0);
 }
 
 TEST_F(NetworkTest, ParentIsFirstContactOnly) {
   // "A node A is a parent of node B iff A was the first node to invoke an
-  // operation on behalf of the transaction on B."
+  // operation on behalf of the transaction on B." The CM reports node 2's
+  // later contact too; the record keeps the first.
   CommManager cm1(1, net_);
   CommManager cm2(2, net_);
   CommManager cm3(3, net_);
+  RecordingTreeListener tree3;
+  cm3.SetListener(&tree3);
   TransactionId tid{1, 9};
   sched_.Spawn("app", 1, 0, [&] {
     cm1.RemoteCall<int>(tid, cm3, "first", [] { return 0; });
@@ -199,7 +248,11 @@ TEST_F(NetworkTest, ParentIsFirstContactOnly) {
     });
   });
   EXPECT_EQ(sched_.Run(), 0);
-  EXPECT_EQ(cm3.InfoFor(tid).parent, 1u);  // node 2's later contact doesn't re-parent
+  using Edge = RecordingTreeListener::Edge;
+  EXPECT_EQ(tree3.edges[tid], (std::vector<Edge>{{true, 1}, {true, 2}}));
+  EXPECT_EQ(tree3.parents[tid], 1u);  // node 2's later contact doesn't re-parent
+  // Only node 3's first contact is new; nodes 1 and 2 have no listener.
+  EXPECT_EQ(SmallMessages(substrate_), 1.0);
 }
 
 TEST_F(NetworkTest, SessionLossSurfacesAsNodeDownAndIsCounted) {
@@ -277,6 +330,10 @@ TEST_F(NetworkTest, JitterCanReorderDatagrams) {
 TEST_F(NetworkTest, RemoteCallToPartitionedNodeDoesNotGrowTree) {
   CommManager cm1(1, net_);
   CommManager cm2(2, net_);
+  RecordingTreeListener tree1;
+  RecordingTreeListener tree2;
+  cm1.SetListener(&tree1);
+  cm2.SetListener(&tree2);
   net_.SetPartitioned(1, 2, true);
   TransactionId tid{1, 11};
   Status status = Status::kOk;
@@ -286,7 +343,9 @@ TEST_F(NetworkTest, RemoteCallToPartitionedNodeDoesNotGrowTree) {
   });
   EXPECT_EQ(sched_.Run(), 0);
   EXPECT_EQ(status, Status::kNodeDown);
-  EXPECT_TRUE(cm1.InfoFor(tid).children.empty());
+  EXPECT_TRUE(tree1.edges.empty());
+  EXPECT_TRUE(tree2.edges.empty());
+  EXPECT_EQ(SmallMessages(substrate_), 0.0);
 }
 
 // --- blocking vs awaited session calls ---------------------------------------

@@ -3,9 +3,10 @@
 // Pipelined server calls and coalesced batches must fail exactly like their
 // sequential counterparts: a destination crash with calls in flight surfaces
 // as kNodeDown after the session timeout, a dropped session fails fast, the
-// transaction aborts cleanly, and the Communication Manager leaks neither
-// spanning-tree entries nor call windows. With the knobs on, runs remain
-// deterministic, and crash-point exploration still recovers consistently.
+// transaction aborts cleanly, and neither the Transaction Manager's entries
+// (spanning-tree records included) nor the Communication Manager's call
+// windows leak. With the knobs on, runs remain deterministic, and
+// crash-point exploration still recovers consistently.
 //
 // Also here: the regression test for the commit protocol's vote-wait budget
 // (one deadline across all children, not a fresh timeout per vote).
@@ -82,7 +83,7 @@ TEST(AsyncCommTest, PipelinedReadsReturnCorrectValues) {
     });
     EXPECT_EQ(s, Status::kOk);
   });
-  EXPECT_EQ(world.cm(1).TrackedTreeCount(), 0u);
+  EXPECT_EQ(world.tm(1).live_entry_count(), 0u);
   EXPECT_EQ(world.cm(1).OpenCallWindowCount(), 0u);
 }
 
@@ -153,9 +154,9 @@ TEST(AsyncCommTest, CrashWithCallsInFlightSurfacesAsNodeDown) {
     });
     EXPECT_EQ(s, Status::kNodeDown);
 
-    // The CM retains no state for the aborted transaction, and the origin
-    // node keeps working: an empty local transaction still commits.
-    EXPECT_EQ(world.cm(1).TrackedTreeCount(), 0u);
+    // No state survives the aborted transaction, and the origin node keeps
+    // working: an empty local transaction still commits.
+    EXPECT_EQ(world.tm(1).live_entry_count(), 0u);
     EXPECT_EQ(world.cm(1).OpenCallWindowCount(), 0u);
     EXPECT_EQ(app.Transaction([](const server::Tx&) { return Status::kOk; }),
               Status::kOk);
@@ -179,7 +180,7 @@ TEST(AsyncCommTest, SessionLossFailsFastAsNodeDown) {
     EXPECT_LT(world.scheduler().Now() - t0, 1'000'000);
   });
   EXPECT_GT(world.metrics().faults_injected(sim::FaultKind::kSessionDrop), 0);
-  EXPECT_EQ(world.cm(1).TrackedTreeCount(), 0u);
+  EXPECT_EQ(world.tm(1).live_entry_count(), 0u);
   EXPECT_EQ(world.cm(1).OpenCallWindowCount(), 0u);
 
   world.network().SetSessionLoss({});

@@ -8,7 +8,9 @@
 // its prepare record and passes the verdict it learns down to its children,
 // a recovered undo list leaves out what an aborted subtransaction already
 // rolled back, and a lock re-acquired by single-server recovery is released
-// by the verdict.
+// by the verdict. The tree those rules walk is recorded once per node, at
+// first contact: a call back into the root commits, and a node reached by two
+// callers prepares once, for its parent.
 
 #include <gtest/gtest.h>
 
@@ -378,6 +380,74 @@ TEST_F(InDoubtTest, RecoveredOperationUndoListConservesMoney) {
     // Only the two committed transactions' deposits remain.
     EXPECT_EQ(total, 207);
   });
+}
+
+// Each node keeps one record of the spanning tree, written at first contact:
+// a call back into the root, or a second caller of a node, adds no parent,
+// and only a node's tree parent prepares it. Follows the commit mode of the
+// run.
+class TreeShapeTest : public InDoubtTest {
+ protected:
+  TreeShapeTest() : InDoubtTest(WorldOptions()) {}
+
+  // The prepare records node `n`'s log holds for `tid`.
+  std::vector<log::LogRecord> PreparesAt(NodeId n, const TransactionId& tid) {
+    std::vector<log::LogRecord> out;
+    log::LogManager& log = world_.rm(n).log();
+    for (Lsn lsn = log.first_lsn(); lsn != kNullLsn; lsn = log.NextLsn(lsn)) {
+      auto rec = log.ReadRecord(lsn);
+      if (rec.has_value() && rec->type == log::RecordType::kTxnPrepare && rec->top == tid) {
+        out.push_back(*rec);
+      }
+    }
+    return out;
+  }
+};
+
+TEST_F(TreeShapeTest, CallbackToRootCommits) {
+  // Node 1 writes at node 2, whose relay then writes node 1's own array: a
+  // call back into the root, which stays the root.
+  auto* relay = world_.AddServerOf<RelayServer>(2, "relay");
+  Status end = Status::kInternal;
+  world_.RunApp(1, [&](Application& app) {
+    TransactionId t = app.Begin();
+    server::Tx tx = app.MakeTx(t);
+    ASSERT_EQ(array(2)->SetCell(tx, 0, 2), Status::kOk);
+    ASSERT_EQ(relay->Forward(tx, array(1), 0, 1), Status::kOk);
+    end = app.End(t);
+  });
+  EXPECT_EQ(end, Status::kOk);
+  for (NodeId n = 1; n <= 3; ++n) {
+    EXPECT_TRUE(world_.tm(n).InDoubt().empty()) << "node " << n;
+  }
+  EXPECT_EQ(ReadAll(2), (std::vector<std::int32_t>{1, 2, 0}));
+}
+
+TEST_F(TreeShapeTest, NodeReachedTwicePreparesOnceForItsParent) {
+  // Node 1 writes at node 3, then node 2's relay writes there too: node 3's
+  // parent is node 1, though node 2 lists node 3 as its child as well.
+  auto* relay = world_.AddServerOf<RelayServer>(2, "relay");
+  TransactionId t;
+  Status end = Status::kInternal;
+  world_.RunApp(1, [&](Application& app) {
+    t = app.Begin();
+    server::Tx tx = app.MakeTx(t);
+    ASSERT_EQ(array(3)->SetCell(tx, 1, 5), Status::kOk);
+    ASSERT_EQ(relay->Forward(tx, array(3), 0, 3), Status::kOk);
+    end = app.End(t);
+  });
+  EXPECT_EQ(end, Status::kOk);
+  const std::vector<log::LogRecord> prepares = PreparesAt(3, t);
+  ASSERT_EQ(prepares.size(), 1u);
+  EXPECT_EQ(prepares[0].parent_node, 1u);
+  if (WorldOptions().commit_mode == txn::CommitMode::kPaxosCommit) {
+    // The leader's acceptor set, which a prepare from node 2 would not carry.
+    EXPECT_EQ(prepares[0].acceptors, (std::vector<NodeId>{1, 2, 3}));
+  } else {
+    EXPECT_TRUE(prepares[0].acceptors.empty());
+  }
+  EXPECT_TRUE(world_.tm(3).InDoubt().empty());
+  EXPECT_EQ(ReadAll(1), (std::vector<std::int32_t>{0, 0, 3}));
 }
 
 // Follows the commit mode of the run: the verdict is learned from the root
