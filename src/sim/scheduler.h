@@ -49,8 +49,10 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -364,20 +366,65 @@ class Future {
 template <typename T>
 using FuturePtr = std::shared_ptr<Future<T>>;
 
+// A list whose first N elements live in place: a short one allocates nothing
+// and copies without allocating, so it can ride a closure that a duplicated
+// datagram copies. A longer one moves to the heap whole, so the elements stay
+// contiguous and the list passes as a std::span.
+template <typename T, std::size_t N = 4>
+class SmallList {
+ public:
+  void push_back(T v) {
+    if (size_ < N) {
+      inline_[size_] = std::move(v);
+    } else {
+      if (size_ == N) {
+        spill_.reserve(2 * N);
+        spill_.assign(std::make_move_iterator(inline_.begin()),
+                      std::make_move_iterator(inline_.end()));
+      }
+      spill_.push_back(std::move(v));
+    }
+    ++size_;
+  }
+  void clear() {
+    spill_.clear();
+    size_ = 0;
+  }
+  void assign(std::span<const T> from) {
+    clear();
+    for (const T& v : from) {
+      push_back(v);
+    }
+  }
+
+  T* data() { return size_ > N ? spill_.data() : inline_.data(); }
+  const T* data() const { return size_ > N ? spill_.data() : inline_.data(); }
+  T* begin() { return data(); }
+  T* end() { return data() + size_; }
+  const T* begin() const { return data(); }
+  const T* end() const { return data() + size_; }
+  T& operator[](std::size_t i) { return data()[i]; }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+
+ private:
+  std::array<T, N> inline_{};
+  std::vector<T> spill_;
+  std::size_t size_ = 0;
+};
+
 // The replies to one round of requests, in arrival order: the commit
 // protocols' votes, acks, promises and acceptances, and name lookup replies.
 // Producers Push (waking the consumer); the consumer reads each delivery once
 // through Next. A datagram may deliver a reply twice, so a round that counts
 // answerers passes each reply's sender to First. (A session reply has one
-// producer and rides a Future.) A round of up to kInlineReplies deliveries
-// and answerers keeps them inside the Replies, and so inside the shared block
-// that holds it; a wider round, such as a name-server broadcast, spills the
-// rest to the heap.
+// producer and rides a Future.) A round of up to four deliveries and
+// answerers keeps them inside the Replies, and so inside the shared block
+// that holds it; a wider round, such as a name-server broadcast, spills to
+// the heap.
 template <typename T>
 class Replies {
  public:
-  static constexpr std::size_t kInlineReplies = 4;
-
   explicit Replies(Scheduler& sched) : sched_(sched) {}
 
   void Push(T v) {
@@ -410,34 +457,11 @@ class Replies {
   size_t senders() const { return senders_.size(); }
 
  private:
-  // The first kInlineReplies elements in place, the rest on the heap.
-  template <typename U>
-  class List {
-   public:
-    void push_back(U v) {
-      if (size_ < kInlineReplies) {
-        inline_[size_] = std::move(v);
-      } else {
-        spill_.push_back(std::move(v));
-      }
-      ++size_;
-    }
-    U& operator[](std::size_t i) {
-      return i < kInlineReplies ? inline_[i] : spill_[i - kInlineReplies];
-    }
-    std::size_t size() const { return size_; }
-
-   private:
-    std::array<U, kInlineReplies> inline_{};
-    std::vector<U> spill_;
-    std::size_t size_ = 0;
-  };
-
   Scheduler& sched_;
   WaitQueue queue_;
-  List<T> items_;
+  SmallList<T> items_;
   size_t read_ = 0;
-  List<NodeId> senders_;
+  SmallList<NodeId> senders_;
 };
 
 // Shared by the collecting task and the delivery tasks, which may outlive a

@@ -50,7 +50,7 @@ Ballot PaxosCommit::NextBallot() {
          static_cast<Ballot>(self() % kBallotStride);
 }
 
-std::vector<NodeId> PaxosCommit::ChooseAcceptors(const TransactionId& tid) const {
+sim::SmallList<NodeId> PaxosCommit::ChooseAcceptors(const TransactionId& tid) const {
   const auto& members = *tm_.peers_;  // includes dead nodes: pure function of membership
   size_t want = std::min(static_cast<size_t>(2 * f_ + 1), members.size());
   if (want % 2 == 0) {
@@ -58,8 +58,7 @@ std::vector<NodeId> PaxosCommit::ChooseAcceptors(const TransactionId& tid) const
   }
   size_t start = (tid.counter() + tid.node) % members.size();
   auto it = std::next(members.begin(), static_cast<std::ptrdiff_t>(start));
-  std::vector<NodeId> out;
-  out.reserve(want);
+  sim::SmallList<NodeId> out;
   while (out.size() < want) {
     out.push_back(it->first);
     if (++it == members.end()) {
@@ -99,9 +98,9 @@ Lsn PaxosCommit::AppendRecord(RecordType type, const TransactionId& tid, Ballot 
 
 // --- leader side ---------------------------------------------------------------
 
-int PaxosCommit::Decide(const TransactionId& tid, const std::vector<NodeId>& participants,
-                        const std::vector<NodeId>& acceptors, Vote local,
-                        const std::vector<VoteMsg>& votes, Lsn prepare_lsn, bool* learn) {
+int PaxosCommit::Decide(const TransactionId& tid, std::span<const NodeId> participants,
+                        std::span<const NodeId> acceptors, Vote local,
+                        std::span<const VoteMsg> votes, Lsn prepare_lsn, bool* learn) {
   sim::Substrate& sub = tm_.node_.substrate();
   bool any_prepared = local == Vote::kPrepared;
   bool any_aborted = false;
@@ -120,8 +119,7 @@ int PaxosCommit::Decide(const TransactionId& tid, const std::vector<NodeId>& par
     // every instance's ballot-0 value. ReadOnly instances ride along too — a
     // takeover derives its value list from the same participant set, so
     // every instance must be decidable from any acceptance quorum.
-    std::vector<InstanceValue> values;
-    values.reserve(participants.size());
+    sim::SmallList<InstanceValue> values;
     for (NodeId p : participants) {
       Vote v = local;
       for (const VoteMsg& m : votes) {
@@ -164,8 +162,8 @@ int PaxosCommit::Decide(const TransactionId& tid, const std::vector<NodeId>& par
 }
 
 size_t PaxosCommit::SendAcceptBundles(const TransactionId& tid,
-                                      const std::vector<InstanceValue>& values,
-                                      const std::vector<NodeId>& acceptors,
+                                      const sim::SmallList<InstanceValue>& values,
+                                      std::span<const NodeId> acceptors,
                                       const sim::RepliesPtr<PaxosAccepted>& replies,
                                       Lsn prepare_lsn) {
   sim::Substrate& sub = tm_.node_.substrate();
@@ -186,7 +184,7 @@ size_t PaxosCommit::SendAcceptBundles(const TransactionId& tid,
     // Crash window: this bundle is about to leave while bundles for other
     // acceptors of the same transaction may already be on the wire.
     FAULT_POINT(sub, "comm.accept-bundle");
-    tm_.cm_.SendDatagram(a, "paxos-accept-bundle", [atm, a, tid, values = values, me, replies] {
+    tm_.cm_.SendDatagram(a, "paxos-bundle", [atm, a, tid, values = values, me, replies] {
       if (atm->paxos_->AcceptBundle(tid, 0, values)) {
         atm->cm_.SendDatagram(me, "paxos-accepted",
                               [replies, a] { replies->Push(PaxosAccepted{a, 0, true}); });
@@ -195,8 +193,8 @@ size_t PaxosCommit::SendAcceptBundles(const TransactionId& tid,
   });
 }
 
-int PaxosCommit::Resolve(const TransactionId& tid, const std::vector<NodeId>& participants,
-                         const std::vector<NodeId>& acceptors) {
+int PaxosCommit::Resolve(const TransactionId& tid, std::span<const NodeId> participants,
+                         std::span<const NodeId> acceptors) {
   // One takeover leader per transaction per node: the crash sweep and a
   // manual ResolveInDoubt would otherwise duel each other with competing
   // ballots from the SAME node. Later callers park until the verdict.
@@ -213,9 +211,8 @@ int PaxosCommit::Resolve(const TransactionId& tid, const std::vector<NodeId>& pa
   return outcome;
 }
 
-int PaxosCommit::RunTakeover(const TransactionId& tid,
-                             const std::vector<NodeId>& participants,
-                             const std::vector<NodeId>& acceptors) {
+int PaxosCommit::RunTakeover(const TransactionId& tid, std::span<const NodeId> participants,
+                             std::span<const NodeId> acceptors) {
   sim::Substrate& sub = tm_.node_.substrate();
   sim::Scheduler& sched = sub.scheduler();
   sim::PhaseScope commit_phase(sub.metrics(), sim::Phase::kCommit);
@@ -375,7 +372,7 @@ int PaxosCommit::RunTakeover(const TransactionId& tid,
 }
 
 void PaxosCommit::BroadcastLearn(const TransactionId& tid, int outcome,
-                                 const std::vector<NodeId>& acceptors) {
+                                 std::span<const NodeId> acceptors) {
   for (NodeId a : acceptors) {
     if (a == self()) {
       Learn(tid, outcome);
@@ -393,7 +390,7 @@ void PaxosCommit::BroadcastLearn(const TransactionId& tid, int outcome,
 // --- acceptor side -----------------------------------------------------------
 
 bool PaxosCommit::AcceptBundle(const TransactionId& tid, Ballot ballot,
-                               const std::vector<InstanceValue>& values) {
+                               std::span<const InstanceValue> values) {
   sim::Substrate& sub = tm_.node_.substrate();
   sim::PhaseScope commit_phase(sub.metrics(), sim::Phase::kCommit);
   sim::SpanGuard span(sub.tracer(), sim::Component::kTransactionManager, "paxos.accept",

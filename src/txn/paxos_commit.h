@@ -145,10 +145,8 @@ class PaxosCommit {
   // Clamped to the largest odd set the membership supports. Includes dead
   // nodes on purpose: the set must be a pure function of (membership, tid) so
   // every participant, standby leader and recovered node derives the same one.
-  std::vector<NodeId> ChooseAcceptors(const TransactionId& tid) const;
-  static size_t Quorum(const std::vector<NodeId>& acceptors) {
-    return acceptors.size() / 2 + 1;
-  }
+  sim::SmallList<NodeId> ChooseAcceptors(const TransactionId& tid) const;
+  static size_t Quorum(std::span<const NodeId> acceptors) { return acceptors.size() / 2 + 1; }
 
   // --- leader side -------------------------------------------------------------
   // The coordinator's verdict for `tid` once phase one is over: `local` is
@@ -157,10 +155,11 @@ class PaxosCommit {
   // quorum is reachable (still in doubt). Sets `*learn` when a ballot-0
   // round decided, so the caller teaches the acceptors; a takeover teaches
   // them, and every participant, itself. `prepare_lsn` is the leader's
-  // deferred prepare record (see SendAcceptBundles).
-  int Decide(const TransactionId& tid, const std::vector<NodeId>& participants,
-             const std::vector<NodeId>& acceptors, Vote local,
-             const std::vector<VoteMsg>& votes, Lsn prepare_lsn, bool* learn);
+  // deferred prepare record (see SendAcceptBundles). The lists must outlive
+  // the call's waits: the caller's own copies, not a txns_ entry's.
+  int Decide(const TransactionId& tid, std::span<const NodeId> participants,
+             std::span<const NodeId> acceptors, Vote local, std::span<const VoteMsg> votes,
+             Lsn prepare_lsn, bool* learn);
 
   // Takeover: drive every instance of `tid` to a decision with a fresh
   // ballot (phase 1, value selection, phase 2). Returns +1 commit, -1 abort,
@@ -170,12 +169,11 @@ class PaxosCommit {
   // Concurrent callers on one node are serialized per transaction (the
   // second waits for the first's verdict); competing leaders on different
   // nodes de-synchronize with a deterministic node-keyed retry backoff.
-  int Resolve(const TransactionId& tid, const std::vector<NodeId>& participants,
-              const std::vector<NodeId>& acceptors);
+  int Resolve(const TransactionId& tid, std::span<const NodeId> participants,
+              std::span<const NodeId> acceptors);
 
   // Learn datagrams to every acceptor (the local one applies directly).
-  void BroadcastLearn(const TransactionId& tid, int outcome,
-                      const std::vector<NodeId>& acceptors);
+  void BroadcastLearn(const TransactionId& tid, int outcome, std::span<const NodeId> acceptors);
 
   // --- acceptor side (run on the acceptor's node via datagram handlers) -----
   // Ballot-0 2a: accept every instance in the bundle and log them as ONE
@@ -184,7 +182,7 @@ class PaxosCommit {
   // silent) when a takeover moved past ballot 0 or the outcome is already
   // learned.
   bool AcceptBundle(const TransactionId& tid, Ballot ballot,
-                    const std::vector<InstanceValue>& values);
+                    std::span<const InstanceValue> values);
   // Phase 1a at `ballot`: promise (durably) or reject.
   PaxosPromise Promise(const TransactionId& tid, Ballot ballot);
   // Takeover phase 2a at `ballot`: accept values for every instance at once.
@@ -223,8 +221,8 @@ class PaxosCommit {
   // guarantees the LSN is durable before any remote bundle leaves — a remote
   // quorum must never decide Prepared while the coordinator's redo is still
   // volatile.
-  size_t SendAcceptBundles(const TransactionId& tid, const std::vector<InstanceValue>& values,
-                           const std::vector<NodeId>& acceptors,
+  size_t SendAcceptBundles(const TransactionId& tid, const sim::SmallList<InstanceValue>& values,
+                           std::span<const NodeId> acceptors,
                            const sim::RepliesPtr<PaxosAccepted>& replies, Lsn prepare_lsn);
   // Appends one acceptor record at `ballot` carrying `values` (a kPaxosAccept
   // also records their acceptance): one record, and one force, per bundle.
@@ -234,8 +232,8 @@ class PaxosCommit {
                    std::span<const InstanceValue> values);
   // The ballot-driving loop behind Resolve (which adds the per-transaction
   // single-leader guard around it).
-  int RunTakeover(const TransactionId& tid, const std::vector<NodeId>& participants,
-                  const std::vector<NodeId>& acceptors);
+  int RunTakeover(const TransactionId& tid, std::span<const NodeId> participants,
+                  std::span<const NodeId> acceptors);
 
   TransactionManager& tm_;
   int f_ = 1;

@@ -31,24 +31,54 @@ const TransactionManager::Txn* TransactionManager::Find(const TransactionId& tid
   return it == txns_.end() ? nullptr : &it->second;
 }
 
+TransactionManager::Txn* TransactionManager::Find(const TransactionId& tid,
+                                                  std::uint64_t generation) {
+  Txn* txn = Find(tid);
+  return txn != nullptr && txn->generation == generation ? txn : nullptr;
+}
+
+void TransactionManager::Txn::clear() {
+  tid = parent = top = kNullTransaction;
+  generation = 0;
+  state = TxnState::kActive;
+  parent_node = kInvalidNode;
+  children.clear();
+  servers.clear();
+  live_subtxns.clear();
+  update_children.clear();
+  siblings.clear();
+  acceptors.clear();
+  prepare_lsn = kNullLsn;
+  abort_started = false;
+}
+
+TransactionManager::Txn& TransactionManager::NewTxn(const TransactionId& tid) {
+  Txn& txn = txn_nodes_.Get(txns_, tid)->second;
+  txn.tid = tid;
+  txn.generation = next_generation_++;
+  return txn;
+}
+
+void TransactionManager::EraseTxn(const TransactionId& tid) {
+  txn_nodes_.Keep(txns_.extract(tid));
+}
+
 TransactionId TransactionManager::Begin(const TransactionId& parent) {
   sim::SpanGuard span(node_.substrate().tracer(), sim::Component::kTransactionManager,
                       "txn.begin");
   // Application -> TM request and reply (two small local messages).
   node_.substrate().ChargeSystemMessage(sim::Primitive::kSmallMessage, 2);
   TransactionId tid{node_.id(), (incarnation_ << kIncarnationShift) | next_sequence_++};
-  Txn txn;
-  txn.tid = tid;
-  txn.parent = parent;
-  if (parent.IsNull()) {
-    txn.top = tid;
-  } else {
+  TransactionId top = tid;
+  if (!parent.IsNull()) {
     Txn* p = Find(parent);
     assert(p != nullptr && "BeginTransaction with unknown parent");
-    txn.top = p->top;
+    top = p->top;
     p->live_subtxns.insert(tid);
   }
-  txns_[tid] = std::move(txn);
+  Txn& txn = NewTxn(tid);
+  txn.parent = parent;
+  txn.top = top;
   return tid;
 }
 
@@ -87,13 +117,13 @@ void TransactionManager::DetachParticipant(const CommitParticipant* server) {
 }
 
 bool TransactionManager::OnRemoteParentObserved(const TransactionId& tid, NodeId parent) {
-  auto [it, fresh] = txns_.try_emplace(tid);
-  if (fresh) {
-    it->second.tid = tid;
-    it->second.top = tid;  // remote entries are tracked under the identifier used on the wire
-    it->second.parent_node = parent;
+  if (Find(tid) != nullptr) {
+    return false;
   }
-  return fresh;
+  Txn& txn = NewTxn(tid);
+  txn.top = tid;  // remote entries are tracked under the identifier used on the wire
+  txn.parent_node = parent;
+  return true;
 }
 
 bool TransactionManager::OnChildObserved(const TransactionId& tid, NodeId child) {
@@ -183,7 +213,7 @@ void TransactionManager::AbortImpl(Txn& txn) {
   if (p != nullptr) {
     p->live_subtxns.erase(tid);
   }
-  txns_.erase(tid);
+  EraseTxn(tid);
 }
 
 bool TransactionManager::AbortInProgress(const Txn& txn) const {
@@ -270,7 +300,7 @@ void TransactionManager::CascadeAbort(const TransactionId& tid) {
 void TransactionManager::ForgetTxn(const TransactionId& tid) {
   cm_.Forget(tid);
   rm_.ForgetTransaction(tid);
-  txns_.erase(tid);
+  EraseTxn(tid);
 }
 
 // --- crash recovery ---------------------------------------------------------
@@ -298,7 +328,7 @@ void TransactionManager::ObserveTxnRecord(const LogRecord& rec) {
       // children come back. A root's takeover tells every participant.
       if (rec.parent_node != kInvalidNode) {
         prepared.children = rec.children;
-        prepared.update_children = std::set<NodeId>(rec.children.begin(), rec.children.end());
+        prepared.update_children = rec.children;
       }
       break;
     }
@@ -343,8 +373,13 @@ void TransactionManager::PostRecovery(
     const recovery::RecoveryStats& stats,
     const std::map<std::string, CommitParticipant*>& participants) {
   for (const TransactionId& tid : stats.in_doubt) {
-    // After a single-server crash the transaction is still live.
-    Txn& txn = txns_.try_emplace(tid, std::move(logged_prepares_[tid])).first->second;
+    // After a single-server crash the transaction is still live, and keeps
+    // its generation.
+    auto [it, recovered] = txns_.try_emplace(tid, std::move(logged_prepares_[tid]));
+    Txn& txn = it->second;
+    if (recovered) {
+      txn.generation = next_generation_++;
+    }
     // Rebuild lock state: every object the in-doubt transaction updated
     // stays inaccessible until the verdict releases it through the entry.
     for (Lsn lsn : rm_.UndoListOf(tid)) {

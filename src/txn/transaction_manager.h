@@ -23,10 +23,12 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "src/comm/comm_manager.h"
+#include "src/common/node_recycler.h"
 #include "src/common/result.h"
 #include "src/common/types.h"
 #include "src/recovery/recovery_manager.h"
@@ -164,9 +166,9 @@ class TransactionManager : public comm::TransactionTreeListener,
   // no vote at all, to a repeated prepare). `siblings` are the parent's other
   // children (under Paxos Commit, every participant), and a non-empty
   // `acceptors` set marks a Paxos Commit participant, whose verdict is
-  // decided at those acceptors. The entry takes the lists over.
+  // decided at those acceptors. The entry copies the lists into its own.
   Vote HandlePrepare(const TransactionId& tid, NodeId parent_node,
-                     std::vector<NodeId> siblings, std::vector<NodeId> acceptors);
+                     std::span<const NodeId> siblings, std::span<const NodeId> acceptors);
   void HandleCommit(const TransactionId& tid);
   void HandleAbortMsg(const TransactionId& tid);
   // A verdict learned elsewhere (a takeover leader, or ResolveInDoubt's
@@ -227,10 +229,16 @@ class TransactionManager : public comm::TransactionTreeListener,
   SimTime vote_timeout() const { return vote_timeout_; }
 
  private:
+  // An entry's node is recycled (txn_nodes_), so its lists keep their
+  // capacity from one transaction to the next.
   struct Txn {
     TransactionId tid;
     TransactionId parent;           // null for top-level
     TransactionId top;
+    // Stamped from next_generation_ when the entry is created: a task that
+    // held the entry across a wait finds it again by (tid, generation), which
+    // neither a forgotten entry nor a later one on the same node matches.
+    std::uint64_t generation = 0;
     TxnState state = TxnState::kActive;
     // The spanning tree (top-level entries): the first node to invoke an
     // operation here (kInvalidNode: rooted here), and the children in
@@ -239,8 +247,9 @@ class TransactionManager : public comm::TransactionTreeListener,
     std::vector<NodeId> children;
     std::vector<CommitParticipant*> servers;
     std::set<TransactionId> live_subtxns;
-    std::set<NodeId> update_children;  // children that voted yes (not read-only);
-                                       // recovered: every child the prepare logged
+    // Children that voted yes (not read-only), ascending; recovered: every
+    // child the prepare logged.
+    std::vector<NodeId> update_children;
     std::vector<NodeId> siblings;      // fellow participants (from the prepare)
     std::vector<NodeId> acceptors;     // Paxos Commit: the 2F+1 acceptor set
                                        // (empty: plain 2PC governs this txn)
@@ -252,10 +261,21 @@ class TransactionManager : public comm::TransactionTreeListener,
     // other abort/commit attempt that observes it backs off — re-entering
     // mid-undo would apply the undo chain twice and then dangle the Txn&.
     bool abort_started = false;
+
+    // Empties the entry for its next transaction, keeping each list's
+    // capacity (NodeRecycler::Get calls it).
+    void clear();
   };
 
   Txn* Find(const TransactionId& tid);
   const Txn* Find(const TransactionId& tid) const;
+  // The entry a task held before a wait, if it still is that entry: nullptr
+  // once it was forgotten, even if a later entry now holds the id or the node.
+  Txn* Find(const TransactionId& tid, std::uint64_t generation);
+  // Creates `tid`'s entry on a recycled node and stamps its generation.
+  Txn& NewTxn(const TransactionId& tid);
+  // Erases `tid`'s entry, keeping its node for the next NewTxn.
+  void EraseTxn(const TransactionId& tid);
   // The unguarded abort path: sets abort_started and unwinds. Abort() and
   // CascadeAbort() are the guarded entry points.
   void AbortImpl(Txn& txn);
@@ -264,11 +284,11 @@ class TransactionManager : public comm::TransactionTreeListener,
   struct Tally {
     // Not kOk when phase one ended the transaction itself: kVoteNo when it
     // was rolled back here (a child is down, or a queue-mode wait failed),
-    // kAborted when an abort running elsewhere owns it.
+    // kAborted when an abort running elsewhere owns it or forgot it.
     Status status = Status::kOk;
     Vote vote = Vote::kReadOnly;   // the subtree's, this node included
     Vote local = Vote::kReadOnly;  // this node's joined servers alone
-    std::vector<VoteMsg> votes;    // each child's vote, counted once
+    sim::SmallList<VoteMsg> votes;  // each child's vote, counted once
     Lsn deferred_prepare = kNullLsn;  // a leader's unforced prepare record
   };
 
@@ -285,6 +305,8 @@ class TransactionManager : public comm::TransactionTreeListener,
   // record stable, so it is only appended and its LSN returned there.
   // Returns false when an abort consumed the transaction meanwhile.
   bool PrepareLocally(Txn& txn, Lsn* deferred);
+  // Phase two here and below, then forgets the transaction: `txn` is gone
+  // when it returns.
   void CommitSubtree(Txn& txn, bool is_root);
   // Rolls the subtree back here, tells this node's children, logs the abort
   // and forgets the transaction: `txn` is gone when it returns.
@@ -352,6 +374,8 @@ class TransactionManager : public comm::TransactionTreeListener,
   std::uint64_t incarnation_ = 0;
   std::uint64_t next_sequence_ = 1;
   std::map<TransactionId, Txn> txns_;
+  NodeRecycler<std::map<TransactionId, Txn>> txn_nodes_;
+  std::uint64_t next_generation_ = 1;
   // Every transaction record is built here: assign keeps each list's
   // capacity, and LogManager::Append serializes the record before it returns
   // (it never yields), so one scratch record serves every transaction.

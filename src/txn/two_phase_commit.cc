@@ -57,6 +57,8 @@ Status TransactionManager::CommitTopLevel(Txn& txn) {
   sim::PhaseScope commit_phase(sub.metrics(), sim::Phase::kCommit);
   sim::SpanGuard span(sub.tracer(), sim::Component::kTransactionManager, "2pc.commit",
                       sub.tracer().enabled() ? ToString(txn.top) : std::string());
+  const TransactionId tid = txn.tid;
+  const std::uint64_t generation = txn.generation;
 
   // Open subtransactions commit with their parent (Section 2.1.3).
   for (const TransactionId& s : std::set<TransactionId>(txn.live_subtxns)) {
@@ -72,27 +74,32 @@ Status TransactionManager::CommitTopLevel(Txn& txn) {
     // The CM hands the TM the complete site list (a pointer message).
     sub.Charge(sim::Primitive::kPointerMessage, 1);
   }
+  // A leader's participant and acceptor sets, kept here as well as in the
+  // entry: Decide, and the takeover it may run, read them across waits that
+  // a verdict datagram can forget the entry in.
+  sim::SmallList<NodeId> participants;
+  sim::SmallList<NodeId> acceptors;
   if (leader) {
     // One Paxos instance per direct participant (this node and each child):
     // a child prepares its own subtree with plain 2PC and votes for it.
-    txn.siblings.reserve(txn.children.size() + 1);
-    txn.siblings.assign(txn.children.begin(), txn.children.end());
-    txn.siblings.push_back(node_.id());
-    std::sort(txn.siblings.begin(), txn.siblings.end());
-    txn.acceptors = paxos_->ChooseAcceptors(txn.top);
+    participants.assign(txn.children);
+    participants.push_back(node_.id());
+    std::sort(participants.begin(), participants.end());
+    acceptors = paxos_->ChooseAcceptors(tid);
+    txn.siblings.assign(participants.begin(), participants.end());
+    txn.acceptors.assign(acceptors.begin(), acceptors.end());
   }
 
   Tally t = PrepareSubtree(txn, leader);
   if (t.status != Status::kOk) {
     return t.status;
   }
-  const TransactionId tid = txn.tid;
   int outcome = t.vote == Vote::kAborted ? -1 : 1;
   bool learn = false;  // a ballot-0 round decided: teach the acceptors
   if (leader) {
-    outcome = paxos_->Decide(txn.top, txn.siblings, txn.acceptors, t.local, t.votes,
-                             t.deferred_prepare, &learn);
-    if (Find(tid) == nullptr) {
+    outcome = paxos_->Decide(tid, participants, acceptors, t.local, t.votes, t.deferred_prepare,
+                             &learn);
+    if (Find(tid, generation) == nullptr) {
       return outcome > 0 ? Status::kOk : Status::kAborted;  // a verdict raced us
     }
     if (outcome == 0) {
@@ -146,6 +153,9 @@ Status TransactionManager::CommitTopLevel(Txn& txn) {
       // so locks release before the force, untainted, and successors
       // pipeline into the group-commit window.
       MakeDurable(AppendTxnRecord(RecordType::kTxnCommit, txn), txn, /*taint=*/false);
+      // Every vote is in and the predecessors decided, so only this task can
+      // decide the entry: nothing forgets it during the force.
+      assert(Find(tid, generation) == &txn);
       // The verdict is durable but no participant knows it: a crash here
       // must resolve to commit via the in-doubt query.
       FAULT_POINT(sub, "2pc.commit.after_record");
@@ -171,7 +181,6 @@ Status TransactionManager::CommitTopLevel(Txn& txn) {
   }
   CommitSubtree(txn, /*is_root=*/true);
   sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 1);  // TM -> app: done
-  ForgetTxn(tid);
   return Status::kOk;
 }
 
@@ -182,6 +191,7 @@ TransactionManager::Tally TransactionManager::PrepareSubtree(Txn& txn, bool lead
                       sub.tracer().enabled() ? ToString(txn.top) : std::string());
   const size_t children = txn.children.size();
   const TransactionId tid = txn.tid;
+  const std::uint64_t generation = txn.generation;
   Tally t;
   for (NodeId child : txn.children) {
     if (Peer(child) == nullptr) {
@@ -200,19 +210,22 @@ TransactionManager::Tally TransactionManager::PrepareSubtree(Txn& txn, bool lead
   // if this node later crashes; a Paxos leader's carries the participant and
   // acceptor sets, so any survivor can run a takeover.
   sim::RepliesPtr<VoteMsg> votes;
+  sim::SmallList<NodeId> siblings;
+  sim::SmallList<NodeId> acceptors;
   if (children > 0) {
     votes = std::make_shared<sim::Replies<VoteMsg>>(sched);
+    siblings.assign(leader ? txn.siblings : txn.children);
+    if (leader) {
+      acceptors.assign(txn.acceptors);
+    }
   }
   const NodeId self = node_.id();
   ToPeers(txn.children, [] {}, [&](NodeId child, TransactionManager* child_tm) {
-    std::vector<NodeId> siblings = leader ? txn.siblings : txn.children;
-    std::vector<NodeId> acceptors = leader ? txn.acceptors : std::vector<NodeId>();
-    // Each delivery, a duplicate included, runs its own copy of the closure,
-    // so the prepare hands its lists over to the participant's entry.
-    auto prepare = [child_tm, child, tid, self, votes, siblings = std::move(siblings),
-                    acceptors = std::move(acceptors)]() mutable {
+    // The lists travel inside the closure, so each delivery, a duplicate
+    // included, reads its own copy.
+    auto prepare = [child_tm, child, tid, self, votes, siblings, acceptors] {
       const bool paxos = !acceptors.empty();
-      Vote v = child_tm->HandlePrepare(tid, self, std::move(siblings), std::move(acceptors));
+      Vote v = child_tm->HandlePrepare(tid, self, siblings, acceptors);
       if (v == Vote::kNone) {
         return;  // a repeated prepare: the first delivery votes
       }
@@ -270,7 +283,6 @@ TransactionManager::Tally TransactionManager::PrepareSubtree(Txn& txn, bool lead
   // consumes none of it. Each child counts once: the datagram layer may
   // deliver a vote twice, and a repeat must never fill a lost vote's slot.
   t.vote = t.local;
-  t.votes.reserve(children);
   SimTime vote_deadline = sched.Now() + vote_timeout_;
   while (t.votes.size() < children) {
     std::optional<VoteMsg> m = votes->Next(vote_deadline);
@@ -289,15 +301,19 @@ TransactionManager::Tally TransactionManager::PrepareSubtree(Txn& txn, bool lead
       t.vote = Vote::kPrepared;
     }
   }
-  // The parent's abort may have erased the entry while this node waited for
-  // votes (HandlePrepare re-resolves it): touch `txn` only if it is alive.
-  if (Find(tid) == &txn) {
-    for (const VoteMsg& v : t.votes) {
-      if (v.vote == Vote::kPrepared) {
-        txn.update_children.insert(v.from);
-      }
+  // An abort may have forgotten the entry while this node waited for votes:
+  // the parent's, a cascade's, a called-back child's, or at a Paxos leader a
+  // takeover's (before Decide, no acceptor holds this node's instance).
+  if (Find(tid, generation) == nullptr) {
+    t.status = Status::kAborted;
+    return t;
+  }
+  for (const VoteMsg& v : t.votes) {
+    if (v.vote == Vote::kPrepared) {
+      txn.update_children.push_back(v.from);
     }
   }
+  std::sort(txn.update_children.begin(), txn.update_children.end());
   return t;
 }
 
@@ -311,8 +327,9 @@ Status TransactionManager::AwaitPredecessors(Txn& txn) {
   // already gone; `txn` must not be touched until the re-resolve proves it
   // alive).
   const TransactionId tid = txn.tid;
+  const std::uint64_t generation = txn.generation;
   Status ws = op_queue_.AwaitPredecessors(txn.top, vote_timeout_);
-  Txn* again = Find(tid);
+  Txn* again = Find(tid, generation);
   if (again == nullptr || again->state == TxnState::kAborted || AbortInProgress(*again)) {
     return Status::kAborted;
   }
@@ -326,6 +343,7 @@ Status TransactionManager::AwaitPredecessors(Txn& txn) {
 bool TransactionManager::PrepareLocally(Txn& txn, Lsn* deferred) {
   sim::Substrate& sub = node_.substrate();
   const TransactionId tid = txn.tid;
+  const std::uint64_t generation = txn.generation;
   sub.scheduler().Charge(sub.costs().participant_prepare_overhead_us);
   // The subtree voted yes but the prepare record is still volatile: a crash
   // here means this participant never prepared, and presumed abort applies.
@@ -341,7 +359,7 @@ bool TransactionManager::PrepareLocally(Txn& txn, Lsn* deferred) {
   // Prepared and in doubt: a crash here must leave the updates locked until
   // the verdict is learned.
   FAULT_POINT(sub, "2pc.vote.after_record");
-  Txn* after_force = Find(tid);
+  Txn* after_force = Find(tid, generation);
   if (after_force == nullptr || AbortInProgress(*after_force)) {
     return false;  // aborted (or being aborted) during the prepare force
   }
@@ -351,8 +369,8 @@ bool TransactionManager::PrepareLocally(Txn& txn, Lsn* deferred) {
 }
 
 Vote TransactionManager::HandlePrepare(const TransactionId& tid, NodeId parent_node,
-                                       std::vector<NodeId> siblings,
-                                       std::vector<NodeId> acceptors) {
+                                       std::span<const NodeId> siblings,
+                                       std::span<const NodeId> acceptors) {
   sim::Substrate& sub = node_.substrate();
   sim::PhaseScope commit_phase(sub.metrics(), sim::Phase::kCommit);
   sim::SpanGuard span(sub.tracer(), sim::Component::kTransactionManager, "2pc.handle-prepare",
@@ -382,19 +400,21 @@ Vote TransactionManager::HandlePrepare(const TransactionId& tid, NodeId parent_n
   }
   // CM -> TM: prepare arrived; TM -> CM: vote handed back for the wire.
   sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 2);
-  txn.siblings = std::move(siblings);
-  txn.acceptors = std::move(acceptors);
+  txn.siblings.assign(siblings.begin(), siblings.end());
+  txn.acceptors.assign(acceptors.begin(), acceptors.end());
   txn.state = TxnState::kPreparing;
 
-  Vote v = PrepareSubtree(txn, /*leader=*/false).vote;
   // PrepareSubtree blocks awaiting child votes, and the waits below block
   // too: each can overlap the coordinator's vote timeout, whose abort
-  // message rolls this subtree back and erases the Txn while we sleep.
-  // Re-resolve the entry after every blocking window — a stale vote must not
-  // touch (or resurrect) a transaction that was aborted and forgotten.
-  if (Find(tid) == nullptr) {
+  // message rolls this subtree back and forgets the entry while we sleep.
+  // Each finds the entry again by generation — a stale vote must not touch
+  // a transaction that was aborted and forgotten, nor a later one that took
+  // its node. PrepareSubtree reports a lost entry in its status.
+  Tally t = PrepareSubtree(txn, /*leader=*/false);
+  if (t.status != Status::kOk) {
     return Vote::kAborted;
   }
+  const Vote v = t.vote;
   if (v == Vote::kAborted) {
     AbortSubtree(txn);
     return Vote::kAborted;
@@ -435,6 +455,7 @@ void TransactionManager::CommitSubtree(Txn& txn, bool is_root) {
     acks = std::make_shared<sim::Replies<NodeId>>(sched);
   }
   const TransactionId tid = txn.tid;
+  const std::uint64_t generation = txn.generation;
   const NodeId self = node_.id();
   // A crashed child resolves via the in-doubt query after recovery.
   size_t expected =
@@ -460,23 +481,33 @@ void TransactionManager::CommitSubtree(Txn& txn, bool is_root) {
       // already stands, so a crash here must still commit everywhere.
       FAULT_POINT(sub, "2pc.commit.before_acks");
     }
-    for (size_t i = 0; i < expected; ++i) {
-      if (!acks->Next(sched.Now() + vote_timeout_)) {
+    // Each child counts once: a repeated ack must never stand in for a lost
+    // one, and the end record claims every child's.
+    size_t acked = 0;
+    while (acked < expected) {
+      std::optional<NodeId> ack = acks->Next(sched.Now() + vote_timeout_);
+      if (!ack) {
         break;  // a child will resolve via in-doubt query; commit stands
       }
       sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 1);  // CM -> TM: ack arrived
+      acked += acks->First(*ack) ? 1 : 0;
     }
     if (is_root && expected > 0) {
       FAULT_POINT(sub, "2pc.commit.after_acks");
-      AppendTxnRecord(RecordType::kTxnEnd, txn);
+      if (acked == expected && Find(tid, generation) != nullptr) {
+        AppendTxnRecord(RecordType::kTxnEnd, txn);
+      }
     }
+  }
+  if (Find(tid, generation) != nullptr) {  // still this transaction's after the acks
+    ForgetTxn(tid);
   }
 }
 
 void TransactionManager::HandleCommit(const TransactionId& tid) {
   Txn* txn = Find(tid);
-  if (txn == nullptr) {
-    return;  // duplicate delivery (at-most-once handlers make this benign)
+  if (txn == nullptr || txn->state != TxnState::kPrepared) {
+    return;  // a duplicate: the first delivery committed, and may still wait for acks
   }
   sim::Substrate& sub = node_.substrate();
   sim::PhaseScope commit_phase(sub.metrics(), sim::Phase::kCommit);
@@ -497,7 +528,6 @@ void TransactionManager::HandleCommit(const TransactionId& tid) {
   }
   CommitSubtree(*txn, /*is_root=*/false);
   FAULT_POINT(sub, "2pc.participant.after_commit");
-  ForgetTxn(tid);
 }
 
 void TransactionManager::AbortSubtree(Txn& txn) {
@@ -587,7 +617,7 @@ void TransactionManager::CommitSubtransaction(Txn& txn) {
   const TransactionId tid = txn.tid;
   SettleSubtxn(tid, txn.parent, txn.top, tid);
   parent->live_subtxns.erase(tid);
-  txns_.erase(tid);
+  EraseTxn(tid);
 }
 
 void TransactionManager::SettleSubtxn(const TransactionId& child, const TransactionId& parent,

@@ -194,6 +194,46 @@ TEST(WarmUpdateAllocTest, SecondDepositOfAWarmTransactionAllocatesNothing) {
   EXPECT_EQ(allocs, 0u);
 }
 
+TEST(WarmCommitAllocTest, DistributedWriteCommitAllocatesOnlyWhatItKeeps) {
+  // A root and two participants; each deposit is a session call. Once warm,
+  // the Transaction Manager's entries, their lists and the prepare round's
+  // lists reuse their predecessors' memory. What is left is counted here,
+  // site by site, until the commit returns (the acks are in by then).
+  World world(3);
+  servers::AccountServer* accounts[] = {
+      nullptr, nullptr, world.AddServerOf<servers::AccountServer>(2, "accounts", 16u),
+      world.AddServerOf<servers::AccountServer>(3, "accounts", 16u)};
+  auto commit = [&](Application& app) {
+    EXPECT_EQ(app.Transaction([&](const server::Tx& tx) {
+      Status s = accounts[2]->Deposit(tx, 0, 1);
+      return s == Status::kOk ? accounts[3]->Deposit(tx, 0, 1) : s;
+    }),
+              Status::kOk);
+  };
+  std::size_t allocs = 0;
+  int blocked = world.RunApp(1, [&](Application& app) {
+    // The warm-up also grows the log buffers to their working size.
+    for (int i = 0; i < 3; ++i) {
+      commit(app);
+    }
+    std::size_t before = g_allocs;
+    commit(app);
+    allocs = g_allocs - before;
+  });
+  EXPECT_EQ(blocked, 0);
+
+  std::size_t expected = 2;  // the session futures, one per remote deposit
+  expected += 3;             // the logged outcomes: the root's commit, each prepare
+  expected += 2;             // the root's vote and ack rounds' shared blocks
+  if (WorldOptions().commit_mode == txn::CommitMode::kPaxosCommit) {
+    expected += 1;  // the leader's acceptance round's shared block
+    // At each of the three acceptors, the transaction's state and one
+    // accepted value per participant's instance.
+    expected += 3 * (1 + 3);
+  }
+  EXPECT_EQ(allocs, expected);
+}
+
 TEST(WarmUpdateAllocTest, LockAndReleaseOfAFreeObjectAllocateNothing) {
   sim::Scheduler sched;
   lock::LockManager locks(sched, lock::CompatibilityMatrix::SharedExclusive(), 1000);

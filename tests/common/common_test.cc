@@ -1,9 +1,14 @@
-// Unit tests for the common layer: identifiers, Result<T>, and the byte
-// serialization the log and messages are built on.
+// Unit tests for the common layer: identifiers, Result<T>, the byte
+// serialization the log and messages are built on, and the node recycler of
+// the per-transaction tables.
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "src/common/bytes.h"
+#include "src/common/node_recycler.h"
 #include "src/common/result.h"
 #include "src/common/types.h"
 
@@ -129,6 +134,43 @@ TEST(BytesTest, OversizedLengthPrefixFailsClosed) {
   ByteReader r(w.bytes());
   EXPECT_EQ(r.Str(), "");
   EXPECT_FALSE(r.ok());
+}
+
+using Lists = std::map<int, std::vector<int>>;
+
+TEST(NodeRecyclerTest, GetRefillsAKeptNodeWithAnEmptyValueThatKeepsItsCapacity) {
+  Lists table;
+  NodeRecycler<Lists> recycler;
+  std::vector<int>& first = recycler.Get(table, 1)->second;
+  first.assign({1, 2, 3});
+  const int* buffer = first.data();
+  recycler.Keep(table.extract(1));
+  auto it = recycler.Get(table, 2);
+  EXPECT_EQ(it->first, 2);
+  EXPECT_EQ(&it->second, &first);  // the same node, under its new key
+  EXPECT_TRUE(it->second.empty());
+  EXPECT_EQ(it->second.capacity(), 3u);
+  EXPECT_EQ(it->second.data(), buffer);
+  EXPECT_EQ(table.size(), 1u);
+}
+
+TEST(NodeRecyclerTest, StaleReferenceIntoAKeptNodeReports) {
+  if (!NodeRecycler<Lists>::kPoisonsSpares) {
+    GTEST_SKIP() << "kept nodes are poisoned only under AddressSanitizer";
+  }
+  Lists table;
+  NodeRecycler<Lists> recycler;
+  std::vector<int>& stale = recycler.Get(table, 1)->second;
+  stale.push_back(1);
+  recycler.Keep(table.extract(1));
+  EXPECT_DEATH(
+      {
+        volatile std::size_t size = stale.size();
+        (void)size;
+      },
+      "use-after-poison");
+  recycler.Get(table, 2);  // a reused node reads as usual
+  EXPECT_TRUE(stale.empty());
 }
 
 }  // namespace

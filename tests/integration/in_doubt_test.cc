@@ -10,7 +10,9 @@
 // rolled back, and a lock re-acquired by single-server recovery is released
 // by the verdict. The tree those rules walk is recorded once per node, at
 // first contact: a call back into the root commits, and a node reached by two
-// callers prepares once, for its parent.
+// callers prepares once, for its parent. A repeated commit or ack counts
+// once, and a prepare task that outwaits its transaction's entry leaves the
+// next transaction on that entry's node alone.
 
 #include <gtest/gtest.h>
 
@@ -390,17 +392,28 @@ class TreeShapeTest : public InDoubtTest {
  protected:
   TreeShapeTest() : InDoubtTest(WorldOptions()) {}
 
-  // The prepare records node `n`'s log holds for `tid`.
-  std::vector<log::LogRecord> PreparesAt(NodeId n, const TransactionId& tid) {
+  // The records of `type` node `n`'s log holds for `tid`, unforced ones
+  // included: the log is forced first.
+  std::vector<log::LogRecord> RecordsAt(NodeId n, const TransactionId& tid,
+                                        log::RecordType type) {
     std::vector<log::LogRecord> out;
     log::LogManager& log = world_.rm(n).log();
+    world_.RunApp(n, [&](Application&) { log.ForceAll(); });
     for (Lsn lsn = log.first_lsn(); lsn != kNullLsn; lsn = log.NextLsn(lsn)) {
       auto rec = log.ReadRecord(lsn);
-      if (rec.has_value() && rec->type == log::RecordType::kTxnPrepare && rec->top == tid) {
+      if (rec.has_value() && rec->type == type && rec->top == tid) {
         out.push_back(*rec);
       }
     }
     return out;
+  }
+
+  // From now on every datagram arrives twice.
+  void DuplicateEveryDatagram() {
+    comm::Network::DatagramFaults faults;
+    faults.seed = 1;
+    faults.duplicate_probability = 1;
+    world_.network().SetDatagramFaults(faults);
   }
 };
 
@@ -437,7 +450,7 @@ TEST_F(TreeShapeTest, NodeReachedTwicePreparesOnceForItsParent) {
     end = app.End(t);
   });
   EXPECT_EQ(end, Status::kOk);
-  const std::vector<log::LogRecord> prepares = PreparesAt(3, t);
+  const std::vector<log::LogRecord> prepares = RecordsAt(3, t, log::RecordType::kTxnPrepare);
   ASSERT_EQ(prepares.size(), 1u);
   EXPECT_EQ(prepares[0].parent_node, 1u);
   if (WorldOptions().commit_mode == txn::CommitMode::kPaxosCommit) {
@@ -448,6 +461,109 @@ TEST_F(TreeShapeTest, NodeReachedTwicePreparesOnceForItsParent) {
   }
   EXPECT_TRUE(world_.tm(3).InDoubt().empty());
   EXPECT_EQ(ReadAll(1), (std::vector<std::int32_t>{0, 0, 3}));
+}
+
+TEST_F(TreeShapeTest, RepeatedCommitRunsARelaysPhaseTwoOnce) {
+  // Tree 1 -> 2 -> 3: node 2 writes its own cell and relays node 3's write.
+  // The repeated commit reaches node 2 while it waits for node 3's ack.
+  auto* relay = world_.AddServerOf<RelayServer>(2, "relay");
+  TransactionId t;
+  Status end = Status::kInternal;
+  world_.RunApp(1, [&](Application& app) {
+    t = app.Begin();
+    server::Tx tx = app.MakeTx(t);
+    ASSERT_EQ(array(1)->SetCell(tx, 0, 1), Status::kOk);
+    ASSERT_EQ(array(2)->SetCell(tx, 0, 2), Status::kOk);
+    ASSERT_EQ(relay->Forward(tx, array(3), 0, 3), Status::kOk);
+    DuplicateEveryDatagram();
+    end = app.End(t);
+  });
+  world_.network().SetDatagramFaults({});
+  EXPECT_EQ(end, Status::kOk);
+  for (NodeId n : {2, 3}) {
+    EXPECT_EQ(RecordsAt(n, t, log::RecordType::kTxnCommit).size(), 1u) << "node " << n;
+    EXPECT_TRUE(world_.tm(n).InDoubt().empty()) << "node " << n;
+  }
+  EXPECT_EQ(ReadAll(1), (std::vector<std::int32_t>{1, 2, 3}));
+}
+
+TEST_F(TreeShapeTest, RepeatedAckCannotStandInForALostOne) {
+  // Node 3's ack is lost and node 2's arrives twice: the root must not count
+  // node 2 twice and write an end record node 3 never acknowledged.
+  world_.network().SetDatagramLoss([](NodeId from, NodeId, const std::string& what) {
+    return from == 3 && what == "2pc-ack";
+  });
+  TransactionId t;
+  Status end = Status::kInternal;
+  world_.RunApp(1, [&](Application& app) {
+    t = app.Begin();
+    server::Tx tx = app.MakeTx(t);
+    ASSERT_EQ(array(2)->SetCell(tx, 0, 2), Status::kOk);
+    ASSERT_EQ(array(3)->SetCell(tx, 0, 3), Status::kOk);
+    DuplicateEveryDatagram();
+    end = app.End(t);
+  });
+  world_.network().SetDatagramFaults({});
+  world_.network().SetDatagramLoss({});
+  EXPECT_EQ(end, Status::kOk);
+  EXPECT_TRUE(RecordsAt(1, t, log::RecordType::kTxnEnd).empty());
+  EXPECT_EQ(RecordsAt(3, t, log::RecordType::kTxnCommit).size(), 1u);
+  EXPECT_EQ(ReadAll(1), (std::vector<std::int32_t>{0, 2, 3}));
+}
+
+TEST_F(TreeShapeTest, StalePrepareTaskLeavesTheNextEntryOnItsNodeAlone) {
+  // Tree 1 -> 2 -> 3 with node 3's vote lost. The root gives up first and
+  // aborts T1, and node 2 forgets T1 while its prepare task still waits for
+  // that vote. T2 then reaches node 2, whose entry takes T1's node, and is
+  // still running when the stale task wakes.
+  constexpr SimTime kRootTimeout = 1'000'000;
+  constexpr SimTime kRelayTimeout = 5'000'000;
+  auto* relay = world_.AddServerOf<RelayServer>(2, "relay");
+  world_.tm(1).SetVoteTimeout(kRootTimeout);
+  world_.tm(2).SetVoteTimeout(kRelayTimeout);
+  world_.network().SetDatagramLoss([](NodeId from, NodeId, const std::string& what) {
+    return from == 3 && what == "2pc-vote";
+  });
+  TransactionId t2;
+  Status end1 = Status::kInternal;
+  Status end2 = Status::kInternal;
+  int blocked = world_.RunApp(1, [&](Application& app) {
+    TransactionId t1 = app.Begin();
+    server::Tx tx1 = app.MakeTx(t1);
+    ASSERT_EQ(array(2)->SetCell(tx1, 0, 2), Status::kOk);
+    ASSERT_EQ(relay->Forward(tx1, array(3), 0, 3), Status::kOk);
+    end1 = app.End(t1);
+    world_.network().SetDatagramLoss({});
+
+    t2 = app.Begin();
+    server::Tx tx2 = app.MakeTx(t2);
+    ASSERT_EQ(array(2)->SetCell(tx2, 1, 5), Status::kOk);
+    ASSERT_EQ(relay->Forward(tx2, array(3), 1, 6), Status::kOk);
+    world_.scheduler().Charge(kRelayTimeout);
+    world_.scheduler().Yield();  // the stale task wakes
+    end2 = app.End(t2);
+  });
+  EXPECT_EQ(blocked, 0);
+  EXPECT_NE(end1, Status::kOk);
+  EXPECT_EQ(end2, Status::kOk);
+  EXPECT_TRUE(RecordsAt(2, t2, log::RecordType::kTxnAbort).empty());
+  for (NodeId n = 1; n <= 3; ++n) {
+    EXPECT_TRUE(world_.tm(n).InDoubt().empty()) << "node " << n;
+  }
+  world_.RunApp(1, [&](Application& app) {
+    app.Transaction([&](const server::Tx& tx) {
+      for (NodeId n : {2, 3}) {
+        Result<std::int32_t> cell0 = array(n)->GetCell(tx, 0);
+        Result<std::int32_t> cell1 = array(n)->GetCell(tx, 1);
+        EXPECT_TRUE(cell0.ok() && cell1.ok()) << "node " << n;
+        if (cell0.ok() && cell1.ok()) {
+          EXPECT_EQ(cell0.value(), 0) << "node " << n << ": T1 aborted";
+          EXPECT_EQ(cell1.value(), n == 2 ? 5 : 6) << "node " << n << ": T2 committed";
+        }
+      }
+      return Status::kOk;
+    });
+  });
 }
 
 // Follows the commit mode of the run: the verdict is learned from the root

@@ -342,7 +342,7 @@ TEST(PaxosBatchedAcceptTest, ReplayedBundleSurvivesReclaimAndDecidesTakeover) {
   // the coordinator, leaving node 2 in doubt and every acceptance undecided.
   world.network().SetDatagramLoss(
       [](NodeId from, NodeId to, const std::string& what) {
-        return (what == "paxos-accept-bundle" && to == 2) ||
+        return (what == "paxos-bundle" && to == 2) ||
                (from == 3 && (what == "2pc-commit" || what == "paxos-learn"));
       });
   Status outcome = Status::kInternal;
