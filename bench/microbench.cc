@@ -152,12 +152,12 @@ void BM_LockAcquireRelease(benchmark::State& state) {
 }
 BENCHMARK(BM_LockAcquireRelease);
 
-// One commit round of three votes: the shared reply block, three
+// One commit round of three votes: the pooled reply block, three
 // deliveries, and the collector reading each once and counting its sender.
 void BM_RepliesRound(benchmark::State& state) {
   sim::Scheduler sched;
   for (auto _ : state) {
-    auto votes = std::make_shared<sim::Replies<txn::VoteMsg>>(sched);
+    auto votes = sim::MakeShared<sim::Replies<txn::VoteMsg>>(sched, sched);
     for (NodeId from = 2; from <= 4; ++from) {
       votes->Push({from, txn::Vote::kPrepared});
     }

@@ -26,7 +26,7 @@ std::shared_ptr<CommManager::CallWindow> CommManager::AdmitAsync(const Transacti
   sim::Scheduler& sched = sub.scheduler();
   auto& slot = windows_[tid];
   if (slot == nullptr) {
-    slot = std::make_shared<CallWindow>();
+    slot = sim::MakeShared<CallWindow>(sched);
   }
   // Hold a reference across the wait: Forget (commit/abort cleanup) may
   // erase the map entry while we sleep.

@@ -211,7 +211,8 @@ class CommManager {
 
   template <typename R>
   sim::FuturePtr<Result<R>> FailedFuture() {
-    auto f = std::make_shared<sim::Future<Result<R>>>(network_.substrate().scheduler());
+    sim::Scheduler& sched = network_.substrate().scheduler();
+    auto f = sim::MakeShared<sim::Future<Result<R>>>(sched, sched);
     f->Fulfil(Status::kNodeDown);
     return f;
   }

@@ -163,7 +163,7 @@ class Network {
   sim::FuturePtr<Result<R>> Issue(NodeId from, NodeId to, std::string what, F handler,
                                   C on_complete) {
     sim::Scheduler& sched = substrate_.scheduler();
-    auto future = std::make_shared<sim::Future<Result<R>>>(sched);
+    auto future = sim::MakeShared<sim::Future<Result<R>>>(sched, sched);
     auto fail_now = [&] {
       on_complete();
       future->Fulfil(Status::kNodeDown);

@@ -45,10 +45,10 @@ Status LockManager::Lock(const TransactionId& tid, const ObjectId& oid, LockMode
     Grant(tid, oid, mode);
     return Status::kOk;
   }
-  auto waiter = std::make_shared<Waiter>();
+  auto waiter = sim::MakeShared<Waiter>(sched_);
   waiter->tid = tid;
   waiter->mode = mode;
-  waiters_[oid].push_back(waiter);
+  waiter_nodes_.Get(waiters_, oid)->second.push_back(waiter);
 
   sched_.WaitUntil(waiter->queue, sched_.Now() + timeout);
   auto held = grants_.find({oid, tid});
@@ -65,7 +65,7 @@ Status LockManager::Lock(const TransactionId& tid, const ObjectId& oid, LockMode
   if (auto q = waiters_.find(oid); q != waiters_.end()) {
     std::erase(q->second, waiter);
     if (q->second.empty()) {
-      waiters_.erase(q);
+      waiter_nodes_.Keep(waiters_.extract(q));
     }
   }
   return waiter->cancelled ? Status::kAborted : Status::kTimeout;
@@ -113,7 +113,7 @@ void LockManager::GrantEligibleWaiters(Waiters::iterator queue) {
     waiters.erase(waiters.begin());
   }
   if (waiters.empty()) {
-    waiters_.erase(queue);
+    waiter_nodes_.Keep(waiters_.extract(queue));
   }
 }
 

@@ -135,7 +135,10 @@ class LockManager {
   using Grants = std::map<std::pair<ObjectId, TransactionId>, ModeMask>;
   Grants grants_;
   NodeRecycler<Grants> grant_nodes_;
-  Waiters waiters_;  // FIFO per object, only for objects someone awaits
+  // FIFO per object, only for objects someone awaits. A drained queue's node
+  // and capacity serve the next: Lock looks its queue up again when it wakes.
+  Waiters waiters_;
+  NodeRecycler<Waiters> waiter_nodes_;
   GrantSink grant_sink_;
   GrantVeto grant_veto_;
   RequesterVeto requester_veto_;

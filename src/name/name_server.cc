@@ -42,7 +42,7 @@ std::vector<Binding> NameServer::LookUp(const std::string& name, size_t desired,
   // Broadcast to every other Name Server; each replies (by datagram) with
   // its local bindings, which we read until satisfied.
   sim::Scheduler& sched = cm_.network().substrate().scheduler();
-  auto replies = std::make_shared<sim::Replies<std::vector<Binding>>>(sched);
+  auto replies = sim::MakeShared<sim::Replies<std::vector<Binding>>>(sched, sched);
   const auto* peers = peers_;
   NodeId self = cm_.self();
   comm::Network& net = cm_.network();

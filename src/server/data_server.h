@@ -132,8 +132,8 @@ class DataServer : public txn::CommitParticipant {
       for (auto& op : ops) {
         chunk.push_back(Call<R>(tx, what, std::move(op)));
       }
-      auto f = std::make_shared<sim::Future<Result<std::vector<Result<R>>>>>(
-          substrate().scheduler());
+      sim::Scheduler& sched = substrate().scheduler();
+      auto f = sim::MakeShared<sim::Future<Result<std::vector<Result<R>>>>>(sched, sched);
       f->Fulfil(std::move(chunk));
       futures.push_back(std::move(f));
       return futures;

@@ -16,9 +16,8 @@
 #define TABS_ASAN_FIBERS 1
 #endif
 #endif
-#ifdef TABS_ASAN_FIBERS
-#include <sanitizer/asan_interface.h>  // also declares the fiber-switch hooks
-#endif
+// No-op poisoning macros without ASan; with it, also the fiber-switch hooks.
+#include <sanitizer/asan_interface.h>
 
 namespace tabs::sim {
 
@@ -64,6 +63,40 @@ WaitQueue::~WaitQueue() {
     t->wait_prev = t->wait_next = nullptr;
     t = next;
   }
+}
+
+BlockPool::~BlockPool() {
+  assert(outstanding_ == 0 && "a shared block outlived its scheduler");
+  for (std::size_t c = 0; c < free_.size(); ++c) {
+    while (FreeBlock* b = free_[c]) {
+      ASAN_UNPOISON_MEMORY_REGION(b, c * kGrain);
+      free_[c] = b->next;
+      ::operator delete(b);
+    }
+  }
+}
+
+void* BlockPool::Allocate(std::size_t bytes) {
+  std::size_t c = ClassOf(bytes);
+  if (c >= free_.size()) {
+    free_.resize(c + 1, nullptr);
+  }
+  void* block = free_[c];
+  if (block == nullptr) {
+    block = ::operator new(c * kGrain);
+  } else {
+    ASAN_UNPOISON_MEMORY_REGION(block, c * kGrain);
+    free_[c] = free_[c]->next;
+  }
+  ++outstanding_;
+  return block;
+}
+
+void BlockPool::Deallocate(void* block, std::size_t bytes) noexcept {
+  std::size_t c = ClassOf(bytes);
+  --outstanding_;
+  free_[c] = new (block) FreeBlock{free_[c]};
+  ASAN_POISON_MEMORY_REGION(block, c * kGrain);
 }
 
 Scheduler::~Scheduler() { Shutdown(); }

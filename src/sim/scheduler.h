@@ -40,7 +40,8 @@
 // objects are recycled through a freelist and hold their body inline
 // (TaskFn), each task records its own heap slot, and a WaitQueue is threaded
 // through the tasks it holds, so spawning, and blocking with or without a
-// deadline, allocate nothing.
+// deadline, allocate nothing. The blocks tasks meet at (futures, reply
+// rounds, lock waiters) come from the scheduler's BlockPool (MakeShared).
 
 #ifndef TABS_SIM_SCHEDULER_H_
 #define TABS_SIM_SCHEDULER_H_
@@ -151,6 +152,54 @@ struct ClockEvent {
   SimTime to = 0;
 };
 
+// The memory of every block tasks meet at: a session call's Future, a commit
+// round's Replies, a lock waiter, a pipeline window. Released blocks are kept
+// by size class, so a warm call, round or wait allocates nothing. A block can
+// outlive its maker and its node's runtime (a reply closure may hold a round
+// across the collector node's crash and recovery), so the pool belongs to the
+// Scheduler, which outlives every holder: ~Scheduler runs Shutdown, which
+// destroys every task closure, and the pool is its last member destroyed. A
+// block still held then is a bug that an assertion reports. Under
+// AddressSanitizer a released block is poisoned until it is handed out again.
+// The pool never decides what runs; nothing is ordered by a block's address.
+class BlockPool {
+ public:
+  BlockPool() = default;
+  ~BlockPool();
+  BlockPool(const BlockPool&) = delete;
+  BlockPool& operator=(const BlockPool&) = delete;
+
+  void* Allocate(std::size_t bytes);
+  void Deallocate(void* block, std::size_t bytes) noexcept;
+  std::size_t outstanding() const { return outstanding_; }  // handed out, not back
+
+ private:
+  static constexpr std::size_t kGrain = __STDCPP_DEFAULT_NEW_ALIGNMENT__;
+  static std::size_t ClassOf(std::size_t bytes) { return (bytes + kGrain - 1) / kGrain; }
+  struct FreeBlock {
+    FreeBlock* next;
+  };
+  std::vector<FreeBlock*> free_;  // newest first, by size class in kGrain units
+  std::size_t outstanding_ = 0;
+};
+
+// std::allocate_shared's allocator over a BlockPool.
+template <typename T>
+struct PoolAllocator {
+  using value_type = T;
+  explicit PoolAllocator(BlockPool& p) : pool(&p) {}
+  template <typename U>
+  PoolAllocator(const PoolAllocator<U>& other) : pool(other.pool) {}
+  T* allocate(std::size_t n) {
+    static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+    return static_cast<T*>(pool->Allocate(n * sizeof(T)));
+  }
+  void deallocate(T* p, std::size_t n) noexcept { pool->Deallocate(p, n * sizeof(T)); }
+  friend bool operator==(const PoolAllocator&, const PoolAllocator&) = default;
+
+  BlockPool* pool;
+};
+
 // Observes every virtual-clock mutation the scheduler performs, in batches.
 // The tracer installs one when tracing is enabled; no observer is installed
 // otherwise, so the default simulation pays exactly one null-pointer check
@@ -242,6 +291,8 @@ class Scheduler {
   // tasks that have started and not finished, not the tasks spawned.
   std::size_t stacks_mapped() const { return stacks_mapped_; }
   std::size_t peak_stacks_mapped() const { return peak_stacks_mapped_; }
+  // The pool behind MakeShared.
+  BlockPool& blocks() { return blocks_; }
 
   // Kills every task and runs until all stacks have unwound, then unmaps the
   // pooled stacks. Idempotent; the destructor calls it. Owners whose tasks
@@ -291,6 +342,7 @@ class Scheduler {
     }
   }
 
+  BlockPool blocks_;  // first, so destroyed last: after every closure and task
   std::vector<std::unique_ptr<Task>> tasks_;      // live tasks (swap-erase order)
   std::vector<std::unique_ptr<Task>> task_pool_;  // recycled Task objects
   std::vector<Task*> done_;                       // finished, awaiting reap
@@ -361,8 +413,15 @@ class Future {
   std::optional<T> value_;
 };
 
+// A block shared by the tasks that meet at it, built in `sched`'s BlockPool,
+// so a warm one takes no heap memory.
+template <typename T, typename... Args>
+std::shared_ptr<T> MakeShared(Scheduler& sched, Args&&... args) {
+  return std::allocate_shared<T>(PoolAllocator<T>(sched.blocks()), std::forward<Args>(args)...);
+}
+
 // Futures are shared between the issuing task and the delivery task (which
-// may outlive the issuer if its node crashes), so they live on the heap.
+// may outlive the issuer if its node crashes): MakeShared blocks.
 template <typename T>
 using FuturePtr = std::shared_ptr<Future<T>>;
 
@@ -419,7 +478,7 @@ class SmallList {
 // through Next. A datagram may deliver a reply twice, so a round that counts
 // answerers passes each reply's sender to First. (A session reply has one
 // producer and rides a Future.) A round of up to four deliveries and
-// answerers keeps them inside the Replies, and so inside the shared block
+// answerers keeps them inside the Replies, and so inside the pooled block
 // that holds it; a wider round, such as a name-server broadcast, spills to
 // the heap.
 template <typename T>
@@ -465,7 +524,7 @@ class Replies {
 };
 
 // Shared by the collecting task and the delivery tasks, which may outlive a
-// collector that gave up, so they live on the heap.
+// collector that gave up: MakeShared blocks.
 template <typename T>
 using RepliesPtr = std::shared_ptr<Replies<T>>;
 

@@ -30,6 +30,24 @@ constexpr Ballot kBallotStride = 1024;
 // Base unit of the takeover retry backoff: multiplied by the attempt number
 // and the node id, so no two nodes ever share a retry schedule.
 constexpr SimTime kTakeoverBackoffUs = 50'000;
+
+// The accepted value of `participant`'s instance in an acceptor's `accepted`
+// (ascending by participant). With `insert`, an instance that has none gets
+// one in its place (ballot -1, no vote) for the caller to fill in.
+InstanceValue* Accepted(sim::SmallList<InstanceValue>& accepted, NodeId participant, bool insert) {
+  InstanceValue* at =
+      std::ranges::lower_bound(accepted, participant, {}, &InstanceValue::participant);
+  if (at != accepted.end() && at->participant == participant) {
+    return at;
+  }
+  if (!insert) {
+    return nullptr;
+  }
+  std::ptrdiff_t i = at - accepted.begin();
+  accepted.push_back(InstanceValue{participant, -1, Vote::kNone});
+  std::rotate(accepted.begin() + i, accepted.end() - 1, accepted.end());
+  return accepted.begin() + i;
+}
 }  // namespace
 
 CommitMode DefaultCommitMode() {
@@ -86,7 +104,7 @@ Lsn PaxosCommit::AppendRecord(RecordType type, const TransactionId& tid, Ballot 
   AcceptorState& st = states_[tid];
   if (type == RecordType::kPaxosAccept) {
     for (const InstanceValue& v : values) {
-      st.accepted[v.participant] = InstanceValue{v.participant, ballot, v.vote};
+      *Accepted(st.accepted, v.participant, true) = InstanceValue{v.participant, ballot, v.vote};
     }
   }
   Lsn lsn = tm_.rm_.log().Append(rec);
@@ -128,7 +146,7 @@ int PaxosCommit::Decide(const TransactionId& tid, std::span<const NodeId> partic
       values.push_back(InstanceValue{p, 0, v});
     }
     sim::Scheduler& sched = sub.scheduler();
-    auto replies = std::make_shared<sim::Replies<PaxosAccepted>>(sched);
+    auto replies = sim::MakeShared<sim::Replies<PaxosAccepted>>(sched, sched);
     size_t sent = SendAcceptBundles(tid, values, acceptors, replies, prepare_lsn);
     // F+1 distinct acceptors decide; a duplicated reply counts once.
     const size_t quorum = Quorum(acceptors);
@@ -203,7 +221,8 @@ int PaxosCommit::Resolve(const TransactionId& tid, std::span<const NodeId> parti
     sim::FuturePtr<int> verdict = running->second;  // the leader erases the entry
     return verdict->Await(tm_.vote_timeout_) ? verdict->value() : 0;
   }
-  auto verdict = std::make_shared<sim::Future<int>>(tm_.node_.substrate().scheduler());
+  sim::Scheduler& sched = tm_.node_.substrate().scheduler();
+  auto verdict = sim::MakeShared<sim::Future<int>>(sched, sched);
   takeovers_.emplace(tid, verdict);
   int outcome = RunTakeover(tid, participants, acceptors);
   takeovers_.erase(tid);
@@ -237,7 +256,7 @@ int PaxosCommit::RunTakeover(const TransactionId& tid, std::span<const NodeId> p
     Ballot b = NextBallot();
 
     // ---- phase 1: promises from an acceptor quorum ----
-    auto promises = std::make_shared<sim::Replies<PaxosPromise>>(sched);
+    auto promises = sim::MakeShared<sim::Replies<PaxosPromise>>(sched, sched);
     size_t sent = tm_.ToPeers(
         acceptors, [&] { promises->Push(Promise(tid, b)); },
         [&](NodeId a, TransactionManager* atm) {
@@ -285,8 +304,7 @@ int PaxosCommit::RunTakeover(const TransactionId& tid, std::span<const NodeId> p
     // vote anywhere in the quorum; Aborted for instances no quorum member
     // has accepted (quorum intersection: a ballot-0 decision always leaves
     // at least one acceptance in ANY quorum, so a free choice is safe).
-    std::vector<InstanceValue> values;
-    values.reserve(participants.size());
+    sim::SmallList<InstanceValue> values;
     for (NodeId part : participants) {
       InstanceValue chosen{part, 0, Vote::kAborted};
       bool found = false;
@@ -306,7 +324,7 @@ int PaxosCommit::RunTakeover(const TransactionId& tid, std::span<const NodeId> p
     }
 
     // ---- phase 2: accept-all at ballot b ----
-    auto acks = std::make_shared<sim::Replies<PaxosAccepted>>(sched);
+    auto acks = sim::MakeShared<sim::Replies<PaxosAccepted>>(sched, sched);
     size_t sent2 = tm_.ToPeers(
         acceptors, [&] { acks->Push(PaxosAccepted{me, b, AcceptAll(tid, b, values)}); },
         [&](NodeId a, TransactionManager* atm) {
@@ -406,9 +424,10 @@ bool PaxosCommit::AcceptBundle(const TransactionId& tid, Ballot ballot,
   }
   bool duplicate = true;
   for (const InstanceValue& v : values) {
-    auto it = st.accepted.find(v.participant);
-    if (it == st.accepted.end() || it->second.ballot != ballot ||
-        it->second.vote != v.vote) {
+    // Only looks: the fault point below may yield before the record fills
+    // the values in, and a promise meanwhile must not report a blank one.
+    const InstanceValue* a = Accepted(st.accepted, v.participant, false);
+    if (a == nullptr || a->ballot != ballot || a->vote != v.vote) {
       duplicate = false;
       break;
     }
@@ -453,14 +472,12 @@ PaxosPromise PaxosCommit::Promise(const TransactionId& tid, Ballot ballot) {
   tm_.ForceLsn(AppendRecord(RecordType::kPaxosPromise, tid, ballot, {&promise, 1}));
   p.ok = true;
   p.promised = ballot;
-  for (const auto& [part, iv] : st.accepted) {
-    p.accepted.push_back(iv);
-  }
+  p.accepted = st.accepted;
   return p;
 }
 
 bool PaxosCommit::AcceptAll(const TransactionId& tid, Ballot ballot,
-                            const std::vector<InstanceValue>& values) {
+                            std::span<const InstanceValue> values) {
   sim::Substrate& sub = tm_.node_.substrate();
   sim::PhaseScope commit_phase(sub.metrics(), sim::Phase::kCommit);
   sub.ChargeSystemMessage(sim::Primitive::kSmallMessage, 2);  // CM -> TM, TM -> CM
@@ -508,10 +525,9 @@ void PaxosCommit::ObserveRecord(const log::LogRecord& rec) {
       // A batched accept carries one instance in the head fields and the
       // rest in paxos_extra, all at the same ballot: replay each one.
       auto replay = [&st, &rec](NodeId participant, std::int8_t vote) {
-        auto it = st.accepted.find(participant);
-        if (it == st.accepted.end() || it->second.ballot <= rec.paxos_ballot) {
-          st.accepted[participant] =
-              InstanceValue{participant, rec.paxos_ballot, static_cast<Vote>(vote)};
+        InstanceValue* a = Accepted(st.accepted, participant, true);
+        if (a->ballot <= rec.paxos_ballot) {
+          *a = InstanceValue{participant, rec.paxos_ballot, static_cast<Vote>(vote)};
         }
       };
       replay(rec.paxos_participant, rec.paxos_vote);

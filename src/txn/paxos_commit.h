@@ -124,7 +124,7 @@ struct PaxosPromise {
   bool ok = false;
   Ballot promised = 0;
   int learned = 0;  // +1 committed, -1 aborted, 0 unknown
-  std::vector<InstanceValue> accepted;
+  sim::SmallList<InstanceValue> accepted;  // in participant order
 };
 
 // The per-node Paxos Commit engine: acceptor role for any transaction whose
@@ -186,8 +186,7 @@ class PaxosCommit {
   // Phase 1a at `ballot`: promise (durably) or reject.
   PaxosPromise Promise(const TransactionId& tid, Ballot ballot);
   // Takeover phase 2a at `ballot`: accept values for every instance at once.
-  bool AcceptAll(const TransactionId& tid, Ballot ballot,
-                 const std::vector<InstanceValue>& values);
+  bool AcceptAll(const TransactionId& tid, Ballot ballot, std::span<const InstanceValue> values);
   // The decided outcome (+1/-1) reached this acceptor.
   void Learn(const TransactionId& tid, int outcome);
 
@@ -205,7 +204,8 @@ class PaxosCommit {
  private:
   struct AcceptorState {
     Ballot promised = 0;
-    std::map<NodeId, InstanceValue> accepted;  // by participant
+    // One value per instance, inline, in ascending participant order.
+    sim::SmallList<InstanceValue> accepted;
     int learned = 0;
     Lsn first_lsn = kNullLsn;
   };

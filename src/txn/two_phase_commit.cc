@@ -213,7 +213,7 @@ TransactionManager::Tally TransactionManager::PrepareSubtree(Txn& txn, bool lead
   sim::SmallList<NodeId> siblings;
   sim::SmallList<NodeId> acceptors;
   if (children > 0) {
-    votes = std::make_shared<sim::Replies<VoteMsg>>(sched);
+    votes = sim::MakeShared<sim::Replies<VoteMsg>>(sched, sched);
     siblings.assign(leader ? txn.siblings : txn.children);
     if (leader) {
       acceptors.assign(txn.acceptors);
@@ -452,7 +452,7 @@ void TransactionManager::CommitSubtree(Txn& txn, bool is_root) {
 
   sim::RepliesPtr<NodeId> acks;
   if (!txn.update_children.empty()) {
-    acks = std::make_shared<sim::Replies<NodeId>>(sched);
+    acks = sim::MakeShared<sim::Replies<NodeId>>(sched, sched);
   }
   const TransactionId tid = txn.tid;
   const std::uint64_t generation = txn.generation;

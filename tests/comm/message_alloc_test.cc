@@ -1,12 +1,13 @@
 // The hot paths allocate nothing once warm. The message path: a task body
 // lives inline in the Task that runs it (sim::TaskFn), so spawning a task,
-// sending a datagram and delivering it take no heap memory, and a session
-// call takes only its reply future. A commit round's replies live inside
-// their one shared block. An operation-logged account update and a lock
-// grant reuse the nodes and buffers their predecessors left. This binary
-// replaces the global operator new with a counter, which is why it is a test
-// executable of its own. Each count is taken after a warm-up that filled the
-// scheduler's task pool, grew its vectors and left nodes to recycle.
+// sending a datagram and delivering it take no heap memory. A session call's
+// reply future, a commit round's replies and a lock waiter live in blocks of
+// the scheduler's pool (sim::MakeShared). An operation-logged account update,
+// a lock grant and a lock wait reuse the nodes and buffers their
+// predecessors left. This binary replaces the global operator new with a
+// counter, which is why it is a test executable of its own. Each count is
+// taken after a warm-up that filled the scheduler's task and block pools,
+// grew its vectors and left nodes to recycle.
 
 #include <gtest/gtest.h>
 
@@ -84,7 +85,7 @@ TEST_F(MessageAllocTest, DatagramAndItsDeliveryAllocateNothing) {
   EXPECT_EQ(*delivered, 16);
 }
 
-TEST_F(MessageAllocTest, SessionCallAllocatesOnlyItsReplyFuture) {
+TEST_F(MessageAllocTest, WarmSessionCallAllocatesNothing) {
   int replies = 0;
   std::size_t allocs = AllocsOfSecondRound([&] {
     sched_.Spawn("caller", 1, 0, [this, &replies] {
@@ -92,8 +93,44 @@ TEST_F(MessageAllocTest, SessionCallAllocatesOnlyItsReplyFuture) {
       replies += r.ok() && r.value() == 7 ? 1 : 0;
     });
   });
-  EXPECT_EQ(allocs, 1u);
+  EXPECT_EQ(allocs, 0u);
   EXPECT_EQ(replies, 2);
+}
+
+TEST_F(MessageAllocTest, LateReplyFulfilsALiveBlockThatTheNextCallReuses) {
+  // The caller gives up before the reply lands. The delivery task still holds
+  // the future, fulfils it and releases it to the pool, where the next call
+  // of the same type finds it.
+  const void* first = nullptr;
+  bool gave_up = false;
+  bool replied_late = false;
+  sched_.Spawn("caller", 1, 0, [&] {
+    sim::FuturePtr<Result<int>> f = net_.AsyncSessionCall<int>(1, 2, "slow", [&] {
+      sched_.Charge(1000);
+      sched_.Yield();  // the caller's timeout, due first, fires
+      replied_late = gave_up;
+      return 7;
+    });
+    first = f.get();
+    gave_up = !f->Await(10);
+  });
+  ASSERT_EQ(sched_.Run(), 0);
+  EXPECT_TRUE(gave_up);
+  EXPECT_TRUE(replied_late);
+  EXPECT_EQ(sched_.blocks().outstanding(), 0u);
+
+  const void* second = nullptr;
+  bool answered = false;
+  std::size_t before = g_allocs;
+  sched_.Spawn("caller", 1, 0, [&] {
+    sim::FuturePtr<Result<int>> f = net_.AsyncSessionCall<int>(1, 2, "fast", [] { return 7; });
+    second = f.get();
+    answered = f->Await() && f->value().ok() && f->value().value() == 7;
+  });
+  ASSERT_EQ(sched_.Run(), 0);
+  EXPECT_EQ(g_allocs - before, 0u);
+  EXPECT_TRUE(answered);
+  EXPECT_EQ(second, first);
 }
 
 TEST_F(MessageAllocTest, SpawningAClosureOfSharedPointersAllocatesNothing) {
@@ -111,11 +148,11 @@ TEST_F(MessageAllocTest, SpawningAClosureOfSharedPointersAllocatesNothing) {
   EXPECT_EQ(*a + *b + *c, 12);
 }
 
-TEST_F(MessageAllocTest, ReplyRoundOfThreeAllocatesOnlyItsSharedBlock) {
+TEST_F(MessageAllocTest, ReplyRoundOfThreeAllocatesNothing) {
   int votes = 0;
   std::size_t allocs = AllocsOfSecondRound([&] {
     sched_.Spawn("collector", 1, 0, [this, &votes] {
-      auto replies = std::make_shared<sim::Replies<txn::VoteMsg>>(sched_);
+      auto replies = sim::MakeShared<sim::Replies<txn::VoteMsg>>(sched_, sched_);
       for (NodeId from = 2; from <= 4; ++from) {
         replies->Push({from, txn::Vote::kPrepared});
       }
@@ -125,7 +162,7 @@ TEST_F(MessageAllocTest, ReplyRoundOfThreeAllocatesOnlyItsSharedBlock) {
       }
     });
   });
-  EXPECT_EQ(allocs, 1u);
+  EXPECT_EQ(allocs, 0u);
   EXPECT_EQ(votes, 6);
 }
 
@@ -196,9 +233,10 @@ TEST(WarmUpdateAllocTest, SecondDepositOfAWarmTransactionAllocatesNothing) {
 
 TEST(WarmCommitAllocTest, DistributedWriteCommitAllocatesOnlyWhatItKeeps) {
   // A root and two participants; each deposit is a session call. Once warm,
-  // the Transaction Manager's entries, their lists and the prepare round's
-  // lists reuse their predecessors' memory. What is left is counted here,
-  // site by site, until the commit returns (the acks are in by then).
+  // the Transaction Manager's entries, their lists, the prepare round's lists
+  // and every future and reply round reuse their predecessors' memory. What
+  // is left is counted here, site by site, until the commit returns (the
+  // acks are in by then).
   World world(3);
   servers::AccountServer* accounts[] = {
       nullptr, nullptr, world.AddServerOf<servers::AccountServer>(2, "accounts", 16u),
@@ -222,16 +260,45 @@ TEST(WarmCommitAllocTest, DistributedWriteCommitAllocatesOnlyWhatItKeeps) {
   });
   EXPECT_EQ(blocked, 0);
 
-  std::size_t expected = 2;  // the session futures, one per remote deposit
-  expected += 3;             // the logged outcomes: the root's commit, each prepare
-  expected += 2;             // the root's vote and ack rounds' shared blocks
+  std::size_t expected = 3;  // the logged outcomes: the root's commit, each prepare
   if (WorldOptions().commit_mode == txn::CommitMode::kPaxosCommit) {
-    expected += 1;  // the leader's acceptance round's shared block
-    // At each of the three acceptors, the transaction's state and one
-    // accepted value per participant's instance.
-    expected += 3 * (1 + 3);
+    // At each of the three acceptors, the transaction's state; its accepted
+    // values live inside it.
+    expected += 3;
   }
   EXPECT_EQ(allocs, expected);
+}
+
+TEST(WarmUpdateAllocTest, LockWaitGrantedAtReleaseAllocatesNothing) {
+  // A conflicting request queues and is granted when the holder releases:
+  // its waiter block, its queue's node and both grants reuse what the first
+  // round left.
+  sim::Scheduler sched;
+  lock::LockManager locks(sched, lock::CompatibilityMatrix::SharedExclusive(), 1000);
+  const ObjectId oid{1, 0, 8};
+  std::uint64_t counter = 0;
+  int granted = 0;
+  auto round = [&] {
+    TransactionId holder{1, ++counter};
+    TransactionId waiter{1, ++counter};
+    sched.Spawn("holder", 1, 0, [&, holder] {
+      EXPECT_EQ(locks.Lock(holder, oid, lock::kExclusive), Status::kOk);
+      sched.Charge(10);
+      sched.Yield();  // the waiter, due at 1, queues behind the grant
+      locks.ReleaseAll(holder);
+    });
+    sched.Spawn("waiter", 1, 1, [&, waiter] {
+      granted += locks.Lock(waiter, oid, lock::kExclusive) == Status::kOk ? 1 : 0;
+      locks.ReleaseAll(waiter);
+    });
+    EXPECT_EQ(sched.Run(), 0);
+  };
+  round();
+  std::size_t before = g_allocs;
+  round();
+  EXPECT_EQ(g_allocs - before, 0u);
+  EXPECT_EQ(granted, 2);
+  EXPECT_FALSE(locks.IsLocked(oid));
 }
 
 TEST(WarmUpdateAllocTest, LockAndReleaseOfAFreeObjectAllocateNothing) {

@@ -4,6 +4,7 @@
 #include "src/sim/scheduler.h"
 
 #include <gtest/gtest.h>
+#include <sanitizer/asan_interface.h>  // defines __has_feature where GCC does not
 
 #include <memory>
 #include <optional>
@@ -656,6 +657,54 @@ TEST(SchedulerTest, WaitersKeepFifoOrderAfterTimeoutsAndKills) {
   });
   EXPECT_EQ(sched.Run(), 0);
   EXPECT_EQ(woke, (std::vector<std::string>{"1@300", "4@310", "6@320"}));
+}
+
+TEST(BlockPoolTest, ReleasedBlockServesTheNextOfItsSize) {
+  Scheduler sched;
+  FuturePtr<int> first = MakeShared<Future<int>>(sched, sched);
+  const Future<int>* released = first.get();
+  EXPECT_EQ(sched.blocks().outstanding(), 1u);
+  first.reset();
+  EXPECT_EQ(sched.blocks().outstanding(), 0u);
+  // A block of another size class does not take it; the next future does.
+  RepliesPtr<int> round = MakeShared<Replies<int>>(sched, sched);
+  FuturePtr<int> next = MakeShared<Future<int>>(sched, sched);
+  EXPECT_EQ(next.get(), released);
+  EXPECT_FALSE(next->ready());
+  EXPECT_EQ(sched.blocks().outstanding(), 2u);
+}
+
+TEST(BlockPoolTest, StalePointerIntoAReleasedFutureReports) {
+#if __has_feature(address_sanitizer) || defined(__SANITIZE_ADDRESS__)
+  Scheduler sched;
+  FuturePtr<int> f = MakeShared<Future<int>>(sched, sched);
+  Future<int>* stale = f.get();
+  f.reset();
+  EXPECT_DEATH(
+      {
+        volatile bool ready = stale->ready();
+        (void)ready;
+      },
+      "use-after-poison");
+  FuturePtr<int> reused = MakeShared<Future<int>>(sched, sched);
+  EXPECT_FALSE(stale->ready());  // handed out again, it reads as usual
+#else
+  GTEST_SKIP() << "released blocks are poisoned only under AddressSanitizer";
+#endif
+}
+
+TEST(BlockPoolTest, SchedulerDestroyedWhileABlockIsHeldAsserts) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the outstanding-block check is an assertion";
+#else
+  EXPECT_DEATH(
+      {
+        auto sched = std::make_unique<Scheduler>();
+        FuturePtr<int> held = MakeShared<Future<int>>(*sched, *sched);
+        sched.reset();
+      },
+      "outlived its scheduler");
+#endif
 }
 
 }  // namespace
